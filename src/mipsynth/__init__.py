@@ -21,7 +21,7 @@ from .relations import RelationCatalog, detect_relations
 from .mip import MipModel
 from .solvers import (Solution, SolverBackend, get_backend, is_oracle_backend,
                       register_backend)
-from .oracle import OracleResult, exhaustive_synthesize, sequence_depth
+from .oracle import OracleResult, exhaustive_synthesize
 from .cuts import CutSelection, apply_cuts
 from .formulation import (ModelHandles, SynthesisProblem, SynthesisResult,
                           build_model, effective_instance, extract_and_verify,
@@ -54,7 +54,7 @@ __all__ = [
     # model and solving
     "MipModel", "Solution", "SolverBackend", "get_backend",
     "is_oracle_backend", "register_backend",
-    "OracleResult", "exhaustive_synthesize", "sequence_depth",
+    "OracleResult", "exhaustive_synthesize",
     "CutSelection", "apply_cuts",
     "SynthesisProblem", "SynthesisResult", "ModelHandles",
     "build_model", "effective_instance", "extract_and_verify",

@@ -17,9 +17,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import concurrent.futures
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -32,8 +34,7 @@ import numpy as np
 from .cuts import CutSelection
 from .encoding import fidelity
 from .errors import (BackendError, ConfigError, DimensionError, GateSetError,
-                     MalformedEncodingError, ModelIntegrityError,
-                     OracleInconclusiveError, UnitarityError)
+                     ModelIntegrityError, OracleInconclusiveError)
 from .fixtures import (benchmark_registry, brickwork_circuit,
                        golden_weave_circuit, k4_parity_seed, k5_parity_seed,
                        standard_target, standard_target_names)
@@ -41,8 +42,8 @@ from .formulation import (OBJECTIVES, SynthesisProblem, SynthesisResult,
                           build_model, schedule_depth, synthesize)
 from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
                     builtin_names, extend_gate, gate_set_from_dict,
-                    gate_set_to_dict, gate_spec, spec_from_dict, spec_to_dict,
-                    weave_gate_set)
+                    gate_set_to_dict, gate_spec, sequence_product,
+                    spec_from_dict, spec_to_dict, weave_gate_set)
 from .relations import detect_relations
 from .rho import NamedGate, RhoConfig, circuit_qubits, rolling_horizon
 
@@ -140,7 +141,6 @@ CONFIG_SCHEMA = {
                            {"type": "array", "items": {"type": "string"}}]},
         "backend": {"type": "string"},
         "time_limit": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
         "rho": _RHO_SCHEMA,
         "report": {"type": "string"},
     },
@@ -168,17 +168,35 @@ _QASM_NAMES = {"h": "H", "x": "X", "y": "Y", "z": "Z", "s": "S", "sdg": "Sdg",
                "t": "T", "tdg": "Tdg", "cx": "CNOT", "cnot": "CNOT",
                "cz": "CZ", "id": "I", "rx": "RX", "ry": "RY", "rz": "RZ"}
 _QASM_SKIP = ("openqasm", "include", "barrier", "//")
-_ANGLE_CHARS = set("0123456789.+-*/() pi")
+_ANGLE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def _eval_angle(expr: str) -> float:
-    """Arithmetic-only angle expressions, with `pi` available."""
-    if not set(expr) <= _ANGLE_CHARS:
-        raise ConfigError(f"cannot parse angle expression {expr!r}")
+    """Angle expressions over numbers and `pi` with + - * / and unary minus.
+
+    The expression is parsed, never evaluated as Python, so no input can run
+    code or start an unbounded computation.
+    """
+    def value(node: ast.AST) -> float:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return math.pi
+        if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_OPS:
+            return _ANGLE_OPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        raise ConfigError(f"cannot parse angle expression {expr!r}: only "
+                          "numbers, pi, + - * / and unary minus are allowed")
+
     try:
-        return float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception as exc:
+        angle = value(ast.parse(expr.strip(), mode="eval").body)
+    except (SyntaxError, RecursionError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse angle expression {expr!r}: {exc}") from exc
+    if not math.isfinite(angle):
+        raise ConfigError(f"angle expression {expr!r} is not finite")
+    return angle
 
 
 def parse_qasm(text: str) -> tuple[list[GateSpec], int]:
@@ -240,10 +258,8 @@ def circuit_doc(specs: list[GateSpec], num_qubits: int) -> dict:
 
 
 def circuit_product(specs: list[GateSpec], num_qubits: int) -> np.ndarray:
-    u = np.eye(2 ** num_qubits, dtype=complex)
-    for s in specs:
-        u = u @ extend_gate(s, num_qubits).full
-    return u
+    return sequence_product((extend_gate(s, num_qubits).full for s in specs),
+                            2 ** num_qubits)
 
 
 def specs_to_named(specs: list[GateSpec]) -> list[NamedGate]:
@@ -408,45 +424,32 @@ def make_report(command: str, cfg: dict, problem: SynthesisProblem,
                 result: SynthesisResult, wall: float) -> dict:
     """Assemble the machine-readable outcome of one solve.
 
-    The fidelity field is recomputed here from the returned sequence; the
-    solver's own claim is only cross-checked, never echoed.
+    Fidelity, depth and schedule are the verified ones the synthesis result
+    carries (formulation.verify_sequence); the ``verify`` subcommand rechecks
+    a report's circuit independently.
     """
     nq = problem.num_qubits
     cert = result.certificate
-    fid = None
-    if result.feasible:
-        realized = circuit_product(result.sequence, nq)
-        fid = fidelity(realized, problem.target)
-        if (result.fidelity_to_target is not None
-                and abs(fid - result.fidelity_to_target) > 1e-6):
-            raise ModelIntegrityError(
-                f"recomputed fidelity {fid} disagrees with the solver's "
-                f"{result.fidelity_to_target}")
-    if result.depth is not None:
-        depth, schedule = result.depth, result.depth_schedule or {}
-    elif result.feasible:
-        depth, schedule = schedule_depth([s.qubits for s in result.sequence], nq)
-    else:
-        depth, schedule = None, {}
     report = {
         "command": command,
         "config": cfg,
         "status": result.status,
         "sequence": [spec_to_dict(s) for s in result.sequence],
         "counts": sequence_counts(result.sequence),
-        "depth": depth,
-        "schedule": {str(k): int(v) for k, v in (schedule or {}).items()},
+        "depth": result.depth,
+        "schedule": {str(k): int(v)
+                     for k, v in (result.depth_schedule or {}).items()},
         "objective": _jsonable(result.objective_value),
         "bound": _jsonable(cert.get("bound")),
         "gap": _jsonable(cert.get("gap")),
-        "fidelity": fid,
+        "fidelity": result.fidelity_to_target,
         "alpha": _jsonable(result.alpha),
         "beta": _jsonable(result.beta),
         "error_fro_sq": _jsonable(result.error_fro_sq),
         "phase_factor": _jsonable(result.phase_factor),
         "wall_seconds": wall,
         "solve_seconds": result.solve_seconds,
-        "cut_rows": cert.get("cut_rows", {}),
+        "row_families": cert.get("row_families", {}),
         "circuit": circuit_doc(result.sequence, nq),
     }
     if result.error_fro_sq is not None:
@@ -636,7 +639,6 @@ def _add_common(p: argparse.ArgumentParser, phase: bool = True) -> None:
         p.add_argument("--phase-mode", choices=["exact", "global"],
                        help="match the target exactly or up to global phase")
     p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--seed", type=int, help="RNG seed echoed into the report")
     p.add_argument("--jobs", type=int, default=1,
                    help="run multiple --config files concurrently")
     p.add_argument("--quiet", action="store_true", help="suppress the summary")
@@ -701,7 +703,7 @@ def build_arg_parser() -> _Parser:
 
 
 _FLAG_KEYS = ("fixture", "target", "gate_set", "P", "D", "objective",
-              "epsilon", "K", "backend", "time_limit", "cuts", "seed")
+              "epsilon", "K", "backend", "time_limit", "cuts")
 
 
 def merge_config(args: argparse.Namespace, file_cfg: dict) -> dict:
@@ -733,8 +735,6 @@ def merge_config(args: argparse.Namespace, file_cfg: dict) -> dict:
 
 
 def _dispatch(args: argparse.Namespace, cfg: dict) -> tuple[int, dict, list[str]]:
-    if cfg.get("seed") is not None:
-        np.random.seed(cfg["seed"])
     if args.command in ("synthesize", "approx", "oracle"):
         return run_solve(args.command, cfg, dump_lp=getattr(args, "dump_lp", None))
     if args.command == "rho":
@@ -757,67 +757,69 @@ def _run_one(args: argparse.Namespace, file_cfg: dict,
     return code, lines
 
 
-def _batch_worker(job) -> tuple[int, list[str]]:
-    argv, path = job
-    args = build_arg_parser().parse_args(argv)
-    try:
-        return _run_one(args, validate_config(_load_json(path)), None)
-    except SystemExit as exc:
-        return int(exc.code or 0), [f"{path}: failed"]
+#: Exit code of each failure a run may end in; every configuration, gate-set
+#: and matrix error is a ValueError.
+_FAILURE_CODES = (
+    ((jsonschema.ValidationError, ValueError, FileNotFoundError,
+      NotADirectoryError), EXIT_SCHEMA),
+    ((OracleInconclusiveError,), EXIT_NO_SOLUTION),
+    ((BackendError, ModelIntegrityError), EXIT_BACKEND),
+)
+_FAILURES = tuple(t for types, _ in _FAILURE_CODES for t in types)
 
 
-def _to_exit(exc: Exception, code: int) -> SystemExit:
+def _failure_code(exc: Exception) -> int:
+    """Report a failed run on stderr and return its exit code."""
+    if isinstance(exc, jsonschema.ValidationError):
+        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
+        exc = ConfigError(f"config schema: {exc.message} at {where}")
     print(f"mipsynth: error: {exc}", file=sys.stderr)
-    return SystemExit(code)
+    return next(code for types, code in _FAILURE_CODES if isinstance(exc, types))
+
+
+def _batch_worker(job) -> tuple[int, list[str]]:
+    """One batch entry; its failure becomes its exit code, not the batch's."""
+    argv, path = job
+    try:
+        return _run_one(build_arg_parser().parse_args(argv),
+                        validate_config(_load_json(path)), None)
+    except _FAILURES as exc:
+        return _failure_code(exc), ["failed"]
+
+
+def _run_batch(args: argparse.Namespace, argv: list[str]) -> int:
+    """Every config is an independent run; the batch exits with the worst code."""
+    if getattr(args, "report", None):
+        raise SystemExit(_failure_code(ConfigError(
+            "--report is per-run; put a 'report' key in each batch config instead")))
+    work = [(argv, p) for p in args.config]
+    jobs = getattr(args, "jobs", 1)
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = list(ex.map(_batch_worker, work))
+    else:
+        results = [_batch_worker(job) for job in work]
+    if not args.quiet:
+        for path, (_, lines) in zip(args.config, results):
+            for ln in lines:
+                print(f"[{path}] {ln}")
+    return max(code for code, _ in results)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_arg_parser().parse_args(argv)
+    if len(args.config) > 1:
+        return _run_batch(args, argv)
     try:
-        configs = [validate_config(_load_json(p)) for p in args.config]
-        jobs = getattr(args, "jobs", 1)
-        if len(configs) > 1:
-            # batch mode: every config is an independent run
-            if getattr(args, "report", None):
-                raise ConfigError("--report is per-run; put a 'report' key in "
-                                  "each batch config instead")
-            codes = []
-            if jobs > 1:
-                work = [(argv, p) for p in args.config]
-                with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-                    for path, (code, lines) in zip(args.config,
-                                                   ex.map(_batch_worker, work)):
-                        codes.append(code)
-                        if not args.quiet:
-                            for ln in lines:
-                                print(f"[{path}] {ln}")
-            else:
-                for path, cfg in zip(args.config, configs):
-                    code, lines = _run_one(args, cfg, None)
-                    codes.append(code)
-                    if not args.quiet:
-                        for ln in lines:
-                            print(f"[{path}] {ln}")
-            return max(codes)
-        file_cfg = configs[0] if configs else {}
+        file_cfg = validate_config(_load_json(args.config[0])) if args.config else {}
         code, lines = _run_one(args, file_cfg, getattr(args, "report", None))
-        if not args.quiet:
-            for ln in lines:
-                print(ln)
-        return code
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise _to_exit(ConfigError(f"config schema: {exc.message} at {where}"),
-                       EXIT_SCHEMA) from exc
-    except (ConfigError, GateSetError, DimensionError, UnitarityError,
-            MalformedEncodingError, json.JSONDecodeError, FileNotFoundError,
-            NotADirectoryError, ValueError) as exc:
-        raise _to_exit(exc, EXIT_SCHEMA) from exc
-    except OracleInconclusiveError as exc:
-        raise _to_exit(exc, EXIT_NO_SOLUTION) from exc
-    except (BackendError, ModelIntegrityError) as exc:
-        raise _to_exit(exc, EXIT_BACKEND) from exc
+    except _FAILURES as exc:
+        raise SystemExit(_failure_code(exc)) from exc
+    if not args.quiet:
+        for ln in lines:
+            print(ln)
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .cuts import CutSelection, apply_cuts
 from .encoding import (alpha_beta, encode_real, fidelity, require_unitary,
                        su_normalize)
 from .errors import ConfigError, DimensionError, ModelIntegrityError
-from .gates import GateSet, GateSpec
+from .gates import GateSet, GateSpec, sequence_product
 from .mip import MipModel
 from .solvers import Solution, get_backend, is_oracle_backend
 
@@ -138,11 +138,11 @@ class SynthesisResult:
     """Verified outcome of one synthesis run."""
 
     status: str  # optimal | feasible | infeasible | time_limit
-    sequence: list[GateSpec]
-    gate_indices: list[int]
-    objective_value: float | None
-    realized_unitary: np.ndarray | None
-    fidelity_to_target: float | None
+    sequence: list[GateSpec] = field(default_factory=list)
+    gate_indices: list[int] = field(default_factory=list)
+    objective_value: float | None = None
+    realized_unitary: np.ndarray | None = None
+    fidelity_to_target: float | None = None
     alpha: float | None = None
     beta: float | None = None
     error_fro_sq: float | None = None
@@ -436,6 +436,41 @@ def schedule_depth(sequence, num_qubits: int) -> tuple[int, dict[int, int]]:
     return depth, assignment
 
 
+def verify_sequence(problem: SynthesisProblem, gate_indices: list[int],
+                    eff_target: np.ndarray, eff_gate_mats: np.ndarray) -> SynthesisResult:
+    """Everything a chosen gate sequence determines, computed from the gates.
+
+    The realized unitary and its fidelity use the library's own matrices;
+    alpha, beta, the squared Frobenius error and the phase factor use the
+    effective instance the model constrains (see effective_instance).  The
+    phase factor is alpha + i*beta, the value the phase variables (r, s)
+    take, in global-phase mode with a target.  Depth and schedule come from
+    the gates' supports.  Both synthesis routes build their results here and
+    add only their own objective value and certificate.
+    """
+    gs = problem.gate_set
+    realized = sequence_product(gs.matrices()[gate_indices], gs.dim)
+    eff_prod = sequence_product(eff_gate_mats[gate_indices], gs.dim)
+    alpha, beta = alpha_beta(encode_real(eff_prod), eff_target)
+    depth, schedule = schedule_depth([gs[g] for g in gate_indices], gs.num_qubits)
+    phase = None
+    if problem.phase_mode == "global_phase" and problem.targets_equality():
+        phase = complex(alpha, beta)
+    return SynthesisResult(
+        status="optimal",
+        sequence=[gs[g].spec for g in gate_indices],
+        gate_indices=list(gate_indices),
+        realized_unitary=realized,
+        fidelity_to_target=fidelity(realized, problem.target),
+        alpha=alpha,
+        beta=beta,
+        error_fro_sq=float(np.sum(np.abs(eff_prod - eff_target) ** 2) * 2.0),
+        depth_schedule=schedule,
+        depth=depth,
+        phase_factor=phase,
+    )
+
+
 def polish_point(problem: SynthesisProblem, model: MipModel,
                  handles: ModelHandles, x: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The exact model point of the circuit a solver point selects.
@@ -533,48 +568,18 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
             f"the solver claims objective {claimed:.8f} but the chosen circuit "
             f"gives {polished:.8f} (allowed gap {allowed:.1e})")
 
-    gs = problem.gate_set
-    seq_idx = [g for g in chosen if g != gs.identity_index]
-    mats = gs.matrices()
-    realized = np.eye(gs.dim, dtype=complex)
-    for g in seq_idx:
-        realized = realized @ mats[g]
-    eff_prod = np.eye(gs.dim, dtype=complex)
-    for g in seq_idx:
-        eff_prod = eff_prod @ handles.eff_gate_mats[g]
-    e_fro = float(np.sum(np.abs(eff_prod - handles.eff_target) ** 2) * 2.0)
-
-    phase = None
-    if handles.r is not None:
-        phase = complex(xp[handles.r], xp[handles.s])
-
-    objective_value = polished
-    depth_val: int | None = None
-    schedule: dict[int, int] | None = None
-    if problem.objective == "depth":
-        depth_val, schedule = schedule_depth([gs[g] for g in seq_idx], gs.num_qubits)
-        objective_value = float(depth_val)
-
-    a_re, b_re = alpha_beta(xp[handles.ghat[-1]], handles.eff_target)
-    return SynthesisResult(
-        status=solution.status,
-        sequence=[gs[g].spec for g in seq_idx],
-        gate_indices=seq_idx,
-        objective_value=objective_value,
-        realized_unitary=realized,
-        fidelity_to_target=fidelity(realized, problem.target),
-        alpha=a_re,
-        beta=b_re,
-        error_fro_sq=e_fro,
-        depth_schedule=schedule,
-        depth=depth_val,
+    seq_idx = [g for g in chosen if g != problem.gate_set.identity_index]
+    result = verify_sequence(problem, seq_idx, handles.eff_target,
+                             handles.eff_gate_mats)
+    return replace(
+        result, status=solution.status,
+        objective_value=(float(result.depth) if problem.objective == "depth"
+                         else polished),
         certificate={"status": solution.status, "bound": solution.bound,
                      "gap": solution.gap, "gap_tol": solution.gap_tol,
                      "claim_discrepancy": claimed - polished,
                      "data_residual": data_residual},
-        solve_seconds=solution.solve_seconds,
-        phase_factor=phase,
-    )
+        solve_seconds=solution.solve_seconds)
 
 
 def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> SynthesisResult:
@@ -588,66 +593,27 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
         eff_t, eff_gs, problem.P, objective=obj_map[problem.objective],
         phase_mode=mode, weights=problem.weights, time_limit=time_limit)
     if res.status == "infeasible":
-        return SynthesisResult(status="infeasible", sequence=[], gate_indices=[],
-                               objective_value=None, realized_unitary=None,
-                               fidelity_to_target=None,
+        return SynthesisResult(status="infeasible",
                                certificate={"status": "infeasible", "bound": None,
-                                            "gap": None},
+                                            "gap": None, "nodes": res.nodes},
                                solve_seconds=res.seconds)
-    gs = problem.gate_set
-    seq_idx = list(res.sequence)
-    mats = gs.matrices()
-    realized = np.eye(gs.dim, dtype=complex)
-    for g in seq_idx:
-        realized = realized @ mats[g]
-    fid = fidelity(realized, problem.target)
-    eff_prod = np.eye(gs.dim, dtype=complex)
-    for g in seq_idx:
-        eff_prod = eff_prod @ eff_g[g]
-    a_re, b_re = alpha_beta(encode_real(eff_prod), eff_t)
-    e_fro = float(np.sum(np.abs(eff_prod - eff_t) ** 2) * 2.0)
-
-    if problem.objective == "depth":
-        obj_val: float | None = float(res.objective)
-        depth_val, schedule = schedule_depth([gs[g] for g in seq_idx], gs.num_qubits)
-    elif problem.objective == "weighted_gate_count":
-        obj_val = float(res.objective)
-        depth_val, schedule = None, None
-    elif problem.objective == "linearized_fidelity":
-        obj_val = a_re
-        depth_val, schedule = None, None
-    elif problem.objective == "exact_fidelity":
-        obj_val = fidelity(eff_prod, eff_t)
-        depth_val, schedule = None, None
-    else:  # frobenius_oa: the enumeration minimizes the true squared error
-        obj_val = e_fro
-        depth_val, schedule = None, None
-
+    result = verify_sequence(problem, res.sequence, eff_t, eff_g)
+    fid = result.fidelity_to_target
     if problem.targets_equality() and fid < 1 - 1e-9:
         raise ModelIntegrityError(
             f"exhaustive search returned a sequence with fidelity {fid:.12f}")
-
-    phase = None
-    if problem.phase_mode == "global_phase" and problem.targets_equality():
-        tr = np.trace(eff_t.conj().T @ eff_prod) / gs.dim
-        phase = complex(tr)
-
-    return SynthesisResult(
-        status="optimal",
-        sequence=[gs[g].spec for g in seq_idx],
-        gate_indices=seq_idx,
-        objective_value=obj_val,
-        realized_unitary=realized,
-        fidelity_to_target=fid,
-        alpha=a_re,
-        beta=b_re,
-        error_fro_sq=e_fro,
-        depth_schedule=schedule,
-        depth=depth_val,
-        certificate={"status": "optimal", "bound": obj_val, "gap": 0.0},
-        solve_seconds=res.seconds,
-        phase_factor=phase,
-    )
+    if problem.objective in TARGET_OBJECTIVES:
+        obj_val = float(res.objective)
+    elif problem.objective == "linearized_fidelity":
+        obj_val = result.alpha
+    elif problem.objective == "exact_fidelity":
+        obj_val = result.alpha ** 2 + result.beta ** 2
+    else:  # frobenius_oa: the enumeration minimizes the true squared error
+        obj_val = result.error_fro_sq
+    return replace(result, objective_value=obj_val,
+                   certificate={"status": "optimal", "bound": obj_val, "gap": 0.0,
+                                "nodes": res.nodes},
+                   solve_seconds=res.seconds)
 
 
 _EFF_GS_CACHE: dict[tuple, GateSet] = {}
@@ -681,19 +647,16 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     """Solve one synthesis instance end to end and verify the outcome."""
     t0 = time.perf_counter()
     if problem.objective == "depth":
-        eff_t, _, _ = effective_instance(problem)
-        ident = np.eye(problem.gate_set.dim, dtype=complex)
+        eff_t, eff_g, _ = effective_instance(problem)
+        empty = verify_sequence(problem, [], eff_t, eff_g)
         if problem.phase_mode == "exact":
-            trivial = bool(np.abs(eff_t - ident).max() <= 1e-12)
+            trivial = bool(np.abs(eff_t - empty.realized_unitary).max() <= 1e-12)
         else:
-            trivial = fidelity(problem.target, ident) >= 1 - 1e-12
+            trivial = empty.fidelity_to_target >= 1 - 1e-12
         if trivial:
-            return SynthesisResult(
-                status="optimal", sequence=[], gate_indices=[], objective_value=0.0,
-                realized_unitary=ident, fidelity_to_target=fidelity(ident, problem.target),
-                alpha=None, beta=None, error_fro_sq=None, depth_schedule={}, depth=0,
-                certificate={"status": "optimal", "bound": 0.0, "gap": 0.0},
-                solve_seconds=time.perf_counter() - t0)
+            return replace(empty, objective_value=0.0,
+                           certificate={"status": "optimal", "bound": 0.0, "gap": 0.0},
+                           solve_seconds=time.perf_counter() - t0)
 
     if is_oracle_backend(backend):
         return _oracle_route(problem, time_limit)
@@ -711,13 +674,12 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     if sol.status in ("optimal", "feasible"):
         result = extract_and_verify(problem, model, handles, sol)
         result.solve_seconds = time.perf_counter() - t0
-        result.certificate["cut_rows"] = dict(model.family_rows)
+        result.certificate["row_families"] = dict(model.family_rows)
         return result
     return SynthesisResult(
-        status=sol.status, sequence=[], gate_indices=[], objective_value=None,
-        realized_unitary=None, fidelity_to_target=None,
+        status=sol.status,
         certificate={"status": sol.status, "bound": sol.bound, "gap": sol.gap,
-                     "cut_rows": dict(model.family_rows)},
+                     "row_families": dict(model.family_rows)},
         solve_seconds=time.perf_counter() - t0)
 
 
@@ -726,6 +688,7 @@ __all__ = [
     "build_base", "build_model", "add_target", "add_objective_gate_count",
     "add_depth_scheduling", "add_objective_linearized_fidelity",
     "add_objective_exact_fidelity", "add_objective_frobenius_oa",
-    "extract_and_verify", "polish_point", "schedule_depth", "synthesize",
+    "extract_and_verify", "polish_point", "schedule_depth", "verify_sequence",
+    "synthesize",
     "OBJECTIVES", "PHASE_MODES",
 ]

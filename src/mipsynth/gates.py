@@ -202,6 +202,18 @@ def extend_gate(spec: GateSpec, num_qubits: int) -> ExtendedGate:
     return ExtendedGate(spec=spec, num_qubits=num_qubits, full=full, support=supp)
 
 
+def sequence_product(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
+    """Unitary of a gate sequence: the identity times each matrix in turn.
+
+    Gate 1 is applied first and is the leftmost factor, as everywhere in
+    this package.
+    """
+    u = np.eye(dim, dtype=complex)
+    for m in mats:
+        u = u @ m
+    return u
+
+
 def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int, tol: float = 1e-9) -> bool:
     """True when `u` factors as identity on `qubit` times some matrix on the rest."""
     u = np.asarray(u)
@@ -375,6 +387,7 @@ __all__ = [
     "identity_spec",
     "front_permutation",
     "extend_gate",
+    "sequence_product",
     "acts_trivially",
     "support_of",
     "fibonacci_generators",

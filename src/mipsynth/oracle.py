@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoding import require_unitary
 from .errors import DimensionError, OracleInconclusiveError
-from .gates import GateSet
+from .gates import GateSet, sequence_product
 from .relations import equal_matrices
 
 #: Rounding scale for hash keys; safe against accumulated matmul error.
@@ -286,10 +286,7 @@ def _check_length(tab: LevelTables, target: np.ndarray, m: int,
             if left_seq is None or right_seq is None:
                 continue
             seq = left_seq + right_seq
-            prod = np.eye(tab.n, dtype=complex)
-            for gi in seq:
-                prod = prod @ tab.gen[gi]
-            if tab.equal(prod, target):
+            if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
                 return seq
     return None
 
@@ -301,22 +298,6 @@ def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
         if seq is not None:
             return seq
     return None
-
-
-def sequence_depth(gs: GateSet, indices: list[int]) -> int:
-    """Depth of a gate sequence under earliest-possible monotone layering."""
-    depth = 0
-    layer: frozenset[int] = frozenset()
-    for i in indices:
-        g = gs[i]
-        if g.is_identity:
-            continue
-        if depth == 0 or (g.support & layer):
-            depth += 1
-            layer = g.support
-        else:
-            layer = layer | g.support
-    return depth
 
 
 def _dfs_weighted(tab: LevelTables, gs: GateSet, target: np.ndarray, max_length: int,
@@ -461,6 +442,6 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
 
 
 __all__ = [
-    "OracleResult", "exhaustive_synthesize", "sequence_depth",
+    "OracleResult", "exhaustive_synthesize",
     "LevelTables", "clear_oracle_cache", "KEY_SCALE", "VERIFY_TOL",
 ]

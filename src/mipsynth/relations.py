@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GateSet
+from .gates import GateSet, sequence_product
 
 #: Entrywise tolerance for relation equality checks.
 RELATION_TOL = 1e-8
@@ -164,9 +164,7 @@ def detect_relations(gs: GateSet, k_max: int = 3, up_to_phase: bool = False,
         gate_groups.setdefault(_round_key(mats[g], up_to_phase), []).append(g)
     for k in range(2, eff_k_max + 1):
         for seq in itertools.product(ni, repeat=k):
-            p = mats[seq[0]]
-            for a in seq[1:]:
-                p = p @ mats[a]
+            p = sequence_product(mats[list(seq)], gs.dim)
             for g in gate_groups.get(_round_key(p, up_to_phase), []):
                 if equal_matrices(p, mats[g], up_to_phase, tol):
                     cat.redundancies.append((seq, g))

@@ -21,7 +21,8 @@ from .cuts import CutSelection
 from .encoding import fidelity
 from .errors import BackendError, ConfigError, OracleInconclusiveError
 from .formulation import SynthesisProblem, synthesize
-from .gates import GateSet, builtin_gate, extend_gate, gate_spec
+from .gates import (GateSet, builtin_gate, extend_gate, gate_spec,
+                    sequence_product)
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,9 @@ def circuit_qubits(circuit: list[NamedGate]) -> int:
 def circuit_unitary(circuit: list[NamedGate], num_qubits: int | None = None) -> np.ndarray:
     """Full-register unitary, gate 1 applied first."""
     nq = circuit_qubits(circuit) if num_qubits is None else num_qubits
-    u = np.eye(2 ** nq, dtype=complex)
-    for g in circuit:
-        eg = extend_gate(gate_spec(g.name, g.qubits, angle=g.angle), nq)
-        u = u @ eg.full
-    return u
+    mats = (extend_gate(gate_spec(g.name, g.qubits, angle=g.angle), nq).full
+            for g in circuit)
+    return sequence_product(mats, 2 ** nq)
 
 
 def gates_on_qubits_up_to(circuit: list[NamedGate], qubits: set[int],
@@ -123,18 +122,6 @@ def retarget(circuit: list[NamedGate], block: list[int]) -> list[NamedGate]:
     """Remaining circuit after removing the block's gate instances."""
     drop = set(block)
     return [g for p, g in enumerate(circuit) if p not in drop]
-
-
-def retarget_unitary(target: np.ndarray, accepted: list[NamedGate],
-                     num_qubits: int) -> np.ndarray:
-    """Residual unitary once an accepted prefix is peeled off the target.
-
-    With the prefix A applied first, the remainder must realize A^dagger T.
-    Available for matrix-level peeling; the gate-list pipeline removes block
-    instances instead and never changes the target.
-    """
-    a = circuit_unitary(accepted, num_qubits)
-    return a.conj().T @ np.asarray(target, dtype=complex)
 
 
 def window_gate_set(prototypes, num_qubits: int) -> GateSet:
@@ -216,11 +203,9 @@ def _optimize_window(block: list[NamedGate], cfg: RhoConfig) -> list[NamedGate] 
     wires = sorted({q for g in block for q in g.qubits})
     local = {q: x + 1 for x, q in enumerate(wires)}
     k = len(wires)
-    target = np.eye(2 ** k, dtype=complex)
-    for g in block:
-        eg = extend_gate(gate_spec(g.name, tuple(local[q] for q in g.qubits),
-                                   angle=g.angle), k)
-        target = target @ eg.full
+    mats = (extend_gate(gate_spec(g.name, tuple(local[q] for q in g.qubits),
+                                  angle=g.angle), k).full for g in block)
+    target = sequence_product(mats, 2 ** k)
     gs = window_gate_set(cfg.window_gates, k)
 
     m = len(block)
@@ -346,6 +331,6 @@ __all__ = [
     "NamedGate", "RhoConfig", "RhoResult",
     "circuit_qubits", "circuit_unitary",
     "gates_on_qubits_up_to", "recursive_gates_on_qubits_up_to",
-    "find_first_block", "retarget", "retarget_unitary", "window_gate_set",
+    "find_first_block", "retarget", "window_gate_set",
     "rolling_horizon_pass", "rolling_horizon", "parity_ladder_zzz",
 ]

@@ -51,13 +51,11 @@ class Solution:
 @dataclass(frozen=True)
 class BackendCapabilities:
     supports_quadratic_objective: bool = False
-    supports_nonconvex_quadratic: bool = False
 
 
 @dataclass
 class BackendLimits:
     time_limit_s: float | None = None
-    threads: int = 1
     gap_tol: float = DEFAULT_GAP_TOL
 
 

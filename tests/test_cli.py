@@ -59,6 +59,10 @@ def test_parse_qasm_rejections():
         parse_qasm("qreg a[1]; qreg b[1];")
     with pytest.raises(ConfigError, match="angle expression"):
         parse_qasm("rz(two*pi) q[0];")
+    # angles are parsed, never evaluated: a power is refused at once
+    for expr in ("9**9**9", "2**10", "pi.real", "1/0", "1e999"):
+        with pytest.raises(ConfigError, match="angle expression"):
+            parse_qasm(f"rz({expr}) q[0];")
 
 
 def test_circuit_doc_round_trip():
@@ -242,6 +246,20 @@ def test_main_batch_sequential(tmp_path, capsys):
               "--report", str(tmp_path / "x.json")])
     assert exc.value.code == EXIT_SCHEMA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_batch_survives_a_bad_config(tmp_path, capsys, jobs):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    report = tmp_path / "good_report.json"
+    bad.write_text(json.dumps({"fixture": "nope", "backend": "oracle"}))
+    good.write_text(json.dumps({"fixture": "iswap", "phase_mode": "global",
+                                "backend": "oracle", "report": str(report)}))
+    code = main(["synthesize", "--jobs", jobs, "--config", str(bad),
+                 "--config", str(good)])
+    assert code == EXIT_SCHEMA  # max over per-run codes
+    assert json.loads(report.read_text())["exit_code"] == EXIT_OPTIMAL
+    assert f"[{bad}] failed" in capsys.readouterr().out
 
 
 def test_usage_errors_exit_64(capsys):

@@ -21,7 +21,7 @@ def solve(sel: CutSelection, **kw):
 
 
 def cut_rows(result) -> dict[str, int]:
-    return {k: v for k, v in result.certificate["cut_rows"].items()
+    return {k: v for k, v in result.certificate["row_families"].items()
             if k.startswith("cut_")}
 
 

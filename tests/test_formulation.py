@@ -9,11 +9,13 @@ from mipsynth.cuts import CutSelection
 from mipsynth.encoding import alpha_beta, encode_real
 from mipsynth.errors import (ConfigError, DimensionError, ModelIntegrityError,
                              UnitarityError)
-from mipsynth.formulation import (OBJECTIVES, TARGET_OBJECTIVES,
+from mipsynth.fixtures import oracle_corpus
+from mipsynth.formulation import (OBJECTIVES, PHASE_MODES, TARGET_OBJECTIVES,
                                   SynthesisProblem, build_base, build_model,
                                   effective_instance, extract_and_verify,
                                   polish_point, schedule_depth, synthesize)
-from mipsynth.gates import (GateSet, builtin_gate, gate_spec, weave_gate_set)
+from mipsynth.gates import (GateSet, builtin_gate, extend_gate, gate_spec,
+                            weave_gate_set)
 from mipsynth.solvers import DEFAULT_GAP_TOL, get_backend
 
 
@@ -137,7 +139,7 @@ def test_exact_solve_small():
     assert r.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
     assert r.certificate["bound"] == pytest.approx(2.0)
     assert r.certificate["gap"] == pytest.approx(0.0)
-    assert r.certificate["cut_rows"]["mccormick"] == 4 * 1 * 3 * 16
+    assert r.certificate["row_families"]["mccormick"] == 4 * 1 * 3 * 16
 
 
 def test_exact_solve_infeasible():
@@ -197,6 +199,7 @@ def test_linearized_fidelity_matches_oracle():
     assert milp.objective_value == pytest.approx(brute.objective_value, abs=1e-6)
     assert milp.alpha == pytest.approx(brute.alpha, abs=1e-6)
     assert milp.fidelity_to_target is not None
+    assert brute.certificate["nodes"] > 0
 
 
 def test_frobenius_oa_bounds_true_error():
@@ -235,6 +238,40 @@ def test_schedule_depth_cases():
     assert depth == 1 and sched == {1: 1, 2: 1, 3: 1}
     specs = [gate_spec("CNOT", (1, 3)), gate_spec("H", (3,))]
     assert schedule_depth([s.qubits for s in specs], 3)[0] == 2
+    # library gates: the identity's support is empty and adds no layer
+    gs = GateSet.from_specs(2, [gate_spec("H", (1,)), gate_spec("H", (2,)),
+                                gate_spec("CNOT", (1, 2))])
+    h1, h2, cx = (gs[gs.index_of(n, q)] for n, q in
+                  (("H", (1,)), ("H", (2,)), ("CNOT", (1, 2))))
+    ident = gs[gs.identity_index]
+    for seq, want in (([ident, ident], 0), ([h1, ident, h2], 1),
+                      ([h1, h2, cx], 2), ([h1, cx, h2], 3)):
+        assert schedule_depth(seq, 2)[0] == want
+    # a gate's support counts, not its declared qubits
+    h_on_1 = extend_gate(gate_spec("HI", (1, 2), matrix=np.kron(
+        builtin_gate("H"), np.eye(2))), 2)
+    assert h_on_1.support == {1} and schedule_depth([h_on_1, h2], 2)[0] == 1
+
+
+@pytest.mark.parametrize("phase_mode", PHASE_MODES)
+@pytest.mark.parametrize("name", ["t2_s", "hh_i", "y_from_xz", "rz2", "w1w2"])
+def test_mip_and_oracle_verify_alike(name, phase_mode):
+    fx = next(f for f in oracle_corpus() if f.name == name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = SynthesisProblem(fx.target, fx.gate_set, fx.P, phase_mode=phase_mode)
+        milp = synthesize(p, backend="scipy")
+        brute = synthesize(p, backend="oracle")
+    assert milp.status == brute.status == "optimal"
+    assert milp.gate_indices == brute.gate_indices
+    for f in ("fidelity_to_target", "alpha", "beta", "error_fro_sq"):
+        assert abs(getattr(milp, f) - getattr(brute, f)) <= 1e-9, f
+    if phase_mode == "exact":
+        assert milp.phase_factor is None and brute.phase_factor is None
+    else:
+        assert abs(milp.phase_factor - brute.phase_factor) <= 1e-9
+    assert milp.depth == brute.depth
+    assert milp.depth_schedule == brute.depth_schedule
 
 
 # T on the weave library, P=2, maximising alpha: the true optimum.

@@ -7,9 +7,10 @@ import pytest
 
 from mipsynth.errors import (DimensionError, OracleInconclusiveError,
                              UnitarityError)
+from mipsynth.formulation import schedule_depth
 from mipsynth.gates import GateSet, builtin_gate, gate_spec, weave_gate_set
 from mipsynth.oracle import (OracleResult, clear_oracle_cache,
-                             exhaustive_synthesize, sequence_depth)
+                             exhaustive_synthesize)
 from mipsynth.relations import equal_matrices
 
 from util import SEED, random_unitary
@@ -89,7 +90,7 @@ def test_depth_objective_parallelizes():
     hh = np.kron(builtin_gate("H"), builtin_gate("H"))
     res = exhaustive_synthesize(hh, gs, 3, objective="depth")
     assert res.objective == pytest.approx(1.0)
-    assert sequence_depth(gs, res.sequence) == 1
+    assert schedule_depth([gs[i] for i in res.sequence], gs.num_qubits)[0] == 1
     layered = product_of(gs, [gs.index_of("H", (1,)), gs.index_of("H", (2,)),
                               gs.index_of("CNOT", (1, 2))])
     res = exhaustive_synthesize(layered, gs, 4, objective="depth")
@@ -124,20 +125,6 @@ def test_score_objectives_match_enumeration(rng, objective, phase_mode):
     achieved = (abs(tr) ** 2 / 4 if objective == "fidelity"
                 else abs(tr) / 2 if phase_mode == "global_phase" else tr.real / 2)
     assert achieved == pytest.approx(res.objective, abs=1e-9)
-
-
-def test_sequence_depth_rules():
-    specs = [gate_spec("H", (1,)), gate_spec("H", (2,)), gate_spec("CNOT", (1, 2))]
-    gs = GateSet.from_specs(2, specs)
-    h1 = gs.index_of("H", (1,))
-    h2 = gs.index_of("H", (2,))
-    cx = gs.index_of("CNOT", (1, 2))
-    ident = gs.identity_index
-    assert sequence_depth(gs, []) == 0
-    assert sequence_depth(gs, [ident, ident]) == 0
-    assert sequence_depth(gs, [h1, ident, h2]) == 1
-    assert sequence_depth(gs, [h1, h2, cx]) == 2
-    assert sequence_depth(gs, [h1, cx, h2]) == 3
 
 
 def test_budget_exhaustion_raises():
