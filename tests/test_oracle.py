@@ -127,6 +127,24 @@ def test_score_objectives_match_enumeration(rng, objective, phase_mode):
     assert achieved == pytest.approx(res.objective, abs=1e-9)
 
 
+def test_sequence_depth_rules():
+    specs = [gate_spec("H", (1,)), gate_spec("H", (2,)), gate_spec("CNOT", (1, 2))]
+    gs = GateSet.from_specs(2, specs)
+    h1 = gs.index_of("H", (1,))
+    h2 = gs.index_of("H", (2,))
+    cx = gs.index_of("CNOT", (1, 2))
+    ident = gs.identity_index
+
+    def depth(seq):
+        return schedule_depth([gs[i] for i in seq], gs.num_qubits)[0]
+
+    assert depth([]) == 0
+    assert depth([ident, ident]) == 0
+    assert depth([h1, ident, h2]) == 1
+    assert depth([h1, h2, cx]) == 2
+    assert depth([h1, cx, h2]) == 3
+
+
 def test_budget_exhaustion_raises():
     gs = one_qubit_set("H", "T")
     with pytest.raises(OracleInconclusiveError):
