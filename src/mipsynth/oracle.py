@@ -7,7 +7,17 @@ m = l + r, iterates the left level, and hash-looks the required right factor
 up in the keys of level r; sequences come back by peeling generators against
 lower-level key sets, and every answer is re-verified in exact arithmetic
 before it is returned.  Level tables are target independent and cached per
-gate set.
+gate set, least recently used first out once their stored matrices pass
+CACHE_BUDGET_BYTES.
+
+The dense kernels are single matrix products (GEMM): a level expands as
+parents (c*n, n) times all generators side by side (n, g*n), a query forms
+every chunk^H @ target at once, and a trace overlap is one matrix-vector
+product.  A key is a sketch, not the matrix: the 2n^2 real entries are
+projected onto 8 fixed, seeded unit-norm directions, rounded at KEY_SCALE and
+hashed.  Two distinct matrices share a key only if they agree to about 1e-6
+along all 8 directions; every hit is still peeled and re-verified against the
+exact matrices.
 
 Weighted counts and circuit depth are not monotone in sequence length, so
 those objectives fall back to a pruned depth-first enumeration.  Fidelity
@@ -32,8 +42,17 @@ from .errors import DimensionError, OracleInconclusiveError
 from .gates import GateSet, sequence_product
 from .relations import equal_matrices
 
-#: Rounding scale for hash keys; safe against accumulated matmul error.
+#: Rounding scale of the key sketch.  Projection columns have unit norm, so
+#: the sketch carries the entries' accumulated matmul error (~1e-14) without
+#: amplifying it, far below the 1e-6 rounding step.
 KEY_SCALE = 1e6
+#: Number of projection directions in a key sketch.
+_SKETCH_DIM = 8
+#: Default bytes of level matrices one LevelTables stores.
+_MATRIX_BUDGET_BYTES = 800 << 20
+#: Total stored_bytes the table cache keeps before evicting the least
+#: recently used tables; equal to one table's matrix budget.
+CACHE_BUDGET_BYTES = _MATRIX_BUDGET_BYTES
 #: Tolerance for the final exact re-verification of a candidate sequence.
 VERIFY_TOL = 1e-9
 #: Transient chunk size target in bytes for vectorized expansions.
@@ -44,6 +63,13 @@ def _multipliers(count: int) -> np.ndarray:
     rng = np.random.default_rng(0xC0FFEE)
     return (rng.integers(0, 2 ** 62, size=count, dtype=np.uint64) * np.uint64(2)
             + np.uint64(1))
+
+
+def _projection(dim: int) -> np.ndarray:
+    """Fixed, seeded (dim, _SKETCH_DIM) projection with unit-norm columns."""
+    rng = np.random.default_rng(0x5EED)
+    proj = rng.standard_normal((dim, _SKETCH_DIM))
+    return proj / np.linalg.norm(proj, axis=0)
 
 
 def _canonical_phase_stack(stack: np.ndarray) -> np.ndarray:
@@ -134,13 +160,17 @@ class LevelTables:
     """Deduplicated product levels of a gate set, built lazily."""
 
     def __init__(self, gs: GateSet, phase_mode: str,
-                 matrix_budget_bytes: int = 800 << 20) -> None:
+                 matrix_budget_bytes: int = _MATRIX_BUDGET_BYTES) -> None:
         self.ni = gs.non_identity_indices()
         mats = gs.matrices()
         self.gen = np.ascontiguousarray(mats[self.ni])
         self.n = gs.dim
+        # gen_cols[j, g*n + k] = gen[g, j, k]: every generator side by side
+        self.gen_cols = np.ascontiguousarray(
+            self.gen.transpose(1, 0, 2).reshape(self.n, len(self.ni) * self.n))
         self.up_to_phase = phase_mode == "global_phase"
-        self.mults = _multipliers(2 * self.n * self.n)
+        self.proj = _projection(2 * self.n * self.n)
+        self.mults = _multipliers(_SKETCH_DIM)
         self.matrix_budget = matrix_budget_bytes
         self.stored_bytes = 0
         eye = np.eye(self.n, dtype=complex)[None, :, :]
@@ -152,18 +182,19 @@ class LevelTables:
     def keys_of(self, stack: np.ndarray) -> np.ndarray:
         if self.up_to_phase:
             stack = _canonical_phase_stack(stack)
-        flat = stack.reshape(stack.shape[0], -1)
-        q = np.empty((flat.shape[0], flat.shape[1] * 2), dtype=np.int64)
-        q[:, 0::2] = np.round(flat.real * KEY_SCALE)
-        q[:, 1::2] = np.round(flat.imag * KEY_SCALE)
-        return (q.astype(np.uint64) * self.mults[None, :]).sum(axis=1, dtype=np.uint64)
+        flat = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
+        sketch = flat.reshape(flat.shape[0], -1) @ self.proj
+        q = np.round(sketch * KEY_SCALE).astype(np.int64).astype(np.uint64)
+        return (q * self.mults[None, :]).sum(axis=1, dtype=np.uint64)
 
     def key_of_one(self, m: np.ndarray) -> np.uint64:
         return self.keys_of(m[None, :, :])[0]
 
     def _expand(self, parents: np.ndarray) -> np.ndarray:
-        prods = np.einsum("cij,gjk->cgik", parents, self.gen)
-        return prods.reshape(-1, self.n, self.n)
+        """All parent @ generator products, parent-major, generator-minor."""
+        n, c = self.n, len(parents)
+        prods = parents.reshape(c * n, n) @ self.gen_cols  # [c, i, g, k]
+        return prods.reshape(c, n, -1, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
 
     def iter_level_matrices(self, l: int, budget: _Budget):
         """Yield chunks covering every level-l matrix (reachable in exactly l
@@ -235,6 +266,7 @@ class LevelTables:
         return None
 
 
+#: Level tables by gate set and phase mode, least recently used first.
 _TABLE_CACHE: dict[tuple, LevelTables] = {}
 
 
@@ -243,11 +275,24 @@ def _tables_for(gs: GateSet, phase_mode: str) -> LevelTables:
     digest.update(np.ascontiguousarray(gs.matrices()).tobytes())
     digest.update(bytes(gs.non_identity_indices()))
     key = (digest.hexdigest(), phase_mode)
-    tab = _TABLE_CACHE.get(key)
+    tab = _TABLE_CACHE.pop(key, None)
     if tab is None:
         tab = LevelTables(gs, phase_mode)
-        _TABLE_CACHE[key] = tab
+    _TABLE_CACHE[key] = tab
     return tab
+
+
+def _trim_cache(keep: LevelTables) -> None:
+    """Evict least recently used tables until the stored matrices of the cache
+    fit CACHE_BUDGET_BYTES; `keep` is never evicted.  Runs after each search,
+    since searches grow tables."""
+    total = sum(t.stored_bytes for t in _TABLE_CACHE.values())
+    for key, tab in list(_TABLE_CACHE.items()):
+        if total <= CACHE_BUDGET_BYTES:
+            break
+        if tab is not keep:
+            total -= tab.stored_bytes
+            del _TABLE_CACHE[key]
 
 
 def clear_oracle_cache() -> None:
@@ -269,6 +314,12 @@ class OracleResult:
         return None if self.sequence is None else len(self.sequence)
 
 
+def _right_factors(chunk: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """chunk[c]^H @ target for every c, as one GEMM."""
+    n = target.shape[0]
+    return (chunk.conj().transpose(0, 2, 1).reshape(-1, n) @ target).reshape(-1, n, n)
+
+
 def _check_length(tab: LevelTables, target: np.ndarray, m: int,
                   budget: _Budget) -> list[int] | None:
     if m == 0:
@@ -278,7 +329,7 @@ def _check_length(tab: LevelTables, target: np.ndarray, m: int,
     right_keys = tab.levels[r].keys
     for chunk in tab.iter_level_matrices(l, budget):
         budget.charge(len(chunk))
-        needed = np.einsum("cji,jk->cik", chunk.conj(), target)
+        needed = _right_factors(chunk, target)
         hits = np.nonzero(right_keys.contains(tab.keys_of(needed)))[0]
         for h in hits:
             left_seq = tab.peel(chunk[h], l)
@@ -343,7 +394,9 @@ def _dfs_depth(tab: LevelTables, gs: GateSet, target: np.ndarray, max_length: in
             return
         for p in range(len(tab.gen)):
             s = supports[p]
-            if depth == 0 or (s & layer):
+            if not s:  # no qubits: no layer, as in schedule_depth
+                nd, nl = depth, layer
+            elif depth == 0 or (s & layer):
                 nd, nl = depth + 1, s
             else:
                 nd, nl = depth, layer | s
@@ -360,7 +413,7 @@ def _dfs_depth(tab: LevelTables, gs: GateSet, target: np.ndarray, max_length: in
 def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str,
                 budget: _Budget) -> tuple[list[int], float]:
     def score(stack: np.ndarray) -> np.ndarray:
-        tr = np.einsum("ji,cji->c", target.conj(), stack)
+        tr = stack.reshape(len(stack), -1) @ target.conj().ravel()
         if mode == "fidelity":
             return np.abs(tr) ** 2 / tab.n ** 2
         if tab.up_to_phase:
@@ -419,29 +472,30 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
         if np.any(w[tab.ni] < 0):
             raise ValueError("gate weights must be non-negative")
 
-    def done(seq: list[int] | None, obj: float | None) -> OracleResult:
-        if seq is None:
-            return OracleResult(status="infeasible", sequence=None, objective=None,
-                                nodes=budget.nodes, seconds=budget.seconds)
-        return OracleResult(status="optimal", sequence=[tab.ni[p] for p in seq],
-                            objective=obj, nodes=budget.nodes, seconds=budget.seconds)
-
-    if objective == "gate_count":
-        uniform = w is None or (len(tab.ni) > 0 and np.ptp(w[tab.ni]) <= 1e-12)
-        if uniform:
+    def search() -> tuple[list[int] | None, float | None]:
+        if objective == "gate_count":
+            uniform = w is None or (len(tab.ni) > 0 and np.ptp(w[tab.ni]) <= 1e-12)
+            if not uniform:
+                return _dfs_weighted(tab, gs, target, max_length, w, budget) or (None, None)
             unit = 1.0 if w is None else float(w[tab.ni[0]]) if tab.ni else 0.0
             seq = _mitm_min_length(tab, target, max_length, budget)
-            return done(seq, None if seq is None else unit * len(seq))
-        found = _dfs_weighted(tab, gs, target, max_length, w, budget)
-        return done(*(found if found else (None, None)))
-    if objective == "depth":
-        found = _dfs_depth(tab, gs, target, max_length, budget)
-        return done(*(found if found else (None, None)))
-    seq, val = _best_score(tab, target, max_length, objective, budget)
-    return done(seq, val)
+            return seq, None if seq is None else unit * len(seq)
+        if objective == "depth":
+            return _dfs_depth(tab, gs, target, max_length, budget) or (None, None)
+        return _best_score(tab, target, max_length, objective, budget)
+
+    try:
+        seq, obj = search()
+    finally:
+        _trim_cache(keep=tab)
+    if seq is None:
+        return OracleResult(status="infeasible", sequence=None, objective=None,
+                            nodes=budget.nodes, seconds=budget.seconds)
+    return OracleResult(status="optimal", sequence=[tab.ni[p] for p in seq],
+                        objective=obj, nodes=budget.nodes, seconds=budget.seconds)
 
 
 __all__ = [
     "OracleResult", "exhaustive_synthesize",
-    "LevelTables", "clear_oracle_cache", "KEY_SCALE", "VERIFY_TOL",
+    "LevelTables", "clear_oracle_cache", "CACHE_BUDGET_BYTES", "KEY_SCALE", "VERIFY_TOL",
 ]

@@ -4,14 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mipsynth import oracle
 from mipsynth.errors import (DimensionError, OracleInconclusiveError,
                              UnitarityError)
-from mipsynth.formulation import schedule_depth
+from mipsynth.formulation import SynthesisProblem, schedule_depth, synthesize
 from mipsynth.gates import GateSet, builtin_gate, gate_spec, weave_gate_set
-from mipsynth.oracle import (OracleResult, clear_oracle_cache,
+from mipsynth.oracle import (LevelTables, OracleResult, clear_oracle_cache,
                              exhaustive_synthesize)
 from mipsynth.relations import equal_matrices
+from mipsynth.rho import window_gate_set
 
 from util import SEED, random_unitary
 
@@ -179,3 +183,118 @@ def test_cache_survives_clear():
     assert isinstance(first, OracleResult)
     assert first.length == second.length == 4
     assert first.sequence == second.sequence
+
+
+@pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
+def test_depth_of_empty_support_gate_agrees_across_routes():
+    # NEG = -I acts on no qubit, so it opens no layer on either route
+    neg = gate_spec("NEG", (1,), matrix=-np.eye(2))
+    gs = GateSet.from_specs(1, [gate_spec("H", (1,)), neg])
+    for backend in ("oracle", "scipy"):
+        p = SynthesisProblem(target=-np.eye(2), gate_set=gs, P=2, objective="depth")
+        res = synthesize(p, backend=backend)
+        assert res.status == "optimal", backend
+        assert res.objective_value == pytest.approx(0.0), backend
+
+
+def test_table_cache_is_lru_within_byte_budget(monkeypatch):
+    sets = [one_qubit_set("H", "T"), one_qubit_set("H", "S"), line_set(),
+            one_qubit_set("T", "Tdg", "Z")]
+    target = [builtin_gate("Z"), builtin_gate("Z"),
+              product_of(sets[2], [1, 3, 2]), builtin_gate("S")]
+    calls = [0, 1, 2, 3, 0, 2, 1, 3, 0]
+
+    def run_all():
+        out = []
+        for i in calls:
+            res = exhaustive_synthesize(target[i], sets[i], 4)
+            total = sum(t.stored_bytes for t in oracle._TABLE_CACHE.values())
+            out.append((res.status, res.sequence, total, len(oracle._TABLE_CACHE)))
+        return out
+
+    clear_oracle_cache()
+    free = run_all()
+    sizes = [t.stored_bytes for t in oracle._TABLE_CACHE.values()]
+    assert len(sizes) == len(sets)
+    budget = max(sizes) + min(sizes)
+    assert budget < sum(sizes)
+    monkeypatch.setattr(oracle, "CACHE_BUDGET_BYTES", budget)
+    clear_oracle_cache()
+    bounded = run_all()
+    assert [r[:2] for r in bounded] == [r[:2] for r in free]
+    assert all(r[2] <= budget for r in bounded)
+    assert min(r[3] for r in bounded[len(sets):]) < len(sets)  # it did evict
+    # a budget below one table still keeps the table just used
+    monkeypatch.setattr(oracle, "CACHE_BUDGET_BYTES", 0)
+    res = exhaustive_synthesize(target[2], sets[2], 4)
+    (kept,) = oracle._TABLE_CACHE.values()
+    assert kept.stored_bytes > 0 and res.sequence == free[2][1]
+    clear_oracle_cache()
+
+
+def test_gemm_kernels_match_einsum(rng):
+    gs = window_gate_set(("CNOT", "H", "S"), 3)
+    tab = LevelTables(gs, "exact")
+    parents = np.stack([random_unitary(gs.dim, rng) for _ in range(7)])
+    want = np.einsum("cij,gjk->cgik", parents, tab.gen).reshape(-1, gs.dim, gs.dim)
+    got = tab._expand(parents)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    target = random_unitary(gs.dim, rng)
+    want = np.einsum("cji,jk->cik", parents.conj(), target)
+    assert np.abs(oracle._right_factors(parents, target) - want).max() <= 1e-12
+
+
+def independent_level_counts(gs: GateSet, up_to_phase: bool, lmax: int) -> list[int]:
+    """Level sizes by dedup on every rounded entry, phase fixed by hand."""
+    gens = gs.matrices()[gs.non_identity_indices()]
+
+    def rows(stack):
+        flat = stack.reshape(len(stack), -1)
+        if up_to_phase:
+            first = np.argmax(np.abs(flat) > 1e-3, axis=1)
+            v = flat[np.arange(len(flat)), first]
+            flat = flat * (np.abs(v) / v)[:, None]
+        return np.round(np.concatenate([flat.real, flat.imag], axis=1) * 1e6).astype(np.int64)
+
+    frontier = np.eye(gs.dim, dtype=complex)[None]
+    seen = {r.tobytes() for r in rows(frontier)}
+    counts = [1]
+    for _ in range(lmax):
+        prods = np.stack([a @ g for a in frontier for g in gens])
+        uniq, first = np.unique(rows(prods), axis=0, return_index=True)
+        fresh = [i for r, i in zip(uniq, first) if r.tobytes() not in seen]
+        seen.update(r.tobytes() for r in uniq)
+        frontier = prods[fresh]
+        counts.append(len(fresh))
+    return counts
+
+
+@pytest.mark.parametrize("phase_mode", ["exact", "global_phase"])
+def test_level_counts_match_independent_dedup(phase_mode):
+    gs = window_gate_set(("CNOT", "H", "S"), 3)
+    tab = LevelTables(gs, phase_mode)
+    tab.ensure_level(4, oracle._Budget(10 ** 9, None))
+    want = independent_level_counts(gs, phase_mode == "global_phase", 4)
+    assert [lev.count for lev in tab.levels] == want
+
+
+def test_four_qubit_level_counts_pinned():
+    tab = LevelTables(window_gate_set(("CNOT", "H", "S"), 4), "exact")
+    tab.ensure_level(4, oracle._Budget(10 ** 9, None))
+    assert [lev.count for lev in tab.levels] == [1, 20, 264, 2820, 26166]
+
+
+_PAIR_SET = window_gate_set(("CNOT", "H", "S"), 2)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(word=st.lists(st.sampled_from(_PAIR_SET.non_identity_indices()), max_size=3))
+def test_random_words_reach_brute_force_minimum(word):
+    target = product_of(_PAIR_SET, word)
+    for phase_mode in ("exact", "global_phase"):
+        want = brute_min_length(_PAIR_SET, target, len(word), phase_mode == "global_phase")
+        res = exhaustive_synthesize(target, _PAIR_SET, 3, phase_mode=phase_mode)
+        assert res.status == "optimal" and res.length == want
+        assert equal_matrices(product_of(_PAIR_SET, res.sequence), target,
+                              phase_mode == "global_phase")
