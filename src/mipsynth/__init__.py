@@ -19,8 +19,7 @@ from .gates import (ExtendedGate, GateSet, GateSpec, builtin_gate,
                     weave_gate_set)
 from .relations import RelationCatalog, detect_relations
 from .mip import MipModel
-from .solvers import (Solution, SolverBackend, get_backend, is_oracle_backend,
-                      register_backend)
+from .solvers import Solution, get_backend, is_oracle_backend
 from .oracle import OracleResult, exhaustive_synthesize
 from .cuts import CutSelection, apply_cuts
 from .formulation import (ModelHandles, SynthesisProblem, SynthesisResult,
@@ -52,8 +51,7 @@ __all__ = [
     # relations
     "RelationCatalog", "detect_relations",
     # model and solving
-    "MipModel", "Solution", "SolverBackend", "get_backend",
-    "is_oracle_backend", "register_backend",
+    "MipModel", "Solution", "get_backend", "is_oracle_backend",
     "OracleResult", "exhaustive_synthesize",
     "CutSelection", "apply_cuts",
     "SynthesisProblem", "SynthesisResult", "ModelHandles",

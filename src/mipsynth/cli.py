@@ -219,10 +219,10 @@ def parse_qasm(text: str) -> tuple[list[GateSpec], int]:
             continue
         m = re.match(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.+)$", line)
         if not m:
-            raise GateSetError(f"unsupported QASM statement: {line!r}")
+            raise GateSetError(f"QASM statement is not supported: {line!r}")
         name, angle_expr, args = m.group(1).lower(), m.group(2), m.group(3)
         if name not in _QASM_NAMES:
-            raise GateSetError(f"unsupported QASM gate {name!r}")
+            raise GateSetError(f"QASM gate {name!r} is not supported")
         qubits = tuple(int(q) + 1 for q in re.findall(r"\[\s*(\d+)\s*\]", args))
         if not qubits:
             raise GateSetError(f"could not read qubit arguments in {line!r}")

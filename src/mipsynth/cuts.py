@@ -106,35 +106,29 @@ def _pattern_weight(weights: np.ndarray, pattern) -> float:
 
 
 def add_identity_symmetry_cuts(model: "MipModel", z: np.ndarray,
-                               identity_index: int, P: int) -> int:
+                               identity_index: int, P: int) -> None:
     """Identity selections form a suffix: z[id,p] <= z[id,p+1]."""
-    rows = 0
     for p in range(1, P):
         model.add_constr({int(z[identity_index, p - 1]): 1.0,
                           int(z[identity_index, p]): -1.0},
                          "<=", 0.0, family="cut_identity_symmetry")
-        rows += 1
-    return rows
 
 
 def add_commuting_cuts(model: "MipModel", z: np.ndarray,
-                       catalog: RelationCatalog, P: int, objective: str) -> int:
+                       catalog: RelationCatalog, P: int, objective: str) -> None:
     """Adjacent commuting gates appear in index order: forbid (j then i)."""
     if objective == "depth":
         raise ConfigError("commuting-order cuts reorder gates and are invalid "
                           "under the depth objective")
-    rows = 0
     for i, j in catalog.commuting_pairs:
         for p in range(P - 1):
             model.add_constr({int(z[j, p]): 1.0, int(z[i, p + 1]): 1.0},
                              "<=", 1.0, family="cut_commuting")
-            rows += 1
-    return rows
 
 
 def add_equivalent_pattern_cuts(model: "MipModel", z: np.ndarray,
                                 catalog: RelationCatalog, weights: np.ndarray,
-                                P: int, objective: str) -> int:
+                                P: int, objective: str) -> None:
     """Forbid the larger of two equal-product patterns when no heavier.
 
     A forbidden pattern is only cut when the kept representative weighs no
@@ -143,7 +137,6 @@ def add_equivalent_pattern_cuts(model: "MipModel", z: np.ndarray,
     if objective == "depth":
         raise ConfigError("equivalent-pattern cuts reorder gates and are invalid "
                           "under the depth objective")
-    rows = 0
     for forbidden, kept in catalog.equivalent_pairs:
         if _pattern_weight(weights, kept) > _pattern_weight(weights, forbidden) + WEIGHT_TOL:
             continue
@@ -151,7 +144,6 @@ def add_equivalent_pattern_cuts(model: "MipModel", z: np.ndarray,
         for p in range(P - 1):
             model.add_constr({int(z[a1, p]): 1.0, int(z[a2, p + 1]): 1.0},
                              "<=", 1.0, family="cut_equivalent")
-            rows += 1
     for forbidden, kept in catalog.equivalent_triplets:
         if _pattern_weight(weights, kept) > _pattern_weight(weights, forbidden) + WEIGHT_TOL:
             continue
@@ -160,15 +152,12 @@ def add_equivalent_pattern_cuts(model: "MipModel", z: np.ndarray,
             model.add_constr({int(z[a1, p]): 1.0, int(z[a2, p + 1]): 1.0,
                               int(z[a3, p + 2]): 1.0},
                              "<=", 2.0, family="cut_equivalent")
-            rows += 1
-    return rows
 
 
 def add_redundancy_cuts(model: "MipModel", z: np.ndarray,
                         catalog: RelationCatalog, weights: np.ndarray,
-                        P: int) -> int:
+                        P: int) -> None:
     """Forbid windows whose product collapses to one no-heavier gate."""
-    rows = 0
     for seq, g in catalog.redundancies:
         k = len(seq)
         if k > P:
@@ -181,8 +170,6 @@ def add_redundancy_cuts(model: "MipModel", z: np.ndarray,
                 key = int(z[a, p + off])
                 coefs[key] = coefs.get(key, 0.0) + 1.0
             model.add_constr(coefs, "<=", float(k - 1), family="cut_redundancy")
-            rows += 1
-    return rows
 
 
 def _entry_const_or_var(handles: "ModelHandles", pos0: int, i: int, j: int):
@@ -197,7 +184,7 @@ def _entry_const_or_var(handles: "ModelHandles", pos0: int, i: int, j: int):
 
 
 def add_hc1_cuts(problem: "SynthesisProblem", model: "MipModel",
-                 handles: "ModelHandles") -> int:
+                 handles: "ModelHandles") -> None:
     """Propagate the exact target one position back through the last gate."""
     gs = problem.gate_set
     P = problem.P
@@ -205,7 +192,6 @@ def add_hc1_cuts(problem: "SynthesisProblem", model: "MipModel",
     m2 = handles.real_gates.shape[1]
     back = np.stack([encode_real(handles.eff_target @ g.conj().T)
                      for g in handles.eff_gate_mats])
-    rows = 0
     for i in range(m2):
         for j in range(m2):
             var, const = _entry_const_or_var(handles, P - 2, i, j)
@@ -216,29 +202,25 @@ def add_hc1_cuts(problem: "SynthesisProblem", model: "MipModel",
                     key = int(z[g, P - 1])
                     coefs[key] = coefs.get(key, 0.0) - c
             model.add_constr(coefs, "==", -const, family="cut_hc1")
-            rows += 1
-    return rows
 
 
 def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
-                 handles: "ModelHandles") -> int:
+                 handles: "ModelHandles") -> None:
     """Propagate the exact target two positions back through the last pair."""
     gs = problem.gate_set
     P = problem.P
     if P < 2:
-        return 0
+        return
     z = handles.z
     G = len(gs)
     m2 = handles.real_gates.shape[1]
     w = np.empty((G, G), dtype=np.int64)
-    rows = 0
     for g in range(G):
         for h in range(G):
             wid = model.add_binary(f"hc2({gs.label(g)},{gs.label(h)})")
             w[g, h] = wid
             model.add_product_binary(wid, int(z[g, P - 2]), int(z[h, P - 1]),
                                      family="cut_hc2")
-            rows += 3
     back = np.empty((G, G, m2, m2))
     for g in range(G):
         for h in range(G):
@@ -256,12 +238,10 @@ def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
                         key = int(w[g, h])
                         coefs[key] = coefs.get(key, 0.0) - c
             model.add_constr(coefs, "==", -const, family="cut_hc2")
-            rows += 1
-    return rows
 
 
 def add_hc1_global_phase_cuts(problem: "SynthesisProblem", model: "MipModel",
-                              handles: "ModelHandles") -> int:
+                              handles: "ModelHandles") -> None:
     """Conditional backward propagation when the phase is a model variable.
 
     If gate g sits at the last position then the preceding cumulative
@@ -278,7 +258,6 @@ def add_hc1_global_phase_cuts(problem: "SynthesisProblem", model: "MipModel",
                           "target rows")
     r, s = handles.r, handles.s
     n = gs.dim
-    rows = 0
     for g in range(len(gs)):
         zc = int(z[g, P - 1])
         c = handles.eff_target @ handles.eff_gate_mats[g].conj().T
@@ -301,14 +280,12 @@ def add_hc1_global_phase_cuts(problem: "SynthesisProblem", model: "MipModel",
                     lo[zc] = lo.get(zc, 0.0) - 2.0
                     model.add_constr(lo, ">=", -2.0 - const,
                                      family="cut_hc1_global_phase")
-                    rows += 2
-    return rows
 
 
 def apply_cuts(model: "MipModel", handles: "ModelHandles",
                problem: "SynthesisProblem",
-               catalog: RelationCatalog | None = None) -> dict[str, int]:
-    """Emit every selected and applicable family; returns rows per family.
+               catalog: RelationCatalog | None = None) -> None:
+    """Emit every selected and applicable family.
 
     Hindsight families silently skip when the phase mode or objective makes
     them meaningless (with a warning), so a single selection like `hc` works
@@ -316,11 +293,9 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     """
     sel = problem.cuts
     gs = problem.gate_set
-    counts: dict[str, int] = {}
 
     if sel.identity_symmetry and problem.P > 1:
-        counts["identity_symmetry"] = add_identity_symmetry_cuts(
-            model, handles.z, gs.identity_index, problem.P)
+        add_identity_symmetry_cuts(model, handles.z, gs.identity_index, problem.P)
 
     if sel.wants_patterns():
         if catalog is None:
@@ -337,15 +312,12 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
             catalog = detect_relations(rel_gs, k_max=sel.redundancy_k_max,
                                        up_to_phase=up)
         if sel.commuting_pairs and problem.P > 1:
-            counts["commuting"] = add_commuting_cuts(
-                model, handles.z, catalog, problem.P, problem.objective)
+            add_commuting_cuts(model, handles.z, catalog, problem.P, problem.objective)
         if sel.equivalent_patterns and problem.P > 1:
-            counts["equivalent"] = add_equivalent_pattern_cuts(
-                model, handles.z, catalog, problem.weights, problem.P,
-                problem.objective)
+            add_equivalent_pattern_cuts(model, handles.z, catalog, problem.weights,
+                                        problem.P, problem.objective)
         if sel.redundancy:
-            counts["redundancy"] = add_redundancy_cuts(
-                model, handles.z, catalog, problem.weights, problem.P)
+            add_redundancy_cuts(model, handles.z, catalog, problem.weights, problem.P)
 
     wants_hc = sel.hc1 or sel.hc2 or sel.hc1_global_phase
     if wants_hc and not problem.targets_equality():
@@ -353,20 +325,18 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
                       stacklevel=2)
     elif problem.phase_mode == "exact":
         if sel.hc1:
-            counts["hc1"] = add_hc1_cuts(problem, model, handles)
+            add_hc1_cuts(problem, model, handles)
         if sel.hc2:
-            counts["hc2"] = add_hc2_cuts(problem, model, handles)
+            add_hc2_cuts(problem, model, handles)
         if sel.hc1_global_phase and not (sel.hc1 or sel.hc2):
             warnings.warn("phase-aware hindsight cuts need global phase mode; "
                           "skipped", stacklevel=2)
     else:
         if sel.hc1_global_phase:
-            counts["hc1_global_phase"] = add_hc1_global_phase_cuts(
-                problem, model, handles)
+            add_hc1_global_phase_cuts(problem, model, handles)
         if (sel.hc1 or sel.hc2) and not sel.hc1_global_phase:
             warnings.warn("exact-phase hindsight cuts need exact phase mode; "
                           "skipped", stacklevel=2)
-    return counts
 
 
 __all__ = [

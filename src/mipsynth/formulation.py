@@ -2,9 +2,11 @@
 
 A circuit of at most P gates is encoded by one-hot binaries z[g,p]; the
 cumulative product lives in the real block encoding where it is linear up to
-binary-times-continuous products, which McCormick rows make exact.  Five
-objectives share that base: weighted gate count, depth, and three
-approximate-compilation objectives that drop the target equality.
+binary-times-continuous products, which McCormick rows make exact.  Four
+objectives share that base: weighted gate count, depth, and two
+approximate-compilation objectives that drop the target equality.  The
+fifth, exact fidelity, is quadratic and non-convex; it is always answered by
+exhaustive search.
 
 Extraction never trusts the solver.  It reads only the integer choices from
 the solver point, recomputes every continuous variable exactly from the
@@ -128,7 +130,6 @@ class ModelHandles:
     r: int | None = None
     s: int | None = None
     alpha: int | None = None
-    beta: int | None = None
     e: np.ndarray | None = None  # (2n, 2n) deviation entries
     ehat: np.ndarray | None = None  # (2n, 2n) squared-deviation estimators
 
@@ -327,17 +328,6 @@ def _alpha_coefs(handles: ModelHandles, P: int) -> dict[int, float]:
             for i in range(m2) for j in range(m2) if abs(rt[i, j]) > 1e-14}
 
 
-def _beta_coefs(handles: ModelHandles, P: int) -> dict[int, float]:
-    rt = encode_real(handles.eff_target)
-    m2 = rt.shape[0]
-    jn = np.kron(np.eye(m2 // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    coef = rt @ jn  # beta = (1/2^(Q+1)) * sum (R(T) J)_ij * Ghat_ij
-    scale = 1.0 / m2
-    gP = handles.ghat[P - 1]
-    return {int(gP[i, j]): float(coef[i, j]) * scale
-            for i in range(m2) for j in range(m2) if abs(coef[i, j]) > 1e-14}
-
-
 def add_objective_linearized_fidelity(problem: SynthesisProblem, model: MipModel,
                                       handles: ModelHandles) -> None:
     a = model.add_var("alpha", -1.0, 1.0)
@@ -346,20 +336,6 @@ def add_objective_linearized_fidelity(problem: SynthesisProblem, model: MipModel
     coefs[a] = coefs.get(a, 0.0) - 1.0
     model.add_constr(coefs, "==", 0.0, family="objective")
     model.set_objective({a: 1.0}, "max")
-
-
-def add_objective_exact_fidelity(problem: SynthesisProblem, model: MipModel,
-                                 handles: ModelHandles) -> None:
-    a = model.add_var("alpha", -1.0, 1.0)
-    bv = model.add_var("beta", -1.0, 1.0)
-    handles.alpha, handles.beta = a, bv
-    ca = _alpha_coefs(handles, problem.P)
-    ca[a] = ca.get(a, 0.0) - 1.0
-    model.add_constr(ca, "==", 0.0, family="objective")
-    cb = _beta_coefs(handles, problem.P)
-    cb[bv] = cb.get(bv, 0.0) - 1.0
-    model.add_constr(cb, "==", 0.0, family="objective")
-    model.set_objective({}, "max", quad=[(a, a, 1.0), (bv, bv, 1.0)])
 
 
 def _tangent_grid(problem: SynthesisProblem) -> np.ndarray:
@@ -394,6 +370,9 @@ def add_objective_frobenius_oa(problem: SynthesisProblem, model: MipModel,
 
 def build_model(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     """Base, target (when the objective has one), objective, and cuts."""
+    if problem.objective == "exact_fidelity":
+        raise ConfigError("exact_fidelity is a quadratic objective with no linear "
+                          "model; solve it with the oracle backend")
     model, handles = build_base(problem)
     if problem.targets_equality():
         add_target(problem, model, handles)
@@ -403,8 +382,6 @@ def build_model(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
         add_depth_scheduling(problem, model, handles)
     elif problem.objective == "linearized_fidelity":
         add_objective_linearized_fidelity(problem, model, handles)
-    elif problem.objective == "exact_fidelity":
-        add_objective_exact_fidelity(problem, model, handles)
     else:
         add_objective_frobenius_oa(problem, model, handles)
     apply_cuts(model, handles, problem)
@@ -478,8 +455,8 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
     Only the integer variables are read from `x`: each must be integral
     within INTEGRALITY_TOL and every position must select exactly one gate.
     Every continuous variable is then recomputed from the rounded choices:
-    the cumulative products, the McCormick blocks, the phase (r, s), alpha
-    and beta, and the deviations E (clipped into the epsilon-box, so any
+    the cumulative products, the McCormick blocks, the phase (r, s), alpha,
+    and the deviations E (clipped into the epsilon-box, so any
     excess shows up in the box rows) with their tangent estimators.
     Returns the polished point and the chosen gate per position.
     """
@@ -512,8 +489,7 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
     final = chain[-1]
     a_re, b_re = alpha_beta(final, handles.eff_target)
     # the target rows make r + i*s the phase, which is alpha + i*beta
-    for var, val in ((handles.r, a_re), (handles.s, b_re),
-                     (handles.alpha, a_re), (handles.beta, b_re)):
+    for var, val in ((handles.r, a_re), (handles.s, b_re), (handles.alpha, a_re)):
         if var is not None:
             xp[var] = val
     if handles.e is not None:
@@ -616,17 +592,9 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
                    solve_seconds=res.seconds)
 
 
-_EFF_GS_CACHE: dict[tuple, GateSet] = {}
-
-
 def _effective_gate_set(gs: GateSet, eff_mats: np.ndarray, su_applied: bool) -> GateSet:
     if not su_applied or np.abs(eff_mats - gs.matrices()).max() <= 1e-14:
         return gs
-    # id(gs) is unsafe as a key: a collected gate set's address can be reused.
-    key = (gs.num_qubits, tuple(g.spec.name for g in gs), eff_mats.tobytes())
-    cached = _EFF_GS_CACHE.get(key)
-    if cached is not None:
-        return cached
     from .gates import ExtendedGate
     new_gates = []
     for i, g in enumerate(gs):
@@ -636,14 +604,11 @@ def _effective_gate_set(gs: GateSet, eff_mats: np.ndarray, su_applied: bool) -> 
                                       full=eff_mats[i], support=g.support))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
-        eff = GateSet(gs.num_qubits, new_gates)
-    _EFF_GS_CACHE[key] = eff
-    return eff
+        return GateSet(gs.num_qubits, new_gates)
 
 
 def synthesize(problem: SynthesisProblem, backend: str = "scipy",
-               time_limit: float | None = None,
-               verbose: bool = False) -> SynthesisResult:
+               time_limit: float | None = None) -> SynthesisResult:
     """Solve one synthesis instance end to end and verify the outcome."""
     t0 = time.perf_counter()
     if problem.objective == "depth":
@@ -662,24 +627,23 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
         return _oracle_route(problem, time_limit)
 
     be = get_backend(backend)
+    if problem.objective == "exact_fidelity":
+        warnings.warn("the MIP backend cannot handle the quadratic fidelity "
+                      "objective; falling back to exhaustive search", stacklevel=2)
+        return _oracle_route(problem, time_limit)
     model, handles = build_model(problem)
-    sol = be.solve(model, time_limit=time_limit, verbose=verbose)
-    if sol.status == "unsupported":
-        if problem.objective == "exact_fidelity":
-            warnings.warn("backend cannot handle the quadratic fidelity objective; "
-                          "falling back to exhaustive search", stacklevel=2)
-            return _oracle_route(problem, time_limit)
-        raise ConfigError(f"backend {backend!r} does not support this model: "
-                          f"{sol.message}")
+    sol = be.solve(model, time_limit=time_limit)
+    solver_info = {"row_families": dict(model.family_rows),
+                   "presolve_retry": sol.presolve_retry}
     if sol.status in ("optimal", "feasible"):
         result = extract_and_verify(problem, model, handles, sol)
         result.solve_seconds = time.perf_counter() - t0
-        result.certificate["row_families"] = dict(model.family_rows)
+        result.certificate.update(solver_info)
         return result
     return SynthesisResult(
         status=sol.status,
         certificate={"status": sol.status, "bound": sol.bound, "gap": sol.gap,
-                     "row_families": dict(model.family_rows)},
+                     **solver_info},
         solve_seconds=time.perf_counter() - t0)
 
 
@@ -687,7 +651,7 @@ __all__ = [
     "SynthesisProblem", "ModelHandles", "SynthesisResult",
     "build_base", "build_model", "add_target", "add_objective_gate_count",
     "add_depth_scheduling", "add_objective_linearized_fidelity",
-    "add_objective_exact_fidelity", "add_objective_frobenius_oa",
+    "add_objective_frobenius_oa",
     "extract_and_verify", "polish_point", "schedule_depth", "verify_sequence",
     "synthesize",
     "OBJECTIVES", "PHASE_MODES",

@@ -34,17 +34,12 @@ class ModelArrays:
     row_lb: np.ndarray
     row_ub: np.ndarray
     sense: str
-    quad_terms: list[tuple[int, int, float]]
     constant: float
     num_rows: int
 
 
 class MipModel:
-    """Incrementally built MIP: binaries, bounded continuous vars, linear rows.
-
-    An optional list of quadratic objective terms is carried for backends
-    that can handle them; purely linear backends must refuse such models.
-    """
+    """Incrementally built MIP: binaries, bounded continuous vars, linear rows."""
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
@@ -59,7 +54,6 @@ class MipModel:
         self._row_ub: list[float] = []
         self._row_family: list[str] = []
         self._obj: dict[int, float] = {}
-        self._quad: list[tuple[int, int, float]] = []
         self._constant = 0.0
         self.family_rows: dict[str, int] = {}
 
@@ -140,23 +134,16 @@ class MipModel:
     # -- objective -----------------------------------------------------------
 
     def set_objective(self, coefs: dict[int, float], sense: str = "min",
-                      quad: list[tuple[int, int, float]] | None = None,
                       constant: float = 0.0) -> None:
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense must be min or max, got {sense!r}")
         self.sense = sense
         self._obj = {int(k): float(v) for k, v in coefs.items()}
-        self._quad = [(int(i), int(j), float(c)) for i, j, c in (quad or [])]
         self._constant = float(constant)
-
-    @property
-    def has_quadratic_objective(self) -> bool:
-        return bool(self._quad)
 
     def objective_value(self, x: np.ndarray) -> float:
         v = self._constant
         v += sum(c * x[i] for i, c in self._obj.items())
-        v += sum(c * x[i] * x[j] for i, j, c in self._quad)
         return float(v)
 
     # -- export / checking -----------------------------------------------------
@@ -188,7 +175,6 @@ class MipModel:
             row_lb=np.array(self._row_lb),
             row_ub=np.array(self._row_ub),
             sense=self.sense,
-            quad_terms=list(self._quad),
             constant=self._constant,
             num_rows=self.num_rows,
         )
@@ -224,7 +210,7 @@ class MipModel:
         return max(self.violations(x).values())
 
     def to_lp(self) -> str:
-        """CPLEX-style LP text (linear part only)."""
+        """CPLEX-style LP text."""
 
         def nm(i: int) -> str:
             return re.sub(r"[^A-Za-z0-9_().,]", "_", self._names[i])

@@ -40,7 +40,7 @@ import numpy as np
 from .encoding import require_unitary
 from .errors import DimensionError, OracleInconclusiveError
 from .gates import GateSet, sequence_product
-from .relations import equal_matrices
+from .relations import canonical_phase, equal_matrices
 
 #: Rounding scale of the key sketch.  Projection columns have unit norm, so
 #: the sketch carries the entries' accumulated matmul error (~1e-14) without
@@ -70,14 +70,6 @@ def _projection(dim: int) -> np.ndarray:
     rng = np.random.default_rng(0x5EED)
     proj = rng.standard_normal((dim, _SKETCH_DIM))
     return proj / np.linalg.norm(proj, axis=0)
-
-
-def _canonical_phase_stack(stack: np.ndarray) -> np.ndarray:
-    flat = stack.reshape(stack.shape[0], -1)
-    mag = np.round(np.abs(flat) * KEY_SCALE)
-    idx = mag.argmax(axis=1)
-    v = flat[np.arange(flat.shape[0]), idx]
-    return (flat * (np.abs(v) / v)[:, None]).reshape(stack.shape)
 
 
 class _KeySet:
@@ -177,13 +169,14 @@ class LevelTables:
         lvl0 = _Level(keys=_KeySet(), mats=eye, count=1)
         lvl0.keys.add(self.keys_of(eye))
         self.levels: list[_Level] = [lvl0]
-        self.chunk_rows = max(64, _CHUNK_BYTES // (len(self.ni) * self.n * self.n * 16))
+        row_bytes = max(1, len(self.ni)) * self.n * self.n * 16
+        self.chunk_rows = max(64, _CHUNK_BYTES // row_bytes)
 
     def keys_of(self, stack: np.ndarray) -> np.ndarray:
         if self.up_to_phase:
-            stack = _canonical_phase_stack(stack)
+            stack = canonical_phase(stack)
         flat = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
-        sketch = flat.reshape(flat.shape[0], -1) @ self.proj
+        sketch = flat.reshape(-1, len(self.proj)) @ self.proj
         q = np.round(sketch * KEY_SCALE).astype(np.int64).astype(np.uint64)
         return (q * self.mults[None, :]).sum(axis=1, dtype=np.uint64)
 

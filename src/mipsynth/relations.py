@@ -35,18 +35,24 @@ def equal_matrices(a: np.ndarray, b: np.ndarray, up_to_phase: bool,
     return bool(abs(abs(np.trace(a.conj().T @ b)) - n) <= tol * n)
 
 
-def _phase_canonical(m: np.ndarray) -> np.ndarray:
-    flat = m.ravel()
-    k = int(np.argmax(np.abs(flat)))
-    v = flat[k]
-    if abs(v) < 1e-12:
-        return m
-    return m * (abs(v) / v)
+def canonical_phase(stack: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack (k, n, n) rotated by the global phase that makes
+    its defining entry real and positive.
+
+    The defining entry is the first one of largest magnitude, with magnitudes
+    rounded at 1e-6 before they are compared: many gates have several entries
+    of equal magnitude, and a raw argmax lets float noise pick different
+    entries for matrices that are equal up to phase.
+    """
+    flat = stack.reshape(-1, stack.shape[-2] * stack.shape[-1])
+    mag = np.round(np.abs(flat) * 1e6)
+    v = flat[np.arange(flat.shape[0]), mag.argmax(axis=1)]
+    return (flat * (np.abs(v) / v)[:, None]).reshape(stack.shape)
 
 
 def _round_key(m: np.ndarray, up_to_phase: bool) -> bytes:
     if up_to_phase:
-        m = _phase_canonical(m)
+        m = canonical_phase(m[None])[0]
     q = np.round(m * 1e6)
     return (q.real.astype(np.int64).tobytes() + q.imag.astype(np.int64).tobytes())
 
@@ -172,4 +178,5 @@ def detect_relations(gs: GateSet, k_max: int = 3, up_to_phase: bool = False,
     return cat
 
 
-__all__ = ["RelationCatalog", "detect_relations", "equal_matrices", "RELATION_TOL"]
+__all__ = ["RelationCatalog", "detect_relations", "equal_matrices", "canonical_phase",
+           "RELATION_TOL"]

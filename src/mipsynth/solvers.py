@@ -1,24 +1,19 @@
-"""Backend layer: turn a MipModel into a Solution via a concrete solver.
+"""The MIP solve path: HiGHS through scipy.optimize.milp.
 
-A backend declares capabilities; models carrying features outside those
-capabilities come back with status "unsupported" so the caller can pick a
-fallback route instead of crashing.  Time limits can be overridden globally
-through the MIPSYNTH_TIME_LIMIT environment variable.
+`get_backend("scipy")` is the one MIP solver.  Names in
+ORACLE_BACKEND_NAMES route to exhaustive search, which the synthesis driver
+dispatches itself.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BackendError
 from .mip import MipModel
-
-#: Environment variable that, when set, overrides every solve's time limit.
-TIME_LIMIT_ENV = "MIPSYNTH_TIME_LIMIT"
 
 #: Relative MIP gap the scipy/HiGHS backend closes before it reports an
 #: optimum; this is HiGHS's own default `mip_rel_gap`, passed explicitly.
@@ -32,7 +27,7 @@ ORACLE_BACKEND_NAMES = frozenset({"oracle", "exhaustive"})
 class Solution:
     """Outcome of one solve."""
 
-    status: str  # optimal | feasible | infeasible | time_limit | unsupported
+    status: str  # optimal | feasible | infeasible | time_limit
     x: np.ndarray | None = None
     objective: float | None = None
     bound: float | None = None
@@ -42,65 +37,32 @@ class Solution:
     #: relative gap the solver was allowed to leave open; the claimed
     #: objective may differ from the verified one by this much
     gap_tol: float = 0.0
+    #: whether an infeasibility claim was re-checked without presolve
+    presolve_retry: bool = False
 
     @property
     def has_point(self) -> bool:
         return self.x is not None
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    supports_quadratic_objective: bool = False
-
-
 @dataclass
 class BackendLimits:
-    time_limit_s: float | None = None
     gap_tol: float = DEFAULT_GAP_TOL
 
 
-class SolverBackend:
-    """Interface every MIP backend implements."""
+class ScipyHighsBackend:
+    """HiGHS branch-and-bound through scipy.optimize.milp.
 
-    name: str = "abstract"
-    capabilities: BackendCapabilities = BackendCapabilities()
+    Deterministic and single-threaded, on linear objectives.
+    """
 
     def __init__(self) -> None:
         self.limits = BackendLimits()
 
-    def solve(self, model: MipModel, time_limit: float | None = None,
-              verbose: bool = False) -> Solution:
-        raise NotImplementedError
-
-
-def effective_time_limit(time_limit: float | None) -> float | None:
-    env = os.environ.get(TIME_LIMIT_ENV)
-    if env is None:
-        return time_limit
-    try:
-        return float(env)
-    except ValueError:
-        raise BackendError(f"{TIME_LIMIT_ENV} must be a number, got {env!r}") from None
-
-
-class ScipyHighsBackend(SolverBackend):
-    """HiGHS branch-and-bound through scipy.optimize.milp.
-
-    Deterministic and single-threaded.  Linear objectives only; quadratic
-    models are reported as unsupported.
-    """
-
-    name = "scipy"
-    capabilities = BackendCapabilities()
-
-    def solve(self, model: MipModel, time_limit: float | None = None,
-              verbose: bool = False) -> Solution:
+    def solve(self, model: MipModel, time_limit: float | None = None) -> Solution:
         from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.sparse import coo_matrix
 
-        if model.has_quadratic_objective:
-            return Solution(status="unsupported",
-                            message="quadratic objective not supported by scipy backend")
         arr = model.to_arrays()
         sign = -1.0 if arr.sense == "max" else 1.0
         constraints = None
@@ -108,25 +70,33 @@ class ScipyHighsBackend(SolverBackend):
             a = coo_matrix((arr.a_vals, (arr.a_rows, arr.a_cols)),
                            shape=(arr.num_rows, model.num_vars))
             constraints = LinearConstraint(a, arr.row_lb, arr.row_ub)
-        options: dict = {"disp": bool(verbose)}
-        limit = effective_time_limit(time_limit if time_limit is not None
-                                     else self.limits.time_limit_s)
-        if limit is not None:
-            options["time_limit"] = float(limit)
         gap_tol = float(self.limits.gap_tol)
-        options["mip_rel_gap"] = gap_tol
+        options: dict = {"disp": False, "mip_rel_gap": gap_tol}
+        if time_limit is not None:
+            options["time_limit"] = float(time_limit)
+
+        def run(opts: dict):
+            return milp(sign * arr.c, constraints=constraints,
+                        integrality=arr.integrality,
+                        bounds=Bounds(arr.lb, arr.ub), options=opts)
+
         t0 = time.perf_counter()
-        res = milp(sign * arr.c, constraints=constraints,
-                   integrality=arr.integrality,
-                   bounds=Bounds(arr.lb, arr.ub), options=options)
+        res = run(options)
+        retried = False
         if res.status == 2:
             # The bundled HiGHS presolve can misreport tight feasible models
             # as infeasible; accept an infeasibility claim only when it
-            # survives a presolve-free retry.
-            res = milp(sign * arr.c, constraints=constraints,
-                       integrality=arr.integrality,
-                       bounds=Bounds(arr.lb, arr.ub),
-                       options={**options, "presolve": False})
+            # survives a presolve-free retry inside the same time budget.
+            retry = {**options, "presolve": False}
+            if time_limit is not None:
+                retry["time_limit"] = options["time_limit"] - (time.perf_counter() - t0)
+                if retry["time_limit"] <= 0:
+                    return Solution(status="time_limit",
+                                    solve_seconds=time.perf_counter() - t0,
+                                    message="no time left to confirm infeasibility "
+                                            "without presolve", gap_tol=gap_tol)
+            res = run(retry)
+            retried = True
         dt = time.perf_counter() - t0
 
         bound = getattr(res, "mip_dual_bound", None)
@@ -154,43 +124,26 @@ class ScipyHighsBackend(SolverBackend):
         else:
             raise BackendError(f"solver failed: {res.message}")
         return Solution(status=status, x=x, objective=obj, bound=bound, gap=gap,
-                        solve_seconds=dt, message=str(res.message), gap_tol=gap_tol)
-
-
-_REGISTRY: dict[str, type[SolverBackend]] = {
-    "scipy": ScipyHighsBackend,
-    "highs": ScipyHighsBackend,
-}
-
-
-def available_backends() -> list[str]:
-    return sorted(set(_REGISTRY) | set(ORACLE_BACKEND_NAMES))
+                        solve_seconds=dt, message=str(res.message), gap_tol=gap_tol,
+                        presolve_retry=retried)
 
 
 def is_oracle_backend(name: str) -> bool:
     return name.lower() in ORACLE_BACKEND_NAMES
 
 
-def get_backend(name: str) -> SolverBackend:
-    key = name.lower()
-    if is_oracle_backend(key):
+def get_backend(name: str) -> ScipyHighsBackend:
+    if is_oracle_backend(name):
         raise BackendError(
             f"backend {name!r} performs exhaustive search and is dispatched by the "
             "synthesis driver, not through the MIP solver interface")
-    cls = _REGISTRY.get(key)
-    if cls is None:
+    if name.lower() != "scipy":
         raise BackendError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}")
-    return cls()
-
-
-def register_backend(name: str, cls: type[SolverBackend]) -> None:
-    _REGISTRY[name.lower()] = cls
+            f"unknown backend {name!r}; available: exhaustive, oracle, scipy")
+    return ScipyHighsBackend()
 
 
 __all__ = [
-    "Solution", "SolverBackend", "ScipyHighsBackend",
-    "get_backend", "register_backend", "available_backends",
-    "is_oracle_backend", "effective_time_limit",
-    "TIME_LIMIT_ENV", "ORACLE_BACKEND_NAMES", "DEFAULT_GAP_TOL",
+    "Solution", "ScipyHighsBackend", "get_backend", "is_oracle_backend",
+    "ORACLE_BACKEND_NAMES", "DEFAULT_GAP_TOL",
 ]

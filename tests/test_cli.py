@@ -51,9 +51,9 @@ def test_parse_qasm_angles_and_inference():
 
 
 def test_parse_qasm_rejections():
-    with pytest.raises(GateSetError, match="unsupported QASM gate"):
+    with pytest.raises(GateSetError, match="QASM gate 'ccx' is not supported"):
         parse_qasm("qreg q[3]; ccx q[0], q[1], q[2];")
-    with pytest.raises(GateSetError, match="unsupported QASM"):
+    with pytest.raises(GateSetError, match="QASM gate 'creg' is not supported"):
         parse_qasm("qreg q[1]; creg c[1]; measure q[0] -> c[0];")
     with pytest.raises(GateSetError, match="one quantum register"):
         parse_qasm("qreg a[1]; qreg b[1];")
@@ -195,6 +195,12 @@ def test_main_approx_and_dump_lp(tmp_path, capsys):
     doc = json.loads(rep.read_text())
     assert doc["alpha"] == pytest.approx(doc["objective"], abs=1e-9)
     assert 0.0 <= doc["fidelity"] <= 1.0
+    # exact fidelity has no linear model to write
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", "--target", "T", "--gate-set", "weaves", "-P", "2",
+              "--objective", "exact_fidelity", "--dump-lp", str(lp)])
+    assert exc.value.code == EXIT_SCHEMA
+    capsys.readouterr()
 
 
 def test_main_qasm_verify(tmp_path, capsys):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mipsynth import formulation
 from mipsynth.cuts import CutSelection
 from mipsynth.encoding import alpha_beta, encode_real
 from mipsynth.errors import (ConfigError, DimensionError, ModelIntegrityError,
@@ -140,6 +141,7 @@ def test_exact_solve_small():
     assert r.certificate["bound"] == pytest.approx(2.0)
     assert r.certificate["gap"] == pytest.approx(0.0)
     assert r.certificate["row_families"]["mccormick"] == 4 * 1 * 3 * 16
+    assert r.certificate["presolve_retry"] is False
 
 
 def test_exact_solve_infeasible():
@@ -149,6 +151,7 @@ def test_exact_solve_infeasible():
     assert r.status == "infeasible" and not r.feasible
     assert r.sequence == [] and r.objective_value is None
     assert r.certificate["status"] == "infeasible"
+    assert r.certificate["presolve_retry"] is True
 
 
 def test_global_phase_solve():
@@ -217,7 +220,11 @@ def test_frobenius_oa_bounds_true_error():
         2 ** (p.num_qubits + 2) * (1 - brute.alpha), abs=1e-9)
 
 
-def test_exact_fidelity_falls_back_to_search():
+def test_exact_fidelity_falls_back_to_search(monkeypatch):
+    def no_model(problem):
+        raise AssertionError("exact_fidelity must not build a MIP model")
+
+    monkeypatch.setattr(formulation, "build_model", no_model)
     p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=3,
                          objective="exact_fidelity")
     with pytest.warns(UserWarning, match="falling back to exhaustive search"):
@@ -225,6 +232,27 @@ def test_exact_fidelity_falls_back_to_search():
     assert r.status == "optimal"
     assert r.objective_value == pytest.approx(0.9455032620941832, abs=1e-9)
     assert r.fidelity_to_target == pytest.approx(r.objective_value, abs=1e-9)
+
+
+def test_build_model_refuses_exact_fidelity():
+    p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=2,
+                         objective="exact_fidelity")
+    with pytest.raises(ConfigError, match="exact_fidelity"):
+        build_model(p)
+
+
+@pytest.mark.filterwarnings("ignore:exact phase mode")
+@pytest.mark.parametrize("phase_mode", PHASE_MODES)
+def test_identity_only_library_routes_agree(phase_mode):
+    gs = GateSet.from_specs(1, [])
+    for backend in ("scipy", "oracle"):
+        r = synthesize(SynthesisProblem(np.eye(2), gs, P=2, phase_mode=phase_mode),
+                       backend=backend)
+        assert r.status == "optimal" and r.gate_indices == []
+        assert r.objective_value == 0.0
+        r = synthesize(SynthesisProblem(builtin_gate("X"), gs, P=2,
+                                        phase_mode=phase_mode), backend=backend)
+        assert r.status == "infeasible"
 
 
 def test_schedule_depth_cases():

@@ -1,15 +1,14 @@
 """Model container and the scipy backend: rows, points, LP text, solving."""
 
+import time
+
 import numpy as np
 import pytest
 
 from mipsynth.errors import BackendError
 from mipsynth.mip import MipModel
 from mipsynth.solvers import (DEFAULT_GAP_TOL, ORACLE_BACKEND_NAMES,
-                              ScipyHighsBackend,
-                              Solution, SolverBackend, TIME_LIMIT_ENV,
-                              available_backends, effective_time_limit,
-                              get_backend, is_oracle_backend, register_backend)
+                              get_backend, is_oracle_backend)
 
 from util import beta_interval as _beta_interval
 
@@ -97,7 +96,8 @@ def test_violations_by_family():
     assert list(m.integer_vars()) == [b]
 
 
-def test_scipy_backend_passes_its_gap(monkeypatch):
+def _spy_milp(monkeypatch, first_call_seconds: float) -> list[dict]:
+    """Record the options of every milp call; the first one also sleeps."""
     import scipy.optimize
 
     seen = []
@@ -105,9 +105,17 @@ def test_scipy_backend_passes_its_gap(monkeypatch):
 
     def spy(*args, options=None, **kw):
         seen.append(dict(options))
-        return real_milp(*args, options=options, **kw)
+        res = real_milp(*args, options=options, **kw)
+        if len(seen) == 1:
+            time.sleep(first_call_seconds)
+        return res
 
     monkeypatch.setattr(scipy.optimize, "milp", spy)
+    return seen
+
+
+def test_scipy_backend_passes_its_gap(monkeypatch):
+    seen = _spy_milp(monkeypatch, first_call_seconds=0.0)
     m = MipModel()
     x = m.add_var("x", 0.0, 4.0, integer=True)
     m.set_objective({x: 1.0}, sense="max")
@@ -120,16 +128,12 @@ def test_scipy_backend_passes_its_gap(monkeypatch):
     assert backend.solve(m).gap_tol == 0.0 == seen[-1]["mip_rel_gap"]
 
 
-def test_objective_evaluation_and_quadratic_flag():
+def test_objective_evaluation():
     m = MipModel()
     x = m.add_var("x", -1.0, 1.0)
-    y = m.add_var("y", -1.0, 1.0)
+    m.add_var("y", -1.0, 1.0)
     m.set_objective({x: 2.0}, constant=1.0)
-    assert not m.has_quadratic_objective
     assert m.objective_value(np.array([0.5, 0.3])) == pytest.approx(2.0)
-    m.set_objective({x: 1.0}, quad=[(x, y, 4.0)], constant=0.0)
-    assert m.has_quadratic_objective
-    assert m.objective_value(np.array([0.5, 0.25])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         m.set_objective({x: 1.0}, sense="sideways")
 
@@ -169,14 +173,6 @@ def test_scipy_backend_detects_infeasible():
     assert sol.status == "infeasible" and not sol.has_point
 
 
-def test_scipy_backend_refuses_quadratic():
-    m = MipModel()
-    x = m.add_var("x", -1.0, 1.0)
-    m.set_objective({}, quad=[(x, x, 1.0)])
-    sol = ScipyHighsBackend().solve(m)
-    assert sol.status == "unsupported"
-
-
 def test_scipy_backend_maximize():
     m = MipModel()
     x = m.add_var("x", 0.0, 4.0)
@@ -186,32 +182,36 @@ def test_scipy_backend_maximize():
 
 
 def test_backend_registry():
-    names = available_backends()
-    assert "scipy" in names and "oracle" in names
     assert is_oracle_backend("oracle") and is_oracle_backend("Exhaustive")
     assert not is_oracle_backend("scipy")
+    assert get_backend("SciPy").limits.gap_tol == DEFAULT_GAP_TOL
     with pytest.raises(BackendError):
         get_backend("oracle")  # dispatched by the driver, not a MIP backend
-    with pytest.raises(BackendError):
-        get_backend("gurobi_cloud")
-
-    class Stub(SolverBackend):
-        name = "stub"
-
-        def solve(self, model, time_limit=None, verbose=False):
-            return Solution(status="infeasible")
-
-    register_backend("stub", Stub)
-    assert isinstance(get_backend("STUB"), Stub)
+    for name in ("gurobi_cloud", "highs"):
+        with pytest.raises(BackendError, match="unknown backend"):
+            get_backend(name)
     assert set(ORACLE_BACKEND_NAMES) == {"oracle", "exhaustive"}
 
 
-def test_time_limit_env_override(monkeypatch):
-    monkeypatch.delenv(TIME_LIMIT_ENV, raising=False)
-    assert effective_time_limit(5.0) == 5.0
-    assert effective_time_limit(None) is None
-    monkeypatch.setenv(TIME_LIMIT_ENV, "2.5")
-    assert effective_time_limit(100.0) == 2.5
-    monkeypatch.setenv(TIME_LIMIT_ENV, "soon")
-    with pytest.raises(BackendError):
-        effective_time_limit(1.0)
+def _infeasible_model() -> MipModel:
+    m = MipModel()
+    b = m.add_binary("b")
+    m.add_constr({b: 1.0}, ">=", 2.0)
+    return m
+
+
+def test_presolve_retry_gets_the_time_left(monkeypatch):
+    seen = _spy_milp(monkeypatch, first_call_seconds=0.05)
+    sol = get_backend("scipy").solve(_infeasible_model(), time_limit=10.0)
+    assert sol.status == "infeasible" and sol.presolve_retry
+    assert len(seen) == 2 and "presolve" not in seen[0]
+    assert seen[0]["time_limit"] == 10.0
+    assert seen[1]["presolve"] is False
+    assert 0.0 < seen[1]["time_limit"] <= 10.0 - 0.05
+
+
+def test_presolve_retry_without_time_left_is_unconfirmed(monkeypatch):
+    seen = _spy_milp(monkeypatch, first_call_seconds=0.05)
+    sol = get_backend("scipy").solve(_infeasible_model(), time_limit=0.04)
+    assert sol.status == "time_limit" and not sol.presolve_retry
+    assert not sol.has_point and len(seen) == 1

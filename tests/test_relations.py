@@ -1,8 +1,11 @@
 """Relation discovery on small gate sets, pinned against hand algebra."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from mipsynth.fixtures import benchmark_registry
 from mipsynth.gates import GateSet, gate_spec
 from mipsynth.relations import RelationCatalog, detect_relations, equal_matrices
 
@@ -103,3 +106,20 @@ def test_catalog_to_dict_round_trips_labels():
     assert doc["k_max"] == 2 and doc["up_to_phase"] is False
     assert {"sequence": ["T[1]", "T[1]"], "collapses_to": "S[1]"} in doc["redundancies"]
     assert isinstance(cat, RelationCatalog)
+
+
+def test_phase_pairs_match_brute_force():
+    # many entries of these gates share a magnitude, so the phase-defining
+    # entry must not depend on float noise
+    gs = benchmark_registry()["single_excitation_hadamard"].gate_set
+    mats, ni = gs.matrices(), gs.non_identity_indices()
+    cat = detect_relations(gs, k_max=2, up_to_phase=True)
+    commuting = set(cat.commuting_pairs)
+    brute = set()
+    for a, b in itertools.combinations(itertools.product(ni, repeat=2), 2):
+        if a == b[::-1] and (min(a), max(a)) in commuting:
+            continue
+        if equal_matrices(mats[a[0]] @ mats[a[1]], mats[b[0]] @ mats[b[1]], True):
+            kept, forbidden = sorted((a, b))
+            brute.add((forbidden, kept))
+    assert set(cat.equivalent_pairs) == brute and len(brute) == 69
