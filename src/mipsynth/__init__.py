@@ -25,7 +25,7 @@ from .cuts import CutSelection, apply_cuts
 from .formulation import (ModelHandles, SynthesisProblem, SynthesisResult,
                           build_model, effective_instance, extract_and_verify,
                           schedule_depth, synthesize)
-from .rho import (NamedGate, RhoConfig, RhoResult, circuit_unitary,
+from .rho import (RhoConfig, RhoResult, circuit_unitary,
                   find_first_block, rolling_horizon, rolling_horizon_pass,
                   window_gate_set)
 from .fixtures import (Fixture, benchmark_registry, brickwork_circuit,
@@ -58,7 +58,7 @@ __all__ = [
     "build_model", "effective_instance", "extract_and_verify",
     "schedule_depth", "synthesize",
     # rolling horizon
-    "NamedGate", "RhoConfig", "RhoResult", "circuit_unitary",
+    "RhoConfig", "RhoResult", "circuit_unitary",
     "find_first_block", "rolling_horizon", "rolling_horizon_pass",
     "window_gate_set",
     # fixtures

@@ -41,11 +41,10 @@ from .fixtures import (benchmark_registry, brickwork_circuit,
 from .formulation import (OBJECTIVES, SynthesisProblem, SynthesisResult,
                           build_model, schedule_depth, synthesize)
 from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
-                    builtin_names, extend_gate, gate_set_from_dict,
-                    gate_set_to_dict, gate_spec, sequence_product,
+                    builtin_names, gate_set_from_dict, gate_spec,
                     spec_from_dict, spec_to_dict, weave_gate_set)
 from .relations import detect_relations
-from .rho import NamedGate, RhoConfig, circuit_qubits, rolling_horizon
+from .rho import RhoConfig, circuit_unitary, rolling_horizon
 
 EXIT_OPTIMAL = 0
 EXIT_FEASIBLE = 2
@@ -168,6 +167,9 @@ _QASM_NAMES = {"h": "H", "x": "X", "y": "Y", "z": "Z", "s": "S", "sdg": "Sdg",
                "t": "T", "tdg": "Tdg", "cx": "CNOT", "cnot": "CNOT",
                "cz": "CZ", "id": "I", "rx": "RX", "ry": "RY", "rz": "RZ"}
 _QASM_SKIP = ("openqasm", "include", "barrier", "//")
+#: Statements that are not gate applications: declarations, measurement,
+#: classical control and gate definitions.
+_QASM_STATEMENTS = {"creg", "measure", "reset", "if", "gate", "opaque"}
 _ANGLE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
               ast.Mult: operator.mul, ast.Div: operator.truediv}
 
@@ -218,7 +220,7 @@ def parse_qasm(text: str) -> tuple[list[GateSpec], int]:
             num_qubits = int(m.group(2))
             continue
         m = re.match(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.+)$", line)
-        if not m:
+        if not m or m.group(1).lower() in _QASM_STATEMENTS:
             raise GateSetError(f"QASM statement is not supported: {line!r}")
         name, angle_expr, args = m.group(1).lower(), m.group(2), m.group(3)
         if name not in _QASM_NAMES:
@@ -257,24 +259,6 @@ def circuit_doc(specs: list[GateSpec], num_qubits: int) -> dict:
             "gates": [spec_to_dict(s) for s in specs]}
 
 
-def circuit_product(specs: list[GateSpec], num_qubits: int) -> np.ndarray:
-    return sequence_product((extend_gate(s, num_qubits).full for s in specs),
-                            2 ** num_qubits)
-
-
-def specs_to_named(specs: list[GateSpec]) -> list[NamedGate]:
-    """Builtin-named gates only; matrix-literal gates cannot be windowed."""
-    known = set(builtin_names())
-    out = []
-    for s in specs:
-        if s.name not in known:
-            raise ConfigError(
-                f"gate {s.name!r} is not a named builtin; rolling-horizon "
-                f"seeds must use builtin gate names")
-        out.append(NamedGate(name=s.name, qubits=s.qubits, angle=s.angle))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Config resolution
 # ---------------------------------------------------------------------------
@@ -293,7 +277,7 @@ _ANGLED_TARGET = re.compile(r"^([A-Za-z_]\w*)\((.+)\)$")
 
 def _matrix_from_file(path: str) -> np.ndarray:
     if path.endswith(".qasm"):
-        return circuit_product(*load_circuit(path))
+        return circuit_unitary(*load_circuit(path))
     doc = _load_json(path)
     if isinstance(doc, list):
         return _matrix_from_json(doc)
@@ -301,7 +285,7 @@ def _matrix_from_file(path: str) -> np.ndarray:
         return _matrix_from_json(doc["matrix"])
     if "gates" in doc or "circuit" in doc:
         specs, nq = circuit_from_doc(doc)
-        return circuit_product(specs, nq)
+        return circuit_unitary(specs, nq)
     raise ConfigError(f"{path}: no matrix, circuit, or report content found")
 
 
@@ -511,18 +495,15 @@ def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int,
     return _STATUS_CODE[result.status], report, lines
 
 
-def _rho_seed(cfg: dict) -> tuple[list[NamedGate], dict]:
+def _rho_seed(cfg: dict) -> tuple[list[GateSpec], dict]:
     rc = dict(cfg.get("rho", {}))
     seed = rc.pop("seed", None)
     if seed is None:
         raise ConfigError("rho needs a seed circuit (rho.seed or --seed-circuit)")
     if isinstance(seed, str) and seed in _NAMED_SEEDS:
         return _NAMED_SEEDS[seed](), rc
-    if isinstance(seed, str):
-        specs, _ = load_circuit(seed)
-    else:
-        specs, _ = circuit_from_doc(seed)
-    return specs_to_named(specs), rc
+    specs, _ = load_circuit(seed) if isinstance(seed, str) else circuit_from_doc(seed)
+    return specs, rc
 
 
 def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
@@ -539,7 +520,6 @@ def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
     if cfg.get("time_limit") is not None and rho_cfg.time_limit_per_window is None:
         rho_cfg.time_limit_per_window = cfg["time_limit"]
     result = rolling_horizon(circuit, rho_cfg)
-    out_specs = [gate_spec(g.name, g.qubits, angle=g.angle) for g in result.circuit]
     report = {
         "command": "rho",
         "config": cfg,
@@ -551,9 +531,9 @@ def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
         "windows_optimized": result.windows_optimized,
         "windows_passed_through": result.windows_passed_through,
         "window_log": result.window_log,
-        "counts": sequence_counts(out_specs),
+        "counts": sequence_counts(result.circuit),
         "wall_seconds": time.perf_counter() - t0,
-        "circuit": circuit_doc(out_specs, result.num_qubits),
+        "circuit": circuit_doc(result.circuit, result.num_qubits),
     }
     fid = ("n/a" if result.fidelity_to_input is None
            else f"{result.fidelity_to_input:.9f}")
@@ -571,7 +551,7 @@ def run_verify(cfg: dict, circuit_file: str) -> tuple[int, dict, list[str]]:
     if target.shape[0] != 2 ** nq:
         raise DimensionError(f"target is {target.shape[0]}-dimensional but the "
                              f"circuit acts on {nq} qubit(s)")
-    produced = circuit_product(specs, nq)
+    produced = circuit_unitary(specs, nq)
     fid = fidelity(produced, target)
     depth, schedule = schedule_depth([s.qubits for s in specs], nq)
     report = {
@@ -675,7 +655,8 @@ def build_arg_parser() -> _Parser:
     p = sub.add_parser("rho", help="rolling-horizon circuit compression")
     _add_common(p, phase=False)
     p.add_argument("--seed-circuit", dest="seed_circuit",
-                   help="seed circuit file or named seed "
+                   help="seed circuit: any circuit file (JSON circuit or "
+                        "report, or .qasm), or a named seed "
                         f"({', '.join(sorted(_NAMED_SEEDS))})")
     p.add_argument("--window-length", type=int, help="max gates per window")
     p.add_argument("--accept-window", type=int, help="accepted prefix length")

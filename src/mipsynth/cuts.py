@@ -18,6 +18,7 @@ import numpy as np
 
 from .encoding import encode_real
 from .errors import ConfigError
+from .gates import effective_gate_set
 from .relations import RelationCatalog, detect_relations
 
 if TYPE_CHECKING:
@@ -302,11 +303,8 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
             # Patterns must hold for the matrices the model constrains: under
             # exact phase matching those are determinant-normalized, and raw
             # relations like Z.Z == I stop being true there.
-            from .formulation import _effective_gate_set, effective_instance
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                _, eff_g, su_applied = effective_instance(problem)
-            rel_gs = _effective_gate_set(gs, eff_g, su_applied)
+            rel_gs = effective_gate_set(gs, handles.eff_gate_mats,
+                                        handles.su_applied)
             up = (problem.phase_mode == "global_phase"
                   and problem.targets_equality())
             catalog = detect_relations(rel_gs, k_max=sel.redundancy_k_max,

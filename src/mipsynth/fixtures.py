@@ -3,7 +3,7 @@
 The registry rows pair a named target with a concrete gate library and a gate
 budget so batch runs are reproducible from a name alone.  The corpora are
 small instances sized for exhaustive cross-checking; the seed circuits are
-register-level gate lists for the rolling-horizon optimizer.
+GateSpec lists on a register, the input of the rolling-horizon optimizer.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import GateSetError
 from .gates import GateSet, GateSpec, builtin_gate, extend_gate, gate_spec
-from .rho import NamedGate
 
 SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 
@@ -312,54 +311,54 @@ def criterion_phase_instance() -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-def parity_ladder_phase(qubits: tuple[int, int, int]) -> list[NamedGate]:
+def parity_ladder_phase(qubits: tuple[int, int, int]) -> list[GateSpec]:
     """Parity ladder with an S phase in the center (Clifford variant)."""
     a, b, c = qubits
     return [
-        NamedGate("CNOT", (a, c)),
-        NamedGate("CNOT", (b, c)),
-        NamedGate("S", (c,)),
-        NamedGate("CNOT", (b, c)),
-        NamedGate("CNOT", (a, c)),
+        _g2("CNOT", a, c),
+        _g2("CNOT", b, c),
+        _g1("S", c),
+        _g2("CNOT", b, c),
+        _g2("CNOT", a, c),
     ]
 
 
-def hypergraph_parity_seed(num_qubits: int) -> list[NamedGate]:
+def hypergraph_parity_seed(num_qubits: int) -> list[GateSpec]:
     """One phase ladder per 3-qubit hyperedge, lexicographic edge order."""
-    circuit: list[NamedGate] = []
+    circuit: list[GateSpec] = []
     for edge in itertools.combinations(range(1, num_qubits + 1), 3):
         circuit.extend(parity_ladder_phase(edge))
     return circuit
 
 
-def k5_parity_seed() -> list[NamedGate]:
+def k5_parity_seed() -> list[GateSpec]:
     """All ten 3-subsets of five qubits: 50 gates."""
     return hypergraph_parity_seed(5)
 
 
-def k4_parity_seed() -> list[NamedGate]:
+def k4_parity_seed() -> list[GateSpec]:
     """All four 3-subsets of four qubits: 20 gates."""
     return hypergraph_parity_seed(4)
 
 
-def brickwork_circuit() -> list[NamedGate]:
+def brickwork_circuit() -> list[GateSpec]:
     """Seven-qubit rotation/entangler brickwork, 27 gates in 5 layers.
 
     A rotation on every wire, entanglers on (1,2) (3,4) (5,6), rotations
     again, entanglers on the offset pairs (2,3) (4,5) (6,7), and a final
     rotation layer.
     """
-    circuit: list[NamedGate] = []
+    circuit: list[GateSpec] = []
     for q in range(1, 8):
-        circuit.append(NamedGate("RY", (q,), angle=0.1 * q))
+        circuit.append(_g1("RY", q, angle=0.1 * q))
     for a, b in ((1, 2), (3, 4), (5, 6)):
-        circuit.append(NamedGate("CZ", (a, b)))
+        circuit.append(_g2("CZ", a, b))
     for q in range(1, 8):
-        circuit.append(NamedGate("RY", (q,), angle=0.2 * q + 0.05))
+        circuit.append(_g1("RY", q, angle=0.2 * q + 0.05))
     for a, b in ((2, 3), (4, 5), (6, 7)):
-        circuit.append(NamedGate("CZ", (a, b)))
+        circuit.append(_g2("CZ", a, b))
     for q in range(1, 8):
-        circuit.append(NamedGate("RY", (q,), angle=0.3 * q + 0.1))
+        circuit.append(_g1("RY", q, angle=0.3 * q + 0.1))
     return circuit
 
 
@@ -381,11 +380,11 @@ GOLDEN_WEAVES: dict[str, list[str]] = {
 }
 
 
-def golden_weave_circuit(target_name: str) -> list[NamedGate]:
+def golden_weave_circuit(target_name: str) -> list[GateSpec]:
     if target_name not in GOLDEN_WEAVES:
         raise GateSetError(f"no stored weave for {target_name!r}; "
                            f"known: {sorted(GOLDEN_WEAVES)}")
-    return [NamedGate(letter, (1,)) for letter in GOLDEN_WEAVES[target_name]]
+    return [_g1(letter, 1) for letter in GOLDEN_WEAVES[target_name]]
 
 
 __all__ = [

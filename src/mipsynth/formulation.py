@@ -28,7 +28,7 @@ from .cuts import CutSelection, apply_cuts
 from .encoding import (alpha_beta, encode_real, fidelity, require_unitary,
                        su_normalize)
 from .errors import ConfigError, DimensionError, ModelIntegrityError
-from .gates import GateSet, GateSpec, sequence_product
+from .gates import GateSet, GateSpec, effective_gate_set, sequence_product
 from .mip import MipModel
 from .solvers import Solution, get_backend, is_oracle_backend
 
@@ -560,7 +560,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
 
 def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> SynthesisResult:
     eff_t, eff_g, su_applied = effective_instance(problem)
-    eff_gs = _effective_gate_set(problem.gate_set, eff_g, su_applied)
+    eff_gs = effective_gate_set(problem.gate_set, eff_g, su_applied)
     obj_map = {"weighted_gate_count": "gate_count", "depth": "depth",
                "linearized_fidelity": "alpha", "exact_fidelity": "fidelity",
                "frobenius_oa": "alpha"}
@@ -590,21 +590,6 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
                    certificate={"status": "optimal", "bound": obj_val, "gap": 0.0,
                                 "nodes": res.nodes},
                    solve_seconds=res.seconds)
-
-
-def _effective_gate_set(gs: GateSet, eff_mats: np.ndarray, su_applied: bool) -> GateSet:
-    if not su_applied or np.abs(eff_mats - gs.matrices()).max() <= 1e-14:
-        return gs
-    from .gates import ExtendedGate
-    new_gates = []
-    for i, g in enumerate(gs):
-        spec = GateSpec(name=g.spec.name, qubits=g.spec.qubits,
-                        matrix=su_normalize(g.spec.matrix), angle=g.spec.angle)
-        new_gates.append(ExtendedGate(spec=spec, num_qubits=gs.num_qubits,
-                                      full=eff_mats[i], support=g.support))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
-        return GateSet(gs.num_qubits, new_gates)
 
 
 def synthesize(problem: SynthesisProblem, backend: str = "scipy",

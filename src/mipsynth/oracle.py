@@ -80,9 +80,6 @@ class _KeySet:
         self._pending: list[np.ndarray] = []
         self._pending_n = 0
 
-    def __len__(self) -> int:
-        return len(self._base) + sum(len(p) for p in self._pending)
-
     def _consolidate(self) -> None:
         if self._pending:
             self._base = np.unique(np.concatenate([self._base, *self._pending]))
@@ -115,10 +112,6 @@ class _KeySet:
 
     def contains_scalar(self, key: np.uint64) -> bool:
         return bool(self.contains(np.array([key], dtype=np.uint64))[0])
-
-    def count(self) -> int:
-        self._consolidate()
-        return len(self._base)
 
 
 @dataclass
@@ -344,7 +337,7 @@ def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
     return None
 
 
-def _dfs_weighted(tab: LevelTables, gs: GateSet, target: np.ndarray, max_length: int,
+def _dfs_weighted(tab: LevelTables, target: np.ndarray, max_length: int,
                   weights: np.ndarray, budget: _Budget) -> tuple[list[int], float] | None:
     order = sorted(range(len(tab.gen)), key=lambda p: weights[tab.ni[p]])
     best: tuple[float, list[int]] | None = None
@@ -469,7 +462,7 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
         if objective == "gate_count":
             uniform = w is None or (len(tab.ni) > 0 and np.ptp(w[tab.ni]) <= 1e-12)
             if not uniform:
-                return _dfs_weighted(tab, gs, target, max_length, w, budget) or (None, None)
+                return _dfs_weighted(tab, target, max_length, w, budget) or (None, None)
             unit = 1.0 if w is None else float(w[tab.ni[0]]) if tab.ni else 0.0
             seq = _mitm_min_length(tab, target, max_length, budget)
             return seq, None if seq is None else unit * len(seq)

@@ -1,9 +1,11 @@
 """Rolling-horizon optimization of long circuits through small resynthesis windows.
 
-A long circuit is consumed front to back.  Each step grows a block from the
-first remaining gate by closing over shared qubits inside an ever longer
-prefix, stops before the block exceeds the window's gate or qubit budget,
-re-synthesizes the block on its own qubits, accepts a fixed number of the
+A circuit is a list of GateSpecs on 1-based register qubits, gate 1 applied
+first; its gates may be builtins or matrix literals.  The circuit is consumed
+front to back.  Each step grows a block from the first remaining gate by
+closing over shared qubits inside an ever longer prefix, stops before the
+block exceeds the window's gate or qubit budget, re-synthesizes the block on
+its own qubits from the builtin window gates, accepts a fixed number of the
 optimized gates, and pushes the remainder back onto the unprocessed tail.
 Gates skipped over by a block share no qubit with it, so commuting the block
 to the front never changes the circuit's unitary.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,57 +23,31 @@ from .cuts import CutSelection
 from .encoding import fidelity
 from .errors import BackendError, ConfigError, OracleInconclusiveError
 from .formulation import SynthesisProblem, synthesize
-from .gates import (GateSet, builtin_gate, extend_gate, gate_spec,
+from .gates import (GateSet, GateSpec, builtin_gate, extend_gate, gate_spec,
                     sequence_product)
 
-
-@dataclass(frozen=True)
-class NamedGate:
-    """One gate of a register-level circuit: a library name on named qubits."""
-
-    name: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ConfigError(f"{self.name}: repeated qubit in {self.qubits}")
-        if any(q < 1 for q in self.qubits):
-            raise ConfigError(f"{self.name}: qubit labels start at 1")
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.qubits)
-
-    def matrix(self) -> np.ndarray:
-        return builtin_gate(self.name, self.angle)
-
-    def __str__(self) -> str:
-        arg = f"({self.angle:g})" if self.angle is not None else ""
-        return f"{self.name}{arg}[{','.join(str(q) for q in self.qubits)}]"
+#: Largest register (in qubits) on which the final unitary check runs.
+VERIFY_MAX_QUBITS = 9
 
 
-def circuit_qubits(circuit: list[NamedGate]) -> int:
+def circuit_qubits(circuit: list[GateSpec]) -> int:
     return max((q for g in circuit for q in g.qubits), default=0)
 
 
-def circuit_unitary(circuit: list[NamedGate], num_qubits: int | None = None) -> np.ndarray:
+def circuit_unitary(circuit: list[GateSpec], num_qubits: int | None = None) -> np.ndarray:
     """Full-register unitary, gate 1 applied first."""
     nq = circuit_qubits(circuit) if num_qubits is None else num_qubits
-    mats = (extend_gate(gate_spec(g.name, g.qubits, angle=g.angle), nq).full
-            for g in circuit)
-    return sequence_product(mats, 2 ** nq)
+    return sequence_product((extend_gate(g, nq).full for g in circuit), 2 ** nq)
 
 
-def gates_on_qubits_up_to(circuit: list[NamedGate], qubits: set[int],
+def gates_on_qubits_up_to(circuit: list[GateSpec], qubits: set[int],
                           prefix_len: int) -> list[int]:
     """Indices within the first prefix_len gates that touch any given qubit."""
     end = min(prefix_len, len(circuit))
-    return [p for p in range(end) if circuit[p].support & qubits]
+    return [p for p in range(end) if not qubits.isdisjoint(circuit[p].qubits)]
 
 
-def recursive_gates_on_qubits_up_to(circuit: list[NamedGate], qubits: set[int],
+def recursive_gates_on_qubits_up_to(circuit: list[GateSpec], qubits: set[int],
                                     prefix_len: int) -> tuple[list[int], set[int]]:
     """Close the qubit set under shared-qubit contact inside a prefix.
 
@@ -84,14 +60,14 @@ def recursive_gates_on_qubits_up_to(circuit: list[NamedGate], qubits: set[int],
     while True:
         q_next: set[int] = set()
         for p in idx:
-            q_next |= circuit[p].support
+            q_next.update(circuit[p].qubits)
         if q_next == q:
             return idx, q
         q = q_next
         idx = gates_on_qubits_up_to(circuit, q, prefix_len)
 
 
-def find_first_block(circuit: list[NamedGate], window_length: int,
+def find_first_block(circuit: list[GateSpec], window_length: int,
                      max_qubits: int) -> list[int]:
     """Largest closed block from the front within the gate and qubit budgets.
 
@@ -102,7 +78,7 @@ def find_first_block(circuit: list[NamedGate], window_length: int,
     """
     if not circuit:
         return []
-    q = set(circuit[0].support)
+    q = set(circuit[0].qubits)
     best: list[int] = []
     i = 1
     while True:
@@ -118,7 +94,7 @@ def find_first_block(circuit: list[NamedGate], window_length: int,
     return best
 
 
-def retarget(circuit: list[NamedGate], block: list[int]) -> list[NamedGate]:
+def retarget(circuit: list[GateSpec], block: list[int]) -> list[GateSpec]:
     """Remaining circuit after removing the block's gate instances."""
     drop = set(block)
     return [g for p, g in enumerate(circuit) if p not in drop]
@@ -171,8 +147,6 @@ class RhoConfig:
     time_limit_per_window: float | None = None
     passes: int = 4
     cuts: CutSelection = field(default_factory=CutSelection)
-    verify: bool = True
-    verify_max_qubits: int = 9
 
     def __post_init__(self) -> None:
         if self.window_length < 1:
@@ -187,25 +161,30 @@ class RhoConfig:
 
 @dataclass
 class RhoResult:
-    circuit: list[NamedGate]
+    circuit: list[GateSpec]
     input_length: int
     pass_lengths: list[int]
     fidelity_to_input: float | None
     num_qubits: int
     seconds: float
-    windows_optimized: int = 0
-    windows_passed_through: int = 0
     window_log: list = field(default_factory=list)
 
+    @property
+    def windows_optimized(self) -> int:
+        return sum(e["action"] == "optimized" for e in self.window_log)
 
-def _optimize_window(block: list[NamedGate], cfg: RhoConfig) -> list[NamedGate] | None:
+    @property
+    def windows_passed_through(self) -> int:
+        return sum(e["action"] == "kept" for e in self.window_log)
+
+
+def _optimize_window(block: list[GateSpec], cfg: RhoConfig) -> list[GateSpec] | None:
     """Resynthesize one block on its own qubits; None means keep it as is."""
     wires = sorted({q for g in block for q in g.qubits})
     local = {q: x + 1 for x, q in enumerate(wires)}
     k = len(wires)
-    mats = (extend_gate(gate_spec(g.name, tuple(local[q] for q in g.qubits),
-                                  angle=g.angle), k).full for g in block)
-    target = sequence_product(mats, 2 ** k)
+    target = circuit_unitary(
+        [replace(g, qubits=tuple(local[q] for q in g.qubits)) for g in block], k)
     gs = window_gate_set(cfg.window_gates, k)
 
     m = len(block)
@@ -226,25 +205,23 @@ def _optimize_window(block: list[NamedGate], cfg: RhoConfig) -> list[NamedGate] 
             warnings.warn(f"window resynthesis timed out; keeping the original "
                           f"{m}-gate block", stacklevel=2)
         return None
-    out = []
-    for spec in result.sequence:
-        out.append(NamedGate(name=spec.name,
-                             qubits=tuple(wires[q - 1] for q in spec.qubits),
-                             angle=spec.angle))
-    return out
+    return [replace(spec, qubits=tuple(wires[q - 1] for q in spec.qubits))
+            for spec in result.sequence]
 
 
-def rolling_horizon_pass(circuit: list[NamedGate], cfg: RhoConfig,
-                         stats: dict | None = None,
-                         pass_index: int = 0) -> list[NamedGate]:
-    """One front-to-back sweep of block extraction and resynthesis."""
+def rolling_horizon_pass(circuit: list[GateSpec], cfg: RhoConfig,
+                         log: list | None = None,
+                         pass_index: int = 0) -> list[GateSpec]:
+    """One front-to-back sweep of block extraction and resynthesis.
+
+    When `log` is given, one entry per window is appended to it.
+    """
     t = list(circuit)
-    out: list[NamedGate] = []
+    out: list[GateSpec] = []
 
-    def log(entry: dict) -> None:
-        if stats is not None:
-            entry["pass"] = pass_index
-            stats.setdefault("windows", []).append(entry)
+    def record(entry: dict) -> None:
+        if log is not None:
+            log.append({**entry, "pass": pass_index})
 
     while t:
         idx = find_first_block(t, cfg.window_length, cfg.max_qubits)
@@ -254,20 +231,16 @@ def rolling_horizon_pass(circuit: list[NamedGate], cfg: RhoConfig,
         entry = {"positions": list(idx), "qubits": sorted(block_qubits),
                  "gates_in": len(block)}
         if len(block_qubits) <= 1 or len(block) == 1:
-            log({**entry, "action": "skipped", "gates_out": len(block)})
+            record({**entry, "action": "skipped", "gates_out": len(block)})
             out.extend(block)
             continue
         optimized = _optimize_window(block, cfg)
         if optimized is None:
-            if stats is not None:
-                stats["passed_through"] = stats.get("passed_through", 0) + 1
-            log({**entry, "action": "kept", "gates_out": len(block)})
+            record({**entry, "action": "kept", "gates_out": len(block)})
             out.extend(block)
             continue
-        if stats is not None:
-            stats["optimized"] = stats.get("optimized", 0) + 1
-        log({**entry, "action": "optimized", "gates_out": len(optimized),
-             "saved": len(block) - len(optimized)})
+        record({**entry, "action": "optimized", "gates_out": len(optimized),
+                "saved": len(block) - len(optimized)})
         if not t:
             out.extend(optimized)
         elif len(optimized) >= cfg.accept_window:
@@ -278,20 +251,21 @@ def rolling_horizon_pass(circuit: list[NamedGate], cfg: RhoConfig,
     return out
 
 
-def rolling_horizon(circuit: list[NamedGate], cfg: RhoConfig | None = None) -> RhoResult:
+def rolling_horizon(circuit: list[GateSpec], cfg: RhoConfig | None = None) -> RhoResult:
     """Multi-pass rolling-horizon compression of a circuit.
 
     Passes repeat on the previous output until one fails to shorten it or
-    the pass budget runs out.  When the register is small enough the final
-    circuit is checked against the input up to a global phase.
+    the pass budget runs out.  When the register has at most
+    VERIFY_MAX_QUBITS qubits the final circuit is checked against the input
+    up to a global phase.
     """
     cfg = cfg or RhoConfig()
     t0 = time.perf_counter()
     current = list(circuit)
     lengths = [len(current)]
-    stats: dict = {}
+    log: list = []
     for k in range(cfg.passes):
-        new = rolling_horizon_pass(current, cfg, stats, pass_index=k + 1)
+        new = rolling_horizon_pass(current, cfg, log, pass_index=k + 1)
         lengths.append(len(new))
         improved = len(new) < len(current)
         current = new
@@ -299,7 +273,7 @@ def rolling_horizon(circuit: list[NamedGate], cfg: RhoConfig | None = None) -> R
             break
     nq = max(circuit_qubits(circuit), circuit_qubits(current))
     fid = None
-    if cfg.verify and nq <= cfg.verify_max_qubits and circuit:
+    if nq <= VERIFY_MAX_QUBITS and circuit:
         u_in = circuit_unitary(circuit, nq)
         u_out = circuit_unitary(current, nq)
         fid = fidelity(u_out, u_in)
@@ -308,27 +282,24 @@ def rolling_horizon(circuit: list[NamedGate], cfg: RhoConfig | None = None) -> R
                 f"rolling horizon changed the circuit's unitary: fidelity {fid!r}")
     return RhoResult(circuit=current, input_length=len(circuit),
                      pass_lengths=lengths, fidelity_to_input=fid, num_qubits=nq,
-                     seconds=time.perf_counter() - t0,
-                     windows_optimized=stats.get("optimized", 0),
-                     windows_passed_through=stats.get("passed_through", 0),
-                     window_log=stats.get("windows", []))
+                     seconds=time.perf_counter() - t0, window_log=log)
 
 
-def parity_ladder_zzz(theta: float, qubits: tuple[int, int, int]) -> list[NamedGate]:
+def parity_ladder_zzz(theta: float, qubits: tuple[int, int, int]) -> list[GateSpec]:
     """Three-body parity phase: CNOTs fold the parity onto the last wire,
     a Z rotation applies the phase, and the CNOTs unfold."""
     a, b, c = qubits
     return [
-        NamedGate("CNOT", (a, c)),
-        NamedGate("CNOT", (b, c)),
-        NamedGate("RZ", (c,), angle=theta),
-        NamedGate("CNOT", (b, c)),
-        NamedGate("CNOT", (a, c)),
+        gate_spec("CNOT", (a, c)),
+        gate_spec("CNOT", (b, c)),
+        gate_spec("RZ", (c,), angle=theta),
+        gate_spec("CNOT", (b, c)),
+        gate_spec("CNOT", (a, c)),
     ]
 
 
 __all__ = [
-    "NamedGate", "RhoConfig", "RhoResult",
+    "RhoConfig", "RhoResult", "VERIFY_MAX_QUBITS",
     "circuit_qubits", "circuit_unitary",
     "gates_on_qubits_up_to", "recursive_gates_on_qubits_up_to",
     "find_first_block", "retarget", "window_gate_set",

@@ -7,6 +7,8 @@ dispatches itself.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -76,9 +78,19 @@ class ScipyHighsBackend:
             options["time_limit"] = float(time_limit)
 
         def run(opts: dict):
-            return milp(sign * arr.c, constraints=constraints,
-                        integrality=arr.integrality,
-                        bounds=Bounds(arr.lb, arr.ub), options=opts)
+            # HiGHS writes some diagnostics straight to file descriptor 1 even
+            # with disp=False; keep them out of output printed on stdout.
+            sys.stdout.flush()
+            saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, 1)
+                return milp(sign * arr.c, constraints=constraints,
+                            integrality=arr.integrality,
+                            bounds=Bounds(arr.lb, arr.ub), options=opts)
+            finally:
+                os.dup2(saved, 1)
+                os.close(saved)
+                os.close(devnull)
 
         t0 = time.perf_counter()
         res = run(options)

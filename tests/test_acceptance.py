@@ -22,7 +22,7 @@ from mipsynth.fixtures import (brickwork_circuit, criterion_phase_instance,
                                depth_corpus, golden_weave_circuit,
                                k4_parity_seed, k5_parity_seed, oracle_corpus)
 from mipsynth.formulation import SynthesisProblem, synthesize
-from mipsynth.gates import builtin_gate, gate_spec, weave_gate_set
+from mipsynth.gates import builtin_gate, weave_gate_set
 from mipsynth.mip import MipModel
 from mipsynth.rho import RhoConfig, find_first_block, rolling_horizon
 
@@ -200,11 +200,10 @@ def test_criterion_07_golden_weave_fidelities(tmp_path, capsys):
     total = 0.0
     for name, want in GOLDEN_FIDELITIES.items():
         circ = golden_weave_circuit(name)
-        specs = [gate_spec(g.name, g.qubits) for g in circ]
         cpath = tmp_path / f"weave_{name.lower()}.json"
         rpath = tmp_path / f"verify_{name.lower()}.json"
         import json
-        cpath.write_text(json.dumps(circuit_doc(specs, 1)))
+        cpath.write_text(json.dumps(circuit_doc(circ, 1)))
         t0 = time.perf_counter()
         code = cli_main(["verify", str(cpath), "--target", name,
                          "--report", str(rpath), "--quiet"])
@@ -286,8 +285,8 @@ def test_criterion_10_rho_window_walkthrough():
     bw = brickwork_circuit()
     idx = find_first_block(bw, 12, 4)
     assert len(idx) == 11
-    qubits = {q for p in idx for q in bw[p].support}
+    qubits = {q for p in idx for q in bw[p].qubits}
     assert len(qubits) <= 4
     # closure: nothing before the block's end touches its qubits from outside
     outside = [p for p in range(max(idx) + 1) if p not in idx]
-    assert all(not (bw[p].support & qubits) for p in outside)
+    assert all(not (set(bw[p].qubits) & qubits) for p in outside)

@@ -8,11 +8,12 @@ import pytest
 
 from mipsynth.cli import (EXIT_INFEASIBLE, EXIT_NO_SOLUTION, EXIT_OPTIMAL,
                           EXIT_SCHEMA, circuit_doc, circuit_from_doc,
-                          circuit_product, main, parse_qasm, resolve_target,
+                          main, parse_qasm, resolve_target,
                           sequence_counts, validate_config)
 from mipsynth.errors import ConfigError, GateSetError
 from mipsynth.fixtures import benchmark_registry, csx_spec, standard_target
 from mipsynth.gates import builtin_gate, gate_spec
+from mipsynth.rho import circuit_unitary
 
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -53,8 +54,10 @@ def test_parse_qasm_angles_and_inference():
 def test_parse_qasm_rejections():
     with pytest.raises(GateSetError, match="QASM gate 'ccx' is not supported"):
         parse_qasm("qreg q[3]; ccx q[0], q[1], q[2];")
-    with pytest.raises(GateSetError, match="QASM gate 'creg' is not supported"):
+    with pytest.raises(GateSetError, match="QASM statement is not supported: 'creg c"):
         parse_qasm("qreg q[1]; creg c[1]; measure q[0] -> c[0];")
+    with pytest.raises(GateSetError, match="QASM statement is not supported: 'measure"):
+        parse_qasm("qreg q[1]; measure q[0] -> c[0];")
     with pytest.raises(GateSetError, match="one quantum register"):
         parse_qasm("qreg a[1]; qreg b[1];")
     with pytest.raises(ConfigError, match="angle expression"):
@@ -72,8 +75,8 @@ def test_circuit_doc_round_trip():
     assert "matrix" in doc["gates"][1]  # non-builtin gates carry their matrix
     back, nq = circuit_from_doc(doc)
     assert nq == 2
-    u0 = circuit_product(specs, 2)
-    u1 = circuit_product(back, 2)
+    u0 = circuit_unitary(specs, 2)
+    u1 = circuit_unitary(back, 2)
     assert np.abs(u0 - u1).max() <= 1e-12
     # reports embed the same document under "circuit"
     back2, _ = circuit_from_doc({"status": "optimal", "circuit": doc})
@@ -101,7 +104,7 @@ def test_resolve_target_forms(tmp_path):
     qfile.write_text(BELL_QASM)
     bell = resolve_target({"target": {"file": str(qfile)}}, reg, None)
     specs, _ = parse_qasm(BELL_QASM)
-    assert np.abs(bell - circuit_product(specs, 2)).max() <= 1e-12
+    assert np.abs(bell - circuit_unitary(specs, 2)).max() <= 1e-12
     with pytest.raises(ConfigError, match="unknown target"):
         resolve_target({"target": "warp_drive"}, reg, None)
     with pytest.raises(ConfigError, match="unknown fixture"):
@@ -225,6 +228,33 @@ def test_main_rho_small_seed(tmp_path, capsys):
     assert doc["fidelity_to_input"] == pytest.approx(1.0, abs=1e-9)
     assert doc["circuit"]["qubits"] == 2
     assert doc["window_log"]
+
+
+def test_main_rho_matrix_literal_seed(tmp_path, capsys):
+    x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    # X on the target commutes with the CNOT and H.H is the identity
+    gates = [{"name": "MYX", "qubits": [2], "matrix": x},
+             {"name": "CNOT", "qubits": [1, 2]}, {"name": "MYX", "qubits": [2], "matrix": x},
+             {"name": "H", "qubits": [1]}, {"name": "H", "qubits": [1]}]
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"qubits": 2, "gates": gates}))
+    rep = tmp_path / "rho.json"
+    code = main(["rho", "--seed-circuit", str(seed), "--window-length", "5",
+                 "--max-qubits", "2", "--report", str(rep)])
+    assert code == EXIT_OPTIMAL
+    capsys.readouterr()
+    doc = json.loads(rep.read_text())
+    assert doc["fidelity_to_input"] == pytest.approx(1.0, abs=1e-9)
+    assert doc["pass_lengths"][0] == 5
+    assert doc["circuit"]["gates"] == [{"name": "CNOT", "qubits": [1, 2]}]
+
+
+def test_main_approx_prints_only_its_summary(capfd):
+    code = main(["approx", "--target", "H", "--gate-set", "weaves", "-P", "5",
+                 "--objective", "linearized_fidelity", "--cuts", "identity"])
+    assert code == EXIT_OPTIMAL
+    lines = capfd.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["status=optimal", "sequence:"]
 
 
 def test_main_relations(capsys):

@@ -128,6 +128,25 @@ def test_scipy_backend_passes_its_gap(monkeypatch):
     assert backend.solve(m).gap_tol == 0.0 == seen[-1]["mip_rel_gap"]
 
 
+def test_solver_writes_nothing_to_stdout(monkeypatch, capfd):
+    import os
+
+    import scipy.optimize
+
+    inner = scipy.optimize.milp
+
+    def noisy(*args, **kwargs):
+        os.write(1, b"solver diagnostics on fd 1\n")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", noisy)
+    print("before")  # still buffered: the solve must flush it first
+    sol = get_backend("scipy").solve(_infeasible_model())
+    print("after")
+    assert sol.status == "infeasible"
+    assert capfd.readouterr().out == "before\nafter\n"
+
+
 def test_objective_evaluation():
     m = MipModel()
     x = m.add_var("x", -1.0, 1.0)
