@@ -426,6 +426,8 @@ def make_report(command: str, cfg: dict, problem: SynthesisProblem,
         "objective": _jsonable(result.objective_value),
         "bound": _jsonable(cert.get("bound")),
         "gap": _jsonable(cert.get("gap")),
+        "nodes": _jsonable(cert.get("nodes")),
+        "presolve_retry": cert.get("presolve_retry"),
         "fidelity": result.fidelity_to_target,
         "alpha": _jsonable(result.alpha),
         "beta": _jsonable(result.beta),
@@ -495,20 +497,21 @@ def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int,
     return _STATUS_CODE[result.status], report, lines
 
 
-def _rho_seed(cfg: dict) -> tuple[list[GateSpec], dict]:
+def _rho_seed(cfg: dict) -> tuple[list[GateSpec], int, dict]:
+    """Seed circuit, its declared register (0 for named seeds) and RHO options."""
     rc = dict(cfg.get("rho", {}))
     seed = rc.pop("seed", None)
     if seed is None:
         raise ConfigError("rho needs a seed circuit (rho.seed or --seed-circuit)")
     if isinstance(seed, str) and seed in _NAMED_SEEDS:
-        return _NAMED_SEEDS[seed](), rc
-    specs, _ = load_circuit(seed) if isinstance(seed, str) else circuit_from_doc(seed)
-    return specs, rc
+        return _NAMED_SEEDS[seed](), 0, rc
+    specs, nq = load_circuit(seed) if isinstance(seed, str) else circuit_from_doc(seed)
+    return specs, nq, rc
 
 
 def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
     t0 = time.perf_counter()
-    circuit, rc = _rho_seed(cfg)
+    circuit, declared_qubits, rc = _rho_seed(cfg)
     gates = rc.pop("window_gates", None)
     if gates is not None:
         rc["window_gates"] = tuple(
@@ -533,7 +536,8 @@ def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
         "window_log": result.window_log,
         "counts": sequence_counts(result.circuit),
         "wall_seconds": time.perf_counter() - t0,
-        "circuit": circuit_doc(result.circuit, result.num_qubits),
+        "circuit": circuit_doc(result.circuit,
+                               max(declared_qubits, result.num_qubits)),
     }
     fid = ("n/a" if result.fidelity_to_input is None
            else f"{result.fidelity_to_input:.9f}")

@@ -173,15 +173,11 @@ def add_redundancy_cuts(model: "MipModel", z: np.ndarray,
             model.add_constr(coefs, "<=", float(k - 1), family="cut_redundancy")
 
 
-def _entry_const_or_var(handles: "ModelHandles", pos0: int, i: int, j: int):
-    """Entry of the cumulative product before a given position.
-
-    pos0 is the 0-based index into the ghat stack; -1 addresses the empty
-    product, whose encoding is the identity.  Returns (var_id|None, const).
-    """
-    if pos0 < 0:
-        return None, 1.0 if i == j else 0.0
-    return int(handles.ghat[pos0, i, j]), 0.0
+def _entry_coefs(handles: "ModelHandles", pos0: int, i: int,
+                 j: int) -> tuple[dict[int, float], float]:
+    """Row coefficients and constant of R(Ghat) entry (i, j) after pos0 + 1 gates."""
+    var, sign, const = handles.chain_entry(pos0, i, j)
+    return ({} if var is None else {var: sign}), const
 
 
 def add_hc1_cuts(problem: "SynthesisProblem", model: "MipModel",
@@ -190,13 +186,12 @@ def add_hc1_cuts(problem: "SynthesisProblem", model: "MipModel",
     gs = problem.gate_set
     P = problem.P
     z = handles.z
-    m2 = handles.real_gates.shape[1]
+    m2 = 2 * gs.dim
     back = np.stack([encode_real(handles.eff_target @ g.conj().T)
                      for g in handles.eff_gate_mats])
     for i in range(m2):
-        for j in range(m2):
-            var, const = _entry_const_or_var(handles, P - 2, i, j)
-            coefs: dict[int, float] = {} if var is None else {var: 1.0}
+        for j in range(0, m2, 2):  # the independent entries of R(.)
+            coefs, const = _entry_coefs(handles, P - 2, i, j)
             for g in range(len(gs)):
                 c = float(back[g, i, j])
                 if abs(c) > 1e-14:
@@ -214,7 +209,7 @@ def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
         return
     z = handles.z
     G = len(gs)
-    m2 = handles.real_gates.shape[1]
+    m2 = 2 * gs.dim
     w = np.empty((G, G), dtype=np.int64)
     for g in range(G):
         for h in range(G):
@@ -229,9 +224,8 @@ def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
                 @ handles.eff_gate_mats[g].conj().T
             back[g, h] = encode_real(m)
     for i in range(m2):
-        for j in range(m2):
-            var, const = _entry_const_or_var(handles, P - 3, i, j)
-            coefs: dict[int, float] = {} if var is None else {var: 1.0}
+        for j in range(0, m2, 2):  # the independent entries of R(.)
+            coefs, const = _entry_coefs(handles, P - 3, i, j)
             for g in range(G):
                 for h in range(G):
                     c = float(back[g, h, i, j])
@@ -267,8 +261,7 @@ def add_hc1_global_phase_cuts(problem: "SynthesisProblem", model: "MipModel",
             for b in range(n):
                 for (i, rc, sc) in ((2 * a, -a_mat[a, b], b_mat[a, b]),
                                     (2 * a + 1, -b_mat[a, b], -a_mat[a, b])):
-                    var, const = _entry_const_or_var(handles, P - 2, i, 2 * b)
-                    base: dict[int, float] = {} if var is None else {var: 1.0}
+                    base, const = _entry_coefs(handles, P - 2, i, 2 * b)
                     if abs(rc) > 1e-14:
                         base[r] = base.get(r, 0.0) + float(rc)
                     if abs(sc) > 1e-14:

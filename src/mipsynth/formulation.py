@@ -1,9 +1,20 @@
 """Synthesis model: gate selection, cumulative products, targets, objectives.
 
-A circuit of at most P gates is encoded by one-hot binaries z[g,p]; the
-cumulative product lives in the real block encoding where it is linear up to
-binary-times-continuous products, which McCormick rows make exact.  Four
-objectives share that base: weighted gate count, depth, and two
+A circuit of at most P gates is encoded by one-hot binaries z[g,p].  The
+cumulative product Ghat_p = G_{g_1} ... G_{g_p} is stored by its real and
+imaginary parts, 2n^2 continuous variables per position for n = 2^Q; the
+other half of the real block encoding R(Ghat_p) is implied (see
+ModelHandles.chain_entry).  Position 1 is the selected gate,
+Ghat_1 = sum_g z[g,1] G_g.  Every later position uses the disaggregated
+(convex-hull) form of the one-hot product: each gate g gets a copy V[p,g]
+of the previous product with -z[g,p] <= V[p,g] <= z[g,p], the copies sum to
+Ghat_{p-1}, and Ghat_p = sum_g V[p,g] G_g in complex arithmetic, split into
+real and imaginary rows.  For binary z the copy of the chosen gate is
+Ghat_{p-1} and every other copy is zero, so the chain is exact; its
+relaxation is never weaker than per-gate McCormick rows (Balas 1985;
+Jeroslow and Lowe 1984).
+
+Four objectives share that base: weighted gate count, depth, and two
 approximate-compilation objectives that drop the target equality.  The
 fifth, exact fidelity, is quadratic and non-convex; it is always answered by
 exhaustive search.
@@ -120,9 +131,8 @@ class ModelHandles:
     """Variable ids of one built model, by meaning."""
 
     z: np.ndarray  # (|G|, P) binaries
-    ghat: np.ndarray  # (P, 2n, 2n) cumulative-product entries
-    v: np.ndarray | None  # (P+1, |G|, 2n, 2n) McCormick blocks, rows p >= 2
-    real_gates: np.ndarray  # (|G|, 2n, 2n) constant R(g) blocks (effective gates)
+    ghat: np.ndarray  # (P, 2, n, n) Re (index 0) and Im (1) of Ghat_p
+    v: np.ndarray | None  # (P+1, |G|, 2, n, n) Re/Im copies V[p,g], p >= 2
     eff_target: np.ndarray  # complex target the model constrains against
     eff_gate_mats: np.ndarray  # (|G|, n, n) complex effective gate matrices
     su_applied: bool
@@ -130,8 +140,22 @@ class ModelHandles:
     r: int | None = None
     s: int | None = None
     alpha: int | None = None
-    e: np.ndarray | None = None  # (2n, 2n) deviation entries
-    ehat: np.ndarray | None = None  # (2n, 2n) squared-deviation estimators
+    e: np.ndarray | None = None  # (2, n, n) Re/Im deviations from the target
+    ehat: np.ndarray | None = None  # (2, n, n) squared-deviation estimators
+
+    def chain_entry(self, pos0: int, i: int, j: int) -> tuple[int | None, float, float]:
+        """Entry (i, j) of R(Ghat) after pos0 + 1 gates, as (variable, sign, constant).
+
+        The entry's value is sign * x[variable] + constant.  R holds the
+        complex entry (a, b) = x + iy as the block [[x, -y], [y, x]], so
+        (2a, 2b) and (2a+1, 2b+1) read Re, (2a+1, 2b) reads Im and (2a, 2b+1)
+        reads -Im; column 2b alone covers every independent entry.  pos0 = -1
+        addresses the empty product, the identity, which has no variable.
+        """
+        if pos0 < 0:
+            return None, 0.0, 1.0 if i == j else 0.0
+        sign = -1.0 if i % 2 == 0 and j % 2 == 1 else 1.0
+        return int(self.ghat[pos0, (i + j) % 2, i // 2, j // 2]), sign, 0.0
 
 
 @dataclass
@@ -178,13 +202,31 @@ def effective_instance(problem: SynthesisProblem) -> tuple[np.ndarray, np.ndarra
     return problem.target.copy(), mats, False
 
 
+def _parts(a: np.ndarray) -> np.ndarray:
+    """(2, n, n) real and imaginary parts of a complex matrix."""
+    return np.stack([a.real, a.imag])
+
+
+def _complex_vars(model: MipModel, name: str, n: int) -> np.ndarray:
+    """(2, n, n) ids of new Re/Im variables in [-1, 1]."""
+    ids = np.empty((2, n, n), dtype=np.int64)
+    for c, i, j in np.ndindex(ids.shape):
+        ids[c, i, j] = model.add_var(f"{name}({('Re', 'Im')[c]},{i},{j})", -1.0, 1.0)
+    return ids
+
+
 def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
-    """One-hot selection plus the linearized cumulative-product chain."""
+    """One-hot selection plus the disaggregated cumulative-product chain.
+
+    Rows: P one-hot; 2n^2 per position defining Ghat_p (family cumulative);
+    and for each p >= 2, 4n^2 per gate bounding its copy by z plus 2n^2
+    summing the copies to Ghat_{p-1} (family disjunctive).
+    """
     gs = problem.gate_set
-    P, G = problem.P, len(gs)
+    P, G, n = problem.P, len(gs), gs.dim
     eff_t, eff_g, su_applied = effective_instance(problem)
-    rg = np.stack([encode_real(m) for m in eff_g])
-    m2 = rg.shape[1]  # real dimension 2*2^Q
+    # Y = X g on Re/Im parts: Y[c] = sum_d X[d] @ right[g, d, c]
+    right = np.array([[[m.real, m.imag], [-m.imag, m.real]] for m in eff_g])
     model = MipModel(name=f"synth_{problem.objective}_Q{gs.num_qubits}_P{P}")
 
     z = np.empty((G, P), dtype=np.int64)
@@ -195,73 +237,71 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
         model.add_constr({int(z[g, p]): 1.0 for g in range(G)}, "==", 1.0,
                          family="one_hot")
 
-    ghat = np.empty((P, m2, m2), dtype=np.int64)
-    for p in range(P):
-        for i in range(m2):
-            for j in range(m2):
-                ghat[p, i, j] = model.add_var(f"Ghat({p + 1},{i},{j})", -1.0, 1.0)
+    ghat = np.stack([_complex_vars(model, f"Ghat({p + 1})", n) for p in range(P)])
 
     # position 1: the cumulative product is the selected gate itself
-    for i in range(m2):
-        for j in range(m2):
-            coefs = {int(ghat[0, i, j]): -1.0}
-            for g in range(G):
-                c = rg[g, i, j]
-                if abs(c) > 1e-14:
-                    coefs[int(z[g, 0])] = coefs.get(int(z[g, 0]), 0.0) + c
-            model.add_constr(coefs, "==", 0.0, family="cumulative")
+    for c, i, j in np.ndindex(2, n, n):
+        coefs = {int(ghat[0, c, i, j]): -1.0}
+        for g in range(G):
+            val = right[g, 0, c, i, j]
+            if abs(val) > 1e-14:
+                coefs[int(z[g, 0])] = val
+        model.add_constr(coefs, "==", 0.0, family="cumulative")
 
     v = None
     if P > 1:
-        v = np.empty((P + 1, G, m2, m2), dtype=np.int64)
+        v = np.empty((P + 1, G, 2, n, n), dtype=np.int64)
         for p in range(2, P + 1):
             for g in range(G):
-                for i in range(m2):
-                    for k in range(m2):
-                        vid = model.add_var(f"V({p},{gs.label(g)},{i},{k})", -1.0, 1.0)
-                        v[p, g, i, k] = vid
-                        model.add_mccormick(int(vid), int(ghat[p - 2, i, k]),
-                                            int(z[g, p - 1]), family="mccormick")
-            for i in range(m2):
-                for j in range(m2):
-                    coefs = {int(ghat[p - 1, i, j]): -1.0}
-                    for g in range(G):
-                        col = rg[g, :, j]
-                        for k in range(m2):
-                            c = col[k]
-                            if abs(c) > 1e-14:
-                                key = int(v[p, g, i, k])
-                                coefs[key] = coefs.get(key, 0.0) + c
-                    model.add_constr(coefs, "==", 0.0, family="cumulative")
+                zg = int(z[g, p - 1])
+                v[p, g] = _complex_vars(model, f"V({p},{gs.label(g)})", n)
+                for vid in v[p, g].ravel():
+                    model.add_constr({int(vid): 1.0, zg: -1.0}, "<=", 0.0,
+                                     family="disjunctive")
+                    model.add_constr({int(vid): 1.0, zg: 1.0}, ">=", 0.0,
+                                     family="disjunctive")
+            for idx in np.ndindex(2, n, n):
+                coefs = {int(v[p, g][idx]): 1.0 for g in range(G)}
+                coefs[int(ghat[p - 2][idx])] = -1.0
+                model.add_constr(coefs, "==", 0.0, family="disjunctive")
+            for c, i, j in np.ndindex(2, n, n):
+                coefs = {int(ghat[p - 1, c, i, j]): -1.0}
+                for g in range(G):
+                    for d in range(2):
+                        for k in range(n):
+                            val = right[g, d, c, k, j]
+                            if abs(val) > 1e-14:
+                                coefs[int(v[p, g, d, i, k])] = val
+                model.add_constr(coefs, "==", 0.0, family="cumulative")
 
-    handles = ModelHandles(z=z, ghat=ghat, v=v, real_gates=rg, eff_target=eff_t,
+    handles = ModelHandles(z=z, ghat=ghat, v=v, eff_target=eff_t,
                            eff_gate_mats=eff_g, su_applied=su_applied)
     return model, handles
 
 
 def add_target(problem: SynthesisProblem, model: MipModel,
                handles: ModelHandles) -> None:
-    """Pin the final cumulative product to the target, exactly or up to phase."""
-    rt = encode_real(handles.eff_target)
-    rti = encode_real(1j * handles.eff_target)
-    m2 = rt.shape[0]
+    """Pin the final cumulative product to the target, exactly or up to phase.
+
+    In global phase mode Ghat_P = (r + i s) T, one row per Re/Im entry.
+    """
+    rt = _parts(handles.eff_target)
+    rti = _parts(1j * handles.eff_target)
     gP = handles.ghat[problem.P - 1]
     if problem.phase_mode == "exact":
-        for i in range(m2):
-            for j in range(m2):
-                model.add_constr({int(gP[i, j]): 1.0}, "==", float(rt[i, j]),
-                                 family="target")
+        for idx in np.ndindex(rt.shape):
+            model.add_constr({int(gP[idx]): 1.0}, "==", float(rt[idx]),
+                             family="target")
         return
     handles.r = model.add_var("r", -1.0, 1.0)
     handles.s = model.add_var("s", -1.0, 1.0)
-    for i in range(m2):
-        for j in range(m2):
-            coefs = {int(gP[i, j]): 1.0}
-            if abs(rt[i, j]) > 1e-14:
-                coefs[handles.r] = -float(rt[i, j])
-            if abs(rti[i, j]) > 1e-14:
-                coefs[handles.s] = -float(rti[i, j])
-            model.add_constr(coefs, "==", 0.0, family="target")
+    for idx in np.ndindex(rt.shape):
+        coefs = {int(gP[idx]): 1.0}
+        if abs(rt[idx]) > 1e-14:
+            coefs[handles.r] = -float(rt[idx])
+        if abs(rti[idx]) > 1e-14:
+            coefs[handles.s] = -float(rti[idx])
+        model.add_constr(coefs, "==", 0.0, family="target")
 
 
 def add_objective_gate_count(problem: SynthesisProblem, model: MipModel,
@@ -320,12 +360,12 @@ def add_depth_scheduling(problem: SynthesisProblem, model: MipModel,
 
 
 def _alpha_coefs(handles: ModelHandles, P: int) -> dict[int, float]:
-    rt = encode_real(handles.eff_target)
-    m2 = rt.shape[0]
-    scale = 1.0 / m2  # 1 / 2^(Q+1)
+    """alpha = Re tr(T^dag Ghat_P) / n on the Re/Im parts."""
+    rt = _parts(handles.eff_target)
+    scale = 1.0 / rt.shape[1]  # 1 / 2^Q
     gP = handles.ghat[P - 1]
-    return {int(gP[i, j]): float(rt[i, j]) * scale
-            for i in range(m2) for j in range(m2) if abs(rt[i, j]) > 1e-14}
+    return {int(gP[idx]): float(rt[idx]) * scale
+            for idx in np.ndindex(rt.shape) if abs(rt[idx]) > 1e-14}
 
 
 def add_objective_linearized_fidelity(problem: SynthesisProblem, model: MipModel,
@@ -346,26 +386,28 @@ def _tangent_grid(problem: SynthesisProblem) -> np.ndarray:
 
 def add_objective_frobenius_oa(problem: SynthesisProblem, model: MipModel,
                                handles: ModelHandles) -> None:
-    """Entrywise deviation box plus tangent under-estimators of its square."""
+    """Entrywise deviation box plus tangent under-estimators of its square.
+
+    Each Re/Im deviation weighs 2 in the objective, since every complex entry
+    appears twice in R(Ghat_P) - R(T), whose squared norm is the error.
+    """
     eps = float(problem.epsilon)
-    rt = encode_real(handles.eff_target)
-    m2 = rt.shape[0]
+    rt = _parts(handles.eff_target)
     gP = handles.ghat[problem.P - 1]
-    e = np.empty((m2, m2), dtype=np.int64)
-    ehat = np.empty((m2, m2), dtype=np.int64)
+    e = np.empty(rt.shape, dtype=np.int64)
+    ehat = np.empty(rt.shape, dtype=np.int64)
     grid = _tangent_grid(problem)
-    for i in range(m2):
-        for j in range(m2):
-            e[i, j] = model.add_var(f"E({i},{j})", -eps, eps)
-            ehat[i, j] = model.add_var(f"Ehat({i},{j})", -eps * eps, eps * eps)
-            model.add_constr({int(gP[i, j]): 1.0, int(e[i, j]): -1.0}, "==",
-                             float(rt[i, j]), family="frobenius_box")
-            for a_k in grid:
-                model.add_constr({int(ehat[i, j]): 1.0, int(e[i, j]): -2.0 * a_k},
-                                 ">=", -(a_k * a_k), family="objective")
+    for idx in np.ndindex(rt.shape):
+        name = "({},{},{})".format(*idx)
+        e[idx] = model.add_var(f"E{name}", -eps, eps)
+        ehat[idx] = model.add_var(f"Ehat{name}", -eps * eps, eps * eps)
+        model.add_constr({int(gP[idx]): 1.0, int(e[idx]): -1.0}, "==",
+                         float(rt[idx]), family="frobenius_box")
+        for a_k in grid:
+            model.add_constr({int(ehat[idx]): 1.0, int(e[idx]): -2.0 * a_k},
+                             ">=", -(a_k * a_k), family="objective")
     handles.e, handles.ehat = e, ehat
-    model.set_objective({int(ehat[i, j]): 1.0 for i in range(m2) for j in range(m2)},
-                        "min")
+    model.set_objective({int(k): 2.0 for k in ehat.ravel()}, "min")
 
 
 def build_model(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
@@ -455,8 +497,9 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
     Only the integer variables are read from `x`: each must be integral
     within INTEGRALITY_TOL and every position must select exactly one gate.
     Every continuous variable is then recomputed from the rounded choices:
-    the cumulative products, the McCormick blocks, the phase (r, s), alpha,
-    and the deviations E (clipped into the epsilon-box, so any
+    the Re/Im parts of each cumulative product Ghat_p, the copies V[p,g]
+    (Ghat_{p-1} for the chosen gate, zero for the others), the phase (r, s),
+    alpha, and the deviations E (clipped into the epsilon-box, so any
     excess shows up in the box rows) with their tangent estimators.
     Returns the polished point and the chosen gate per position.
     """
@@ -479,26 +522,27 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
                 f"position {p + 1} selects {len(sel)} gates after rounding")
         chosen.append(int(sel[0]))
 
-    chain = [handles.real_gates[chosen[0]]]
+    mats = handles.eff_gate_mats
+    chain = [mats[chosen[0]]]
     for g in chosen[1:]:
-        chain.append(chain[-1] @ handles.real_gates[g])
-    xp[handles.ghat] = np.stack(chain)
+        chain.append(chain[-1] @ mats[g])
+    xp[handles.ghat] = np.stack([_parts(c) for c in chain])
     for p in range(2, problem.P + 1):
-        xp[handles.v[p]] = z[:, p - 1, None, None] * chain[p - 2]
+        xp[handles.v[p]] = z[:, p - 1, None, None, None] * _parts(chain[p - 2])
 
     final = chain[-1]
-    a_re, b_re = alpha_beta(final, handles.eff_target)
+    a_re, b_re = alpha_beta(encode_real(final), handles.eff_target)
     # the target rows make r + i*s the phase, which is alpha + i*beta
     for var, val in ((handles.r, a_re), (handles.s, b_re), (handles.alpha, a_re)):
         if var is not None:
             xp[var] = val
     if handles.e is not None:
         eps = float(problem.epsilon)
-        dev = np.clip(final - encode_real(handles.eff_target), -eps, eps)
+        dev = np.clip(_parts(final - handles.eff_target), -eps, eps)
         xp[handles.e] = dev
         grid = _tangent_grid(problem)
-        xp[handles.ehat] = np.max(2.0 * grid[:, None, None] * dev
-                                  - (grid * grid)[:, None, None], axis=0)
+        g = grid[:, None, None, None]
+        xp[handles.ehat] = np.max(2.0 * g * dev - g * g, axis=0)
 
     unset = np.flatnonzero(np.isnan(xp))
     if unset.size:
@@ -619,7 +663,7 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     model, handles = build_model(problem)
     sol = be.solve(model, time_limit=time_limit)
     solver_info = {"row_families": dict(model.family_rows),
-                   "presolve_retry": sol.presolve_retry}
+                   "presolve_retry": sol.presolve_retry, "nodes": sol.nodes}
     if sol.status in ("optimal", "feasible"):
         result = extract_and_verify(problem, model, handles, sol)
         result.solve_seconds = time.perf_counter() - t0

@@ -41,6 +41,8 @@ class Solution:
     gap_tol: float = 0.0
     #: whether an infeasibility claim was re-checked without presolve
     presolve_retry: bool = False
+    #: branch-and-bound nodes HiGHS explored (its mip_node_count)
+    nodes: int | None = None
 
     @property
     def has_point(self) -> bool:
@@ -117,6 +119,9 @@ class ScipyHighsBackend:
         gap = getattr(res, "mip_gap", None)
         if gap is not None:
             gap = float(gap)
+        nodes = getattr(res, "mip_node_count", None)
+        if nodes is not None:
+            nodes = int(nodes)
         x = None if res.x is None else np.asarray(res.x, dtype=float)
         obj = None if x is None else float(model.objective_value(x))
 
@@ -137,7 +142,7 @@ class ScipyHighsBackend:
             raise BackendError(f"solver failed: {res.message}")
         return Solution(status=status, x=x, objective=obj, bound=bound, gap=gap,
                         solve_seconds=dt, message=str(res.message), gap_tol=gap_tol,
-                        presolve_retry=retried)
+                        presolve_retry=retried, nodes=nodes)
 
 
 def is_oracle_backend(name: str) -> bool:

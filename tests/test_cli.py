@@ -134,6 +134,7 @@ def test_main_solve_report_verify_closure(tmp_path, capsys):
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
     assert doc["command"] == "synthesize"
     assert doc["circuit"]["qubits"] == 2
+    assert doc["nodes"] > 0 and doc["presolve_retry"] is None  # oracle route
 
     # the embedded circuit is a loadable circuit document
     code = main(["verify", str(report), "--target", "iswap"])
@@ -198,6 +199,9 @@ def test_main_approx_and_dump_lp(tmp_path, capsys):
     doc = json.loads(rep.read_text())
     assert doc["alpha"] == pytest.approx(doc["objective"], abs=1e-9)
     assert 0.0 <= doc["fidelity"] <= 1.0
+    # the MIP route reports HiGHS's node count and whether the retry fired
+    assert isinstance(doc["nodes"], int) and doc["nodes"] >= 0
+    assert doc["presolve_retry"] is False
     # exact fidelity has no linear model to write
     with pytest.raises(SystemExit) as exc:
         main(["approx", "--target", "T", "--gate-set", "weaves", "-P", "2",
@@ -247,6 +251,22 @@ def test_main_rho_matrix_literal_seed(tmp_path, capsys):
     assert doc["fidelity_to_input"] == pytest.approx(1.0, abs=1e-9)
     assert doc["pass_lengths"][0] == 5
     assert doc["circuit"]["gates"] == [{"name": "CNOT", "qubits": [1, 2]}]
+
+
+def test_main_rho_keeps_the_declared_register(tmp_path, capsys):
+    # qubit 3 is idle, but the seed declares it, so the report keeps it
+    gates = [{"name": "H", "qubits": [1]}, {"name": "H", "qubits": [1]},
+             {"name": "CNOT", "qubits": [1, 2]}]
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"qubits": 3, "gates": gates}))
+    rep = tmp_path / "rho.json"
+    code = main(["rho", "--seed-circuit", str(seed), "--window-length", "3",
+                 "--max-qubits", "2", "--report", str(rep)])
+    assert code == EXIT_OPTIMAL
+    doc = json.loads(rep.read_text())
+    assert doc["circuit"]["qubits"] == 3
+    assert main(["verify", str(rep), "--target", str(seed)]) == EXIT_OPTIMAL
+    assert "fidelity=1.000000000" in capsys.readouterr().out
 
 
 def test_main_approx_prints_only_its_summary(capfd):

@@ -85,7 +85,9 @@ def test_emitted_row_counts():
     r = solve(CutSelection.from_names("identity"), **kw)
     assert cut_rows(r) == {"cut_identity_symmetry": 2}  # P - 1 ordering rows
     r = solve(CutSelection.from_names("hc"), **kw)
-    assert cut_rows(r) == {"cut_hc1": 16, "cut_hc2": 43}
+    # one row per independent entry of R(.) (2n^2 = 8); hc2 adds 3 product
+    # rows for each of the |G|^2 = 9 gate pairs
+    assert cut_rows(r) == {"cut_hc1": 8, "cut_hc2": 8 + 27}
     kw = dict(target=builtin_gate("X"), gate_set=gs1("H", "Z"), **GP_CASE)
     r = solve(CutSelection.from_names("hc"), **kw)
     assert cut_rows(r) == {"cut_hc1_global_phase": 48}

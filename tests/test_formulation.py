@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipsynth import formulation
-from mipsynth.cuts import CutSelection
+from mipsynth.cuts import CUT_FAMILIES, CutSelection
 from mipsynth.encoding import alpha_beta, encode_real
 from mipsynth.errors import (ConfigError, DimensionError, ModelIntegrityError,
                              UnitarityError)
@@ -16,7 +18,7 @@ from mipsynth.formulation import (OBJECTIVES, PHASE_MODES, TARGET_OBJECTIVES,
                                   effective_instance, extract_and_verify,
                                   polish_point, schedule_depth, synthesize)
 from mipsynth.gates import (GateSet, builtin_gate, extend_gate, gate_spec,
-                            weave_gate_set)
+                            sequence_product, weave_gate_set)
 from mipsynth.solvers import DEFAULT_GAP_TOL, get_backend
 
 
@@ -109,17 +111,20 @@ def test_build_base_counts():
         p2 = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=2,
                               objective="linearized_fidelity")
         m, h = build_base(p2)
-    # z: 5*2, Ghat: 2*16, V: 1*5*16
-    assert m.num_vars == 10 + 32 + 80
-    assert m.family_rows == {"one_hot": 2, "cumulative": 32, "mccormick": 320}
-    assert h.z.shape == (5, 2) and h.ghat.shape == (2, 4, 4)
-    assert h.v.shape == (3, 5, 4, 4)
+    # n = 2, |G| = 5, P = 2.  z: |G|*P; Ghat: P*2n^2; V: (P-1)*|G|*2n^2
+    assert m.num_vars == 10 + 16 + 40
+    # one-hot: P; cumulative: P*2n^2;
+    # disjunctive: (P-1)*(|G|*4n^2 copy bounds + 2n^2 aggregate rows)
+    assert m.family_rows == {"one_hot": 2, "cumulative": 16,
+                             "disjunctive": 5 * 16 + 8}
+    assert h.z.shape == (5, 2) and h.ghat.shape == (2, 2, 2, 2)
+    assert h.v.shape == (3, 5, 2, 2, 2)
 
     p1 = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=1,
                           objective="linearized_fidelity")
     m, h = build_base(p1)
-    assert m.num_vars == 5 + 16 and h.v is None
-    assert m.family_rows == {"one_hot": 1, "cumulative": 16}
+    assert m.num_vars == 5 + 8 and h.v is None
+    assert m.family_rows == {"one_hot": 1, "cumulative": 8}
 
 
 def test_full_model_adds_objective_and_cuts():
@@ -140,8 +145,10 @@ def test_exact_solve_small():
     assert r.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
     assert r.certificate["bound"] == pytest.approx(2.0)
     assert r.certificate["gap"] == pytest.approx(0.0)
-    assert r.certificate["row_families"]["mccormick"] == 4 * 1 * 3 * 16
+    # (P-1)*(|G|*4n^2 + 2n^2) with P = 2, |G| = 3, n = 2
+    assert r.certificate["row_families"]["disjunctive"] == 1 * (3 * 16 + 8)
     assert r.certificate["presolve_retry"] is False
+    assert isinstance(r.certificate["nodes"], int)
 
 
 def test_exact_solve_infeasible():
@@ -277,13 +284,30 @@ def test_schedule_depth_cases():
 @pytest.mark.parametrize("phase_mode", PHASE_MODES)
 @pytest.mark.parametrize("name", ["t2_s", "hh_i", "y_from_xz", "rz2", "w1w2"])
 def test_mip_and_oracle_verify_alike(name, phase_mode):
+    """Both routes reach one optimum and verify one circuit alike.
+
+    The free MIP solve may return another optimal word than the oracle, so
+    the fields are compared on the oracle's word: the MIP with its z fixed
+    to that word, padded with trailing identities.
+    """
     fx = next(f for f in oracle_corpus() if f.name == name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = SynthesisProblem(fx.target, fx.gate_set, fx.P, phase_mode=phase_mode)
-        milp = synthesize(p, backend="scipy")
+        free = synthesize(p, backend="scipy")
         brute = synthesize(p, backend="oracle")
-    assert milp.status == brute.status == "optimal"
+        model, handles = build_model(p)
+    assert free.status == brute.status == "optimal"
+    assert len(free.gate_indices) == len(brute.gate_indices)
+    assert free.objective_value == pytest.approx(brute.objective_value, abs=1e-9)
+
+    gs = p.gate_set
+    word = brute.gate_indices + [gs.identity_index] * (p.P - len(brute.gate_indices))
+    for pos, chosen in enumerate(word):
+        for g in range(len(gs)):
+            model.fix_var(int(handles.z[g, pos]), 1.0 if g == chosen else 0.0)
+    milp = extract_and_verify(p, model, handles, get_backend("scipy").solve(model))
+    assert milp.status == "optimal"
     assert milp.gate_indices == brute.gate_indices
     for f in ("fidelity_to_target", "alpha", "beta", "error_fro_sq"):
         assert abs(getattr(milp, f) - getattr(brute, f)) <= 1e-9, f
@@ -293,6 +317,43 @@ def test_mip_and_oracle_verify_alike(name, phase_mode):
         assert abs(milp.phase_factor - brute.phase_factor) <= 1e-9
     assert milp.depth == brute.depth
     assert milp.depth_schedule == brute.depth_schedule
+
+
+ONE_QUBIT_GATES = ("H", "T", "S", "X", "Y", "Z", "Sdg", "Tdg")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mip_and_oracle_agree_on_random_words(data):
+    """Differential check: same status and optimum on both routes.
+
+    The target is a random word over a small library, at most one gate
+    longer than the budget P, so some instances are infeasible; exact mode
+    compares determinant-normalized matrices, which can also rule a word
+    out.  The MIP carries a random subset of the cut families.
+    """
+    names = data.draw(st.lists(st.sampled_from(ONE_QUBIT_GATES), min_size=1,
+                               max_size=3, unique=True), label="library")
+    gs = gs1(*names)
+    P = data.draw(st.integers(1, 3), label="P")
+    word = data.draw(st.lists(st.sampled_from(gs.non_identity_indices()),
+                              max_size=P + 1), label="word")
+    tokens = data.draw(st.lists(st.sampled_from(CUT_FAMILIES), unique=True),
+                       label="cuts")
+    target = sequence_product(gs.matrices()[word], gs.dim)
+    for mode in PHASE_MODES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = SynthesisProblem(target, gs, P, phase_mode=mode,
+                                 cuts=CutSelection.from_names(tokens or "none"))
+            milp = synthesize(p, backend="scipy")
+            brute = synthesize(p, backend="oracle")
+        assert milp.status == brute.status, mode
+        assert milp.status in ("optimal", "infeasible"), mode
+        if milp.feasible:
+            assert milp.objective_value == pytest.approx(brute.objective_value,
+                                                         abs=1e-6), mode
+            assert milp.fidelity_to_target == pytest.approx(1.0, abs=1e-9), mode
 
 
 # T on the weave library, P=2, maximising alpha: the true optimum.

@@ -96,8 +96,12 @@ def test_violations_by_family():
     assert list(m.integer_vars()) == [b]
 
 
-def _spy_milp(monkeypatch, first_call_seconds: float) -> list[dict]:
-    """Record the options of every milp call; the first one also sleeps."""
+def _spy_milp(monkeypatch, first_call_seconds: float,
+              results: list | None = None) -> list[dict]:
+    """Record the options of every milp call; the first one also sleeps.
+
+    When `results` is given, each call's raw result is appended to it.
+    """
     import scipy.optimize
 
     seen = []
@@ -106,6 +110,8 @@ def _spy_milp(monkeypatch, first_call_seconds: float) -> list[dict]:
     def spy(*args, options=None, **kw):
         seen.append(dict(options))
         res = real_milp(*args, options=options, **kw)
+        if results is not None:
+            results.append(res)
         if len(seen) == 1:
             time.sleep(first_call_seconds)
         return res
@@ -210,6 +216,21 @@ def test_backend_registry():
         with pytest.raises(BackendError, match="unknown backend"):
             get_backend(name)
     assert set(ORACLE_BACKEND_NAMES) == {"oracle", "exhaustive"}
+
+
+def test_solution_carries_the_node_count(monkeypatch):
+    results: list = []
+    _spy_milp(monkeypatch, first_call_seconds=0.0, results=results)
+    m = MipModel()
+    x = m.add_var("x", 0.0, 4.0, integer=True)
+    y = m.add_var("y", 0.0, 4.0, integer=True)
+    m.add_constr({x: 2.0, y: 2.0}, "<=", 5.0)
+    m.set_objective({x: 1.0, y: 1.0}, sense="max")
+    sol = get_backend("scipy").solve(m)
+    assert sol.status == "optimal" and sol.objective == 2.0
+    assert len(results) == 1
+    assert sol.nodes == results[0].mip_node_count
+    assert isinstance(sol.nodes, int) and sol.nodes >= 0
 
 
 def _infeasible_model() -> MipModel:
