@@ -3,21 +3,32 @@
 Minimum-length questions run as a meet-in-the-middle search over deduplicated
 product levels: level l holds every matrix reachable with exactly l
 non-identity gates and not reachable with fewer.  A length-m query splits
-m = l + r, iterates the left level, and hash-looks the required right factor
-up in the keys of level r; sequences come back by peeling generators against
+m = l + r, walks the left level, and hash-looks the required right factor up
+in the keys of level r; sequences come back by peeling generators against
 lower-level key sets, and every answer is re-verified in exact arithmetic
-before it is returned.  Level tables are target independent and cached per
-gate set, least recently used first out once their stored matrices pass
-CACHE_BUDGET_BYTES.
+before it is returned.
 
-The dense kernels are single matrix products (GEMM): a level expands as
-parents (c*n, n) times all generators side by side (n, g*n), a query forms
-every chunk^H @ target at once, and a trace overlap is one matrix-vector
-product.  A key is a sketch, not the matrix: the 2n^2 real entries are
-projected onto 8 fixed, seeded unit-norm directions, rounded at KEY_SCALE and
-hashed.  Two distinct matrices share a key only if they agree to about 1e-6
-along all 8 directions; every hit is still peeled and re-verified against the
-exact matrices.
+A level is an array of pointers: member k of level l is a parent in level
+l-1 times a generator g, stored as the product index parent * G + g, in
+first-occurrence order (parent-major, generator-minor).  A level keeps its
+matrices only when they fit the table's byte budget, decided once its keys
+are known; otherwise its members are rebuilt from the parent level on
+demand, one GEMM per generator.  Level tables are target independent and
+cached per gate set, least recently used first out once their stored bytes
+(matrices, keys and pointers) pass CACHE_BUDGET_BYTES.
+
+A key is a sketch, not the matrix: 8 complex inner products
+s_d(X) = <C_d, X> = tr(C_d^H X) with fixed, seeded unit-norm directions C_d,
+rounded at KEY_SCALE and hashed.  Up to a global phase, s is first rotated so
+that its first largest entry (magnitudes rounded at KEY_SCALE) is real and
+positive, the rule relations.canonical_phase applies to matrix entries.  The
+sketch is linear, so no product is formed to key it: <C_d, A g> = <C_d g^H, A>
+gives the keys of all children of a parent chunk from one GEMM, and
+<C_d, g^H Y> = <g C_d, Y> with Y = A^H T gives the right-factor keys of a
+query the same way.  Only hits are formed as matrices.  Two distinct
+matrices share a key only if they agree to about 1e-6 along all 8
+directions; every hit is still peeled and re-verified against the exact
+matrices.
 
 Weighted counts and circuit depth are not monotone in sequence length, so
 those objectives fall back to a pruned depth-first enumeration.  Fidelity
@@ -42,16 +53,17 @@ from .errors import DimensionError, OracleInconclusiveError
 from .gates import GateSet, sequence_product
 from .relations import canonical_phase, equal_matrices
 
-#: Rounding scale of the key sketch.  Projection columns have unit norm, so
-#: the sketch carries the entries' accumulated matmul error (~1e-14) without
-#: amplifying it, far below the 1e-6 rounding step.
+#: Rounding scale of the key sketch.  Directions have unit norm, so the sketch
+#: carries the entries' accumulated matmul error (~1e-14) without amplifying
+#: it, far below the 1e-6 rounding step.
 KEY_SCALE = 1e6
-#: Number of projection directions in a key sketch.
+#: Number of complex directions in a key sketch.
 _SKETCH_DIM = 8
-#: Default bytes of level matrices one LevelTables stores.
+#: Default bytes one LevelTables stores; a new level keeps its matrices only
+#: if they fit on top of what is stored already.
 _MATRIX_BUDGET_BYTES = 800 << 20
 #: Total stored_bytes the table cache keeps before evicting the least
-#: recently used tables; equal to one table's matrix budget.
+#: recently used tables; equal to one table's budget.
 CACHE_BUDGET_BYTES = _MATRIX_BUDGET_BYTES
 #: Tolerance for the final exact re-verification of a candidate sequence.
 VERIFY_TOL = 1e-9
@@ -65,11 +77,23 @@ def _multipliers(count: int) -> np.ndarray:
             + np.uint64(1))
 
 
-def _projection(dim: int) -> np.ndarray:
-    """Fixed, seeded (dim, _SKETCH_DIM) projection with unit-norm columns."""
+def _directions(n: int) -> np.ndarray:
+    """Fixed, seeded (_SKETCH_DIM, n, n) complex directions of unit norm."""
     rng = np.random.default_rng(0x5EED)
-    proj = rng.standard_normal((dim, _SKETCH_DIM))
-    return proj / np.linalg.norm(proj, axis=0)
+    proj = rng.standard_normal((2 * n * n, _SKETCH_DIM))
+    proj /= np.linalg.norm(proj, axis=0)
+    return np.ascontiguousarray(proj.T).view(complex).reshape(_SKETCH_DIM, n, n)
+
+
+def _sketch_map(dirs: np.ndarray) -> np.ndarray:
+    """Real (2n^2, 2k) matrix M with X.view(float64) @ M equal to the
+    float64 view of the k inner products <W_j, X> for dirs W (k, n, n):
+    Re <W, X> = sum(Re W Re X + Im W Im X), Im <W, X> = sum(Re W Im X - Im W Re X)."""
+    w = dirs.reshape(len(dirs), dirs.shape[1] * dirs.shape[2])  # no -1: k may be 0
+    re = np.stack([w.real, w.imag], axis=-1)
+    im = np.stack([-w.imag, w.real], axis=-1)
+    return np.ascontiguousarray(
+        np.stack([re, im], axis=1).reshape(2 * len(w), 2 * w.shape[1]).T)
 
 
 class _KeySet:
@@ -80,7 +104,7 @@ class _KeySet:
         self._pending: list[np.ndarray] = []
         self._pending_n = 0
 
-    def _consolidate(self) -> None:
+    def consolidate(self) -> None:
         if self._pending:
             self._base = np.unique(np.concatenate([self._base, *self._pending]))
             self._pending = []
@@ -92,7 +116,11 @@ class _KeySet:
         self._pending.append(np.unique(keys))
         self._pending_n += len(keys)
         if self._pending_n > max(50_000, len(self._base) // 4):
-            self._consolidate()
+            self.consolidate()
+
+    @property
+    def nbytes(self) -> int:
+        return self._base.nbytes + sum(p.nbytes for p in self._pending)
 
     @staticmethod
     def _in_sorted(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -117,8 +145,14 @@ class _KeySet:
 @dataclass
 class _Level:
     keys: _KeySet
-    mats: np.ndarray | None  # stored matrices, or None when keys-only
+    src: np.ndarray  # product index parent * G + g of each member, ascending
     count: int
+    mats: np.ndarray | None = None  # the members' matrices, or None when pointer-only
+
+    @property
+    def nbytes(self) -> int:
+        mats = 0 if self.mats is None else self.mats.nbytes
+        return self.keys.nbytes + self.src.nbytes + mats
 
 
 class _Budget:
@@ -149,90 +183,135 @@ class LevelTables:
         self.ni = gs.non_identity_indices()
         mats = gs.matrices()
         self.gen = np.ascontiguousarray(mats[self.ni])
-        self.n = gs.dim
-        # gen_cols[j, g*n + k] = gen[g, j, k]: every generator side by side
-        self.gen_cols = np.ascontiguousarray(
-            self.gen.transpose(1, 0, 2).reshape(self.n, len(self.ni) * self.n))
+        self.n = n = gs.dim
         self.up_to_phase = phase_mode == "global_phase"
-        self.proj = _projection(2 * self.n * self.n)
-        self.mults = _multipliers(_SKETCH_DIM)
+        dirs = _directions(n)
+        # sketch maps: of X itself; of every child X @ g, through the
+        # directions C_d g^H; of every g^H @ X, through g C_d (one block of
+        # directions per generator, in generator order)
+        self.key_map = _sketch_map(dirs)
+        self.child_map = _sketch_map(
+            np.einsum("dij,gkj->gdik", dirs, self.gen.conj()).reshape(-1, n, n))
+        self.query_map = _sketch_map(
+            np.einsum("gij,djk->gdik", self.gen, dirs).reshape(-1, n, n))
+        self.mults = _multipliers(2 * _SKETCH_DIM)
         self.matrix_budget = matrix_budget_bytes
-        self.stored_bytes = 0
-        eye = np.eye(self.n, dtype=complex)[None, :, :]
-        lvl0 = _Level(keys=_KeySet(), mats=eye, count=1)
+        eye = np.eye(n, dtype=complex)[None, :, :]
+        lvl0 = _Level(keys=_KeySet(), src=np.empty(0, dtype=np.int64), count=1, mats=eye)
         lvl0.keys.add(self.keys_of(eye))
         self.levels: list[_Level] = [lvl0]
-        row_bytes = max(1, len(self.ni)) * self.n * self.n * 16
+        row_bytes = max(1, len(self.ni)) * n * n * 16
         self.chunk_rows = max(64, _CHUNK_BYTES // row_bytes)
 
-    def keys_of(self, stack: np.ndarray) -> np.ndarray:
-        if self.up_to_phase:
-            stack = canonical_phase(stack)
+    @property
+    def stored_bytes(self) -> int:
+        return sum(lev.nbytes for lev in self.levels)
+
+    @staticmethod
+    def _sketch(stack: np.ndarray, sketch_map: np.ndarray) -> np.ndarray:
+        """(rows, _SKETCH_DIM) complex sketches of a stack under a sketch map."""
         flat = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
-        sketch = flat.reshape(-1, len(self.proj)) @ self.proj
-        q = np.round(sketch * KEY_SCALE).astype(np.int64).astype(np.uint64)
+        out = flat.reshape(len(stack), -1) @ sketch_map
+        return out.view(complex).reshape(-1, _SKETCH_DIM)
+
+    def _hash(self, sketch: np.ndarray) -> np.ndarray:
+        if self.up_to_phase:
+            sketch = canonical_phase(sketch[:, None, :])[:, 0, :]
+        flat = np.ascontiguousarray(sketch).view(np.float64)
+        q = np.round(flat * KEY_SCALE).astype(np.int64).astype(np.uint64)
         return (q * self.mults[None, :]).sum(axis=1, dtype=np.uint64)
+
+    def keys_of(self, stack: np.ndarray) -> np.ndarray:
+        return self._hash(self._sketch(stack, self.key_map))
 
     def key_of_one(self, m: np.ndarray) -> np.uint64:
         return self.keys_of(m[None, :, :])[0]
 
-    def _expand(self, parents: np.ndarray) -> np.ndarray:
-        """All parent @ generator products, parent-major, generator-minor."""
-        n, c = self.n, len(parents)
-        prods = parents.reshape(c * n, n) @ self.gen_cols  # [c, i, g, k]
-        return prods.reshape(c, n, -1, n).transpose(0, 2, 1, 3).reshape(-1, n, n)
-
-    def iter_level_matrices(self, l: int, budget: _Budget):
-        """Yield chunks covering every level-l matrix (reachable in exactly l
-        gates, not fewer); keys-only levels are re-expanded transiently and may
-        repeat elements."""
+    def _chunks(self, l: int):
+        """Yield (start, mats): the level-l members from index start on, in
+        order, each exactly once.  Callers charge the budget for what they
+        consume."""
         lev = self.levels[l]
         if lev.mats is not None:
             for i in range(0, len(lev.mats), self.chunk_rows):
-                yield lev.mats[i:i + self.chunk_rows]
+                yield i, lev.mats[i:i + self.chunk_rows]
             return
-        for parents in self.iter_level_matrices(l - 1, budget):
-            prods = self._expand(parents)
-            budget.charge(len(prods))
-            keep = lev.keys.contains(self.keys_of(prods))
-            if keep.any():
-                yield prods[keep]
+        n, g_count = self.n, len(self.gen)
+        for start, parents, lo, hi in self._families(l):
+            p, g = np.divmod(lev.src[lo:hi] - start * g_count, g_count)
+            out = np.empty((hi - lo, n, n), dtype=complex)
+            for gi in range(g_count):
+                sel = np.nonzero(g == gi)[0]
+                out[sel] = (parents[p[sel]].reshape(-1, n) @ self.gen[gi]).reshape(-1, n, n)
+            yield lo, out
+
+    def _parent_chunks(self, l: int):
+        """Yield (start, parents): level l-1 in slices of at most chunk_rows."""
+        for start, mats in self._chunks(l - 1):
+            for i in range(0, len(mats), self.chunk_rows):
+                yield start + i, mats[i:i + self.chunk_rows]
+
+    def _families(self, l: int):
+        """Yield (start, parents, lo, hi): a parent slice and the level-l
+        members lo:hi whose parents lie in it."""
+        src, g_count = self.levels[l].src, len(self.gen)
+        for start, parents in self._parent_chunks(l):
+            lo, hi = np.searchsorted(src, [start * g_count, (start + len(parents)) * g_count])
+            if hi > lo:
+                yield start, parents, int(lo), int(hi)
+
+    def iter_level_matrices(self, l: int):
+        """Yield chunks holding every level-l matrix (reachable in exactly l
+        gates, not fewer) once, in member order; a pointer-only level is
+        rebuilt from its parent level."""
+        for _, mats in self._chunks(l):
+            yield mats
 
     def ensure_level(self, lmax: int, budget: _Budget) -> None:
+        n, g_count = self.n, len(self.gen)
         while len(self.levels) <= lmax:
             l = len(self.levels)
             keys = _KeySet()
-            kept_chunks: list[np.ndarray] = []
-            kept_bytes = 0
-            storing = True
-            count = 0
-            for parents in self.iter_level_matrices(l - 1, budget):
-                prods = self._expand(parents)
-                budget.charge(len(prods))
-                pkeys = self.keys_of(prods)
+            srcs = [np.empty(0, dtype=np.int64)]
+            for start, parents in self._parent_chunks(l):
+                budget.charge(len(parents) * g_count)
+                pkeys = self._hash(self._sketch(parents, self.child_map))
                 uniq, first = np.unique(pkeys, return_index=True)
                 seen = keys.contains(uniq)
                 for lower in self.levels:
                     seen |= lower.keys.contains(uniq)
-                fresh = first[~seen]
-                if len(fresh) == 0:
-                    continue
+                fresh = np.sort(first[~seen])
                 keys.add(pkeys[fresh])
-                count += len(fresh)
-                if storing:
-                    block = prods[np.sort(fresh)]
-                    kept_bytes += block.nbytes
-                    if self.stored_bytes + kept_bytes > self.matrix_budget:
-                        storing = False
-                        kept_chunks = []
-                    else:
-                        kept_chunks.append(block)
-            mats = None
-            if storing:
-                mats = (np.concatenate(kept_chunks) if kept_chunks
-                        else np.empty((0, self.n, self.n), dtype=complex))
-                self.stored_bytes += mats.nbytes
-            self.levels.append(_Level(keys=keys, mats=mats, count=count))
+                srcs.append(start * g_count + fresh)
+            keys.consolidate()
+            src = np.concatenate(srcs)
+            lev = _Level(keys=keys, src=src, count=len(src))
+            self.levels.append(lev)
+            if self.stored_bytes + lev.count * n * n * 16 <= self.matrix_budget:
+                mats = np.empty((lev.count, n, n), dtype=complex)
+                for lo, chunk in self._chunks(l):
+                    mats[lo:lo + len(chunk)] = chunk
+                lev.mats = mats
+
+    def left_hits(self, l: int, target: np.ndarray, right_keys: _KeySet,
+                  budget: _Budget):
+        """Yield (A, A^H @ target) for each level-l member A whose right factor
+        has a key in right_keys, in member order.  Keys come from the parents'
+        Y = P^H @ target; only hits are formed, as P @ g and g^H @ Y."""
+        if l == 0:
+            budget.charge(1)
+            if right_keys.contains_scalar(self.key_of_one(target)):
+                yield np.eye(self.n, dtype=complex), target
+            return
+        src, g_count = self.levels[l].src, len(self.gen)
+        for start, parents, lo, hi in self._families(l):
+            budget.charge(hi - lo)
+            y = _right_factors(parents, target)
+            local = src[lo:hi] - start * g_count
+            qkeys = self._hash(self._sketch(y, self.query_map)[local])
+            for h in np.nonzero(right_keys.contains(qkeys))[0]:
+                p, g = divmod(int(local[h]), g_count)
+                yield parents[p] @ self.gen[g], self.gen[g].conj().T @ y[p]
 
     def equal(self, a: np.ndarray, b: np.ndarray, tol: float = VERIFY_TOL) -> bool:
         return equal_matrices(a, b, self.up_to_phase, tol)
@@ -269,7 +348,7 @@ def _tables_for(gs: GateSet, phase_mode: str) -> LevelTables:
 
 
 def _trim_cache(keep: LevelTables) -> None:
-    """Evict least recently used tables until the stored matrices of the cache
+    """Evict least recently used tables until the stored bytes of the cache
     fit CACHE_BUDGET_BYTES; `keep` is never evicted.  Runs after each search,
     since searches grow tables."""
     total = sum(t.stored_bytes for t in _TABLE_CACHE.values())
@@ -312,19 +391,14 @@ def _check_length(tab: LevelTables, target: np.ndarray, m: int,
         return [] if tab.equal(np.eye(tab.n), target) else None
     l, r = m // 2, m - m // 2
     tab.ensure_level(r, budget)
-    right_keys = tab.levels[r].keys
-    for chunk in tab.iter_level_matrices(l, budget):
-        budget.charge(len(chunk))
-        needed = _right_factors(chunk, target)
-        hits = np.nonzero(right_keys.contains(tab.keys_of(needed)))[0]
-        for h in hits:
-            left_seq = tab.peel(chunk[h], l)
-            right_seq = tab.peel(np.ascontiguousarray(needed[h]), r)
-            if left_seq is None or right_seq is None:
-                continue
-            seq = left_seq + right_seq
-            if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
-                return seq
+    for left, right in tab.left_hits(l, target, tab.levels[r].keys, budget):
+        left_seq = tab.peel(left, l)
+        right_seq = tab.peel(right, r)
+        if left_seq is None or right_seq is None:
+            continue
+        seq = left_seq + right_seq
+        if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
+            return seq
     return None
 
 
@@ -411,7 +485,7 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str
     best_level = 0
     for l in range(1, max_length + 1):
         tab.ensure_level(l, budget)
-        for chunk in tab.iter_level_matrices(l, budget):
+        for chunk in tab.iter_level_matrices(l):
             budget.charge(len(chunk))
             vals = score(chunk)
             k = int(vals.argmax())

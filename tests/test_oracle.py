@@ -1,5 +1,6 @@
 """Exhaustive search checked against plain enumeration at tiny sizes."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -232,17 +233,101 @@ def test_table_cache_is_lru_within_byte_budget(monkeypatch):
     clear_oracle_cache()
 
 
+_TRIPLE_SET = window_gate_set(("CNOT", "H", "S"), 3)
+#: Fits levels 0-2 of _TRIPLE_SET (116472 bytes) but not the 668 matrices of
+#: level 3, so levels 3 and up keep keys and pointers only.
+_SMALL_BUDGET = 200_000
+
+
+@functools.cache
+def triple_tables(phase_mode: str, budgeted: bool) -> LevelTables:
+    if budgeted:
+        return LevelTables(_TRIPLE_SET, phase_mode, matrix_budget_bytes=_SMALL_BUDGET)
+    return LevelTables(_TRIPLE_SET, phase_mode)
+
+
 def test_gemm_kernels_match_einsum(rng):
-    gs = window_gate_set(("CNOT", "H", "S"), 3)
-    tab = LevelTables(gs, "exact")
-    parents = np.stack([random_unitary(gs.dim, rng) for _ in range(7)])
-    want = np.einsum("cij,gjk->cgik", parents, tab.gen).reshape(-1, gs.dim, gs.dim)
-    got = tab._expand(parents)
+    gs = _TRIPLE_SET
+    n = gs.dim
+    parents = np.stack([random_unitary(n, rng) for _ in range(7)])
+    target = random_unitary(n, rng)
+    y = np.einsum("cji,jk->cik", parents.conj(), target)
+    assert np.abs(oracle._right_factors(parents, target) - y).max() <= 1e-12
+    dirs = oracle._directions(n)
+    assert np.allclose(np.linalg.norm(dirs.reshape(len(dirs), -1), axis=1), 1.0)
+    for phase_mode in ("exact", "global_phase"):
+        tab = LevelTables(gs, phase_mode)
+        children = np.einsum("cij,gjk->cgik", parents, tab.gen).reshape(-1, n, n)
+        rights = np.einsum("gji,cjk->cgik", tab.gen.conj(), y).reshape(-1, n, n)
+        for stack, sketch_map, formed in ((parents, tab.child_map, children),
+                                          (y, tab.query_map, rights)):
+            want = np.einsum("dij,cij->cd", dirs.conj(), formed)  # <C_d, X>
+            assert np.abs(tab._sketch(formed, tab.key_map) - want).max() <= 1e-12
+            got = tab._sketch(stack, sketch_map)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+            assert np.array_equal(tab._hash(got), tab.keys_of(formed))
+        phased = np.exp(0.7j) * children
+        assert np.array_equal(tab.keys_of(phased) == tab.keys_of(children),
+                              np.full(len(children), phase_mode == "global_phase"))
+    # a pointer-only level rebuilds exactly parent @ generator at its pointers
+    tab = triple_tables("exact", budgeted=True)
+    tab.ensure_level(3, oracle._Budget(10 ** 9, None))
+    lev, g_count = tab.levels[3], len(tab.gen)
+    assert lev.mats is None and tab.levels[2].mats is not None
+    want = np.einsum("cij,cjk->cik", tab.levels[2].mats[lev.src // g_count],
+                     tab.gen[lev.src % g_count])
+    got = np.concatenate(list(tab.iter_level_matrices(3)))
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
-    target = random_unitary(gs.dim, rng)
-    want = np.einsum("cji,jk->cik", parents.conj(), target)
-    assert np.abs(oracle._right_factors(parents, target) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("phase_mode", ["exact", "global_phase"])
+def test_pointer_only_level_yields_each_member_once(phase_mode):
+    tab = triple_tables(phase_mode, budgeted=True)
+    budget = oracle._Budget(10 ** 9, None)
+    tab.ensure_level(4, budget)
+    assert [lev.mats is None for lev in tab.levels[:5]] == [False] * 3 + [True] * 2
+    full = triple_tables(phase_mode, budgeted=False)
+    full.ensure_level(4, budget)
+    assert [lev.count for lev in tab.levels] == [lev.count for lev in full.levels]
+    for l in (3, 4):
+        lev = tab.levels[l]
+        got = np.concatenate(list(tab.iter_level_matrices(l)))
+        assert len(got) == lev.count
+        keys = tab.keys_of(got)
+        assert len(np.unique(keys)) == lev.count
+        assert lev.keys.contains(keys).all()
+        assert np.array_equal(np.sort(keys), np.sort(full.keys_of(full.levels[l].mats)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(word=st.lists(st.sampled_from(_TRIPLE_SET.non_identity_indices()), max_size=7))
+def test_pointer_only_tables_answer_like_stored_ones(word):
+    target = product_of(_TRIPLE_SET, word)
+    for phase_mode in ("exact", "global_phase"):
+        answers = []
+        for budgeted in (True, False):
+            tab = triple_tables(phase_mode, budgeted)
+            seq = oracle._mitm_min_length(tab, target, 7, oracle._Budget(10 ** 9, None))
+            assert seq is not None and len(seq) <= len(word)
+            assert tab.equal(product_of(_TRIPLE_SET, [tab.ni[p] for p in seq]), target)
+            answers.append(seq)
+        assert answers[0] == answers[1]
+
+
+def test_stored_bytes_count_keys_and_pointers():
+    tab = LevelTables(_TRIPLE_SET, "exact", matrix_budget_bytes=_SMALL_BUDGET)
+    budget = oracle._Budget(10 ** 9, None)
+    tab.ensure_level(2, budget)
+    before = tab.stored_bytes
+    lev2 = tab.levels[2]
+    # one uint64 key, one int64 pointer and one complex 8x8 matrix per member
+    assert lev2.nbytes == lev2.count * (8 + 8 + 64 * 16)
+    tab.ensure_level(3, budget)
+    lev3 = tab.levels[3]
+    assert lev3.mats is None and lev3.count == 668
+    assert tab.stored_bytes - before == lev3.count * (8 + 8)
 
 
 def independent_level_counts(gs: GateSet, up_to_phase: bool, lmax: int) -> list[int]:

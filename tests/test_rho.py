@@ -145,6 +145,18 @@ def test_rolling_horizon_compresses_parity_seed():
             assert e["gates_out"] == e["gates_in"]
 
 
+def test_wide_windows_compress_k5_seed_to_22():
+    # 12-gate windows keeping 6 gates: 50 -> 36 -> 33 -> 25 -> 23 -> 22 -> 22,
+    # against 36 at the criterion 09 setting (10 / 5)
+    cfg = RhoConfig(window_length=12, accept_window=6, max_qubits=4, passes=8,
+                    window_gates=("CNOT", "H", "S"), backend="oracle")
+    res = rolling_horizon(k5_parity_seed(), cfg)
+    assert res.pass_lengths[0] == 50
+    assert all(b <= a for a, b in zip(res.pass_lengths, res.pass_lengths[1:]))
+    assert len(res.circuit) <= 22
+    assert res.fidelity_to_input == pytest.approx(1.0, abs=1e-9)
+
+
 def test_single_pass_preserves_unitary():
     seed = k4_parity_seed()
     cfg = RhoConfig(window_length=10, accept_window=5, max_qubits=4)
