@@ -1,10 +1,11 @@
 """Gate-sequence synthesis for quantum circuits via mixed-integer programming.
 
-Complex unitaries are modeled through a real block encoding, gate choices
-through one-hot binaries, and cumulative products through exact linearized
-bilinear terms, so that optimal short circuits can be certified by any LP/MIP
-solver.  An exhaustive meet-in-the-middle oracle provides independent ground
-truth, and a rolling-horizon pass re-synthesizes windows of long circuits.
+Complex unitaries are modeled by their real and imaginary parts, gate
+choices through one-hot binaries, and cumulative products through the exact
+disaggregated (convex-hull) form of the one-hot product, so that optimal
+short circuits can be certified by any LP/MIP solver.  An exhaustive
+meet-in-the-middle oracle provides independent ground truth, and a
+rolling-horizon pass re-synthesizes windows of long circuits.
 """
 
 from .encoding import (alpha_beta, decode_complex, encode_real, fidelity,

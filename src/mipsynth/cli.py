@@ -41,7 +41,7 @@ from .fixtures import (benchmark_registry, brickwork_circuit,
 from .formulation import (OBJECTIVES, SynthesisProblem, SynthesisResult,
                           build_model, schedule_depth, synthesize)
 from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
-                    builtin_names, gate_set_from_dict, gate_spec,
+                    builtin_names, extend_gate, gate_set_from_dict, gate_spec,
                     spec_from_dict, spec_to_dict, weave_gate_set)
 from .relations import detect_relations
 from .rho import RhoConfig, circuit_unitary, rolling_horizon
@@ -194,7 +194,7 @@ def _eval_angle(expr: str) -> float:
 
     try:
         angle = value(ast.parse(expr.strip(), mode="eval").body)
-    except (SyntaxError, RecursionError, ZeroDivisionError) as exc:
+    except (SyntaxError, RecursionError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse angle expression {expr!r}: {exc}") from exc
     if not math.isfinite(angle):
         raise ConfigError(f"angle expression {expr!r} is not finite")
@@ -557,7 +557,7 @@ def run_verify(cfg: dict, circuit_file: str) -> tuple[int, dict, list[str]]:
                              f"circuit acts on {nq} qubit(s)")
     produced = circuit_unitary(specs, nq)
     fid = fidelity(produced, target)
-    depth, schedule = schedule_depth([s.qubits for s in specs], nq)
+    depth, schedule = schedule_depth([extend_gate(s, nq).support for s in specs], nq)
     report = {
         "command": "verify",
         "config": cfg,
@@ -743,9 +743,10 @@ def _run_one(args: argparse.Namespace, file_cfg: dict,
 
 
 #: Exit code of each failure a run may end in; every configuration, gate-set
-#: and matrix error is a ValueError.
+#: and matrix error is a ValueError, and an OverflowError is a number in the
+#: input too large for a float.
 _FAILURE_CODES = (
-    ((jsonschema.ValidationError, ValueError, FileNotFoundError,
+    ((jsonschema.ValidationError, ValueError, OverflowError, FileNotFoundError,
       NotADirectoryError), EXIT_SCHEMA),
     ((OracleInconclusiveError,), EXIT_NO_SOLUTION),
     ((BackendError, ModelIntegrityError), EXIT_BACKEND),

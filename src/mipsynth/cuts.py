@@ -2,10 +2,12 @@
 
 Four families break symmetry or remove provably dominated choices
 (identity placement, commuting order, equivalent patterns, collapsible
-windows); the hindsight families propagate the target equality one or two
-positions backward.  Every cut keeps at least one optimal solution feasible,
-and families that reorder gates are rejected under the depth objective,
-where order changes the objective value.
+windows); the hindsight family propagates the target equality backward
+through the last gates and follows the phase mode: in exact mode it pins
+the product one and two positions back, in global phase mode one position
+back, switched on the last gate.  Every cut keeps at least one optimal
+solution feasible, and families that reorder gates are rejected under the
+depth objective, where order changes the objective value.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoding import encode_real
 from .errors import ConfigError
 from .gates import effective_gate_set
 from .relations import RelationCatalog, detect_relations
@@ -27,6 +28,15 @@ if TYPE_CHECKING:
 
 WEIGHT_TOL = 1e-12
 CUT_FAMILIES = ("identity_symmetry", "commuting", "equivalent", "redundancy", "hc")
+#: Longest gate window the redundancy family collapses.
+REDUNDANCY_K_MAX = 3
+_TOKENS = {
+    "identity": "identity_symmetry", "identity_symmetry": "identity_symmetry",
+    "commuting": "commuting_pairs", "commuting_pairs": "commuting_pairs",
+    "equivalent": "equivalent_patterns",
+    "equivalent_patterns": "equivalent_patterns",
+    "redundancy": "redundancy", "hc": "hindsight",
+}
 
 
 @dataclass(frozen=True)
@@ -37,10 +47,7 @@ class CutSelection:
     commuting_pairs: bool = False
     equivalent_patterns: bool = False
     redundancy: bool = False
-    hc1: bool = False
-    hc2: bool = False
-    hc1_global_phase: bool = False
-    redundancy_k_max: int = 3
+    hindsight: bool = False
 
     @classmethod
     def none(cls) -> "CutSelection":
@@ -48,58 +55,37 @@ class CutSelection:
 
     @classmethod
     def all(cls) -> "CutSelection":
-        return cls(identity_symmetry=True, commuting_pairs=True,
-                   equivalent_patterns=True, redundancy=True,
-                   hc1=True, hc2=True, hc1_global_phase=True)
+        return cls(**{f.name: True for f in fields(cls)})
 
     @classmethod
     def from_names(cls, names) -> "CutSelection":
         """Build a selection from comma-style tokens (CLI `--cuts`).
 
-        `hc` enables every hindsight variant; the applicable one is picked
-        at emission time from the phase mode.  `none` and `all` behave as
-        expected; unknown tokens raise.
+        `hc` selects the hindsight family, whose rows follow the phase mode
+        at emission time.  `none` and `all` behave as expected; unknown
+        tokens raise.
         """
         if isinstance(names, str):
             names = [t.strip() for t in names.split(",") if t.strip()]
-        on = {
-            "identity_symmetry": False, "commuting_pairs": False,
-            "equivalent_patterns": False, "redundancy": False,
-            "hc1": False, "hc2": False, "hc1_global_phase": False,
-        }
-        alias = {
-            "identity": "identity_symmetry",
-            "identity_symmetry": "identity_symmetry",
-            "commuting": "commuting_pairs",
-            "commuting_pairs": "commuting_pairs",
-            "equivalent": "equivalent_patterns",
-            "equivalent_patterns": "equivalent_patterns",
-            "redundancy": "redundancy",
-            "hc1": "hc1", "hc2": "hc2",
-            "hc1_global_phase": "hc1_global_phase",
-        }
+        on = {f.name: False for f in fields(cls)}
         for tok in names:
             t = tok.lower()
             if t == "none" or t == "base":
                 continue
             if t == "all":
-                for k in on:
-                    on[k] = True
-            elif t == "hc":
-                on["hc1"] = on["hc2"] = on["hc1_global_phase"] = True
-            elif t in alias:
-                on[alias[t]] = True
+                on = dict.fromkeys(on, True)
+            elif t in _TOKENS:
+                on[_TOKENS[t]] = True
             else:
                 raise ConfigError(f"unknown cut family {tok!r}; known: "
-                                  f"{sorted(set(alias) | {'hc', 'all', 'none'})}")
+                                  f"{sorted(set(_TOKENS) | {'all', 'none'})}")
         return cls(**on)
 
     def wants_patterns(self) -> bool:
         return self.commuting_pairs or self.equivalent_patterns or self.redundancy
 
     def active_names(self) -> list[str]:
-        return [f.name for f in fields(self)
-                if f.type == "bool" and getattr(self, f.name)]
+        return [f.name for f in fields(self) if getattr(self, f.name)]
 
 
 def _pattern_weight(weights: np.ndarray, pattern) -> float:
@@ -173,31 +159,13 @@ def add_redundancy_cuts(model: "MipModel", z: np.ndarray,
             model.add_constr(coefs, "<=", float(k - 1), family="cut_redundancy")
 
 
-def _entry_coefs(handles: "ModelHandles", pos0: int, i: int,
-                 j: int) -> tuple[dict[int, float], float]:
-    """Row coefficients and constant of R(Ghat) entry (i, j) after pos0 + 1 gates."""
-    var, sign, const = handles.chain_entry(pos0, i, j)
-    return ({} if var is None else {var: sign}), const
-
-
 def add_hc1_cuts(problem: "SynthesisProblem", model: "MipModel",
                  handles: "ModelHandles") -> None:
     """Propagate the exact target one position back through the last gate."""
-    gs = problem.gate_set
-    P = problem.P
-    z = handles.z
-    m2 = 2 * gs.dim
-    back = np.stack([encode_real(handles.eff_target @ g.conj().T)
-                     for g in handles.eff_gate_mats])
-    for i in range(m2):
-        for j in range(0, m2, 2):  # the independent entries of R(.)
-            coefs, const = _entry_coefs(handles, P - 2, i, j)
-            for g in range(len(gs)):
-                c = float(back[g, i, j])
-                if abs(c) > 1e-14:
-                    key = int(z[g, P - 1])
-                    coefs[key] = coefs.get(key, 0.0) - c
-            model.add_constr(coefs, "==", -const, family="cut_hc1")
+    z, t, P = handles.z, handles.eff_target, problem.P
+    handles.pin_rows(model, P - 2, [(int(z[g, P - 1]), t @ m.conj().T)
+                                    for g, m in enumerate(handles.eff_gate_mats)],
+                     "cut_hc1")
 
 
 def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
@@ -207,32 +175,15 @@ def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
     P = problem.P
     if P < 2:
         return
-    z = handles.z
-    G = len(gs)
-    m2 = 2 * gs.dim
-    w = np.empty((G, G), dtype=np.int64)
-    for g in range(G):
-        for h in range(G):
+    z, t, mats = handles.z, handles.eff_target, handles.eff_gate_mats
+    terms = []
+    for g in range(len(gs)):
+        for h in range(len(gs)):
             wid = model.add_binary(f"hc2({gs.label(g)},{gs.label(h)})")
-            w[g, h] = wid
             model.add_product_binary(wid, int(z[g, P - 2]), int(z[h, P - 1]),
                                      family="cut_hc2")
-    back = np.empty((G, G, m2, m2))
-    for g in range(G):
-        for h in range(G):
-            m = handles.eff_target @ handles.eff_gate_mats[h].conj().T \
-                @ handles.eff_gate_mats[g].conj().T
-            back[g, h] = encode_real(m)
-    for i in range(m2):
-        for j in range(0, m2, 2):  # the independent entries of R(.)
-            coefs, const = _entry_coefs(handles, P - 3, i, j)
-            for g in range(G):
-                for h in range(G):
-                    c = float(back[g, h, i, j])
-                    if abs(c) > 1e-14:
-                        key = int(w[g, h])
-                        coefs[key] = coefs.get(key, 0.0) - c
-            model.add_constr(coefs, "==", -const, family="cut_hc2")
+            terms.append((wid, t @ mats[h].conj().T @ mats[g].conj().T))
+    handles.pin_rows(model, P - 3, terms, "cut_hc2")
 
 
 def add_hc1_global_phase_cuts(problem: "SynthesisProblem", model: "MipModel",
@@ -240,50 +191,28 @@ def add_hc1_global_phase_cuts(problem: "SynthesisProblem", model: "MipModel",
     """Conditional backward propagation when the phase is a model variable.
 
     If gate g sits at the last position then the preceding cumulative
-    product equals the phase combination of the target pulled through g.
-    The products of the phase variables with gate entries stay linear by
-    switching the rows with a big-M of 2, which the variable bounds make
-    valid.
+    product equals the phase combination (r + i s) T g^dag of the target
+    pulled through g.  The products of the phase variables with gate entries
+    stay linear by switching the rows on z[g, P] with a big-M of 2, which
+    the variable bounds make valid.
     """
-    gs = problem.gate_set
-    P = problem.P
-    z = handles.z
     if handles.r is None or handles.s is None:
         raise ConfigError("phase-aware hindsight cuts need the phase-variable "
                           "target rows")
-    r, s = handles.r, handles.s
-    n = gs.dim
-    for g in range(len(gs)):
-        zc = int(z[g, P - 1])
-        c = handles.eff_target @ handles.eff_gate_mats[g].conj().T
-        a_mat, b_mat = c.real, c.imag
-        for a in range(n):
-            for b in range(n):
-                for (i, rc, sc) in ((2 * a, -a_mat[a, b], b_mat[a, b]),
-                                    (2 * a + 1, -b_mat[a, b], -a_mat[a, b])):
-                    base, const = _entry_coefs(handles, P - 2, i, 2 * b)
-                    if abs(rc) > 1e-14:
-                        base[r] = base.get(r, 0.0) + float(rc)
-                    if abs(sc) > 1e-14:
-                        base[s] = base.get(s, 0.0) + float(sc)
-                    up = dict(base)
-                    up[zc] = up.get(zc, 0.0) + 2.0
-                    model.add_constr(up, "<=", 2.0 - const,
-                                     family="cut_hc1_global_phase")
-                    lo = dict(base)
-                    lo[zc] = lo.get(zc, 0.0) - 2.0
-                    model.add_constr(lo, ">=", -2.0 - const,
-                                     family="cut_hc1_global_phase")
+    z, t, P = handles.z, handles.eff_target, problem.P
+    for g, m in enumerate(handles.eff_gate_mats):
+        back = t @ m.conj().T
+        handles.pin_rows(model, P - 2, [(handles.r, back), (handles.s, 1j * back)],
+                         "cut_hc1_global_phase", switch=int(z[g, P - 1]))
 
 
 def apply_cuts(model: "MipModel", handles: "ModelHandles",
-               problem: "SynthesisProblem",
-               catalog: RelationCatalog | None = None) -> None:
+               problem: "SynthesisProblem") -> None:
     """Emit every selected and applicable family.
 
-    Hindsight families silently skip when the phase mode or objective makes
-    them meaningless (with a warning), so a single selection like `hc` works
-    across modes.
+    The hindsight family follows the phase mode and skips, with a warning,
+    under objectives that drop the target equality, so one selection like
+    `hc` works everywhere.
     """
     sel = problem.cuts
     gs = problem.gate_set
@@ -292,16 +221,12 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
         add_identity_symmetry_cuts(model, handles.z, gs.identity_index, problem.P)
 
     if sel.wants_patterns():
-        if catalog is None:
-            # Patterns must hold for the matrices the model constrains: under
-            # exact phase matching those are determinant-normalized, and raw
-            # relations like Z.Z == I stop being true there.
-            rel_gs = effective_gate_set(gs, handles.eff_gate_mats,
-                                        handles.su_applied)
-            up = (problem.phase_mode == "global_phase"
-                  and problem.targets_equality())
-            catalog = detect_relations(rel_gs, k_max=sel.redundancy_k_max,
-                                       up_to_phase=up)
+        # Patterns must hold for the matrices the model constrains: under
+        # exact phase matching those are determinant-normalized, and raw
+        # relations like Z.Z == I stop being true there.
+        rel_gs = effective_gate_set(gs, handles.eff_gate_mats, handles.su_applied)
+        up = problem.phase_mode == "global_phase" and problem.targets_equality()
+        catalog = detect_relations(rel_gs, k_max=REDUNDANCY_K_MAX, up_to_phase=up)
         if sel.commuting_pairs and problem.P > 1:
             add_commuting_cuts(model, handles.z, catalog, problem.P, problem.objective)
         if sel.equivalent_patterns and problem.P > 1:
@@ -310,24 +235,16 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
         if sel.redundancy:
             add_redundancy_cuts(model, handles.z, catalog, problem.weights, problem.P)
 
-    wants_hc = sel.hc1 or sel.hc2 or sel.hc1_global_phase
-    if wants_hc and not problem.targets_equality():
+    if not sel.hindsight:
+        return
+    if not problem.targets_equality():
         warnings.warn("hindsight cuts need a target-equality objective; skipped",
                       stacklevel=2)
     elif problem.phase_mode == "exact":
-        if sel.hc1:
-            add_hc1_cuts(problem, model, handles)
-        if sel.hc2:
-            add_hc2_cuts(problem, model, handles)
-        if sel.hc1_global_phase and not (sel.hc1 or sel.hc2):
-            warnings.warn("phase-aware hindsight cuts need global phase mode; "
-                          "skipped", stacklevel=2)
+        add_hc1_cuts(problem, model, handles)
+        add_hc2_cuts(problem, model, handles)
     else:
-        if sel.hc1_global_phase:
-            add_hc1_global_phase_cuts(problem, model, handles)
-        if (sel.hc1 or sel.hc2) and not sel.hc1_global_phase:
-            warnings.warn("exact-phase hindsight cuts need exact phase mode; "
-                          "skipped", stacklevel=2)
+        add_hc1_global_phase_cuts(problem, model, handles)
 
 
 __all__ = [

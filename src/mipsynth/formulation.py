@@ -2,9 +2,9 @@
 
 A circuit of at most P gates is encoded by one-hot binaries z[g,p].  The
 cumulative product Ghat_p = G_{g_1} ... G_{g_p} is stored by its real and
-imaginary parts, 2n^2 continuous variables per position for n = 2^Q; the
-other half of the real block encoding R(Ghat_p) is implied (see
-ModelHandles.chain_entry).  Position 1 is the selected gate,
+imaginary parts, 2n^2 continuous variables per position for n = 2^Q, and
+every row that pins a chain position to data (the target, the hindsight
+cuts) is written by ModelHandles.pin_rows.  Position 1 is the selected gate,
 Ghat_1 = sum_g z[g,1] G_g.  Every later position uses the disaggregated
 (convex-hull) form of the one-hot product: each gate g gets a copy V[p,g]
 of the previous product with -z[g,p] <= V[p,g] <= z[g,p], the copies sum to
@@ -36,8 +36,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .cuts import CutSelection, apply_cuts
-from .encoding import (alpha_beta, encode_real, fidelity, require_unitary,
-                       su_normalize)
+from .encoding import fidelity, require_unitary, su_normalize
 from .errors import ConfigError, DimensionError, ModelIntegrityError
 from .gates import GateSet, GateSpec, effective_gate_set, sequence_product
 from .mip import MipModel
@@ -143,19 +142,36 @@ class ModelHandles:
     e: np.ndarray | None = None  # (2, n, n) Re/Im deviations from the target
     ehat: np.ndarray | None = None  # (2, n, n) squared-deviation estimators
 
-    def chain_entry(self, pos0: int, i: int, j: int) -> tuple[int | None, float, float]:
-        """Entry (i, j) of R(Ghat) after pos0 + 1 gates, as (variable, sign, constant).
+    def pin_rows(self, model: MipModel, pos0: int,
+                 terms: list[tuple[int | None, np.ndarray]], family: str,
+                 switch: int | None = None) -> None:
+        """Rows Ghat after pos0 + 1 gates = sum_k x[var_k] M_k, one per Re/Im entry.
 
-        The entry's value is sign * x[variable] + constant.  R holds the
-        complex entry (a, b) = x + iy as the block [[x, -y], [y, x]], so
-        (2a, 2b) and (2a+1, 2b+1) read Re, (2a+1, 2b) reads Im and (2a, 2b+1)
-        reads -Im; column 2b alone covers every independent entry.  pos0 = -1
-        addresses the empty product, the identity, which has no variable.
+        `terms` pairs a variable id, or None for a constant, with a complex
+        matrix M_k; pos0 = -1 addresses the empty product, the identity.
+        With a binary `switch` each row is relaxed to
+        |Ghat - sum_k x[var_k] M_k| <= 2 (1 - switch), so it binds only when
+        the switch is on; 2 bounds the gap whenever both sides have entries
+        of modulus at most 1.
         """
+        n = self.eff_target.shape[0]
+        parts = [(var, _parts(m)) for var, m in terms]
+        consts = [m for var, m in parts if var is None] or [np.zeros((2, n, n))]
+        rhs = sum(consts[1:], consts[0])  # not 0 + ...: a -0.0 entry stays -0.0
         if pos0 < 0:
-            return None, 0.0, 1.0 if i == j else 0.0
-        sign = -1.0 if i % 2 == 0 and j % 2 == 1 else 1.0
-        return int(self.ghat[pos0, (i + j) % 2, i // 2, j // 2]), sign, 0.0
+            rhs = rhs - _parts(np.eye(n))
+        for idx in np.ndindex(2, n, n):
+            coefs = {} if pos0 < 0 else {int(self.ghat[pos0][idx]): 1.0}
+            for var, m in parts:
+                if var is not None and abs(m[idx]) > 1e-14:
+                    coefs[var] = coefs.get(var, 0.0) - float(m[idx])
+            if switch is None:
+                model.add_constr(coefs, "==", float(rhs[idx]), family=family)
+            else:
+                model.add_constr({**coefs, switch: 2.0}, "<=",
+                                 2.0 + float(rhs[idx]), family=family)
+                model.add_constr({**coefs, switch: -2.0}, ">=",
+                                 -2.0 + float(rhs[idx]), family=family)
 
 
 @dataclass
@@ -285,23 +301,14 @@ def add_target(problem: SynthesisProblem, model: MipModel,
 
     In global phase mode Ghat_P = (r + i s) T, one row per Re/Im entry.
     """
-    rt = _parts(handles.eff_target)
-    rti = _parts(1j * handles.eff_target)
-    gP = handles.ghat[problem.P - 1]
+    t = handles.eff_target
     if problem.phase_mode == "exact":
-        for idx in np.ndindex(rt.shape):
-            model.add_constr({int(gP[idx]): 1.0}, "==", float(rt[idx]),
-                             family="target")
+        handles.pin_rows(model, problem.P - 1, [(None, t)], "target")
         return
     handles.r = model.add_var("r", -1.0, 1.0)
     handles.s = model.add_var("s", -1.0, 1.0)
-    for idx in np.ndindex(rt.shape):
-        coefs = {int(gP[idx]): 1.0}
-        if abs(rt[idx]) > 1e-14:
-            coefs[handles.r] = -float(rt[idx])
-        if abs(rti[idx]) > 1e-14:
-            coefs[handles.s] = -float(rti[idx])
-        model.add_constr(coefs, "==", 0.0, family="target")
+    handles.pin_rows(model, problem.P - 1, [(handles.r, t), (handles.s, 1j * t)],
+                     "target")
 
 
 def add_objective_gate_count(problem: SynthesisProblem, model: MipModel,
@@ -436,13 +443,13 @@ def schedule_depth(sequence, num_qubits: int) -> tuple[int, dict[int, int]]:
     Each gate lands either in the current layer or opens the next one; a gate
     joins the current layer only when its qubits are disjoint from everything
     already there.  For the fixed order this greedy choice is optimal.
-    Gates may be ExtendedGate objects or bare qubit collections.
+    Each gate is given by the qubits it acts on (its support).
     """
     depth = 0
     layer: frozenset[int] = frozenset()
     assignment: dict[int, int] = {}
     for idx, gate in enumerate(sequence, start=1):
-        qubits = gate.support if hasattr(gate, "support") else frozenset(gate)
+        qubits = frozenset(gate)
         if not qubits:
             assignment[idx] = max(depth, 1)
             continue
@@ -470,8 +477,10 @@ def verify_sequence(problem: SynthesisProblem, gate_indices: list[int],
     gs = problem.gate_set
     realized = sequence_product(gs.matrices()[gate_indices], gs.dim)
     eff_prod = sequence_product(eff_gate_mats[gate_indices], gs.dim)
-    alpha, beta = alpha_beta(encode_real(eff_prod), eff_target)
-    depth, schedule = schedule_depth([gs[g] for g in gate_indices], gs.num_qubits)
+    overlap = np.vdot(eff_target, eff_prod) / gs.dim  # tr(T^dag U) / n
+    alpha, beta = float(overlap.real), float(overlap.imag)
+    depth, schedule = schedule_depth([gs[g].support for g in gate_indices],
+                                     gs.num_qubits)
     phase = None
     if problem.phase_mode == "global_phase" and problem.targets_equality():
         phase = complex(alpha, beta)
@@ -531,9 +540,10 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
         xp[handles.v[p]] = z[:, p - 1, None, None, None] * _parts(chain[p - 2])
 
     final = chain[-1]
-    a_re, b_re = alpha_beta(encode_real(final), handles.eff_target)
-    # the target rows make r + i*s the phase, which is alpha + i*beta
-    for var, val in ((handles.r, a_re), (handles.s, b_re), (handles.alpha, a_re)):
+    # the target rows make r + i*s the phase, alpha + i*beta = tr(T^dag U) / n
+    phase = np.vdot(handles.eff_target, final) / len(final)
+    for var, val in ((handles.r, phase.real), (handles.s, phase.imag),
+                     (handles.alpha, phase.real)):
         if var is not None:
             xp[var] = val
     if handles.e is not None:

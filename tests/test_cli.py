@@ -15,6 +15,7 @@ from mipsynth.fixtures import benchmark_registry, csx_spec, standard_target
 from mipsynth.gates import builtin_gate, gate_spec
 from mipsynth.rho import circuit_unitary
 
+BIG = "1" + "0" * 400  # an integer no float can hold
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];
@@ -63,7 +64,7 @@ def test_parse_qasm_rejections():
     with pytest.raises(ConfigError, match="angle expression"):
         parse_qasm("rz(two*pi) q[0];")
     # angles are parsed, never evaluated: a power is refused at once
-    for expr in ("9**9**9", "2**10", "pi.real", "1/0", "1e999"):
+    for expr in ("9**9**9", "2**10", "pi.real", "1/0", "1e999", BIG):
         with pytest.raises(ConfigError, match="angle expression"):
             parse_qasm(f"rz({expr}) q[0];")
 
@@ -234,6 +235,30 @@ def test_main_rho_small_seed(tmp_path, capsys):
     assert doc["window_log"]
 
 
+def test_verify_depth_follows_gate_support(tmp_path, capsys):
+    # IX = I (x) X is declared on qubits (1, 2) but acts on qubit 2 only, so
+    # it shares a layer with X on qubit 1 in the solve and in verify alike
+    one, zero = [1, 0], [0, 0]
+    ix = [[one if i == j ^ 1 else zero for j in range(4)] for i in range(4)]
+    xx = [[one if i == 3 - j else zero for j in range(4)] for i in range(4)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "target": {"matrix": xx}, "P": 2, "objective": "depth",
+        "gate_set": {"qubits": 2, "gates": [
+            {"name": "IX", "qubits": [1, 2], "matrix": ix},
+            {"name": "X", "qubits": [1]}]}}))
+    rep = tmp_path / "report.json"
+    code = main(["synthesize", "--config", str(cfg), "--report", str(rep)])
+    assert code == EXIT_OPTIMAL
+    assert json.loads(rep.read_text())["depth"] == 1
+    capsys.readouterr()
+    checked = tmp_path / "verify.json"
+    assert main(["verify", str(rep), "--target", str(rep),
+                 "--report", str(checked)]) == EXIT_OPTIMAL
+    assert "depth=1 fidelity=1.000000000" in capsys.readouterr().out
+    assert json.loads(checked.read_text())["schedule"] == {"1": 1, "2": 1}
+
+
 def test_main_rho_matrix_literal_seed(tmp_path, capsys):
     x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     # X on the target commutes with the CNOT and H.H is the identity
@@ -318,7 +343,7 @@ def test_main_batch_survives_a_bad_config(tmp_path, capsys, jobs):
     assert f"[{bad}] failed" in capsys.readouterr().out
 
 
-def test_usage_errors_exit_64(capsys):
+def test_usage_errors_exit_64(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synthesizer"])
     assert exc.value.code == EXIT_SCHEMA
@@ -327,3 +352,29 @@ def test_usage_errors_exit_64(capsys):
         main([])
     assert exc.value.code == EXIT_SCHEMA
     capsys.readouterr()
+
+    # numbers too large for a float are input errors, not tracebacks
+    qasm = tmp_path / "big.qasm"
+    qasm.write_text(f"qreg q[1]; rz({BIG}) q[0];")
+    big = int(BIG)
+    t_cfg = {"target": "S", "phase_mode": "global", "P": 2,
+             "gate_set": {"qubits": 1, "gates": [{"name": "T", "qubits": [1]}]}}
+    configs = {
+        "angle": {"target": "S", "P": 2, "gate_set": {"qubits": 1, "gates": [
+            {"name": "RZ", "qubits": [1], "angle": big}]}},
+        "epsilon": {"target": "T", "gate_set": "weaves", "P": 2,
+                    "objective": "frobenius_oa", "epsilon": big},
+        "weights": {**t_cfg, "weights": [big, 1]},
+        "time_limit": {**t_cfg, "time_limit": big},
+    }
+    runs = [["verify", str(qasm), "--target", "X"]]
+    for name, cfg in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        runs.append(["approx" if name == "epsilon" else "synthesize",
+                     "--config", str(path)])
+    for argv in runs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_SCHEMA, argv
+        assert "mipsynth: error:" in capsys.readouterr().err

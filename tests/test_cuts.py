@@ -35,12 +35,11 @@ def test_from_names_aliases():
     sel = CutSelection.from_names("identity")
     assert sel.active_names() == ["identity_symmetry"]
     sel = CutSelection.from_names("hc")
-    assert sel.hc1 and sel.hc2 and sel.hc1_global_phase
-    assert not sel.identity_symmetry
+    assert sel.active_names() == ["hindsight"]
     sel = CutSelection.from_names("all")
     assert sel.active_names() == ["identity_symmetry", "commuting_pairs",
                                   "equivalent_patterns", "redundancy",
-                                  "hc1", "hc2", "hc1_global_phase"]
+                                  "hindsight"]
     assert CutSelection.all() == sel
     for spelled in ("none", "base", ""):
         assert CutSelection.from_names(spelled).active_names() == []
@@ -49,17 +48,17 @@ def test_from_names_aliases():
     assert sel.identity_symmetry and sel.redundancy
     sel = CutSelection.from_names(["commuting", "equivalent"])
     assert sel.commuting_pairs and sel.equivalent_patterns
-    assert CutSelection.from_names("HC1").hc1
-    with pytest.raises(ConfigError):
-        CutSelection.from_names("identity,magic")
+    assert CutSelection.from_names("HC").hindsight
+    for unknown in ("identity,magic", "hc1", "hc2", "hc1_global_phase"):
+        with pytest.raises(ConfigError, match="unknown cut family"):
+            CutSelection.from_names(unknown)
 
 
 EXACT_CASE = dict(P=3)
 GP_CASE = dict(P=3, phase_mode="global_phase")
 
 
-@pytest.mark.parametrize("names", ["identity", "redundancy", "hc1", "hc2",
-                                   "hc", "all"])
+@pytest.mark.parametrize("names", ["identity", "redundancy", "hc", "all"])
 def test_exact_families_preserve_optimum(names):
     kw = dict(target=builtin_gate("S"), gate_set=gs1("H", "T"), **EXACT_CASE)
     base = solve(CutSelection.from_names("none"), **kw)
@@ -70,7 +69,7 @@ def test_exact_families_preserve_optimum(names):
 
 
 @pytest.mark.parametrize("names", ["identity", "commuting", "equivalent",
-                                   "redundancy", "hc1_global_phase", "all"])
+                                   "redundancy", "hc", "all"])
 def test_phase_families_preserve_optimum(names):
     kw = dict(target=builtin_gate("X"), gate_set=gs1("H", "Z"), **GP_CASE)
     base = solve(CutSelection.from_names("none"), **kw)
@@ -85,7 +84,7 @@ def test_emitted_row_counts():
     r = solve(CutSelection.from_names("identity"), **kw)
     assert cut_rows(r) == {"cut_identity_symmetry": 2}  # P - 1 ordering rows
     r = solve(CutSelection.from_names("hc"), **kw)
-    # one row per independent entry of R(.) (2n^2 = 8); hc2 adds 3 product
+    # one row per Re/Im entry of the chain (2n^2 = 8); hc2 adds 3 product
     # rows for each of the |G|^2 = 9 gate pairs
     assert cut_rows(r) == {"cut_hc1": 8, "cut_hc2": 8 + 27}
     kw = dict(target=builtin_gate("X"), gate_set=gs1("H", "Z"), **GP_CASE)
@@ -95,21 +94,7 @@ def test_emitted_row_counts():
     assert cut_rows(r) == {}
 
 
-@pytest.mark.filterwarnings("ignore:exact phase mode")
 def test_hindsight_cuts_skip_on_mode_mismatch():
-    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2,
-                         cuts=CutSelection.from_names("hc1_global_phase"))
-    with pytest.warns(UserWarning, match="need global phase mode"):
-        r = synthesize(p, backend="scipy")
-    assert "cut_hc1_global_phase" not in cut_rows(r)
-
-    p = SynthesisProblem(builtin_gate("X"), gs1("H", "Z"), P=3,
-                         phase_mode="global_phase",
-                         cuts=CutSelection.from_names("hc1"))
-    with pytest.warns(UserWarning, match="need exact phase mode"):
-        r = synthesize(p, backend="scipy")
-    assert cut_rows(r) == {}
-
     p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=2,
                          objective="linearized_fidelity",
                          cuts=CutSelection.from_names("hc"))

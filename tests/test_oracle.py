@@ -95,7 +95,7 @@ def test_depth_objective_parallelizes():
     hh = np.kron(builtin_gate("H"), builtin_gate("H"))
     res = exhaustive_synthesize(hh, gs, 3, objective="depth")
     assert res.objective == pytest.approx(1.0)
-    assert schedule_depth([gs[i] for i in res.sequence], gs.num_qubits)[0] == 1
+    assert schedule_depth([gs[i].support for i in res.sequence], gs.num_qubits)[0] == 1
     layered = product_of(gs, [gs.index_of("H", (1,)), gs.index_of("H", (2,)),
                               gs.index_of("CNOT", (1, 2))])
     res = exhaustive_synthesize(layered, gs, 4, objective="depth")
@@ -141,7 +141,7 @@ def test_sequence_depth_rules():
     ident = gs.identity_index
 
     def depth(seq):
-        return schedule_depth([gs[i] for i in seq], gs.num_qubits)[0]
+        return schedule_depth([gs[i].support for i in seq], gs.num_qubits)[0]
 
     assert depth([]) == 0
     assert depth([ident, ident]) == 0
