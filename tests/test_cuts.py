@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from mipsynth import cuts
 from mipsynth.cuts import CUT_FAMILIES, CutSelection
 from mipsynth.errors import ConfigError
 from mipsynth.formulation import SynthesisProblem, synthesize
@@ -58,11 +59,22 @@ EXACT_CASE = dict(P=3)
 GP_CASE = dict(P=3, phase_mode="global_phase")
 
 
-@pytest.mark.parametrize("names", ["identity", "redundancy", "hc", "all"])
-def test_exact_families_preserve_optimum(names):
+# Cases that keep one exact-mode hindsight row family alone, by stubbing out
+# the writer of the other one under the `hc` selection.
+HINDSIGHT_ALONE = {"hc1": "add_hc2_cuts", "hc2": "add_hc1_cuts"}
+
+
+@pytest.mark.parametrize("names", ["identity", "redundancy", "hc1", "hc2",
+                                   "hc", "all"])
+def test_exact_families_preserve_optimum(names, monkeypatch):
     kw = dict(target=builtin_gate("S"), gate_set=gs1("H", "T"), **EXACT_CASE)
     base = solve(CutSelection.from_names("none"), **kw)
-    cut = solve(CutSelection.from_names(names), **kw)
+    if names in HINDSIGHT_ALONE:
+        monkeypatch.setattr(cuts, HINDSIGHT_ALONE[names], lambda *a: None)
+        cut = solve(CutSelection.from_names("hc"), **kw)
+        assert set(cut_rows(cut)) == {f"cut_{names}"}
+    else:
+        cut = solve(CutSelection.from_names(names), **kw)
     assert base.status == cut.status == "optimal"
     assert cut.objective_value == pytest.approx(base.objective_value, abs=1e-6)
     assert cut.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
