@@ -38,8 +38,9 @@ from .errors import (BackendError, ConfigError, DimensionError, GateSetError,
 from .fixtures import (benchmark_registry, brickwork_circuit,
                        golden_weave_circuit, k4_parity_seed, k5_parity_seed,
                        standard_target, standard_target_names)
-from .formulation import (OBJECTIVES, SynthesisProblem, SynthesisResult,
-                          build_model, schedule_depth, synthesize)
+from .formulation import (OBJECTIVES, TARGET_OBJECTIVES, SynthesisProblem,
+                          SynthesisResult, build_model, schedule_depth,
+                          synthesize)
 from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
                     builtin_names, extend_gate, gate_set_from_dict, gate_spec,
                     spec_from_dict, spec_to_dict, weave_gate_set)
@@ -56,7 +57,6 @@ EXIT_BACKEND = 70
 _STATUS_CODE = {"optimal": EXIT_OPTIMAL, "feasible": EXIT_FEASIBLE,
                 "infeasible": EXIT_INFEASIBLE, "time_limit": EXIT_NO_SOLUTION}
 
-SYNTH_OBJECTIVES = ("weighted_gate_count", "depth")
 APPROX_OBJECTIVES = ("linearized_fidelity", "frobenius_oa", "exact_fidelity")
 
 # ---------------------------------------------------------------------------
@@ -427,7 +427,6 @@ def make_report(command: str, cfg: dict, problem: SynthesisProblem,
         "bound": _jsonable(cert.get("bound")),
         "gap": _jsonable(cert.get("gap")),
         "nodes": _jsonable(cert.get("nodes")),
-        "presolve_retry": cert.get("presolve_retry"),
         "fidelity": result.fidelity_to_target,
         "alpha": _jsonable(result.alpha),
         "beta": _jsonable(result.beta),
@@ -477,7 +476,7 @@ def _sequence_line(specs: list[GateSpec]) -> str:
 
 
 def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int, dict, list[str]]:
-    allowed = {"synthesize": SYNTH_OBJECTIVES,
+    allowed = {"synthesize": TARGET_OBJECTIVES,
                "approx": APPROX_OBJECTIVES,
                "oracle": OBJECTIVES}[command]
     t0 = time.perf_counter()
@@ -517,11 +516,11 @@ def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
         rc["window_gates"] = tuple(
             (g[0], float(g[1])) if isinstance(g, (list, tuple)) else g
             for g in gates)
+    if rc.get("time_limit_per_window") is None:
+        rc["time_limit_per_window"] = cfg.get("time_limit")
     rho_cfg = RhoConfig(backend=cfg.get("backend", "oracle"),
                         cuts=CutSelection.from_names(cfg.get("cuts", "identity")),
                         **rc)
-    if cfg.get("time_limit") is not None and rho_cfg.time_limit_per_window is None:
-        rho_cfg.time_limit_per_window = cfg["time_limit"]
     result = rolling_horizon(circuit, rho_cfg)
     report = {
         "command": "rho",

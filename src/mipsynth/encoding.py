@@ -3,8 +3,12 @@
 A complex matrix A is represented by the real matrix R(A) obtained by
 replacing every entry a + ib with the 2x2 block [[a, -b], [b, a]].  The map
 R is an injective *-algebra homomorphism, so products, adjoints and traces of
-complex matrices can be recovered from purely real data.  All synthesis
-models in this package are written over R(.) images.
+complex matrices can be recovered from purely real data.  R(.) is the
+reference algebra that acceptance criterion 01 checks; the synthesis model
+itself keeps the real and imaginary parts of each product as separate
+variables (see formulation) and writes no row over R(.) images.  This module
+also holds the unitarity check, determinant normalization and fidelity that
+the rest of the package uses.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ returned.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -38,9 +39,10 @@ from . import oracle as oracle_mod
 from .cuts import CutSelection, apply_cuts
 from .encoding import fidelity, require_unitary, su_normalize
 from .errors import ConfigError, DimensionError, ModelIntegrityError
-from .gates import GateSet, GateSpec, effective_gate_set, sequence_product
+from .gates import (GateSet, GateSpec, effective_gate_set, next_layer,
+                    sequence_product)
 from .mip import MipModel
-from .solvers import Solution, get_backend, is_oracle_backend
+from .solvers import DEFAULT_GAP_TOL, Solution, get_backend, is_oracle_backend
 
 OBJECTIVES = ("weighted_gate_count", "depth", "linearized_fidelity",
               "frobenius_oa", "exact_fidelity")
@@ -440,25 +442,16 @@ def build_model(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
 def schedule_depth(sequence, num_qubits: int) -> tuple[int, dict[int, int]]:
     """Earliest-possible monotone layering of a fixed gate order.
 
-    Each gate lands either in the current layer or opens the next one; a gate
-    joins the current layer only when its qubits are disjoint from everything
-    already there.  For the fixed order this greedy choice is optimal.
-    Each gate is given by the qubits it acts on (its support).
+    Each gate is given by the qubits it acts on (its support) and placed by
+    gates.next_layer.  Returns the depth and each gate's 1-based layer; a
+    gate on no qubits adds no depth and is listed in the current layer
+    (layer 1 before any other gate).
     """
-    depth = 0
-    layer: frozenset[int] = frozenset()
+    depth, layer = 0, frozenset()
     assignment: dict[int, int] = {}
     for idx, gate in enumerate(sequence, start=1):
-        qubits = frozenset(gate)
-        if not qubits:
-            assignment[idx] = max(depth, 1)
-            continue
-        if depth == 0 or (qubits & layer):
-            depth += 1
-            layer = qubits
-        else:
-            layer = layer | qubits
-        assignment[idx] = depth
+        depth, layer = next_layer(depth, layer, frozenset(gate))
+        assignment[idx] = max(depth, 1)
     return depth, assignment
 
 
@@ -592,7 +585,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
     polished = model.objective_value(xp)
     claimed = (solution.objective if solution.objective is not None
                else model.objective_value(x))
-    allowed = max(solution.gap_tol, POLISH_TOL) * max(1.0, abs(claimed))
+    allowed = max(DEFAULT_GAP_TOL, POLISH_TOL) * max(1.0, abs(claimed))
     if abs(claimed - polished) > allowed:
         raise ModelIntegrityError(
             f"the solver claims objective {claimed:.8f} but the chosen circuit "
@@ -606,7 +599,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
         objective_value=(float(result.depth) if problem.objective == "depth"
                          else polished),
         certificate={"status": solution.status, "bound": solution.bound,
-                     "gap": solution.gap, "gap_tol": solution.gap_tol,
+                     "gap": solution.gap, "gap_tol": DEFAULT_GAP_TOL,
                      "claim_discrepancy": claimed - polished,
                      "data_residual": data_residual},
         solve_seconds=solution.solve_seconds)
@@ -646,9 +639,31 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
                    solve_seconds=res.seconds)
 
 
+def checked_time_limit(value, name: str = "time_limit") -> float | None:
+    """A time budget as seconds: None, or a positive finite float.
+
+    Raises ConfigError for NaN, zero, negative, infinite and float-overflowing
+    values, so a bad budget fails before any model or table is built.
+    """
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except OverflowError:
+        seconds = math.inf
+    if not 0.0 < seconds < math.inf:
+        raise ConfigError(f"{name} must be a positive, finite number of seconds, "
+                          f"got {value!r:.40}")
+    return seconds
+
+
 def synthesize(problem: SynthesisProblem, backend: str = "scipy",
                time_limit: float | None = None) -> SynthesisResult:
-    """Solve one synthesis instance end to end and verify the outcome."""
+    """Solve one synthesis instance end to end and verify the outcome.
+
+    `time_limit` is in seconds; None means no limit.
+    """
+    time_limit = checked_time_limit(time_limit)
     t0 = time.perf_counter()
     if problem.objective == "depth":
         eff_t, eff_g, _ = effective_instance(problem)
@@ -672,8 +687,7 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
         return _oracle_route(problem, time_limit)
     model, handles = build_model(problem)
     sol = be.solve(model, time_limit=time_limit)
-    solver_info = {"row_families": dict(model.family_rows),
-                   "presolve_retry": sol.presolve_retry, "nodes": sol.nodes}
+    solver_info = {"row_families": dict(model.family_rows), "nodes": sol.nodes}
     if sol.status in ("optimal", "feasible"):
         result = extract_and_verify(problem, model, handles, sol)
         result.solve_seconds = time.perf_counter() - t0
@@ -692,6 +706,6 @@ __all__ = [
     "add_depth_scheduling", "add_objective_linearized_fidelity",
     "add_objective_frobenius_oa",
     "extract_and_verify", "polish_point", "schedule_depth", "verify_sequence",
-    "synthesize",
+    "checked_time_limit", "synthesize",
     "OBJECTIVES", "PHASE_MODES",
 ]

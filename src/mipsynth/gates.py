@@ -214,6 +214,23 @@ def sequence_product(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
     return u
 
 
+def next_layer(depth: int, layer: frozenset[int],
+               qubits: frozenset[int]) -> tuple[int, frozenset[int]]:
+    """Depth and current layer after one more gate, placed in time order.
+
+    The gate joins the current layer when its qubits are disjoint from
+    everything already there and opens the next layer otherwise; a gate on
+    no qubits takes no layer.  For a fixed gate order this earliest
+    placement gives the least depth.  A circuit starts at depth 0 with an
+    empty layer.
+    """
+    if not qubits:
+        return depth, layer
+    if depth == 0 or (qubits & layer):
+        return depth + 1, qubits
+    return depth, layer | qubits
+
+
 def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int, tol: float = 1e-9) -> bool:
     """True when `u` factors as identity on `qubit` times some matrix on the rest."""
     u = np.asarray(u)
@@ -404,6 +421,7 @@ __all__ = [
     "front_permutation",
     "extend_gate",
     "sequence_product",
+    "next_layer",
     "acts_trivially",
     "support_of",
     "fibonacci_generators",

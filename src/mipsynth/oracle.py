@@ -31,8 +31,10 @@ directions; every hit is still peeled and re-verified against the exact
 matrices.
 
 Weighted counts and circuit depth are not monotone in sequence length, so
-those objectives fall back to a pruned depth-first enumeration.  Fidelity
-objectives score whole levels vectorized.
+those objectives share one branch-and-bound depth-first enumeration.  They
+differ only in the order children are tried and in the cost step; the depth
+step is gates.next_layer, the layering rule formulation.schedule_depth
+applies.  Fidelity objectives score whole levels vectorized.
 
 All search modes are exhaustive within `max_length`: a returned optimum is
 proven, and "infeasible" means no realization of length <= max_length
@@ -50,7 +52,7 @@ import numpy as np
 
 from .encoding import require_unitary
 from .errors import DimensionError, OracleInconclusiveError
-from .gates import GateSet, sequence_product
+from .gates import GateSet, next_layer, sequence_product
 from .relations import canonical_phase, equal_matrices
 
 #: Rounding scale of the key sketch.  Directions have unit norm, so the sketch
@@ -411,57 +413,30 @@ def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
     return None
 
 
-def _dfs_weighted(tab: LevelTables, target: np.ndarray, max_length: int,
-                  weights: np.ndarray, budget: _Budget) -> tuple[list[int], float] | None:
-    order = sorted(range(len(tab.gen)), key=lambda p: weights[tab.ni[p]])
+def _dfs(tab: LevelTables, target: np.ndarray, max_length: int, order: list[int],
+         step, budget: _Budget) -> tuple[list[int], float] | None:
+    """Least-cost sequence by branch and bound over sequences up to max_length.
+
+    Children are tried in `order`; step(cost, layer, p) gives the cost and
+    the current layer after appending generator p.  Costs never decrease
+    along a sequence, so a node whose cost reaches the best found is pruned.
+    """
     best: tuple[float, list[int]] | None = None
 
-    def rec(prod: np.ndarray, seq: list[int], w: float) -> None:
+    def rec(prod: np.ndarray, seq: list[int], cost: float, layer: frozenset[int]) -> None:
         nonlocal best
         budget.charge()
-        if best is not None and w >= best[0] - 1e-12:
+        if best is not None and cost >= best[0] - 1e-12:
             return
         if tab.equal(prod, target):
-            best = (w, list(seq))
+            best = (cost, list(seq))
             return
         if len(seq) == max_length:
             return
         for p in order:
+            child_cost, child_layer = step(cost, layer, p)
             seq.append(p)
-            rec(prod @ tab.gen[p], seq, w + weights[tab.ni[p]])
-            seq.pop()
-
-    rec(np.eye(tab.n, dtype=complex), [], 0.0)
-    if best is None:
-        return None
-    return best[1], best[0]
-
-
-def _dfs_depth(tab: LevelTables, gs: GateSet, target: np.ndarray, max_length: int,
-               budget: _Budget) -> tuple[list[int], int] | None:
-    supports = [gs[i].support for i in tab.ni]
-    best: tuple[int, list[int]] | None = None
-
-    def rec(prod: np.ndarray, seq: list[int], depth: int, layer: frozenset[int]) -> None:
-        nonlocal best
-        budget.charge()
-        if best is not None and depth >= best[0]:
-            return
-        if tab.equal(prod, target):
-            best = (depth, list(seq))
-            return
-        if len(seq) == max_length:
-            return
-        for p in range(len(tab.gen)):
-            s = supports[p]
-            if not s:  # no qubits: no layer, as in schedule_depth
-                nd, nl = depth, layer
-            elif depth == 0 or (s & layer):
-                nd, nl = depth + 1, s
-            else:
-                nd, nl = depth, layer | s
-            seq.append(p)
-            rec(prod @ tab.gen[p], seq, nd, nl)
+            rec(prod @ tab.gen[p], seq, child_cost, child_layer)
             seq.pop()
 
     rec(np.eye(tab.n, dtype=complex), [], 0, frozenset())
@@ -536,12 +511,18 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
         if objective == "gate_count":
             uniform = w is None or (len(tab.ni) > 0 and np.ptp(w[tab.ni]) <= 1e-12)
             if not uniform:
-                return _dfs_weighted(tab, target, max_length, w, budget) or (None, None)
+                gw = w[tab.ni]
+                order = sorted(range(len(tab.gen)), key=lambda p: gw[p])
+                return _dfs(tab, target, max_length, order,
+                            lambda c, layer, p: (c + gw[p], layer), budget) or (None, None)
             unit = 1.0 if w is None else float(w[tab.ni[0]]) if tab.ni else 0.0
             seq = _mitm_min_length(tab, target, max_length, budget)
             return seq, None if seq is None else unit * len(seq)
         if objective == "depth":
-            return _dfs_depth(tab, gs, target, max_length, budget) or (None, None)
+            supports = [gs[i].support for i in tab.ni]
+            return _dfs(tab, target, max_length, list(range(len(tab.gen))),
+                        lambda d, layer, p: next_layer(d, layer, supports[p]),
+                        budget) or (None, None)
         return _best_score(tab, target, max_length, objective, budget)
 
     try:

@@ -22,7 +22,7 @@ import numpy as np
 from .cuts import CutSelection
 from .encoding import fidelity
 from .errors import BackendError, ConfigError, OracleInconclusiveError
-from .formulation import SynthesisProblem, synthesize
+from .formulation import SynthesisProblem, checked_time_limit, synthesize
 from .gates import (GateSet, GateSpec, builtin_gate, extend_gate, gate_spec,
                     sequence_product)
 
@@ -157,6 +157,8 @@ class RhoConfig:
             raise ConfigError("max_qubits must be >= 1")
         if self.passes < 1:
             raise ConfigError("passes must be >= 1")
+        self.time_limit_per_window = checked_time_limit(self.time_limit_per_window,
+                                                        "time_limit_per_window")
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """The MIP solve path: HiGHS through scipy.optimize.milp.
 
-`get_backend("scipy")` is the one MIP solver.  Names in
-ORACLE_BACKEND_NAMES route to exhaustive search, which the synthesis driver
-dispatches itself.
+`get_backend("scipy")` is the one MIP solver.  A verdict (optimal, feasible,
+infeasible or out of time) is what a single HiGHS run reports; nothing is
+re-solved.  Names in ORACLE_BACKEND_NAMES route to exhaustive search, which
+the synthesis driver dispatches itself.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import numpy as np
 from .errors import BackendError
 from .mip import MipModel
 
-#: Relative MIP gap the scipy/HiGHS backend closes before it reports an
-#: optimum; this is HiGHS's own default `mip_rel_gap`, passed explicitly.
+#: Relative MIP gap HiGHS closes before it reports an optimum; this is its
+#: own default `mip_rel_gap`, passed explicitly.  The claimed objective may
+#: differ from the verified one by this much.
 DEFAULT_GAP_TOL = 1e-4
 
 #: Backend names routed to exhaustive search instead of a MIP solver.
@@ -27,7 +29,7 @@ ORACLE_BACKEND_NAMES = frozenset({"oracle", "exhaustive"})
 
 @dataclass
 class Solution:
-    """Outcome of one solve."""
+    """Outcome of one solve: HiGHS's verdict from a single run."""
 
     status: str  # optimal | feasible | infeasible | time_limit
     x: np.ndarray | None = None
@@ -36,32 +38,17 @@ class Solution:
     gap: float | None = None
     solve_seconds: float = 0.0
     message: str = ""
-    #: relative gap the solver was allowed to leave open; the claimed
-    #: objective may differ from the verified one by this much
-    gap_tol: float = 0.0
-    #: whether an infeasibility claim was re-checked without presolve
-    presolve_retry: bool = False
     #: branch-and-bound nodes HiGHS explored (its mip_node_count)
     nodes: int | None = None
-
-    @property
-    def has_point(self) -> bool:
-        return self.x is not None
-
-
-@dataclass
-class BackendLimits:
-    gap_tol: float = DEFAULT_GAP_TOL
 
 
 class ScipyHighsBackend:
     """HiGHS branch-and-bound through scipy.optimize.milp.
 
-    Deterministic and single-threaded, on linear objectives.
+    Deterministic and single-threaded, on linear objectives.  Each solve is
+    one `milp` call at relative gap DEFAULT_GAP_TOL, and its verdict,
+    infeasible included, is that run's.
     """
-
-    def __init__(self) -> None:
-        self.limits = BackendLimits()
 
     def solve(self, model: MipModel, time_limit: float | None = None) -> Solution:
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -74,43 +61,24 @@ class ScipyHighsBackend:
             a = coo_matrix((arr.a_vals, (arr.a_rows, arr.a_cols)),
                            shape=(arr.num_rows, model.num_vars))
             constraints = LinearConstraint(a, arr.row_lb, arr.row_ub)
-        gap_tol = float(self.limits.gap_tol)
-        options: dict = {"disp": False, "mip_rel_gap": gap_tol}
+        options: dict = {"disp": False, "mip_rel_gap": DEFAULT_GAP_TOL}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
 
-        def run(opts: dict):
-            # HiGHS writes some diagnostics straight to file descriptor 1 even
-            # with disp=False; keep them out of output printed on stdout.
-            sys.stdout.flush()
-            saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(devnull, 1)
-                return milp(sign * arr.c, constraints=constraints,
-                            integrality=arr.integrality,
-                            bounds=Bounds(arr.lb, arr.ub), options=opts)
-            finally:
-                os.dup2(saved, 1)
-                os.close(saved)
-                os.close(devnull)
-
         t0 = time.perf_counter()
-        res = run(options)
-        retried = False
-        if res.status == 2:
-            # The bundled HiGHS presolve can misreport tight feasible models
-            # as infeasible; accept an infeasibility claim only when it
-            # survives a presolve-free retry inside the same time budget.
-            retry = {**options, "presolve": False}
-            if time_limit is not None:
-                retry["time_limit"] = options["time_limit"] - (time.perf_counter() - t0)
-                if retry["time_limit"] <= 0:
-                    return Solution(status="time_limit",
-                                    solve_seconds=time.perf_counter() - t0,
-                                    message="no time left to confirm infeasibility "
-                                            "without presolve", gap_tol=gap_tol)
-            res = run(retry)
-            retried = True
+        # HiGHS writes some diagnostics straight to file descriptor 1 even
+        # with disp=False; keep them out of output printed on stdout.
+        sys.stdout.flush()
+        saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, 1)
+            res = milp(sign * arr.c, constraints=constraints,
+                       integrality=arr.integrality,
+                       bounds=Bounds(arr.lb, arr.ub), options=options)
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+            os.close(devnull)
         dt = time.perf_counter() - t0
 
         bound = getattr(res, "mip_dual_bound", None)
@@ -141,8 +109,7 @@ class ScipyHighsBackend:
         else:
             raise BackendError(f"solver failed: {res.message}")
         return Solution(status=status, x=x, objective=obj, bound=bound, gap=gap,
-                        solve_seconds=dt, message=str(res.message), gap_tol=gap_tol,
-                        presolve_retry=retried, nodes=nodes)
+                        solve_seconds=dt, message=str(res.message), nodes=nodes)
 
 
 def is_oracle_backend(name: str) -> bool:

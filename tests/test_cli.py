@@ -135,7 +135,7 @@ def test_main_solve_report_verify_closure(tmp_path, capsys):
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
     assert doc["command"] == "synthesize"
     assert doc["circuit"]["qubits"] == 2
-    assert doc["nodes"] > 0 and doc["presolve_retry"] is None  # oracle route
+    assert doc["nodes"] > 0 and "presolve_retry" not in doc  # oracle route
 
     # the embedded circuit is a loadable circuit document
     code = main(["verify", str(report), "--target", "iswap"])
@@ -200,9 +200,9 @@ def test_main_approx_and_dump_lp(tmp_path, capsys):
     doc = json.loads(rep.read_text())
     assert doc["alpha"] == pytest.approx(doc["objective"], abs=1e-9)
     assert 0.0 <= doc["fidelity"] <= 1.0
-    # the MIP route reports HiGHS's node count and whether the retry fired
+    # the MIP route reports HiGHS's node count from its single run
     assert isinstance(doc["nodes"], int) and doc["nodes"] >= 0
-    assert doc["presolve_retry"] is False
+    assert "presolve_retry" not in doc
     # exact fidelity has no linear model to write
     with pytest.raises(SystemExit) as exc:
         main(["approx", "--target", "T", "--gate-set", "weaves", "-P", "2",
@@ -341,6 +341,30 @@ def test_main_batch_survives_a_bad_config(tmp_path, capsys, jobs):
     assert code == EXIT_SCHEMA  # max over per-run codes
     assert json.loads(report.read_text())["exit_code"] == EXIT_OPTIMAL
     assert f"[{bad}] failed" in capsys.readouterr().out
+
+
+def test_bad_time_limits_exit_64_before_solving(tmp_path, capsys, monkeypatch):
+    from mipsynth import formulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a model or table was built for a bad time limit")
+
+    monkeypatch.setattr(formulation, "build_model", never)
+    monkeypatch.setattr(formulation.oracle_mod, "exhaustive_synthesize", never)
+    big = int(BIG)  # 401 digits: json keeps it an int, float() overflows
+    t_cfg = {"target": "S", "P": 2,
+             "gate_set": {"qubits": 1, "gates": [{"name": "T", "qubits": [1]}]}}
+    runs = [("synthesize", {**t_cfg, "time_limit": big}),
+            ("oracle", {**t_cfg, "time_limit": big}),
+            ("rho", {"rho": {"seed": "k4_parity"}, "time_limit": big}),
+            ("rho", {"rho": {"seed": "k4_parity", "time_limit_per_window": big}})]
+    for i, (command, cfg) in enumerate(runs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == EXIT_SCHEMA, command
+        assert "positive, finite number of seconds" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_64(tmp_path, capsys):

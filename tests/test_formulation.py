@@ -147,7 +147,7 @@ def test_exact_solve_small():
     assert r.certificate["gap"] == pytest.approx(0.0)
     # (P-1)*(|G|*4n^2 + 2n^2) with P = 2, |G| = 3, n = 2
     assert r.certificate["row_families"]["disjunctive"] == 1 * (3 * 16 + 8)
-    assert r.certificate["presolve_retry"] is False
+    assert "presolve_retry" not in r.certificate
     assert isinstance(r.certificate["nodes"], int)
 
 
@@ -158,7 +158,7 @@ def test_exact_solve_infeasible():
     assert r.status == "infeasible" and not r.feasible
     assert r.sequence == [] and r.objective_value is None
     assert r.certificate["status"] == "infeasible"
-    assert r.certificate["presolve_retry"] is True
+    assert "presolve_retry" not in r.certificate
 
 
 def test_global_phase_solve():
@@ -359,6 +359,53 @@ def test_mip_and_oracle_agree_on_random_words(data):
             assert milp.objective_value == pytest.approx(brute.objective_value,
                                                          abs=1e-6), mode
             assert milp.fidelity_to_target == pytest.approx(1.0, abs=1e-9), mode
+
+
+@pytest.mark.parametrize("backend", ["scipy", "oracle"])
+def test_bad_time_limits_fail_before_any_model(monkeypatch, backend):
+    def never(*args, **kwargs):
+        raise AssertionError("a model or table was built for a bad time limit")
+
+    monkeypatch.setattr(formulation, "build_model", never)
+    monkeypatch.setattr(formulation.oracle_mod, "exhaustive_synthesize", never)
+    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
+    for objective in ("weighted_gate_count", "depth"):
+        p.objective = objective
+        for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400):
+            with pytest.raises(ConfigError, match="time_limit"):
+                synthesize(p, backend=backend, time_limit=bad)
+
+
+TWO_QUBIT_GATES = tuple((n, (q,)) for n in ("H", "T", "S", "X") for q in (1, 2)) + (
+    ("CNOT", (1, 2)), ("CNOT", (2, 1)), ("CZ", (1, 2)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mip_and_oracle_agree_on_depth_for_two_qubit_words(data):
+    """Differential check of the depth objective: same status and depth.
+
+    The library holds 2-3 gates on a two-qubit register, so layers can hold
+    two gates; the target is a random word at most one gate longer than P.
+    """
+    picks = data.draw(st.lists(st.sampled_from(TWO_QUBIT_GATES), min_size=2,
+                               max_size=3, unique=True), label="library")
+    gs = GateSet.from_specs(2, [gate_spec(n, q) for n, q in picks])
+    P = data.draw(st.integers(1, 3), label="P")
+    word = data.draw(st.lists(st.sampled_from(gs.non_identity_indices()),
+                              max_size=P + 1), label="word")
+    target = sequence_product(gs.matrices()[word], gs.dim)
+    for mode in PHASE_MODES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = SynthesisProblem(target, gs, P, objective="depth", phase_mode=mode)
+            milp = synthesize(p, backend="scipy")
+            brute = synthesize(p, backend="oracle")
+        assert milp.status == brute.status, mode
+        assert milp.status in ("optimal", "infeasible"), mode
+        if milp.feasible:
+            assert milp.depth == brute.depth, mode
+            assert milp.objective_value == brute.objective_value == milp.depth, mode
 
 
 # T on the weave library, P=2, maximising alpha: the true optimum.

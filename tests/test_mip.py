@@ -1,14 +1,12 @@
 """Model container and the scipy backend: rows, points, LP text, solving."""
 
-import time
-
 import numpy as np
 import pytest
 
 from mipsynth.errors import BackendError
 from mipsynth.mip import MipModel
 from mipsynth.solvers import (DEFAULT_GAP_TOL, ORACLE_BACKEND_NAMES,
-                              get_backend, is_oracle_backend)
+                              ScipyHighsBackend, get_backend, is_oracle_backend)
 
 from util import beta_interval as _beta_interval
 
@@ -96,9 +94,8 @@ def test_violations_by_family():
     assert list(m.integer_vars()) == [b]
 
 
-def _spy_milp(monkeypatch, first_call_seconds: float,
-              results: list | None = None) -> list[dict]:
-    """Record the options of every milp call; the first one also sleeps.
+def _spy_milp(monkeypatch, results: list | None = None) -> list[dict]:
+    """Record the options of every milp call.
 
     When `results` is given, each call's raw result is appended to it.
     """
@@ -112,8 +109,6 @@ def _spy_milp(monkeypatch, first_call_seconds: float,
         res = real_milp(*args, options=options, **kw)
         if results is not None:
             results.append(res)
-        if len(seen) == 1:
-            time.sleep(first_call_seconds)
         return res
 
     monkeypatch.setattr(scipy.optimize, "milp", spy)
@@ -121,17 +116,12 @@ def _spy_milp(monkeypatch, first_call_seconds: float,
 
 
 def test_scipy_backend_passes_its_gap(monkeypatch):
-    seen = _spy_milp(monkeypatch, first_call_seconds=0.0)
+    seen = _spy_milp(monkeypatch)
     m = MipModel()
     x = m.add_var("x", 0.0, 4.0, integer=True)
     m.set_objective({x: 1.0}, sense="max")
-    backend = get_backend("scipy")
-    assert backend.limits.gap_tol == DEFAULT_GAP_TOL == 1e-4
-    sol = backend.solve(m)
-    assert seen[-1]["mip_rel_gap"] == DEFAULT_GAP_TOL
-    assert sol.gap_tol == DEFAULT_GAP_TOL
-    backend.limits.gap_tol = 0.0
-    assert backend.solve(m).gap_tol == 0.0 == seen[-1]["mip_rel_gap"]
+    assert get_backend("scipy").solve(m).status == "optimal"
+    assert seen[-1]["mip_rel_gap"] == DEFAULT_GAP_TOL == 1e-4
 
 
 def test_solver_writes_nothing_to_stdout(monkeypatch, capfd):
@@ -185,7 +175,7 @@ def test_scipy_backend_solves_small_mip():
     m.add_constr({x: 1.0, b: 2.0}, ">=", 3.0)
     m.set_objective({x: 1.0, b: 1.0})
     sol = get_backend("scipy").solve(m)
-    assert sol.status == "optimal" and sol.has_point
+    assert sol.status == "optimal" and sol.x is not None
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
     assert m.check_point(sol.x) <= 1e-6
 
@@ -195,7 +185,7 @@ def test_scipy_backend_detects_infeasible():
     b = m.add_binary("b")
     m.add_constr({b: 1.0}, ">=", 2.0)
     sol = get_backend("scipy").solve(m)
-    assert sol.status == "infeasible" and not sol.has_point
+    assert sol.status == "infeasible" and sol.x is None
 
 
 def test_scipy_backend_maximize():
@@ -209,7 +199,7 @@ def test_scipy_backend_maximize():
 def test_backend_registry():
     assert is_oracle_backend("oracle") and is_oracle_backend("Exhaustive")
     assert not is_oracle_backend("scipy")
-    assert get_backend("SciPy").limits.gap_tol == DEFAULT_GAP_TOL
+    assert isinstance(get_backend("SciPy"), ScipyHighsBackend)
     with pytest.raises(BackendError):
         get_backend("oracle")  # dispatched by the driver, not a MIP backend
     for name in ("gurobi_cloud", "highs"):
@@ -220,7 +210,7 @@ def test_backend_registry():
 
 def test_solution_carries_the_node_count(monkeypatch):
     results: list = []
-    _spy_milp(monkeypatch, first_call_seconds=0.0, results=results)
+    _spy_milp(monkeypatch, results=results)
     m = MipModel()
     x = m.add_var("x", 0.0, 4.0, integer=True)
     y = m.add_var("y", 0.0, 4.0, integer=True)
@@ -240,18 +230,9 @@ def _infeasible_model() -> MipModel:
     return m
 
 
-def test_presolve_retry_gets_the_time_left(monkeypatch):
-    seen = _spy_milp(monkeypatch, first_call_seconds=0.05)
+def test_infeasible_verdict_is_one_solver_run(monkeypatch):
+    seen = _spy_milp(monkeypatch)
     sol = get_backend("scipy").solve(_infeasible_model(), time_limit=10.0)
-    assert sol.status == "infeasible" and sol.presolve_retry
-    assert len(seen) == 2 and "presolve" not in seen[0]
-    assert seen[0]["time_limit"] == 10.0
-    assert seen[1]["presolve"] is False
-    assert 0.0 < seen[1]["time_limit"] <= 10.0 - 0.05
-
-
-def test_presolve_retry_without_time_left_is_unconfirmed(monkeypatch):
-    seen = _spy_milp(monkeypatch, first_call_seconds=0.05)
-    sol = get_backend("scipy").solve(_infeasible_model(), time_limit=0.04)
-    assert sol.status == "time_limit" and not sol.presolve_retry
-    assert not sol.has_point and len(seen) == 1
+    assert sol.status == "infeasible" and sol.x is None
+    assert len(seen) == 1 and seen[0]["time_limit"] == 10.0
+    assert "presolve" not in seen[0]

@@ -103,6 +103,10 @@ def test_rho_config_validation():
         RhoConfig(max_qubits=0)
     with pytest.raises(ConfigError):
         RhoConfig(passes=0)
+    for bad in (float("nan"), 0.0, -1.0, float("inf"), 10 ** 400):
+        with pytest.raises(ConfigError, match="time_limit_per_window"):
+            RhoConfig(time_limit_per_window=bad)
+    assert RhoConfig(time_limit_per_window=2).time_limit_per_window == 2.0
 
 
 def test_parity_ladder_matches_exponential():
