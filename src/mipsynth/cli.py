@@ -556,7 +556,7 @@ def run_verify(cfg: dict, circuit_file: str) -> tuple[int, dict, list[str]]:
                              f"circuit acts on {nq} qubit(s)")
     produced = circuit_unitary(specs, nq)
     fid = fidelity(produced, target)
-    depth, schedule = schedule_depth([extend_gate(s, nq).support for s in specs], nq)
+    depth, schedule = schedule_depth([extend_gate(s, nq).support for s in specs])
     report = {
         "command": "verify",
         "config": cfg,

@@ -17,7 +17,11 @@ Jeroslow and Lowe 1984).
 Four objectives share that base: weighted gate count, depth, and two
 approximate-compilation objectives that drop the target equality.  The
 fifth, exact fidelity, is quadratic and non-convex; it is always answered by
-exhaustive search.
+exhaustive search.  Depth adds one binary per position that marks where a
+new layer opens.  Layers are contiguous runs of positions whose gates act
+on disjoint qubits, the greedy rule gates.next_layer applies in time order,
+so the fewest breaks for a fixed gate choice is that circuit's depth, 0 for
+a circuit with no gate on any qubit.
 
 Extraction never trusts the solver.  It reads only the integer choices from
 the solver point, recomputes every continuous variable exactly from the
@@ -28,7 +32,7 @@ returned.
 
 from __future__ import annotations
 
-import math
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -42,6 +46,7 @@ from .errors import ConfigError, DimensionError, ModelIntegrityError
 from .gates import (GateSet, GateSpec, effective_gate_set, next_layer,
                     sequence_product)
 from .mip import MipModel
+from .oracle import checked_time_limit
 from .solvers import DEFAULT_GAP_TOL, Solution, get_backend, is_oracle_backend
 
 OBJECTIVES = ("weighted_gate_count", "depth", "linearized_fidelity",
@@ -137,7 +142,7 @@ class ModelHandles:
     eff_target: np.ndarray  # complex target the model constrains against
     eff_gate_mats: np.ndarray  # (|G|, n, n) complex effective gate matrices
     su_applied: bool
-    b: np.ndarray | None = None  # (P, D) depth binaries
+    breaks: np.ndarray | None = None  # (P,) binaries, 1 where a layer opens
     r: int | None = None
     s: int | None = None
     alpha: int | None = None
@@ -327,45 +332,43 @@ def add_objective_gate_count(problem: SynthesisProblem, model: MipModel,
 
 def add_depth_scheduling(problem: SynthesisProblem, model: MipModel,
                          handles: ModelHandles) -> None:
-    """Depth binaries, monotone layering, per-qubit disjointness, min final depth."""
-    gs = problem.gate_set
-    P, D = problem.P, int(problem.D)
-    b = np.empty((P, D), dtype=np.int64)
-    for p in range(P):
-        for d in range(D):
-            b[p, d] = model.add_binary(f"b({p + 1},{d + 1})")
-    handles.b = b
-    for p in range(P):
-        model.add_constr({int(b[p, d]): 1.0 for d in range(D)}, "==", 1.0,
-                         family="depth")
-    model.fix_var(int(b[0, 0]), 1.0)
-    for p in range(1, P):
-        coefs: dict[int, float] = {}
-        for d in range(D):
-            coefs[int(b[p, d])] = float(d + 1)
-            coefs[int(b[p - 1, d])] = coefs.get(int(b[p - 1, d]), 0.0) - float(d + 1)
-        model.add_constr(coefs, ">=", 0.0, family="depth")
-        model.add_constr(coefs, "<=", 1.0, family="depth")
+    """Layer breaks: breaks[p] = 1 when position p opens a new layer; min their sum.
 
-    # w[g,p,d] = z[g,p] * b[p,d] for gates that occupy qubits
-    prod: dict[tuple[int, int, int], int] = {}
-    for g in gs.non_identity_indices():
-        if not gs[g].support:
-            continue
-        for p in range(P):
-            for d in range(D):
-                w = model.add_binary(f"zb({gs.label(g)},{p + 1},{d + 1})")
-                model.add_product_binary(w, int(handles.z[g, p]), int(b[p, d]),
-                                         family="depth")
-                prod[(g, p, d)] = w
+    A layer is a contiguous run of positions whose gates act on disjoint
+    qubits, the rule gates.next_layer applies in time order.  Rows: every
+    gate on some qubit has a break at or before it; two gates sharing a
+    qubit have a break after the first and at or before the second; at most
+    D breaks.  For fixed z the fewest breaks meeting these rows is the depth
+    schedule_depth computes: next_layer opens a layer at position e only
+    when the gate there shares a qubit with the run opened at e' < e, so the
+    rows force a break in (e', e]; those intervals are disjoint, and the
+    first gate that acts on any qubit forces one more at or before it.
+    Gates on no qubit, the identity among them, need no layer, so an empty
+    circuit has depth 0.
+    """
+    gs = problem.gate_set
+    P, z = problem.P, handles.z
+    breaks = np.array([model.add_binary(f"break({p + 1})") for p in range(P)],
+                      dtype=np.int64)
+    handles.breaks = breaks
+    acting = [g for g in range(len(gs)) if gs[g].support]
+    for p in range(P):
+        coefs = {int(breaks[k]): 1.0 for k in range(p + 1)}
+        coefs.update({int(z[g, p]): -1.0 for g in acting})
+        model.add_constr(coefs, ">=", 0.0, family="depth")
     for q in range(1, gs.num_qubits + 1):
-        touching = [g for g in gs.non_identity_indices() if q in gs[g].support]
+        touching = [g for g in acting if q in gs[g].support]
         if not touching:
             continue
-        for d in range(D):
-            coefs = {prod[(g, p, d)]: 1.0 for g in touching for p in range(P)}
-            model.add_constr(coefs, "<=", 1.0, family="depth")
-    model.set_objective({int(b[P - 1, d]): float(d + 1) for d in range(D)}, "min")
+        for p, p2 in itertools.combinations(range(P), 2):
+            coefs = {int(breaks[k]): 1.0 for k in range(p + 1, p2 + 1)}
+            for g in touching:
+                coefs[int(z[g, p])] = -1.0
+                coefs[int(z[g, p2])] = -1.0
+            model.add_constr(coefs, ">=", -1.0, family="depth")
+    every = {int(k): 1.0 for k in breaks}
+    model.add_constr(every, "<=", float(problem.D), family="depth")
+    model.set_objective(every, "min")
 
 
 def _alpha_coefs(handles: ModelHandles, P: int) -> dict[int, float]:
@@ -439,7 +442,7 @@ def build_model(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     return model, handles
 
 
-def schedule_depth(sequence, num_qubits: int) -> tuple[int, dict[int, int]]:
+def schedule_depth(sequence) -> tuple[int, dict[int, int]]:
     """Earliest-possible monotone layering of a fixed gate order.
 
     Each gate is given by the qubits it acts on (its support) and placed by
@@ -472,8 +475,7 @@ def verify_sequence(problem: SynthesisProblem, gate_indices: list[int],
     eff_prod = sequence_product(eff_gate_mats[gate_indices], gs.dim)
     overlap = np.vdot(eff_target, eff_prod) / gs.dim  # tr(T^dag U) / n
     alpha, beta = float(overlap.real), float(overlap.imag)
-    depth, schedule = schedule_depth([gs[g].support for g in gate_indices],
-                                     gs.num_qubits)
+    depth, schedule = schedule_depth([gs[g].support for g in gate_indices])
     phase = None
     if problem.phase_mode == "global_phase" and problem.targets_equality():
         phase = complex(alpha, beta)
@@ -594,6 +596,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
     seq_idx = [g for g in chosen if g != problem.gate_set.identity_index]
     result = verify_sequence(problem, seq_idx, handles.eff_target,
                              handles.eff_gate_mats)
+    # a time-limited incumbent may carry more breaks than its depth
     return replace(
         result, status=solution.status,
         objective_value=(float(result.depth) if problem.objective == "depth"
@@ -639,24 +642,6 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
                    solve_seconds=res.seconds)
 
 
-def checked_time_limit(value, name: str = "time_limit") -> float | None:
-    """A time budget as seconds: None, or a positive finite float.
-
-    Raises ConfigError for NaN, zero, negative, infinite and float-overflowing
-    values, so a bad budget fails before any model or table is built.
-    """
-    if value is None:
-        return None
-    try:
-        seconds = float(value)
-    except OverflowError:
-        seconds = math.inf
-    if not 0.0 < seconds < math.inf:
-        raise ConfigError(f"{name} must be a positive, finite number of seconds, "
-                          f"got {value!r:.40}")
-    return seconds
-
-
 def synthesize(problem: SynthesisProblem, backend: str = "scipy",
                time_limit: float | None = None) -> SynthesisResult:
     """Solve one synthesis instance end to end and verify the outcome.
@@ -665,18 +650,6 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     """
     time_limit = checked_time_limit(time_limit)
     t0 = time.perf_counter()
-    if problem.objective == "depth":
-        eff_t, eff_g, _ = effective_instance(problem)
-        empty = verify_sequence(problem, [], eff_t, eff_g)
-        if problem.phase_mode == "exact":
-            trivial = bool(np.abs(eff_t - empty.realized_unitary).max() <= 1e-12)
-        else:
-            trivial = empty.fidelity_to_target >= 1 - 1e-12
-        if trivial:
-            return replace(empty, objective_value=0.0,
-                           certificate={"status": "optimal", "bound": 0.0, "gap": 0.0},
-                           solve_seconds=time.perf_counter() - t0)
-
     if is_oracle_backend(backend):
         return _oracle_route(problem, time_limit)
 
@@ -706,6 +679,6 @@ __all__ = [
     "add_depth_scheduling", "add_objective_linearized_fidelity",
     "add_objective_frobenius_oa",
     "extract_and_verify", "polish_point", "schedule_depth", "verify_sequence",
-    "checked_time_limit", "synthesize",
+    "synthesize",
     "OBJECTIVES", "PHASE_MODES",
 ]

@@ -45,13 +45,14 @@ OracleInconclusiveError instead of guessing.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import require_unitary
-from .errors import DimensionError, OracleInconclusiveError
+from .errors import ConfigError, DimensionError, OracleInconclusiveError
 from .gates import GateSet, next_layer, sequence_product
 from .relations import canonical_phase, equal_matrices
 
@@ -71,6 +72,24 @@ CACHE_BUDGET_BYTES = _MATRIX_BUDGET_BYTES
 VERIFY_TOL = 1e-9
 #: Transient chunk size target in bytes for vectorized expansions.
 _CHUNK_BYTES = 120_000_000
+
+
+def checked_time_limit(value, name: str = "time_limit") -> float | None:
+    """A time budget as seconds: None, or a positive finite float.
+
+    Raises ConfigError for NaN, zero, negative, infinite and float-overflowing
+    values, so a bad budget fails before any model or table is built.
+    """
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except OverflowError:
+        seconds = math.inf
+    if not 0.0 < seconds < math.inf:
+        raise ConfigError(f"{name} must be a positive, finite number of seconds, "
+                          f"got {value!r:.40}")
+    return seconds
 
 
 def _multipliers(count: int) -> np.ndarray:
@@ -483,6 +502,7 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
 
     Returns gate-set indices (identity never appears in the sequence).  The
     target is compared exactly or up to a global phase per `phase_mode`.
+    `time_limit` is in seconds; None means no limit.
     """
     target = np.asarray(target, dtype=complex)
     require_unitary(target)
@@ -496,6 +516,7 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
         raise ValueError(f"unknown phase mode {phase_mode!r}")
     if objective not in ("gate_count", "depth", "fidelity", "alpha"):
         raise ValueError(f"unknown oracle objective {objective!r}")
+    time_limit = checked_time_limit(time_limit)
 
     tab = _tables_for(gs, phase_mode)
     budget = _Budget(node_budget, time_limit)
@@ -537,6 +558,6 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
 
 
 __all__ = [
-    "OracleResult", "exhaustive_synthesize",
+    "OracleResult", "exhaustive_synthesize", "checked_time_limit",
     "LevelTables", "clear_oracle_cache", "CACHE_BUDGET_BYTES", "KEY_SCALE", "VERIFY_TOL",
 ]

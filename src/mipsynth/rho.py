@@ -22,9 +22,10 @@ import numpy as np
 from .cuts import CutSelection
 from .encoding import fidelity
 from .errors import BackendError, ConfigError, OracleInconclusiveError
-from .formulation import SynthesisProblem, checked_time_limit, synthesize
+from .formulation import SynthesisProblem, synthesize
 from .gates import (GateSet, GateSpec, builtin_gate, extend_gate, gate_spec,
                     sequence_product)
+from .oracle import checked_time_limit
 
 #: Largest register (in qubits) on which the final unitary check runs.
 VERIFY_MAX_QUBITS = 9

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipsynth import oracle
-from mipsynth.errors import (DimensionError, OracleInconclusiveError,
-                             UnitarityError)
+from mipsynth.errors import (ConfigError, DimensionError,
+                             OracleInconclusiveError, UnitarityError)
 from mipsynth.formulation import SynthesisProblem, schedule_depth, synthesize
 from mipsynth.gates import GateSet, builtin_gate, gate_spec, weave_gate_set
 from mipsynth.oracle import (LevelTables, OracleResult, clear_oracle_cache,
@@ -95,7 +95,7 @@ def test_depth_objective_parallelizes():
     hh = np.kron(builtin_gate("H"), builtin_gate("H"))
     res = exhaustive_synthesize(hh, gs, 3, objective="depth")
     assert res.objective == pytest.approx(1.0)
-    assert schedule_depth([gs[i].support for i in res.sequence], gs.num_qubits)[0] == 1
+    assert schedule_depth([gs[i].support for i in res.sequence])[0] == 1
     layered = product_of(gs, [gs.index_of("H", (1,)), gs.index_of("H", (2,)),
                               gs.index_of("CNOT", (1, 2))])
     res = exhaustive_synthesize(layered, gs, 4, objective="depth")
@@ -141,7 +141,7 @@ def test_sequence_depth_rules():
     ident = gs.identity_index
 
     def depth(seq):
-        return schedule_depth([gs[i].support for i in seq], gs.num_qubits)[0]
+        return schedule_depth([gs[i].support for i in seq])[0]
 
     assert depth([]) == 0
     assert depth([ident, ident]) == 0
@@ -175,6 +175,17 @@ def test_input_validation(rng):
         exhaustive_synthesize(t, gs, 2, weights=-np.ones(len(gs)))
 
 
+def test_bad_time_limits_fail_before_any_table(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a level table was built for a bad time limit")
+
+    monkeypatch.setattr(oracle, "_tables_for", never)
+    gs = one_qubit_set("H", "T")
+    for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400):
+        with pytest.raises(ConfigError, match="time_limit"):
+            exhaustive_synthesize(builtin_gate("S"), gs, 2, time_limit=bad)
+
+
 def test_cache_survives_clear():
     gs = one_qubit_set("H", "T")
     t = builtin_gate("Z")
@@ -196,6 +207,7 @@ def test_depth_of_empty_support_gate_agrees_across_routes():
         res = synthesize(p, backend=backend)
         assert res.status == "optimal", backend
         assert res.objective_value == pytest.approx(0.0), backend
+        assert res.certificate["bound"] == pytest.approx(0.0, abs=1e-9), backend
 
 
 def test_table_cache_is_lru_within_byte_budget(monkeypatch):
