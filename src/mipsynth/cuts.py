@@ -3,11 +3,16 @@
 Four families break symmetry or remove provably dominated choices
 (identity placement, commuting order, equivalent patterns, collapsible
 windows); the hindsight family propagates the target equality backward
-through the last gates and follows the phase mode: in exact mode it pins
-the product one and two positions back, in global phase mode one position
-back, switched on the last gate.  Every cut keeps at least one optimal
-solution feasible, and families that reorder gates are rejected under the
-depth objective, where order changes the objective value.
+through the last gates.  The base chain already runs backward from the
+target (see formulation.build_base): its first backward step,
+Ghat_{P-1} = sum_g z[g,P] T G_g^dag, is the row the one-position hindsight
+cut wrote, and in global phase mode its phase split is the convex hull of
+that cut's big-M rows switched on the last gate, so it implies them.  What
+is left of the family is the two-position pull-back in exact mode, through
+a product binary per gate pair at the last two positions; in global phase
+mode `hc` emits nothing.  Every cut keeps at least one optimal solution
+feasible, and families that reorder gates are rejected under the depth
+objective, where order changes the objective value.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ class CutSelection:
     def from_names(cls, names) -> "CutSelection":
         """Build a selection from comma-style tokens (CLI `--cuts`).
 
-        `hc` selects the hindsight family, whose rows follow the phase mode
-        at emission time.  `none` and `all` behave as expected; unknown
+        `hc` selects the hindsight family, which emits rows in exact phase
+        mode only.  `none` and `all` behave as expected; unknown
         tokens raise.
         """
         if isinstance(names, str):
@@ -159,15 +164,6 @@ def add_redundancy_cuts(model: "MipModel", z: np.ndarray,
             model.add_constr(coefs, "<=", float(k - 1), family="cut_redundancy")
 
 
-def add_hc1_cuts(problem: "SynthesisProblem", model: "MipModel",
-                 handles: "ModelHandles") -> None:
-    """Propagate the exact target one position back through the last gate."""
-    z, t, P = handles.z, handles.eff_target, problem.P
-    handles.pin_rows(model, P - 2, [(int(z[g, P - 1]), t @ m.conj().T)
-                                    for g, m in enumerate(handles.eff_gate_mats)],
-                     "cut_hc1")
-
-
 def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
                  handles: "ModelHandles") -> None:
     """Propagate the exact target two positions back through the last pair."""
@@ -186,33 +182,13 @@ def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
     handles.pin_rows(model, P - 3, terms, "cut_hc2")
 
 
-def add_hc1_global_phase_cuts(problem: "SynthesisProblem", model: "MipModel",
-                              handles: "ModelHandles") -> None:
-    """Conditional backward propagation when the phase is a model variable.
-
-    If gate g sits at the last position then the preceding cumulative
-    product equals the phase combination (r + i s) T g^dag of the target
-    pulled through g.  The products of the phase variables with gate entries
-    stay linear by switching the rows on z[g, P] with a big-M of 2, which
-    the variable bounds make valid.
-    """
-    if handles.r is None or handles.s is None:
-        raise ConfigError("phase-aware hindsight cuts need the phase-variable "
-                          "target rows")
-    z, t, P = handles.z, handles.eff_target, problem.P
-    for g, m in enumerate(handles.eff_gate_mats):
-        back = t @ m.conj().T
-        handles.pin_rows(model, P - 2, [(handles.r, back), (handles.s, 1j * back)],
-                         "cut_hc1_global_phase", switch=int(z[g, P - 1]))
-
-
 def apply_cuts(model: "MipModel", handles: "ModelHandles",
                problem: "SynthesisProblem") -> None:
     """Emit every selected and applicable family.
 
-    The hindsight family follows the phase mode and skips, with a warning,
-    under objectives that drop the target equality, so one selection like
-    `hc` works everywhere.
+    The hindsight family emits its exact-mode rows only, and skips with a
+    warning under objectives that drop the target equality, so one
+    selection like `hc` works everywhere.
     """
     sel = problem.cuts
     gs = problem.gate_set
@@ -241,15 +217,12 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
         warnings.warn("hindsight cuts need a target-equality objective; skipped",
                       stacklevel=2)
     elif problem.phase_mode == "exact":
-        add_hc1_cuts(problem, model, handles)
         add_hc2_cuts(problem, model, handles)
-    else:
-        add_hc1_global_phase_cuts(problem, model, handles)
 
 
 __all__ = [
     "CutSelection", "apply_cuts", "CUT_FAMILIES",
     "add_identity_symmetry_cuts", "add_commuting_cuts",
     "add_equivalent_pattern_cuts", "add_redundancy_cuts",
-    "add_hc1_cuts", "add_hc2_cuts", "add_hc1_global_phase_cuts",
+    "add_hc2_cuts",
 ]

@@ -3,16 +3,30 @@
 A circuit of at most P gates is encoded by one-hot binaries z[g,p].  The
 cumulative product Ghat_p = G_{g_1} ... G_{g_p} is stored by its real and
 imaginary parts, 2n^2 continuous variables per position for n = 2^Q, and
-every row that pins a chain position to data (the target, the hindsight
-cuts) is written by ModelHandles.pin_rows.  Position 1 is the selected gate,
-Ghat_1 = sum_g z[g,1] G_g.  Every later position uses the disaggregated
+every row that pins a chain position to data (the first step, the target,
+the hindsight cuts) is written by ModelHandles.pin_rows.  Ghat_1 is the
+selected gate, sum_g z[g,1] G_g.  Every copy step uses the disaggregated
 (convex-hull) form of the one-hot product: each gate g gets a copy V[p,g]
-of the previous product with -z[g,p] <= V[p,g] <= z[g,p], the copies sum to
-Ghat_{p-1}, and Ghat_p = sum_g V[p,g] G_g in complex arithmetic, split into
-real and imaginary rows.  For binary z the copy of the chosen gate is
-Ghat_{p-1} and every other copy is zero, so the chain is exact; its
-relaxation is never weaker than per-gate McCormick rows (Balas 1985;
-Jeroslow and Lowe 1984).
+of the product the step starts from, with -z[g,p] <= V[p,g] <= z[g,p], the
+copies sum to that product, and the product the step defines is
+sum_g V[p,g] M_g in complex arithmetic, split into real and imaginary rows.
+For binary z the copy of the chosen gate is the product and every other
+copy is zero, so each step is exact; its relaxation is never weaker than
+per-gate McCormick rows (Balas 1985; Jeroslow and Lowe 1984).
+
+Objectives with a target T meet it halfway, as the exhaustive search's meet
+in the middle does (Amy, Maslov, Mosca and Roetteler 2013).  The chain runs
+forward from I to Ghat_m, m = ceil(P/2), with M_g = G_g, and backward from
+the target to Ghat_m, with M_g = G_g^dag: Ghat_{P-1} = sum_g z[g,P] T G_g^dag,
+then Ghat_{p-1} = sum_g V[p,g] G_g^dag for P > p > m.  Ghat_m gets both
+definitions, and that pair links the halves; Ghat_P is pinned to T.  Every
+position has exactly one step, so P - 2 steps carry copies.  In global
+phase mode the backward first step is Ghat_{P-1} = sum_g (r_g + i s_g) T
+G_g^dag with sum_g r_g = r, sum_g s_g = s and |r_g|, |s_g| <= z[g,P]: the
+phase (r + i s) split the way the copies split the product, the convex hull
+of rows switched on the last gate, with no big-M (Balas 1985).  At every
+integer point Ghat_p is the product of the first p gates on both halves.
+Objectives without a target run the chain forward to Ghat_P.
 
 Four objectives share that base: weighted gate count, depth, and two
 approximate-compilation objectives that drop the target equality.  The
@@ -59,13 +73,13 @@ TARGET_OBJECTIVES = ("weighted_gate_count", "depth")
 INTEGRALITY_TOL = 1e-6
 #: Rows that polishing makes true by construction must hold this tightly.
 POLISH_TOL = 1e-9
-#: Row families that tie the circuit to input data: the target equality, the
+#: Row families that tie the circuit to input data: the target equality and
+#: the backward chain's first step from the target (both `target`), the
 #: hindsight cuts that restate it, and the Frobenius epsilon-box.  They hold at
 #: the polished point only as tightly as the data and HiGHS's feasibility
 #: tolerance allow, so they are held to that tolerance and the residual is
 #: recorded in the certificate.
-DATA_FAMILIES = ("target", "frobenius_box", "cut_hc1", "cut_hc2",
-                 "cut_hc1_global_phase")
+DATA_FAMILIES = ("target", "frobenius_box", "cut_hc2")
 DATA_TOL = 1e-6
 
 
@@ -138,28 +152,29 @@ class ModelHandles:
 
     z: np.ndarray  # (|G|, P) binaries
     ghat: np.ndarray  # (P, 2, n, n) Re (index 0) and Im (1) of Ghat_p
-    v: np.ndarray | None  # (P+1, |G|, 2, n, n) Re/Im copies V[p,g], p >= 2
+    # (P+1, |G|, 2, n, n) Re/Im copies V[p,g] of the step at gate position p:
+    # of Ghat_{p-1} for 2 <= p <= meet, of Ghat_p for meet < p < P
+    v: np.ndarray | None
+    # Ghat_meet is where the forward and backward halves link; P when the
+    # chain runs forward only (no target)
+    meet: int
     eff_target: np.ndarray  # complex target the model constrains against
     eff_gate_mats: np.ndarray  # (|G|, n, n) complex effective gate matrices
     su_applied: bool
     breaks: np.ndarray | None = None  # (P,) binaries, 1 where a layer opens
     r: int | None = None
     s: int | None = None
+    rs_split: np.ndarray | None = None  # (|G|, 2) ids of r_g and s_g
     alpha: int | None = None
     e: np.ndarray | None = None  # (2, n, n) Re/Im deviations from the target
     ehat: np.ndarray | None = None  # (2, n, n) squared-deviation estimators
 
     def pin_rows(self, model: MipModel, pos0: int,
-                 terms: list[tuple[int | None, np.ndarray]], family: str,
-                 switch: int | None = None) -> None:
+                 terms: list[tuple[int | None, np.ndarray]], family: str) -> None:
         """Rows Ghat after pos0 + 1 gates = sum_k x[var_k] M_k, one per Re/Im entry.
 
         `terms` pairs a variable id, or None for a constant, with a complex
         matrix M_k; pos0 = -1 addresses the empty product, the identity.
-        With a binary `switch` each row is relaxed to
-        |Ghat - sum_k x[var_k] M_k| <= 2 (1 - switch), so it binds only when
-        the switch is on; 2 bounds the gap whenever both sides have entries
-        of modulus at most 1.
         """
         n = self.eff_target.shape[0]
         parts = [(var, _parts(m)) for var, m in terms]
@@ -172,13 +187,7 @@ class ModelHandles:
             for var, m in parts:
                 if var is not None and abs(m[idx]) > 1e-14:
                     coefs[var] = coefs.get(var, 0.0) - float(m[idx])
-            if switch is None:
-                model.add_constr(coefs, "==", float(rhs[idx]), family=family)
-            else:
-                model.add_constr({**coefs, switch: 2.0}, "<=",
-                                 2.0 + float(rhs[idx]), family=family)
-                model.add_constr({**coefs, switch: -2.0}, ">=",
-                                 -2.0 + float(rhs[idx]), family=family)
+            model.add_constr(coefs, "==", float(rhs[idx]), family=family)
 
 
 @dataclass
@@ -238,18 +247,38 @@ def _complex_vars(model: MipModel, name: str, n: int) -> np.ndarray:
     return ids
 
 
+def _bound_by(model: MipModel, ids: np.ndarray, switch: int) -> None:
+    """-switch <= x <= switch for each variable id: zero unless the binary is on."""
+    for vid in np.ravel(ids):
+        model.add_constr({int(vid): 1.0, switch: -1.0}, "<=", 0.0,
+                         family="disjunctive")
+        model.add_constr({int(vid): 1.0, switch: 1.0}, ">=", 0.0,
+                         family="disjunctive")
+
+
+def _right_parts(mats: np.ndarray) -> np.ndarray:
+    """(|G|, 2, 2, n, n) parts with Y = X M_g as Y[c] = sum_d X[d] @ out[g, d, c]."""
+    return np.array([[[m.real, m.imag], [-m.imag, m.real]] for m in mats])
+
+
 def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     """One-hot selection plus the disaggregated cumulative-product chain.
 
-    Rows: P one-hot; 2n^2 per position defining Ghat_p (family cumulative);
-    and for each p >= 2, 4n^2 per gate bounding its copy by z plus 2n^2
-    summing the copies to Ghat_{p-1} (family disjunctive).
+    The chain meets the target halfway for target objectives, at
+    m = ceil(P/2), and runs forward to P otherwise (see the module
+    docstring).  Rows: P one-hot; 2n^2 pinning Ghat_1 to the first gate
+    (family cumulative); and for each copy step, 4n^2 per gate bounding its
+    copy by z plus 2n^2 summing the copies (family disjunctive) and 2n^2
+    defining the next product (family cumulative).  There are P - 1 copy
+    steps on the forward chain and P - 2 on the two-ended one, which adds
+    2n^2 rows pinning Ghat_{P-1} to the target pulled back through the last
+    gate (family target).  In global phase mode that pull-back splits the
+    phase: 2 rows sum the r_g and s_g and 4|G| bound them by z[g,P] (family
+    disjunctive).
     """
     gs = problem.gate_set
     P, G, n = problem.P, len(gs), gs.dim
     eff_t, eff_g, su_applied = effective_instance(problem)
-    # Y = X g on Re/Im parts: Y[c] = sum_d X[d] @ right[g, d, c]
-    right = np.array([[[m.real, m.imag], [-m.imag, m.real]] for m in eff_g])
     model = MipModel(name=f"synth_{problem.objective}_Q{gs.num_qubits}_P{P}")
 
     z = np.empty((G, P), dtype=np.int64)
@@ -261,44 +290,63 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
                          family="one_hot")
 
     ghat = np.stack([_complex_vars(model, f"Ghat({p + 1})", n) for p in range(P)])
-
-    # position 1: the cumulative product is the selected gate itself
-    for c, i, j in np.ndindex(2, n, n):
-        coefs = {int(ghat[0, c, i, j]): -1.0}
-        for g in range(G):
-            val = right[g, 0, c, i, j]
-            if abs(val) > 1e-14:
-                coefs[int(z[g, 0])] = val
-        model.add_constr(coefs, "==", 0.0, family="cumulative")
-
-    v = None
-    if P > 1:
-        v = np.empty((P + 1, G, 2, n, n), dtype=np.int64)
-        for p in range(2, P + 1):
-            for g in range(G):
-                zg = int(z[g, p - 1])
-                v[p, g] = _complex_vars(model, f"V({p},{gs.label(g)})", n)
-                for vid in v[p, g].ravel():
-                    model.add_constr({int(vid): 1.0, zg: -1.0}, "<=", 0.0,
-                                     family="disjunctive")
-                    model.add_constr({int(vid): 1.0, zg: 1.0}, ">=", 0.0,
-                                     family="disjunctive")
-            for idx in np.ndindex(2, n, n):
-                coefs = {int(v[p, g][idx]): 1.0 for g in range(G)}
-                coefs[int(ghat[p - 2][idx])] = -1.0
-                model.add_constr(coefs, "==", 0.0, family="disjunctive")
-            for c, i, j in np.ndindex(2, n, n):
-                coefs = {int(ghat[p - 1, c, i, j]): -1.0}
-                for g in range(G):
-                    for d in range(2):
-                        for k in range(n):
-                            val = right[g, d, c, k, j]
-                            if abs(val) > 1e-14:
-                                coefs[int(v[p, g, d, i, k])] = val
-                model.add_constr(coefs, "==", 0.0, family="cumulative")
-
-    handles = ModelHandles(z=z, ghat=ghat, v=v, eff_target=eff_t,
+    meet = (P + 1) // 2 if problem.targets_equality() else P
+    forward = range(2, meet + 1)  # Ghat_p from Ghat_{p-1} through G_p
+    backward = range(P - 1, meet, -1)  # Ghat_{p-1} from Ghat_p through G_p^dag
+    v = (np.empty((P + 1, G, 2, n, n), dtype=np.int64)
+         if len(forward) + len(backward) else None)
+    handles = ModelHandles(z=z, ghat=ghat, v=v, meet=meet, eff_target=eff_t,
                            eff_gate_mats=eff_g, su_applied=su_applied)
+    handles.pin_rows(model, 0, [(int(z[g, 0]), m) for g, m in enumerate(eff_g)],
+                     "cumulative")
+
+    def copy_step(p: int, src: int, dst: int, right: np.ndarray) -> None:
+        """Ghat[dst] = sum_g V[p,g] M_g, the V[p,g] copies of Ghat[src] (0-based)."""
+        for g in range(G):
+            v[p, g] = _complex_vars(model, f"V({p},{gs.label(g)})", n)
+            _bound_by(model, v[p, g], int(z[g, p - 1]))
+        for idx in np.ndindex(2, n, n):
+            coefs = {int(v[p, g][idx]): 1.0 for g in range(G)}
+            coefs[int(ghat[src][idx])] = -1.0
+            model.add_constr(coefs, "==", 0.0, family="disjunctive")
+        for c, i, j in np.ndindex(2, n, n):
+            coefs = {int(ghat[dst, c, i, j]): -1.0}
+            for g in range(G):
+                for d in range(2):
+                    for k in range(n):
+                        val = right[g, d, c, k, j]
+                        if abs(val) > 1e-14:
+                            coefs[int(v[p, g, d, i, k])] = val
+            model.add_constr(coefs, "==", 0.0, family="cumulative")
+
+    right = _right_parts(eff_g)
+    for p in forward:
+        copy_step(p, p - 2, p - 1, right)
+    right = _right_parts(eff_g.conj().transpose(0, 2, 1))
+    for p in backward:
+        copy_step(p, p - 1, p - 2, right)
+
+    if problem.targets_equality() and problem.phase_mode == "global_phase":
+        handles.r = model.add_var("r", -1.0, 1.0)
+        handles.s = model.add_var("s", -1.0, 1.0)
+    if meet < P:
+        pulled = [eff_t @ m.conj().T for m in eff_g]  # T G_g^dag
+        last = [int(k) for k in z[:, P - 1]]
+        if handles.r is None:
+            terms = list(zip(last, pulled))
+        else:
+            split = np.array([[model.add_var(f"{c}({gs.label(g)})", -1.0, 1.0)
+                               for c in "rs"] for g in range(G)], dtype=np.int64)
+            handles.rs_split = split
+            for g in range(G):
+                _bound_by(model, split[g], last[g])
+            for c, whole in enumerate((handles.r, handles.s)):
+                coefs = {int(k): 1.0 for k in split[:, c]}
+                coefs[whole] = -1.0
+                model.add_constr(coefs, "==", 0.0, family="disjunctive")
+            terms = [term for g, m in enumerate(pulled)
+                     for term in ((int(split[g, 0]), m), (int(split[g, 1]), 1j * m))]
+        handles.pin_rows(model, P - 2, terms, "target")
     return model, handles
 
 
@@ -306,16 +354,13 @@ def add_target(problem: SynthesisProblem, model: MipModel,
                handles: ModelHandles) -> None:
     """Pin the final cumulative product to the target, exactly or up to phase.
 
-    In global phase mode Ghat_P = (r + i s) T, one row per Re/Im entry.
+    In global phase mode Ghat_P = (r + i s) T, one row per Re/Im entry, with
+    the phase variables build_base made.
     """
     t = handles.eff_target
-    if problem.phase_mode == "exact":
-        handles.pin_rows(model, problem.P - 1, [(None, t)], "target")
-        return
-    handles.r = model.add_var("r", -1.0, 1.0)
-    handles.s = model.add_var("s", -1.0, 1.0)
-    handles.pin_rows(model, problem.P - 1, [(handles.r, t), (handles.s, 1j * t)],
-                     "target")
+    terms = ([(None, t)] if handles.r is None
+             else [(handles.r, t), (handles.s, 1j * t)])
+    handles.pin_rows(model, problem.P - 1, terms, "target")
 
 
 def add_objective_gate_count(problem: SynthesisProblem, model: MipModel,
@@ -501,10 +546,14 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
     Only the integer variables are read from `x`: each must be integral
     within INTEGRALITY_TOL and every position must select exactly one gate.
     Every continuous variable is then recomputed from the rounded choices:
-    the Re/Im parts of each cumulative product Ghat_p, the copies V[p,g]
-    (Ghat_{p-1} for the chosen gate, zero for the others), the phase (r, s),
-    alpha, and the deviations E (clipped into the epsilon-box, so any
-    excess shows up in the box rows) with their tangent estimators.
+    the Re/Im parts of each cumulative product Ghat_p, the product of the
+    first p gates on both halves of the chain; the copies V[p,g], which for
+    the chosen gate hold the product their step starts from (Ghat_{p-1} on
+    the forward half, Ghat_p on the backward half) and zero for the others;
+    the phase (r, s) and its split (r_g, s_g), the phase for the last gate
+    and zero for the others; alpha; and the deviations E (clipped into the
+    epsilon-box, so any excess shows up in the box rows) with their tangent
+    estimators.
     Returns the polished point and the chosen gate per position.
     """
     ints = model.integer_vars()
@@ -531,8 +580,11 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
     for g in chosen[1:]:
         chain.append(chain[-1] @ mats[g])
     xp[handles.ghat] = np.stack([_parts(c) for c in chain])
+    meet = handles.meet
     for p in range(2, problem.P + 1):
-        xp[handles.v[p]] = z[:, p - 1, None, None, None] * _parts(chain[p - 2])
+        if p <= meet or p < problem.P:  # the last gate has no copies past meet
+            held = chain[p - 2] if p <= meet else chain[p - 1]
+            xp[handles.v[p]] = z[:, p - 1, None, None, None] * _parts(held)
 
     final = chain[-1]
     # the target rows make r + i*s the phase, alpha + i*beta = tr(T^dag U) / n
@@ -541,6 +593,8 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
                      (handles.alpha, phase.real)):
         if var is not None:
             xp[var] = val
+    if handles.rs_split is not None:
+        xp[handles.rs_split] = z[:, -1, None] * [phase.real, phase.imag]
     if handles.e is not None:
         eps = float(problem.epsilon)
         dev = np.clip(_parts(final - handles.eff_target), -eps, eps)

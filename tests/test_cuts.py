@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-from mipsynth import cuts
 from mipsynth.cuts import CUT_FAMILIES, CutSelection
 from mipsynth.errors import ConfigError
 from mipsynth.formulation import SynthesisProblem, synthesize
@@ -59,22 +58,14 @@ EXACT_CASE = dict(P=3)
 GP_CASE = dict(P=3, phase_mode="global_phase")
 
 
-# Cases that keep one exact-mode hindsight row family alone, by stubbing out
-# the writer of the other one under the `hc` selection.
-HINDSIGHT_ALONE = {"hc1": "add_hc2_cuts", "hc2": "add_hc1_cuts"}
-
-
-@pytest.mark.parametrize("names", ["identity", "redundancy", "hc1", "hc2",
-                                   "hc", "all"])
-def test_exact_families_preserve_optimum(names, monkeypatch):
+@pytest.mark.parametrize("names", ["identity", "redundancy", "hc", "all"])
+def test_exact_families_preserve_optimum(names):
     kw = dict(target=builtin_gate("S"), gate_set=gs1("H", "T"), **EXACT_CASE)
     base = solve(CutSelection.from_names("none"), **kw)
-    if names in HINDSIGHT_ALONE:
-        monkeypatch.setattr(cuts, HINDSIGHT_ALONE[names], lambda *a: None)
-        cut = solve(CutSelection.from_names("hc"), **kw)
-        assert set(cut_rows(cut)) == {f"cut_{names}"}
-    else:
-        cut = solve(CutSelection.from_names(names), **kw)
+    cut = solve(CutSelection.from_names(names), **kw)
+    if names == "hc":
+        # the chain's first backward step already is the one-position pull-back
+        assert set(cut_rows(cut)) == {"cut_hc2"}
     assert base.status == cut.status == "optimal"
     assert cut.objective_value == pytest.approx(base.objective_value, abs=1e-6)
     assert cut.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
@@ -86,6 +77,9 @@ def test_phase_families_preserve_optimum(names):
     kw = dict(target=builtin_gate("X"), gate_set=gs1("H", "Z"), **GP_CASE)
     base = solve(CutSelection.from_names("none"), **kw)
     cut = solve(CutSelection.from_names(names), **kw)
+    if names == "hc":
+        # the chain's phase split implies every global-phase hindsight row
+        assert cut_rows(cut) == {}
     assert base.status == cut.status == "optimal"
     assert cut.objective_value == pytest.approx(3.0, abs=1e-6)
     assert cut.objective_value == pytest.approx(base.objective_value, abs=1e-6)
@@ -96,12 +90,12 @@ def test_emitted_row_counts():
     r = solve(CutSelection.from_names("identity"), **kw)
     assert cut_rows(r) == {"cut_identity_symmetry": 2}  # P - 1 ordering rows
     r = solve(CutSelection.from_names("hc"), **kw)
-    # one row per Re/Im entry of the chain (2n^2 = 8); hc2 adds 3 product
-    # rows for each of the |G|^2 = 9 gate pairs
-    assert cut_rows(r) == {"cut_hc1": 8, "cut_hc2": 8 + 27}
+    # one row per Re/Im entry of the chain (2n^2 = 8) plus 3 product rows
+    # for each of the |G|^2 = 9 gate pairs at the last two positions
+    assert cut_rows(r) == {"cut_hc2": 8 + 27}
     kw = dict(target=builtin_gate("X"), gate_set=gs1("H", "Z"), **GP_CASE)
     r = solve(CutSelection.from_names("hc"), **kw)
-    assert cut_rows(r) == {"cut_hc1_global_phase": 48}
+    assert cut_rows(r) == {}
     r = solve(CutSelection.from_names("none"), **kw)
     assert cut_rows(r) == {}
 

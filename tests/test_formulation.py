@@ -1,5 +1,6 @@
 """Model assembly and the end-to-end synthesis driver on small instances."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -9,17 +10,20 @@ from hypothesis import strategies as st
 
 from mipsynth import formulation
 from mipsynth.cuts import CUT_FAMILIES, CutSelection
-from mipsynth.encoding import alpha_beta, encode_real
+from mipsynth.encoding import alpha_beta, encode_real, su_normalize
 from mipsynth.errors import (ConfigError, DimensionError, ModelIntegrityError,
                              UnitarityError)
 from mipsynth.fixtures import oracle_corpus
-from mipsynth.formulation import (OBJECTIVES, PHASE_MODES, TARGET_OBJECTIVES,
+from mipsynth.formulation import (DATA_FAMILIES, DATA_TOL, OBJECTIVES,
+                                  PHASE_MODES, POLISH_TOL, TARGET_OBJECTIVES,
                                   SynthesisProblem, build_base, build_model,
                                   effective_instance, extract_and_verify,
                                   polish_point, schedule_depth, synthesize)
 from mipsynth.gates import (GateSet, builtin_gate, extend_gate, gate_spec,
                             sequence_product, weave_gate_set)
 from mipsynth.solvers import DEFAULT_GAP_TOL, get_backend
+
+from util import random_unitary
 
 
 def gs1(*names: str) -> GateSet:
@@ -111,6 +115,7 @@ def test_build_base_counts():
         p2 = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=2,
                               objective="linearized_fidelity")
         m, h = build_base(p2)
+    # no target: the chain runs forward to P, with P - 1 copy steps.
     # n = 2, |G| = 5, P = 2.  z: |G|*P; Ghat: P*2n^2; V: (P-1)*|G|*2n^2
     assert m.num_vars == 10 + 16 + 40
     # one-hot: P; cumulative: P*2n^2;
@@ -118,13 +123,36 @@ def test_build_base_counts():
     assert m.family_rows == {"one_hot": 2, "cumulative": 16,
                              "disjunctive": 5 * 16 + 8}
     assert h.z.shape == (5, 2) and h.ghat.shape == (2, 2, 2, 2)
-    assert h.v.shape == (3, 5, 2, 2, 2)
+    assert h.v.shape == (3, 5, 2, 2, 2) and h.meet == 2
 
     p1 = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=1,
                           objective="linearized_fidelity")
     m, h = build_base(p1)
     assert m.num_vars == 5 + 8 and h.v is None
     assert m.family_rows == {"one_hot": 1, "cumulative": 8}
+
+    # a target: forward to meet = ceil(5/2) = 3 (copy steps at p = 2, 3),
+    # backward from T (copy step at p = 4), P - 2 = 3 copy steps in all.
+    # n = 2, |G| = 3, P = 5.  z: |G|*P; Ghat: P*2n^2; V: (P-2)*|G|*2n^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        exact = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=5)
+        m, h = build_base(exact)
+    assert h.meet == 3
+    assert m.num_vars == 15 + 40 + 72
+    # one-hot: P; cumulative: 2n^2 for Ghat_1 plus 2n^2 per copy step;
+    # disjunctive: (P-2)*(|G|*4n^2 + 2n^2); target: 2n^2 for Ghat_{P-1}
+    assert m.family_rows == {"one_hot": 5, "cumulative": 8 + 3 * 8,
+                             "disjunctive": 3 * (3 * 16 + 8), "target": 8}
+    # global phase adds r, s and (r_g, s_g) per gate: 2 sums, 4|G| bounds
+    gp = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=5,
+                          phase_mode="global_phase")
+    m, h = build_base(gp)
+    assert m.num_vars == 15 + 40 + 72 + 2 + 2 * 3
+    assert m.family_rows == {"one_hot": 5, "cumulative": 8 + 3 * 8,
+                             "disjunctive": 3 * (3 * 16 + 8) + 2 + 4 * 3,
+                             "target": 8}
+    assert h.rs_split.shape == (3, 2)
 
 
 def test_full_model_adds_objective_and_cuts():
@@ -145,8 +173,12 @@ def test_exact_solve_small():
     assert r.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
     assert r.certificate["bound"] == pytest.approx(2.0)
     assert r.certificate["gap"] == pytest.approx(0.0)
-    # (P-1)*(|G|*4n^2 + 2n^2) with P = 2, |G| = 3, n = 2
-    assert r.certificate["row_families"]["disjunctive"] == 1 * (3 * 16 + 8)
+    # P = 2 meets the target at Ghat_1 and has no copy step (P - 2 = 0):
+    # one-hot P; cumulative 2n^2 for Ghat_1; target 2n^2 each for Ghat_P
+    # and Ghat_{P-1}; P - 1 identity-placement rows; n = 2
+    assert r.certificate["row_families"] == {
+        "one_hot": 2, "cumulative": 8, "target": 8 + 8,
+        "cut_identity_symmetry": 1}
     assert "presolve_retry" not in r.certificate
     assert isinstance(r.certificate["nodes"], int)
 
@@ -343,7 +375,8 @@ def test_mip_and_oracle_agree_on_random_words(data):
     names = data.draw(st.lists(st.sampled_from(ONE_QUBIT_GATES), min_size=1,
                                max_size=3, unique=True), label="library")
     gs = gs1(*names)
-    P = data.draw(st.integers(1, 3), label="P")
+    # from P = 4 on the chain has copy steps on both sides of its meet
+    P = data.draw(st.integers(1, 5), label="P")
     word = data.draw(st.lists(st.sampled_from(gs.non_identity_indices()),
                               max_size=P + 1), label="word")
     tokens = data.draw(st.lists(st.sampled_from(CUT_FAMILIES), unique=True),
@@ -417,6 +450,52 @@ def test_mip_and_oracle_agree_on_two_qubit_words(objective, data):
                                                          abs=1e-6), mode
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mip_and_oracle_agree_on_random_unitaries(data):
+    """Differential check on Haar-random targets: same status and optimum.
+
+    The target is a seeded Haar-random one- or two-qubit unitary, a dense
+    matrix that no word over the drawn library reaches, so the backward
+    chain starts from data with no zero entry.  Half the draws add a dense
+    gate U = T W^dag for a random word W of at most P - 1 library gates,
+    which makes the target reachable in at most |W| + 1 gates.
+    """
+    num_qubits = data.draw(st.integers(1, 2), label="qubits")
+    if num_qubits == 1:
+        picks = [(n, (1,)) for n in data.draw(st.lists(
+            st.sampled_from(ONE_QUBIT_GATES), min_size=1, max_size=3, unique=True),
+            label="library")]
+    else:
+        picks = data.draw(st.lists(st.sampled_from(TWO_QUBIT_GATES), min_size=2,
+                                   max_size=3, unique=True), label="library")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    target = random_unitary(2 ** num_qubits, np.random.default_rng(seed))
+    specs = [gate_spec(n, q) for n, q in picks]
+    P = data.draw(st.integers(1, 4), label="P")
+    if data.draw(st.booleans(), label="reachable"):
+        lib = GateSet.from_specs(num_qubits, specs)
+        word = data.draw(st.lists(st.sampled_from(lib.non_identity_indices()),
+                                  max_size=P - 1), label="word")
+        w = sequence_product(lib.matrices()[word], lib.dim)
+        specs.append(gate_spec("U", tuple(range(1, num_qubits + 1)),
+                               matrix=target @ w.conj().T))
+    gs = GateSet.from_specs(num_qubits, specs)
+    objective = data.draw(st.sampled_from(TARGET_OBJECTIVES), label="objective")
+    for mode in PHASE_MODES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = SynthesisProblem(target, gs, P, objective=objective, phase_mode=mode)
+            milp = synthesize(p, backend="scipy")
+            brute = synthesize(p, backend="oracle")
+        assert milp.status == brute.status, mode
+        assert milp.status in ("optimal", "infeasible"), mode
+        if milp.feasible:
+            assert milp.objective_value == pytest.approx(brute.objective_value,
+                                                         abs=1e-6), mode
+            assert milp.fidelity_to_target == pytest.approx(1.0, abs=1e-9), mode
+
+
 # T on the weave library, P=2, maximising alpha: the true optimum.
 WEAVE_T_ALPHA = 0.8535533905932737
 
@@ -456,11 +535,47 @@ def test_verification_accepts_alpha_row_slop():
 
 
 def test_polished_point_satisfies_every_row():
+    """Every row holds at the polished point, on both halves of the chain.
+
+    The forward-only chain of a fidelity objective holds to 1e-12.  Under
+    a target the solver runs with z fixed to a word of P gates whose
+    product is the target, so the point carries its hc2 product binaries;
+    polishing it must satisfy the forward and backward copy steps and the
+    link between them within POLISH_TOL, and the rows tied to the target
+    within DATA_TOL.
+    """
     p, m, h, sol = solved_weave_t()
     xp, chosen = polish_point(p, m, h, sol.x)
     assert m.check_point(xp) <= 1e-12
     assert xp[h.alpha] == pytest.approx(WEAVE_T_ALPHA, abs=1e-12)
     assert len(chosen) == p.P
+
+    gs = gs1("H", "T")
+    h1, t1 = gs.index_of("H", (1,)), gs.index_of("T", (1,))
+    # unit-determinant gates keep the word feasible in exact mode too
+    mats = np.stack([su_normalize(u) for u in gs.matrices()])
+    for P, mode, objective in itertools.product(range(1, 6), PHASE_MODES,
+                                                TARGET_OBJECTIVES):
+        word = [h1, t1, t1, h1, t1][:P]
+        target = sequence_product(mats[word], gs.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = SynthesisProblem(target, gs, P, phase_mode=mode, objective=objective,
+                                 cuts=CutSelection.from_names("identity,hc"))
+            m, h = build_model(p)
+        for pos, chosen in enumerate(word):
+            for g in range(len(gs)):
+                m.fix_var(int(h.z[g, pos]), 1.0 if g == chosen else 0.0)
+        sol = get_backend("scipy").solve(m)
+        assert sol.status == "optimal", (P, mode, objective)
+        xp, chosen = polish_point(p, m, h, sol.x)
+        assert chosen == word
+        viol = m.violations(xp)
+        assert "target" in viol
+        assert ("disjunctive" in viol) == (P > 2 or (P == 2 and mode != "exact"))
+        for fam, worst in viol.items():
+            tol = DATA_TOL if fam in DATA_FAMILIES else POLISH_TOL
+            assert worst <= tol, (P, mode, objective, fam, worst)
 
 
 def test_verification_rejects_inflated_alpha():
