@@ -58,14 +58,21 @@ EXACT_CASE = dict(P=3)
 GP_CASE = dict(P=3, phase_mode="global_phase")
 
 
-@pytest.mark.parametrize("names", ["identity", "redundancy", "hc", "all"])
+# The hc2 row family alone: in exact mode the `hc` selection emits nothing
+# else, since the chain's first backward step already is the one-position
+# pull-back that hc1 used to write.
+HINDSIGHT_ALONE = {"hc2": "hc"}
+
+
+@pytest.mark.parametrize("names", ["identity", "redundancy", "hc2", "hc",
+                                   "all"])
 def test_exact_families_preserve_optimum(names):
     kw = dict(target=builtin_gate("S"), gate_set=gs1("H", "T"), **EXACT_CASE)
     base = solve(CutSelection.from_names("none"), **kw)
-    cut = solve(CutSelection.from_names(names), **kw)
-    if names == "hc":
-        # the chain's first backward step already is the one-position pull-back
-        assert set(cut_rows(cut)) == {"cut_hc2"}
+    cut = solve(CutSelection.from_names(HINDSIGHT_ALONE.get(names, names)),
+                **kw)
+    if names in HINDSIGHT_ALONE:
+        assert set(cut_rows(cut)) == {f"cut_{names}"}
     assert base.status == cut.status == "optimal"
     assert cut.objective_value == pytest.approx(base.objective_value, abs=1e-6)
     assert cut.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
