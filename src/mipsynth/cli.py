@@ -574,6 +574,15 @@ def run_verify(cfg: dict, circuit_file: str) -> tuple[int, dict, list[str]]:
 
 
 def run_relations(cfg: dict, k_max: int, up_to_phase: bool) -> tuple[int, dict, list[str]]:
+    """Catalog the relations of one gate set, no solving.
+
+    The report's ``catalog`` lists ``commuting_pairs`` (label pairs in
+    library order), ``equivalent_groups`` (each a list of words of one
+    length with equal products, lexicographically smallest first) and
+    ``redundancies`` (a word and the single gate it collapses to).
+    ``k_max`` bounds the length of equivalent words and of redundant
+    sequences alike.
+    """
     t0 = time.perf_counter()
     registry = benchmark_registry()
     gs = resolve_gate_set(cfg, registry)
@@ -583,17 +592,12 @@ def run_relations(cfg: dict, k_max: int, up_to_phase: bool) -> tuple[int, dict, 
         "command": "relations",
         "config": cfg,
         "catalog": doc,
-        "counts": {
-            "commuting_pairs": len(cat.commuting_pairs),
-            "equivalent_pairs": len(cat.equivalent_pairs),
-            "equivalent_triplets": len(cat.equivalent_triplets),
-            "redundancies": len(cat.redundancies),
-        },
+        "counts": {key: len(doc[key]) for key in
+                   ("commuting_pairs", "equivalent_groups", "redundancies")},
         "wall_seconds": time.perf_counter() - t0,
     }
     c = report["counts"]
-    lines = [f"commuting={c['commuting_pairs']} equivalent="
-             f"{c['equivalent_pairs'] + c['equivalent_triplets']} "
+    lines = [f"commuting={c['commuting_pairs']} equivalent={c['equivalent_groups']} "
              f"redundant={c['redundancies']}"]
     return EXIT_OPTIMAL, report, lines
 
@@ -679,7 +683,8 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--gate-set", dest="gate_set")
     p.add_argument("--fixture", help="take the gate set from this fixture")
     p.add_argument("--config", action="append", default=[])
-    p.add_argument("--k-max", type=int, default=3)
+    p.add_argument("--k-max", type=int, default=3,
+                   help="longest equivalent or redundant word (>= 2)")
     p.add_argument("--up-to-phase", action="store_true")
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--quiet", action="store_true")

@@ -3,16 +3,36 @@
 Four families break symmetry or remove provably dominated choices
 (identity placement, commuting order, equivalent patterns, collapsible
 windows); the hindsight family propagates the target equality backward
-through the last gates.  The base chain already runs backward from the
-target (see formulation.build_base): its first backward step,
+through the last gates.
+
+The commuting, equivalent and redundancy families each forbid a set of
+words (relations.RelationCatalog.forbidden_words), and one writer,
+add_pattern_rows, emits them all.  The words that share a prefix a_1..a_k
+and end in a gate of F = F(a_1..a_k) get one row per position p:
+
+    z[a_1,p] + ... + z[a_k,p+k-1] + sum_{c in F} z[c,p+k] <= k.
+
+One-hot selection puts at most one gate of F at position p+k, so at an
+integer point the row is violated exactly when the prefix is followed by
+a gate of F: it allows the same circuits as one row per forbidden word.
+Its relaxation is never weaker, since with z >= 0 it implies every
+per-word row z[a_1,p] + ... + z[c,p+k] <= k, and it is strictly tighter
+when |F| > 1: at k = 1, z[a,p] = z[c_1,p+1] = z[c_2,p+1] = 1/2 meets both
+per-word rows and violates this one.  This is the clique aggregation of
+conflict rows (Atamtürk, Nemhauser and Savelsbergh 2000).  Every forbidden
+word keeps a no-heavier word of equal product allowed, so each family keeps
+an optimum.  Families that reorder gates are switched off under the depth
+objective (SynthesisProblem.__post_init__), where order changes the
+objective value.
+
+The base chain already runs backward from the target (see
+formulation.build_base): its first backward step,
 Ghat_{P-1} = sum_g z[g,P] T G_g^dag, is the row the one-position hindsight
 cut wrote, and in global phase mode its phase split is the convex hull of
 that cut's big-M rows switched on the last gate, so it implies them.  What
 is left of the family is the two-position pull-back in exact mode, through
 a product binary per gate pair at the last two positions; in global phase
-mode `hc` emits nothing.  Every cut keeps at least one optimal solution
-feasible, and families that reorder gates are rejected under the depth
-objective, where order changes the objective value.
+mode `hc` emits nothing.
 """
 
 from __future__ import annotations
@@ -25,16 +45,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .gates import effective_gate_set
-from .relations import RelationCatalog, detect_relations
+from .relations import detect_relations
 
 if TYPE_CHECKING:
     from .formulation import ModelHandles, SynthesisProblem
     from .mip import MipModel
 
-WEIGHT_TOL = 1e-12
 CUT_FAMILIES = ("identity_symmetry", "commuting", "equivalent", "redundancy", "hc")
-#: Longest gate window the redundancy family collapses.
-REDUNDANCY_K_MAX = 3
+#: Longest word the commuting, equivalent and redundancy families read.
+WORD_K_MAX = 3
 _TOKENS = {
     "identity": "identity_symmetry", "identity_symmetry": "identity_symmetry",
     "commuting": "commuting_pairs", "commuting_pairs": "commuting_pairs",
@@ -93,10 +112,6 @@ class CutSelection:
         return [f.name for f in fields(self) if getattr(self, f.name)]
 
 
-def _pattern_weight(weights: np.ndarray, pattern) -> float:
-    return float(sum(weights[i] for i in pattern))
-
-
 def add_identity_symmetry_cuts(model: "MipModel", z: np.ndarray,
                                identity_index: int, P: int) -> None:
     """Identity selections form a suffix: z[id,p] <= z[id,p+1]."""
@@ -106,62 +121,23 @@ def add_identity_symmetry_cuts(model: "MipModel", z: np.ndarray,
                          "<=", 0.0, family="cut_identity_symmetry")
 
 
-def add_commuting_cuts(model: "MipModel", z: np.ndarray,
-                       catalog: RelationCatalog, P: int, objective: str) -> None:
-    """Adjacent commuting gates appear in index order: forbid (j then i)."""
-    if objective == "depth":
-        raise ConfigError("commuting-order cuts reorder gates and are invalid "
-                          "under the depth objective")
-    for i, j in catalog.commuting_pairs:
-        for p in range(P - 1):
-            model.add_constr({int(z[j, p]): 1.0, int(z[i, p + 1]): 1.0},
-                             "<=", 1.0, family="cut_commuting")
+def add_pattern_rows(model: "MipModel", z: np.ndarray, words, P: int,
+                     family: str) -> None:
+    """Forbid `words` at every position, one row per forbidden prefix.
 
-
-def add_equivalent_pattern_cuts(model: "MipModel", z: np.ndarray,
-                                catalog: RelationCatalog, weights: np.ndarray,
-                                P: int, objective: str) -> None:
-    """Forbid the larger of two equal-product patterns when no heavier.
-
-    A forbidden pattern is only cut when the kept representative weighs no
-    more, so a weighted-count optimum always survives.
+    With F(prefix) the last gates of the forbidden words that start with
+    `prefix`, each position p gets
+    z[prefix at p] + sum_{c in F(prefix)} z[c, p + |prefix|] <= |prefix|.
     """
-    if objective == "depth":
-        raise ConfigError("equivalent-pattern cuts reorder gates and are invalid "
-                          "under the depth objective")
-    for forbidden, kept in catalog.equivalent_pairs:
-        if _pattern_weight(weights, kept) > _pattern_weight(weights, forbidden) + WEIGHT_TOL:
-            continue
-        a1, a2 = forbidden
-        for p in range(P - 1):
-            model.add_constr({int(z[a1, p]): 1.0, int(z[a2, p + 1]): 1.0},
-                             "<=", 1.0, family="cut_equivalent")
-    for forbidden, kept in catalog.equivalent_triplets:
-        if _pattern_weight(weights, kept) > _pattern_weight(weights, forbidden) + WEIGHT_TOL:
-            continue
-        a1, a2, a3 = forbidden
-        for p in range(P - 2):
-            model.add_constr({int(z[a1, p]): 1.0, int(z[a2, p + 1]): 1.0,
-                              int(z[a3, p + 2]): 1.0},
-                             "<=", 2.0, family="cut_equivalent")
-
-
-def add_redundancy_cuts(model: "MipModel", z: np.ndarray,
-                        catalog: RelationCatalog, weights: np.ndarray,
-                        P: int) -> None:
-    """Forbid windows whose product collapses to one no-heavier gate."""
-    for seq, g in catalog.redundancies:
-        k = len(seq)
-        if k > P:
-            continue
-        if weights[g] > _pattern_weight(weights, seq) + WEIGHT_TOL:
-            continue
-        for p in range(P - k + 1):
-            coefs: dict[int, float] = {}
-            for off, a in enumerate(seq):
-                key = int(z[a, p + off])
-                coefs[key] = coefs.get(key, 0.0) + 1.0
-            model.add_constr(coefs, "<=", float(k - 1), family="cut_redundancy")
+    successors: dict[tuple[int, ...], list[int]] = {}
+    for word in sorted(words):
+        successors.setdefault(word[:-1], []).append(word[-1])
+    for prefix, last in successors.items():
+        k = len(prefix)
+        for p in range(P - k):
+            coefs = {int(z[a, p + off]): 1.0 for off, a in enumerate(prefix)}
+            coefs.update((int(z[c, p + k]), 1.0) for c in last)
+            model.add_constr(coefs, "<=", float(k), family=family)
 
 
 def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
@@ -202,14 +178,12 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
         # relations like Z.Z == I stop being true there.
         rel_gs = effective_gate_set(gs, handles.eff_gate_mats, handles.su_applied)
         up = problem.phase_mode == "global_phase" and problem.targets_equality()
-        catalog = detect_relations(rel_gs, k_max=REDUNDANCY_K_MAX, up_to_phase=up)
-        if sel.commuting_pairs and problem.P > 1:
-            add_commuting_cuts(model, handles.z, catalog, problem.P, problem.objective)
-        if sel.equivalent_patterns and problem.P > 1:
-            add_equivalent_pattern_cuts(model, handles.z, catalog, problem.weights,
-                                        problem.P, problem.objective)
-        if sel.redundancy:
-            add_redundancy_cuts(model, handles.z, catalog, problem.weights, problem.P)
+        catalog = detect_relations(rel_gs, k_max=WORD_K_MAX, up_to_phase=up)
+        for family in ("commuting", "equivalent", "redundancy"):
+            if getattr(sel, _TOKENS[family]):
+                add_pattern_rows(model, handles.z,
+                                 catalog.forbidden_words(family, problem.weights),
+                                 problem.P, f"cut_{family}")
 
     if not sel.hindsight:
         return
@@ -222,7 +196,5 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
 
 __all__ = [
     "CutSelection", "apply_cuts", "CUT_FAMILIES",
-    "add_identity_symmetry_cuts", "add_commuting_cuts",
-    "add_equivalent_pattern_cuts", "add_redundancy_cuts",
-    "add_hc2_cuts",
+    "add_identity_symmetry_cuts", "add_pattern_rows", "add_hc2_cuts",
 ]

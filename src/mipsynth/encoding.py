@@ -20,6 +20,10 @@ from .errors import DimensionError, MalformedEncodingError, UnitarityError
 #: Default tolerance for unitarity checks.
 UNITARY_TOL = 1e-9
 
+#: Unitarity defect above which require_unitary projects onto the unitaries:
+#: far above rounding, far below the 1e-9 that polished rows are held to.
+PROJECT_TOL = 1e-12
+
 #: Default tolerance for structural checks on encoded matrices.
 ENCODING_TOL = 1e-9
 
@@ -39,10 +43,21 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
+    """`u` as a complex matrix, if it is unitary within `tol`.
+
+    A matrix accepted with a defect above PROJECT_TOL is returned as its
+    polar projection W V^dag (from u = W S V^dag), the nearest unitary:
+    products of near-unitaries drift out of the [-1, 1] entry box that the
+    synthesis model's chain variables live in.  A matrix unitary to
+    rounding is returned unchanged.
+    """
     u = _as_square(np.asarray(u, dtype=complex), name)
-    if not is_unitary(u, tol):
-        err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    if not err <= tol:
         raise UnitarityError(f"{name} is not unitary within {tol:g} (defect {err:.3e})")
+    if err > PROJECT_TOL:
+        w, _, vh = np.linalg.svd(u)
+        u = w @ vh
     return u
 
 

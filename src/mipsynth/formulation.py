@@ -99,8 +99,7 @@ class SynthesisProblem:
     K: int = 5
 
     def __post_init__(self) -> None:
-        self.target = np.asarray(self.target, dtype=complex)
-        require_unitary(self.target)
+        self.target = require_unitary(self.target)
         if self.target.shape != (self.gate_set.dim, self.gate_set.dim):
             raise DimensionError(
                 f"target is {self.target.shape[0]}x{self.target.shape[1]} but the "

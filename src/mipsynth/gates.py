@@ -339,22 +339,21 @@ def effective_gate_set(gs: GateSet, eff_mats: np.ndarray, su_applied: bool) -> G
         return GateSet(gs.num_qubits, new_gates)
 
 
-def fibonacci_generators(include_weaves: bool = True) -> list[GateSpec]:
-    """Fibonacci anyon braid generators (and optionally their weave squares).
+def fibonacci_generators() -> list[GateSpec]:
+    """Fibonacci anyon braid generators followed by their weave squares.
 
     sigma1 is diagonal, sigma2 = F sigma1 F with the golden-ratio F matrix;
     both are single-qubit gates in the two-dimensional fusion space and
     satisfy sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2.
     """
-    names = ["SIGMA1", "SIGMA1DG", "SIGMA2", "SIGMA2DG"]
-    if include_weaves:
-        names += ["WEAVE1", "WEAVE1DG", "WEAVE2", "WEAVE2DG"]
+    names = ["SIGMA1", "SIGMA1DG", "SIGMA2", "SIGMA2DG",
+             "WEAVE1", "WEAVE1DG", "WEAVE2", "WEAVE2DG"]
     return [gate_spec(n, (1,)) for n in names]
 
 
 def weave_gate_set() -> GateSet:
     """Identity plus the four weave squares, on one qubit."""
-    return GateSet.from_specs(1, fibonacci_generators(include_weaves=True)[4:])
+    return GateSet.from_specs(1, fibonacci_generators()[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +380,12 @@ def spec_from_dict(entry: dict) -> GateSpec:
     return gate_spec(name, qubits, angle=angle, matrix=matrix)
 
 
-def spec_to_dict(spec: GateSpec, include_matrix: bool = False) -> dict:
+def spec_to_dict(spec: GateSpec) -> dict:
+    """Wire form of a gate; the matrix is written for non-built-in gates only."""
     out: dict = {"name": spec.name, "qubits": list(spec.qubits)}
     if spec.angle is not None:
         out["angle"] = float(spec.angle)
-    builtin = spec.name in _FIXED or spec.name in _ANGLED
-    if include_matrix or not builtin:
+    if spec.name not in _FIXED and spec.name not in _ANGLED:
         out["matrix"] = _matrix_to_json(spec.matrix)
     return out
 

@@ -34,7 +34,6 @@ class ModelArrays:
     row_lb: np.ndarray
     row_ub: np.ndarray
     sense: str
-    constant: float
     num_rows: int
 
 
@@ -54,7 +53,6 @@ class MipModel:
         self._row_ub: list[float] = []
         self._row_family: list[str] = []
         self._obj: dict[int, float] = {}
-        self._constant = 0.0
         self.family_rows: dict[str, int] = {}
 
     # -- variables ---------------------------------------------------------
@@ -133,18 +131,14 @@ class MipModel:
 
     # -- objective -----------------------------------------------------------
 
-    def set_objective(self, coefs: dict[int, float], sense: str = "min",
-                      constant: float = 0.0) -> None:
+    def set_objective(self, coefs: dict[int, float], sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense must be min or max, got {sense!r}")
         self.sense = sense
         self._obj = {int(k): float(v) for k, v in coefs.items()}
-        self._constant = float(constant)
 
     def objective_value(self, x: np.ndarray) -> float:
-        v = self._constant
-        v += sum(c * x[i] for i, c in self._obj.items())
-        return float(v)
+        return float(sum(c * x[i] for i, c in self._obj.items()))
 
     # -- export / checking -----------------------------------------------------
 
@@ -175,7 +169,6 @@ class MipModel:
             row_lb=np.array(self._row_lb),
             row_ub=np.array(self._row_ub),
             sense=self.sense,
-            constant=self._constant,
             num_rows=self.num_rows,
         )
 
@@ -223,8 +216,6 @@ class MipModel:
         out.append("Maximize" if self.sense == "max" else "Minimize")
         obj_terms = " ".join(term(c, i) for i, c in sorted(self._obj.items())) or "0 " + (
             nm(0) if self.num_vars else "x0")
-        if self._constant:
-            obj_terms += f" + {self._constant:.17g}"
         out.append(" obj: " + obj_terms)
         out.append("Subject To")
         for r, (cols, vals) in enumerate(zip(self._row_cols, self._row_vals)):

@@ -504,8 +504,7 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
     target is compared exactly or up to a global phase per `phase_mode`.
     `time_limit` is in seconds; None means no limit.
     """
-    target = np.asarray(target, dtype=complex)
-    require_unitary(target)
+    target = require_unitary(target)
     if target.shape != (gs.dim, gs.dim):
         raise DimensionError(
             f"target is {target.shape[0]}x{target.shape[1]}, gate set needs "

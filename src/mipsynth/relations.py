@@ -1,11 +1,24 @@
-"""Detection of algebraic relations inside a gate set.
+"""Relations inside a gate set, read off one table of short words.
 
-The catalog drives the symmetry-breaking and redundancy cuts: commuting
-pairs, pairs/triplets of index patterns with equal products, and short
-sequences whose product collapses to a single library gate.  Equality is
-either exact or up to a global phase, depending on how the synthesis model
-treats phases; every cataloged relation is re-verified in exact arithmetic
-(hash grouping is only a pre-filter), so false positives cannot occur.
+The table holds every library gate as a word of length 1, the identity
+included, and every word of length 2..k_max over the non-identity gates,
+each multiplied out once (gate 1 is the leftmost factor).  Words are
+bucketed by their product rounded at 1e-6, after fixing the global phase
+when equality is up to phase, and each bucket is split into equal-product
+classes by checking every member against the first word of its class in
+exact arithmetic (`equal_matrices`), so a rounding collision never joins
+two words.  Three relations are read off the classes:
+
+- commuting pairs: gates i < j whose words ij and ji share a class;
+- equivalent groups: the words of one length >= 2 that share a class,
+  in lexicographic order;
+- redundancies: a word of length >= 2 that shares a class with a single
+  gate, the lowest-indexed one.
+
+`RelationCatalog.forbidden_words` turns them into the words each cut
+family forbids; cuts.add_pattern_rows writes the rows.  Identity never
+appears in a forbidden word: its placement is handled by the
+identity-suffix cut, which an identity-containing pattern could contradict.
 """
 
 from __future__ import annotations
@@ -16,23 +29,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GateSet, sequence_product
+from .errors import ConfigError
+from .gates import GateSet
 
 #: Entrywise tolerance for relation equality checks.
 RELATION_TOL = 1e-8
+#: Slack when comparing the weights of two words.
+WEIGHT_TOL = 1e-12
 
 
 def equal_matrices(a: np.ndarray, b: np.ndarray, up_to_phase: bool,
-                   tol: float = RELATION_TOL) -> bool:
-    """Equality of two same-shaped matrices, optionally up to a global phase.
+                   tol: float = RELATION_TOL):
+    """Equality of same-shaped matrices, optionally up to a global phase.
 
-    The phase test |Tr(a^dag b)| = n is exact for unitaries and tolerant for
-    near-unitaries at our scales.
+    Either side may be a stack; the last two axes are compared and the rest
+    broadcast.  The phase test |Tr(a^dag b)| = n is exact for unitaries and
+    tolerant for near-unitaries at our scales.
     """
     if not up_to_phase:
-        return bool(np.abs(a - b).max() <= tol)
-    n = a.shape[0]
-    return bool(abs(abs(np.trace(a.conj().T @ b)) - n) <= tol * n)
+        return np.abs(a - b).max(axis=(-2, -1)) <= tol
+    n = a.shape[-1]
+    return np.abs(np.abs((a.conj() * b).sum(axis=(-2, -1))) - n) <= tol * n
 
 
 def canonical_phase(stack: np.ndarray) -> np.ndarray:
@@ -50,11 +67,7 @@ def canonical_phase(stack: np.ndarray) -> np.ndarray:
     return (flat * (np.abs(v) / v)[:, None]).reshape(stack.shape)
 
 
-def _round_key(m: np.ndarray, up_to_phase: bool) -> bytes:
-    if up_to_phase:
-        m = canonical_phase(m[None])[0]
-    q = np.round(m * 1e6)
-    return (q.real.astype(np.int64).tobytes() + q.imag.astype(np.int64).tobytes())
+Word = tuple[int, ...]
 
 
 @dataclass
@@ -64,119 +77,122 @@ class RelationCatalog:
     up_to_phase: bool
     k_max: int
     commuting_pairs: list[tuple[int, int]] = field(default_factory=list)
-    equivalent_pairs: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
-    equivalent_triplets: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = field(
-        default_factory=list)
-    redundancies: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
+    equivalent_groups: list[tuple[Word, ...]] = field(default_factory=list)
+    redundancies: list[tuple[Word, int]] = field(default_factory=list)
+
+    def forbidden_words(self, family: str, weights: np.ndarray) -> set[Word]:
+        """The words one cut family forbids, under gate weights `weights`.
+
+        - ``commuting``: ji for every commuting pair i < j.
+        - ``equivalent``: a word with a lexicographically smaller word of
+          equal product that weighs no more; for length 2 the swap of a
+          commuting pair does not count, the commuting family orders it.
+        - ``redundancy``: a word whose product is a gate that weighs no more.
+
+        Each forbidden word keeps a no-heavier word of equal product
+        allowed, so a weighted-count optimum survives the family alone.
+        """
+        w = weights.tolist()
+
+        def weight(word) -> float:
+            return sum(w[a] for a in word)
+
+        if family == "commuting":
+            return {(j, i) for i, j in self.commuting_pairs}
+        if family == "redundancy":
+            return {seq for seq, g in self.redundancies
+                    if w[g] <= weight(seq) + WEIGHT_TOL}
+        if family != "equivalent":
+            raise ConfigError(f"no pattern family {family!r}")
+        out = set()
+        for group in self.equivalent_groups:
+            ws = [weight(word) for word in group]
+            for r, word in enumerate(group):
+                if any(ws[q] <= ws[r] + WEIGHT_TOL for q in range(r)
+                       if len(word) > 2 or group[q] != word[::-1]):
+                    out.add(word)
+        return out
 
     def to_dict(self, gs: GateSet) -> dict:
-        lab = gs.label
+        def labels(word) -> list[str]:
+            return [gs.label(a) for a in word]
+
         return {
             "up_to_phase": self.up_to_phase,
             "k_max": self.k_max,
-            "commuting_pairs": [[lab(i), lab(j)] for i, j in self.commuting_pairs],
-            "equivalent_pairs": [
-                {"kept": [lab(a) for a in kept], "forbidden": [lab(a) for a in forb]}
-                for forb, kept in self.equivalent_pairs
-            ],
-            "equivalent_triplets": [
-                {"kept": [lab(a) for a in kept], "forbidden": [lab(a) for a in forb]}
-                for forb, kept in self.equivalent_triplets
-            ],
-            "redundancies": [
-                {"sequence": [lab(a) for a in seq], "collapses_to": lab(g)}
-                for seq, g in self.redundancies
-            ],
+            "commuting_pairs": [labels(pair) for pair in self.commuting_pairs],
+            "equivalent_groups": [[labels(w) for w in group]
+                                  for group in self.equivalent_groups],
+            "redundancies": [{"sequence": labels(seq), "collapses_to": gs.label(g)}
+                             for seq, g in self.redundancies],
         }
 
 
 def detect_relations(gs: GateSet, k_max: int = 3, up_to_phase: bool = False,
                      enumeration_limit: int = 200_000,
                      tol: float = RELATION_TOL) -> RelationCatalog:
-    """Catalog commuting pairs, equivalent patterns, and redundant sequences.
+    """Catalog commuting pairs, equivalent groups and redundancies.
 
-    Identity never participates: its placement is fully handled by the
-    identity-suffix symmetry cut, and an identity-containing commuting cut
-    would contradict that cut.  Redundancy sequences run over non-identity
-    gates of length 2..k_max; k_max is reduced with a warning when the
-    enumeration would exceed `enumeration_limit` sequences.
-
-    In every equivalent pair/triplet the lexicographically smaller pattern is
-    the kept side and the larger is recorded as forbidden, so a cut on the
-    forbidden side always leaves a representative solution intact.
+    Words run over the non-identity gates with lengths 2..k_max (k_max >= 2);
+    k_max is reduced, down to 2, with a warning when the table would exceed
+    `enumeration_limit` words.
     """
+    if k_max < 2:
+        raise ConfigError(f"k_max must be >= 2, got {k_max}")
     mats = gs.matrices()
     ni = gs.non_identity_indices()
-    cat = RelationCatalog(up_to_phase=up_to_phase, k_max=k_max)
-
-    for i, j in itertools.combinations(ni, 2):
-        ab = mats[i] @ mats[j]
-        ba = mats[j] @ mats[i]
-        if equal_matrices(ab, ba, up_to_phase, tol):
-            cat.commuting_pairs.append((i, j))
-    commuting = set(cat.commuting_pairs)
-
-    # group pair products by rounded key, verify within groups
-    pair_groups: dict[bytes, list[tuple[tuple[int, int], np.ndarray]]] = {}
-    for i in ni:
-        for j in ni:
-            p = mats[i] @ mats[j]
-            pair_groups.setdefault(_round_key(p, up_to_phase), []).append(((i, j), p))
-    for group in pair_groups.values():
-        for (pat_a, prod_a), (pat_b, prod_b) in itertools.combinations(group, 2):
-            if pat_a == pat_b:
-                continue
-            swapped = pat_a == (pat_b[1], pat_b[0])
-            if swapped and (min(pat_a), max(pat_a)) in commuting:
-                continue
-            if not equal_matrices(prod_a, prod_b, up_to_phase, tol):
-                continue
-            kept, forbidden = sorted((pat_a, pat_b))
-            cat.equivalent_pairs.append((forbidden, kept))
-
-    if len(ni) ** 3 <= enumeration_limit:
-        trip_groups: dict[bytes, list[tuple[tuple[int, int, int], np.ndarray]]] = {}
-        for i in ni:
-            for j in ni:
-                pij = mats[i] @ mats[j]
-                for k in ni:
-                    p = pij @ mats[k]
-                    trip_groups.setdefault(_round_key(p, up_to_phase), []).append(((i, j, k), p))
-        for group in trip_groups.values():
-            for (pat_a, prod_a), (pat_b, prod_b) in itertools.combinations(group, 2):
-                if pat_a == pat_b or not equal_matrices(prod_a, prod_b, up_to_phase, tol):
-                    continue
-                kept, forbidden = sorted((pat_a, pat_b))
-                cat.equivalent_triplets.append((forbidden, kept))
-    else:
-        warnings.warn(
-            f"triplet pattern detection skipped: {len(ni)}^3 exceeds limit {enumeration_limit}",
-            stacklevel=2,
-        )
-
     eff_k_max = k_max
-    while eff_k_max > 1 and sum(len(ni) ** k for k in range(2, eff_k_max + 1)) > enumeration_limit:
+    while eff_k_max > 2 and sum(len(ni) ** k for k in range(2, eff_k_max + 1)) > enumeration_limit:
         eff_k_max -= 1
     if eff_k_max != k_max:
         warnings.warn(
-            f"redundancy enumeration reduced from k_max={k_max} to {eff_k_max} "
-            f"to stay within {enumeration_limit} sequences",
+            f"word enumeration reduced from k_max={k_max} to {eff_k_max} "
+            f"to stay within {enumeration_limit} words",
             stacklevel=2,
         )
-    cat.k_max = eff_k_max
 
-    gate_groups: dict[bytes, list[int]] = {}
-    for g in range(len(gs)):
-        gate_groups.setdefault(_round_key(mats[g], up_to_phase), []).append(g)
+    words: list[Word] = [(g,) for g in range(len(gs))]
+    prods = [mats]
+    level = mats[ni]
     for k in range(2, eff_k_max + 1):
-        for seq in itertools.product(ni, repeat=k):
-            p = sequence_product(mats[list(seq)], gs.dim)
-            for g in gate_groups.get(_round_key(p, up_to_phase), []):
-                if equal_matrices(p, mats[g], up_to_phase, tol):
-                    cat.redundancies.append((seq, g))
-                    break
+        level = (level[:, None] @ mats[ni][None]).reshape(-1, gs.dim, gs.dim)
+        words += itertools.product(ni, repeat=k)
+        prods.append(level)
+    table = np.concatenate(prods)
+
+    keyed = canonical_phase(table) if up_to_phase else table
+    q = np.round(keyed.reshape(len(words), -1) * 1e6)
+    keys = np.concatenate([q.real, q.imag], axis=1).astype(np.int64)
+    buckets: dict[bytes, list[int]] = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key.tobytes(), []).append(i)
+
+    cat = RelationCatalog(up_to_phase=up_to_phase, k_max=eff_k_max)
+    for members in map(np.array, buckets.values()):
+        while len(members) > 1:
+            same = equal_matrices(table[members], table[members[0]], up_to_phase, tol)
+            same[0] = True
+            _read_class([words[i] for i in members[same]], cat)
+            members = members[~same]
+    cat.commuting_pairs.sort()
+    cat.equivalent_groups.sort(key=lambda group: (len(group[0]), group))
+    cat.redundancies.sort(key=lambda r: (len(r[0]), r))
     return cat
 
 
+def _read_class(cls: list[Word], cat: RelationCatalog) -> None:
+    """Add the relations of one equal-product class, its words in table order."""
+    members = set(cls)
+    gates = [w[0] for w in cls if len(w) == 1]
+    for length, same in itertools.groupby((w for w in cls if len(w) > 1), len):
+        same = list(same)
+        if gates:
+            cat.redundancies += [(w, gates[0]) for w in same]
+        if len(same) > 1:
+            cat.equivalent_groups.append(tuple(same))
+        if length == 2:
+            cat.commuting_pairs += [w for w in same if w[0] < w[1] and w[::-1] in members]
+
+
 __all__ = ["RelationCatalog", "detect_relations", "equal_matrices", "canonical_phase",
-           "RELATION_TOL"]
+           "RELATION_TOL", "WEIGHT_TOL"]

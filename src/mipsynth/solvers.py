@@ -83,7 +83,7 @@ class ScipyHighsBackend:
 
         bound = getattr(res, "mip_dual_bound", None)
         if bound is not None:
-            bound = sign * float(bound) + arr.constant
+            bound = sign * float(bound)
         gap = getattr(res, "mip_gap", None)
         if gap is not None:
             gap = float(gap)

@@ -120,12 +120,12 @@ def test_criterion_03_oracle_equivalence():
     assert wall < 600.0, f"corpus sweep took {wall:.1f}s"
 
 
-# measured per-solve cost on the two-ended chain (HiGHS, 1 BLAS thread,
-# 2 vCPUs) keeps two pairs out of the 32-subset sweep: iswap_small takes
-# 2.1 s (exact) and 2.2 s (global phase) per solve on average over the 32
-# subsets, up to 4.6 and 5.3 s, about 140 s together; magic_small exact,
-# 0.09 s on average and 0.8 s at most, is in the sweep.  The two left out
-# are covered with the default cuts by the equivalence sweep above
+# measured per-solve cost with one row per forbidden prefix (HiGHS, 1 BLAS
+# thread, 2 vCPUs) keeps two pairs out of the 32-subset sweep: iswap_small
+# takes 2.4 s (exact) and 2.9 s (global phase) per solve on average over
+# the 32 subsets, up to 6.0 and 9.7 s, about 170 s together; magic_small
+# exact is in the sweep.  The two left out are covered with the default
+# cuts by the equivalence sweep above
 SLOW_PAIRS = {("iswap_small", "exact"), ("iswap_small", "global_phase")}
 FAMILY_TOKENS = ("identity", "commuting", "equivalent", "redundancy", "hc")
 

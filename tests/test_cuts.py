@@ -1,13 +1,17 @@
 """Cut families: name parsing, emission rules, and optimum preservation."""
 
+import itertools
 import warnings
 
+import numpy as np
 import pytest
 
-from mipsynth.cuts import CUT_FAMILIES, CutSelection
+from mipsynth.cuts import CUT_FAMILIES, CutSelection, add_pattern_rows
 from mipsynth.errors import ConfigError
 from mipsynth.formulation import SynthesisProblem, synthesize
 from mipsynth.gates import GateSet, builtin_gate, gate_spec, weave_gate_set
+from mipsynth.mip import MipModel
+from mipsynth.relations import detect_relations
 
 
 def gs1(*names: str) -> GateSet:
@@ -114,3 +118,27 @@ def test_hindsight_cuts_skip_on_mode_mismatch():
     with pytest.warns(UserWarning, match="target-equality"):
         r = synthesize(p, backend="scipy")
     assert cut_rows(r) == {}
+
+
+@pytest.mark.parametrize("family", ["commuting", "equivalent", "redundancy"])
+def test_prefix_rows_forbid_exactly_their_words(family):
+    gs, P = gs1("H", "T", "S"), 3
+    words = detect_relations(gs).forbidden_words(family, np.ones(len(gs)))
+    model = MipModel()
+    z = np.array([[model.add_binary(f"z{g},{p}") for p in range(P)]
+                  for g in range(len(gs))])
+    for p in range(P):
+        model.add_constr({int(k): 1.0 for k in z[:, p]}, "==", 1.0, "one_hot")
+    add_pattern_rows(model, z, words, P, f"cut_{family}")
+    # one row per forbidden prefix and position
+    prefixes = {w[:-1] for w in words}
+    assert model.family_rows[f"cut_{family}"] == sum(P - len(a) for a in prefixes)
+    # {H, T, S} has one commuting pair; the other families share prefixes
+    assert len(prefixes) < len(words) or family == "commuting"
+    for circuit in itertools.product(range(len(gs)), repeat=P):
+        x = np.zeros(model.num_vars)
+        x[z[list(circuit), range(P)]] = 1.0
+        meets_rows = max(model.violations(x).values()) <= 1e-9
+        has_forbidden = any(circuit[p:p + len(w)] == w
+                            for w in words for p in range(P))
+        assert meets_rows != has_forbidden, circuit

@@ -101,7 +101,11 @@ def test_unitarity_checks(rng):
     u = random_unitary(4, rng)
     assert is_unitary(u)
     assert not is_unitary(2.0 * u)
-    require_unitary(u)
+    assert np.array_equal(require_unitary(u), u)
+    near = u * (1 + 4e-10)
+    projected = require_unitary(near)
+    assert np.abs(projected.conj().T @ projected - np.eye(4)).max() < 1e-14
+    assert np.abs(projected - u).max() < 1e-14
     with pytest.raises(UnitarityError):
         require_unitary(np.ones((2, 2)))
     with pytest.raises(DimensionError):

@@ -203,6 +203,22 @@ def test_global_phase_solve():
     assert r.phase_factor == pytest.approx(1.0 + 0.0j, abs=1e-6)
 
 
+@pytest.mark.parametrize("P", [3, 4, 5, 6])
+def test_near_unitary_library_solves_in_global_phase(P):
+    # gates accepted with a unitarity defect of 8e-10 are projected onto
+    # the unitaries; unprojected, their products leave the chain's [-1, 1]
+    # box by more than POLISH_TOL, and P = 3 even reads as infeasible
+    scale = 1 + 4e-10
+    mats = [builtin_gate("H") * scale, builtin_gate("T") * scale]
+    gs = GateSet.from_specs(1, [gate_spec(n, (1,), matrix=m)
+                                for n, m in zip("AB", mats)])
+    target = sequence_product([mats[p % 2] for p in range(P)], 2) / scale ** P
+    r = synthesize(SynthesisProblem(target, gs, P=P, phase_mode="global_phase"),
+                   backend="scipy")
+    assert r.status == "optimal"
+    assert r.objective_value == pytest.approx(P, abs=1e-6)
+
+
 def test_depth_solve_single_qubit():
     with pytest.warns(UserWarning, match="unit determinant"):
         p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2, D=2,

@@ -147,8 +147,8 @@ def test_objective_evaluation():
     m = MipModel()
     x = m.add_var("x", -1.0, 1.0)
     m.add_var("y", -1.0, 1.0)
-    m.set_objective({x: 2.0}, constant=1.0)
-    assert m.objective_value(np.array([0.5, 0.3])) == pytest.approx(2.0)
+    m.set_objective({x: 2.0})
+    assert m.objective_value(np.array([0.5, 0.3])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         m.set_objective({x: 1.0}, sense="sideways")
 
