@@ -616,6 +616,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_SCHEMA)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text) if text.strip().lstrip("+-").isdigit() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs a whole number >= 1, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, phase: bool = True) -> None:
     p.add_argument("--config", action="append", default=[],
                    help="JSON run configuration (repeatable for batch runs)")
@@ -626,7 +633,7 @@ def _add_common(p: argparse.ArgumentParser, phase: bool = True) -> None:
         p.add_argument("--phase-mode", choices=["exact", "global"],
                        help="match the target exactly or up to global phase")
     p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="run multiple --config files concurrently")
     p.add_argument("--quiet", action="store_true", help="suppress the summary")
 
@@ -783,7 +790,8 @@ def _run_batch(args: argparse.Namespace, argv: list[str]) -> int:
         raise SystemExit(_failure_code(ConfigError(
             "--report is per-run; put a 'report' key in each batch config instead")))
     work = [(argv, p) for p in args.config]
-    jobs = getattr(args, "jobs", 1)
+    # the pool forks all its workers up front: no more than there are runs
+    jobs = min(getattr(args, "jobs", 1), len(work))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_batch_worker, work))

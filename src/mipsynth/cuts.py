@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError
-from .gates import effective_gate_set
 from .relations import detect_relations
 
 if TYPE_CHECKING:
@@ -143,11 +142,10 @@ def add_pattern_rows(model: "MipModel", z: np.ndarray, words, P: int,
 def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
                  handles: "ModelHandles") -> None:
     """Propagate the exact target two positions back through the last pair."""
-    gs = problem.gate_set
-    P = problem.P
+    gs, P = handles.eff_gate_set, problem.P
     if P < 2:
         return
-    z, t, mats = handles.z, handles.eff_target, handles.eff_gate_mats
+    z, t, mats = handles.z, handles.eff_target, gs.matrices()
     terms = []
     for g in range(len(gs)):
         for h in range(len(gs)):
@@ -167,18 +165,15 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     selection like `hc` works everywhere.
     """
     sel = problem.cuts
-    gs = problem.gate_set
+    gs = handles.eff_gate_set
 
     if sel.identity_symmetry and problem.P > 1:
         add_identity_symmetry_cuts(model, handles.z, gs.identity_index, problem.P)
 
     if sel.wants_patterns():
-        # Patterns must hold for the matrices the model constrains: under
-        # exact phase matching those are determinant-normalized, and raw
-        # relations like Z.Z == I stop being true there.
-        rel_gs = effective_gate_set(gs, handles.eff_gate_mats, handles.su_applied)
+        # patterns must hold for the matrices the model constrains
         up = problem.phase_mode == "global_phase" and problem.targets_equality()
-        catalog = detect_relations(rel_gs, k_max=WORD_K_MAX, up_to_phase=up)
+        catalog = detect_relations(gs, k_max=WORD_K_MAX, up_to_phase=up)
         for family in ("commuting", "equivalent", "redundancy"):
             if getattr(sel, _TOKENS[family]):
                 add_pattern_rows(model, handles.z,

@@ -15,17 +15,20 @@ copy is zero, so each step is exact; its relaxation is never weaker than
 per-gate McCormick rows (Balas 1985; Jeroslow and Lowe 1984).
 
 Objectives with a target T meet it halfway, as the exhaustive search's meet
-in the middle does (Amy, Maslov, Mosca and Roetteler 2013).  The chain runs
-forward from I to Ghat_m, m = ceil(P/2), with M_g = G_g, and backward from
-the target to Ghat_m, with M_g = G_g^dag: Ghat_{P-1} = sum_g z[g,P] T G_g^dag,
-then Ghat_{p-1} = sum_g V[p,g] G_g^dag for P > p > m.  Ghat_m gets both
-definitions, and that pair links the halves; Ghat_P is pinned to T.  Every
-position has exactly one step, so P - 2 steps carry copies.  In global
-phase mode the backward first step is Ghat_{P-1} = sum_g (r_g + i s_g) T
-G_g^dag with sum_g r_g = r, sum_g s_g = s and |r_g|, |s_g| <= z[g,P]: the
-phase (r + i s) split the way the copies split the product, the convex hull
-of rows switched on the last gate, with no big-M (Balas 1985).  At every
-integer point Ghat_p is the product of the first p gates on both halves.
+in the middle does (Amy, Maslov, Mosca and Roetteler 2013), and the target
+enters the model in one place.  The chain runs forward from I to Ghat_m,
+m = min(ceil(P/2), P - 1), with M_g = G_g, and backward from the target to
+Ghat_m, with M_g = G_g^dag: Ghat_{P-1} = sum_g z[g,P] T G_g^dag (row family
+`target`, the only row that reads T), then Ghat_{p-1} = sum_g V[p,g] G_g^dag
+for P > p > m.  Ghat_m gets both definitions, and that pair links the halves;
+there is no Ghat_P.  At P = 1 the target row is written onto the identity,
+sum_g z[g,1] T G_g^dag = I.  Every position has exactly one step, so
+max(P - 2, 0) steps carry copies.  In global phase mode the target row is
+Ghat_{P-1} = sum_g (r_g + i s_g) T G_g^dag with |r_g|, |s_g| <= z[g,P]: the
+phase split the way the copies split the product, the convex hull of rows
+switched on the last gate, with no big-M (Balas 1985).  At every integer
+point Ghat_p is the product of the first p gates on both halves, and the
+last gate's (r_g, s_g) is the phase of the circuit against T.
 Objectives without a target run the chain forward to Ghat_P.
 
 Four objectives share that base: weighted gate count, depth, and two
@@ -57,8 +60,7 @@ from . import oracle as oracle_mod
 from .cuts import CutSelection, apply_cuts
 from .encoding import fidelity, require_unitary, su_normalize
 from .errors import ConfigError, DimensionError, ModelIntegrityError
-from .gates import (GateSet, GateSpec, effective_gate_set, next_layer,
-                    sequence_product)
+from .gates import GateSet, GateSpec, next_layer, sequence_product
 from .mip import MipModel
 from .oracle import checked_time_limit
 from .solvers import DEFAULT_GAP_TOL, Solution, get_backend, is_oracle_backend
@@ -73,12 +75,11 @@ TARGET_OBJECTIVES = ("weighted_gate_count", "depth")
 INTEGRALITY_TOL = 1e-6
 #: Rows that polishing makes true by construction must hold this tightly.
 POLISH_TOL = 1e-9
-#: Row families that tie the circuit to input data: the target equality and
-#: the backward chain's first step from the target (both `target`), the
-#: hindsight cuts that restate it, and the Frobenius epsilon-box.  They hold at
-#: the polished point only as tightly as the data and HiGHS's feasibility
-#: tolerance allow, so they are held to that tolerance and the residual is
-#: recorded in the certificate.
+#: Row families that tie the circuit to input data: the backward chain's first
+#: step from the target (`target`), the hindsight cuts that restate it, and
+#: the Frobenius epsilon-box.  They hold at the polished point only as tightly
+#: as the data and HiGHS's feasibility tolerance allow, so they are held to
+#: that tolerance and the residual is recorded in the certificate.
 DATA_FAMILIES = ("target", "frobenius_box", "cut_hc2")
 DATA_TOL = 1e-6
 
@@ -150,42 +151,40 @@ class ModelHandles:
     """Variable ids of one built model, by meaning."""
 
     z: np.ndarray  # (|G|, P) binaries
-    ghat: np.ndarray  # (P, 2, n, n) Re (index 0) and Im (1) of Ghat_p
+    # (P, 2, n, n) Re (index 0) and Im (1) of Ghat_p; P - 1 under a target
+    ghat: np.ndarray
     # (P+1, |G|, 2, n, n) Re/Im copies V[p,g] of the step at gate position p:
     # of Ghat_{p-1} for 2 <= p <= meet, of Ghat_p for meet < p < P
     v: np.ndarray | None
-    # Ghat_meet is where the forward and backward halves link; P when the
-    # chain runs forward only (no target)
+    # Ghat_meet is where the forward and backward halves link, 0 (the
+    # identity) at P = 1; P when the chain runs forward only (no target)
     meet: int
     eff_target: np.ndarray  # complex target the model constrains against
-    eff_gate_mats: np.ndarray  # (|G|, n, n) complex effective gate matrices
-    su_applied: bool
+    eff_gate_set: GateSet  # the gates the model constrains (effective_instance)
     breaks: np.ndarray | None = None  # (P,) binaries, 1 where a layer opens
-    r: int | None = None
-    s: int | None = None
-    rs_split: np.ndarray | None = None  # (|G|, 2) ids of r_g and s_g
+    # (|G|, 2) ids of r_g and s_g, the last gate's phase against the target
+    rs_split: np.ndarray | None = None
     alpha: int | None = None
     e: np.ndarray | None = None  # (2, n, n) Re/Im deviations from the target
     ehat: np.ndarray | None = None  # (2, n, n) squared-deviation estimators
 
     def pin_rows(self, model: MipModel, pos0: int,
-                 terms: list[tuple[int | None, np.ndarray]], family: str) -> None:
+                 terms: list[tuple[int, np.ndarray]], family: str) -> None:
         """Rows Ghat after pos0 + 1 gates = sum_k x[var_k] M_k, one per Re/Im entry.
 
-        `terms` pairs a variable id, or None for a constant, with a complex
-        matrix M_k; pos0 = -1 addresses the empty product, the identity.
+        `terms` pairs distinct variable ids with complex matrices M_k;
+        pos0 = -1 addresses the empty product, the identity.
         """
         n = self.eff_target.shape[0]
         parts = [(var, _parts(m)) for var, m in terms]
-        consts = [m for var, m in parts if var is None] or [np.zeros((2, n, n))]
-        rhs = sum(consts[1:], consts[0])  # not 0 + ...: a -0.0 entry stays -0.0
+        rhs = np.zeros((2, n, n))
         if pos0 < 0:
-            rhs = rhs - _parts(np.eye(n))
+            rhs -= _parts(np.eye(n))
         for idx in np.ndindex(2, n, n):
             coefs = {} if pos0 < 0 else {int(self.ghat[pos0][idx]): 1.0}
             for var, m in parts:
-                if var is not None and abs(m[idx]) > 1e-14:
-                    coefs[var] = coefs.get(var, 0.0) - float(m[idx])
+                if abs(m[idx]) > 1e-14:
+                    coefs[var] = -float(m[idx])
             model.add_constr(coefs, "==", float(rhs[idx]), family=family)
 
 
@@ -213,24 +212,34 @@ class SynthesisResult:
         return self.status in ("optimal", "feasible")
 
 
-def effective_instance(problem: SynthesisProblem) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Target and gate matrices the model actually constrains.
+def effective_instance(problem: SynthesisProblem) -> tuple[np.ndarray, GateSet]:
+    """Target and gate set the model and both routes' verification read.
 
     Exact-phase target matching is only meaningful inside the special unitary
     group, so both sides are determinant-normalized there; every other mode
-    uses the inputs as given.
+    uses the inputs as given.  The gate set is the library itself unless
+    normalization moves a matrix by more than 1e-14; otherwise it is a copy
+    with the normalized matrices and the library's supports, in which the
+    relations between gates are read as the model sees them (Z.Z == I, say,
+    stops being true).
     """
-    mats = problem.gate_set.matrices()
-    if problem.phase_mode == "exact" and problem.targets_equality():
-        eff_t = su_normalize(problem.target)
-        eff_g = np.stack([su_normalize(m) for m in mats])
-        changed = (np.abs(eff_t - problem.target).max() > 1e-12
-                   or np.abs(eff_g - mats).max() > 1e-12)
-        if changed:
-            warnings.warn("exact phase mode: target and gates were normalized to "
-                          "unit determinant", stacklevel=3)
-        return eff_t, eff_g, True
-    return problem.target.copy(), mats, False
+    gs = problem.gate_set
+    if problem.phase_mode != "exact" or not problem.targets_equality():
+        return problem.target.copy(), gs
+    eff_t = su_normalize(problem.target)
+    mats = gs.matrices()
+    eff_g = np.stack([su_normalize(m) for m in mats])
+    moved = np.abs(eff_g - mats).max()
+    if np.abs(eff_t - problem.target).max() > 1e-12 or moved > 1e-12:
+        warnings.warn("exact phase mode: target and gates were normalized to "
+                      "unit determinant", stacklevel=3)
+    if moved <= 1e-14:
+        return eff_t, gs
+    gates = [replace(g, spec=replace(g.spec, matrix=su_normalize(g.spec.matrix)),
+                     full=m) for g, m in zip(gs, eff_g)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
+        return eff_t, GateSet(gs.num_qubits, gates)
 
 
 def _parts(a: np.ndarray) -> np.ndarray:
@@ -264,20 +273,20 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     """One-hot selection plus the disaggregated cumulative-product chain.
 
     The chain meets the target halfway for target objectives, at
-    m = ceil(P/2), and runs forward to P otherwise (see the module
-    docstring).  Rows: P one-hot; 2n^2 pinning Ghat_1 to the first gate
-    (family cumulative); and for each copy step, 4n^2 per gate bounding its
-    copy by z plus 2n^2 summing the copies (family disjunctive) and 2n^2
-    defining the next product (family cumulative).  There are P - 1 copy
-    steps on the forward chain and P - 2 on the two-ended one, which adds
-    2n^2 rows pinning Ghat_{P-1} to the target pulled back through the last
+    m = min(ceil(P/2), P - 1), and runs forward to P otherwise (see the
+    module docstring).  Rows: P one-hot; 2n^2 pinning Ghat_1 to the first
+    gate (family cumulative) when the chain has a Ghat_1; and for each copy
+    step, 4n^2 per gate bounding its copy by z plus 2n^2 summing the copies
+    (family disjunctive) and 2n^2 defining the next product (family
+    cumulative).  There are P - 1 copy steps on the forward chain and
+    max(P - 2, 0) on the two-ended one, which adds 2n^2 rows pinning
+    Ghat_{P-1}, or I at P = 1, to the target pulled back through the last
     gate (family target).  In global phase mode that pull-back splits the
-    phase: 2 rows sum the r_g and s_g and 4|G| bound them by z[g,P] (family
-    disjunctive).
+    phase: 4|G| rows bound the r_g and s_g by z[g,P] (family disjunctive).
     """
-    gs = problem.gate_set
-    P, G, n = problem.P, len(gs), gs.dim
-    eff_t, eff_g, su_applied = effective_instance(problem)
+    P, n = problem.P, problem.gate_set.dim
+    eff_t, gs = effective_instance(problem)
+    G, mats = len(gs), gs.matrices()
     model = MipModel(name=f"synth_{problem.objective}_Q{gs.num_qubits}_P{P}")
 
     z = np.empty((G, P), dtype=np.int64)
@@ -288,16 +297,19 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
         model.add_constr({int(z[g, p]): 1.0 for g in range(G)}, "==", 1.0,
                          family="one_hot")
 
-    ghat = np.stack([_complex_vars(model, f"Ghat({p + 1})", n) for p in range(P)])
-    meet = (P + 1) // 2 if problem.targets_equality() else P
+    target = problem.targets_equality()
+    ghat = np.array([_complex_vars(model, f"Ghat({p + 1})", n)
+                     for p in range(P - target)], dtype=np.int64).reshape(-1, 2, n, n)
+    meet = min((P + 1) // 2, P - 1) if target else P
     forward = range(2, meet + 1)  # Ghat_p from Ghat_{p-1} through G_p
     backward = range(P - 1, meet, -1)  # Ghat_{p-1} from Ghat_p through G_p^dag
     v = (np.empty((P + 1, G, 2, n, n), dtype=np.int64)
          if len(forward) + len(backward) else None)
     handles = ModelHandles(z=z, ghat=ghat, v=v, meet=meet, eff_target=eff_t,
-                           eff_gate_mats=eff_g, su_applied=su_applied)
-    handles.pin_rows(model, 0, [(int(z[g, 0]), m) for g, m in enumerate(eff_g)],
-                     "cumulative")
+                           eff_gate_set=gs)
+    if meet:
+        handles.pin_rows(model, 0, [(int(z[g, 0]), m) for g, m in enumerate(mats)],
+                         "cumulative")
 
     def copy_step(p: int, src: int, dst: int, right: np.ndarray) -> None:
         """Ghat[dst] = sum_g V[p,g] M_g, the V[p,g] copies of Ghat[src] (0-based)."""
@@ -318,48 +330,29 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
                             coefs[int(v[p, g, d, i, k])] = val
             model.add_constr(coefs, "==", 0.0, family="cumulative")
 
-    right = _right_parts(eff_g)
+    right = _right_parts(mats)
     for p in forward:
         copy_step(p, p - 2, p - 1, right)
-    right = _right_parts(eff_g.conj().transpose(0, 2, 1))
+    right = _right_parts(mats.conj().transpose(0, 2, 1))
     for p in backward:
         copy_step(p, p - 1, p - 2, right)
 
-    if problem.targets_equality() and problem.phase_mode == "global_phase":
-        handles.r = model.add_var("r", -1.0, 1.0)
-        handles.s = model.add_var("s", -1.0, 1.0)
-    if meet < P:
-        pulled = [eff_t @ m.conj().T for m in eff_g]  # T G_g^dag
-        last = [int(k) for k in z[:, P - 1]]
-        if handles.r is None:
-            terms = list(zip(last, pulled))
-        else:
-            split = np.array([[model.add_var(f"{c}({gs.label(g)})", -1.0, 1.0)
-                               for c in "rs"] for g in range(G)], dtype=np.int64)
-            handles.rs_split = split
-            for g in range(G):
-                _bound_by(model, split[g], last[g])
-            for c, whole in enumerate((handles.r, handles.s)):
-                coefs = {int(k): 1.0 for k in split[:, c]}
-                coefs[whole] = -1.0
-                model.add_constr(coefs, "==", 0.0, family="disjunctive")
-            terms = [term for g, m in enumerate(pulled)
-                     for term in ((int(split[g, 0]), m), (int(split[g, 1]), 1j * m))]
-        handles.pin_rows(model, P - 2, terms, "target")
+    if not target:
+        return model, handles
+    pulled = [eff_t @ m.conj().T for m in mats]  # T G_g^dag
+    last = [int(k) for k in z[:, P - 1]]
+    if problem.phase_mode == "exact":
+        terms = list(zip(last, pulled))
+    else:
+        split = np.array([[model.add_var(f"{c}({gs.label(g)})", -1.0, 1.0)
+                           for c in "rs"] for g in range(G)], dtype=np.int64)
+        handles.rs_split = split
+        for g in range(G):
+            _bound_by(model, split[g], last[g])
+        terms = [term for g, m in enumerate(pulled)
+                 for term in ((int(split[g, 0]), m), (int(split[g, 1]), 1j * m))]
+    handles.pin_rows(model, P - 2, terms, "target")
     return model, handles
-
-
-def add_target(problem: SynthesisProblem, model: MipModel,
-               handles: ModelHandles) -> None:
-    """Pin the final cumulative product to the target, exactly or up to phase.
-
-    In global phase mode Ghat_P = (r + i s) T, one row per Re/Im entry, with
-    the phase variables build_base made.
-    """
-    t = handles.eff_target
-    terms = ([(None, t)] if handles.r is None
-             else [(handles.r, t), (handles.s, 1j * t)])
-    handles.pin_rows(model, problem.P - 1, terms, "target")
 
 
 def add_objective_gate_count(problem: SynthesisProblem, model: MipModel,
@@ -467,13 +460,11 @@ def add_objective_frobenius_oa(problem: SynthesisProblem, model: MipModel,
 
 
 def build_model(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
-    """Base, target (when the objective has one), objective, and cuts."""
+    """Base (with the target, when the objective has one), objective, and cuts."""
     if problem.objective == "exact_fidelity":
         raise ConfigError("exact_fidelity is a quadratic objective with no linear "
                           "model; solve it with the oracle backend")
     model, handles = build_base(problem)
-    if problem.targets_equality():
-        add_target(problem, model, handles)
     if problem.objective == "weighted_gate_count":
         add_objective_gate_count(problem, model, handles)
     elif problem.objective == "depth":
@@ -503,20 +494,20 @@ def schedule_depth(sequence) -> tuple[int, dict[int, int]]:
 
 
 def verify_sequence(problem: SynthesisProblem, gate_indices: list[int],
-                    eff_target: np.ndarray, eff_gate_mats: np.ndarray) -> SynthesisResult:
+                    eff_target: np.ndarray, eff_gs: GateSet) -> SynthesisResult:
     """Everything a chosen gate sequence determines, computed from the gates.
 
     The realized unitary and its fidelity use the library's own matrices;
     alpha, beta, the squared Frobenius error and the phase factor use the
     effective instance the model constrains (see effective_instance).  The
-    phase factor is alpha + i*beta, the value the phase variables (r, s)
-    take, in global-phase mode with a target.  Depth and schedule come from
-    the gates' supports.  Both synthesis routes build their results here and
-    add only their own objective value and certificate.
+    phase factor is alpha + i*beta, in global-phase mode with a target: the
+    value of the last gate's phase split (r_g + i s_g).  Depth and schedule
+    come from the gates' supports.  Both synthesis routes build their
+    results here and add only their own objective value and certificate.
     """
     gs = problem.gate_set
     realized = sequence_product(gs.matrices()[gate_indices], gs.dim)
-    eff_prod = sequence_product(eff_gate_mats[gate_indices], gs.dim)
+    eff_prod = sequence_product(eff_gs.matrices()[gate_indices], gs.dim)
     overlap = np.vdot(eff_target, eff_prod) / gs.dim  # tr(T^dag U) / n
     alpha, beta = float(overlap.real), float(overlap.imag)
     depth, schedule = schedule_depth([gs[g].support for g in gate_indices])
@@ -549,10 +540,10 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
     first p gates on both halves of the chain; the copies V[p,g], which for
     the chosen gate hold the product their step starts from (Ghat_{p-1} on
     the forward half, Ghat_p on the backward half) and zero for the others;
-    the phase (r, s) and its split (r_g, s_g), the phase for the last gate
-    and zero for the others; alpha; and the deviations E (clipped into the
-    epsilon-box, so any excess shows up in the box rows) with their tangent
-    estimators.
+    the phase split (r_g, s_g), the circuit's phase against the target for
+    the last gate and zero for the others; alpha; and the deviations E
+    (clipped into the epsilon-box, so any excess shows up in the box rows)
+    with their tangent estimators.
     Returns the polished point and the chosen gate per position.
     """
     ints = model.integer_vars()
@@ -574,11 +565,12 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
                 f"position {p + 1} selects {len(sel)} gates after rounding")
         chosen.append(int(sel[0]))
 
-    mats = handles.eff_gate_mats
+    mats = handles.eff_gate_set.matrices()
     chain = [mats[chosen[0]]]
     for g in chosen[1:]:
         chain.append(chain[-1] @ mats[g])
-    xp[handles.ghat] = np.stack([_parts(c) for c in chain])
+    xp[handles.ghat] = np.reshape([_parts(c) for c in chain[:len(handles.ghat)]],
+                                  handles.ghat.shape)
     meet = handles.meet
     for p in range(2, problem.P + 1):
         if p <= meet or p < problem.P:  # the last gate has no copies past meet
@@ -586,12 +578,10 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
             xp[handles.v[p]] = z[:, p - 1, None, None, None] * _parts(held)
 
     final = chain[-1]
-    # the target rows make r + i*s the phase, alpha + i*beta = tr(T^dag U) / n
+    # the target row makes the last gate's split the phase, tr(T^dag U) / n
     phase = np.vdot(handles.eff_target, final) / len(final)
-    for var, val in ((handles.r, phase.real), (handles.s, phase.imag),
-                     (handles.alpha, phase.real)):
-        if var is not None:
-            xp[var] = val
+    if handles.alpha is not None:
+        xp[handles.alpha] = phase.real
     if handles.rs_split is not None:
         xp[handles.rs_split] = z[:, -1, None] * [phase.real, phase.imag]
     if handles.e is not None:
@@ -648,7 +638,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
 
     seq_idx = [g for g in chosen if g != problem.gate_set.identity_index]
     result = verify_sequence(problem, seq_idx, handles.eff_target,
-                             handles.eff_gate_mats)
+                             handles.eff_gate_set)
     # a time-limited incumbent may carry more breaks than its depth
     return replace(
         result, status=solution.status,
@@ -662,8 +652,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
 
 
 def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> SynthesisResult:
-    eff_t, eff_g, su_applied = effective_instance(problem)
-    eff_gs = effective_gate_set(problem.gate_set, eff_g, su_applied)
+    eff_t, eff_gs = effective_instance(problem)
     obj_map = {"weighted_gate_count": "gate_count", "depth": "depth",
                "linearized_fidelity": "alpha", "exact_fidelity": "fidelity",
                "frobenius_oa": "alpha"}
@@ -676,7 +665,7 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
                                certificate={"status": "infeasible", "bound": None,
                                             "gap": None, "nodes": res.nodes},
                                solve_seconds=res.seconds)
-    result = verify_sequence(problem, res.sequence, eff_t, eff_g)
+    result = verify_sequence(problem, res.sequence, eff_t, eff_gs)
     fid = result.fidelity_to_target
     if problem.targets_equality() and fid < 1 - 1e-9:
         raise ModelIntegrityError(
@@ -699,7 +688,8 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
                time_limit: float | None = None) -> SynthesisResult:
     """Solve one synthesis instance end to end and verify the outcome.
 
-    `time_limit` is in seconds; None means no limit.
+    `time_limit` is in seconds and covers building the model too; None
+    means no limit.
     """
     time_limit = checked_time_limit(time_limit)
     t0 = time.perf_counter()
@@ -712,6 +702,8 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
                       "objective; falling back to exhaustive search", stacklevel=2)
         return _oracle_route(problem, time_limit)
     model, handles = build_model(problem)
+    if time_limit is not None:
+        time_limit -= time.perf_counter() - t0
     sol = be.solve(model, time_limit=time_limit)
     solver_info = {"row_families": dict(model.family_rows), "nodes": sol.nodes}
     if sol.status in ("optimal", "feasible"):
@@ -728,7 +720,7 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
 
 __all__ = [
     "SynthesisProblem", "ModelHandles", "SynthesisResult",
-    "build_base", "build_model", "add_target", "add_objective_gate_count",
+    "build_base", "build_model", "add_objective_gate_count",
     "add_depth_scheduling", "add_objective_linearized_fidelity",
     "add_objective_frobenius_oa",
     "extract_and_verify", "polish_point", "schedule_depth", "verify_sequence",

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import require_unitary, su_normalize
+from .encoding import require_unitary
 from .errors import DimensionError, GateSetError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -324,21 +324,6 @@ class GateSet:
         raise GateSetError(f"no gate {name!r} on qubits {qubits} in set")
 
 
-def effective_gate_set(gs: GateSet, eff_mats: np.ndarray, su_applied: bool) -> GateSet:
-    """`gs` with the determinant-normalized full matrices `eff_mats` a model constrains."""
-    if not su_applied or np.abs(eff_mats - gs.matrices()).max() <= 1e-14:
-        return gs
-    new_gates = []
-    for i, g in enumerate(gs):
-        spec = GateSpec(name=g.spec.name, qubits=g.spec.qubits,
-                        matrix=su_normalize(g.spec.matrix), angle=g.spec.angle)
-        new_gates.append(ExtendedGate(spec=spec, num_qubits=gs.num_qubits,
-                                      full=eff_mats[i], support=g.support))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
-        return GateSet(gs.num_qubits, new_gates)
-
-
 def fibonacci_generators() -> list[GateSpec]:
     """Fibonacci anyon braid generators followed by their weave squares.
 
@@ -412,7 +397,6 @@ __all__ = [
     "GateSpec",
     "ExtendedGate",
     "GateSet",
-    "effective_gate_set",
     "builtin_gate",
     "builtin_names",
     "gate_spec",

@@ -51,10 +51,21 @@ class ScipyHighsBackend:
     """
 
     def solve(self, model: MipModel, time_limit: float | None = None) -> Solution:
+        """One HiGHS run; `time_limit` covers the array export and the run.
+
+        With no time left after the export, the verdict is time_limit and
+        HiGHS is not called.
+        """
         from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.sparse import coo_matrix
 
+        start = time.perf_counter()
         arr = model.to_arrays()
+        if time_limit is not None:
+            time_limit -= time.perf_counter() - start
+            if time_limit <= 0:
+                return Solution(status="time_limit",
+                                message="the time limit ran out before the solve")
         sign = -1.0 if arr.sense == "max" else 1.0
         constraints = None
         if arr.num_rows:
@@ -63,7 +74,7 @@ class ScipyHighsBackend:
             constraints = LinearConstraint(a, arr.row_lb, arr.row_ub)
         options: dict = {"disp": False, "mip_rel_gap": DEFAULT_GAP_TOL}
         if time_limit is not None:
-            options["time_limit"] = float(time_limit)
+            options["time_limit"] = time_limit
 
         t0 = time.perf_counter()
         # HiGHS writes some diagnostics straight to file descriptor 1 even

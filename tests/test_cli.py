@@ -343,6 +343,45 @@ def test_main_batch_survives_a_bad_config(tmp_path, capsys, jobs):
     assert f"[{bad}] failed" in capsys.readouterr().out
 
 
+def test_batch_jobs_are_capped_by_the_runs(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        """Records its worker count and runs every job in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfgs = []
+    for P in (1, 2):
+        cfg = tmp_path / f"c{P}.json"
+        cfg.write_text(json.dumps({"fixture": "iswap", "P": P, "phase_mode": "global",
+                                   "backend": "oracle"}))
+        cfgs += ["--config", str(cfg)]
+    assert main(["synthesize", "--jobs", "500", *cfgs]) == EXIT_INFEASIBLE
+    assert pools == [2]
+    assert main(["synthesize", "--jobs", "1", *cfgs]) == EXIT_INFEASIBLE
+    assert pools == [2]  # one job runs in this process, with no pool
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--jobs", bad, *cfgs])
+        assert exc.value.code == EXIT_SCHEMA
+    assert pools == [2]
+    capsys.readouterr()
+
+
 def test_bad_time_limits_exit_64_before_solving(tmp_path, capsys, monkeypatch):
     from mipsynth import formulation
 

@@ -1,6 +1,7 @@
 """Model assembly and the end-to-end synthesis driver on small instances."""
 
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -88,25 +89,27 @@ def test_depth_objective_disables_order_cuts():
 def test_effective_instance_scope():
     gs = gs1("H", "T")
     t = builtin_gate("S")
-    (eff_t, eff_g, su), warned = su_warned(
+    (eff_t, eff_gs), warned = su_warned(
         lambda: effective_instance(SynthesisProblem(t, gs, P=2)))
-    assert su and warned
+    assert warned and eff_gs is not gs
     assert np.linalg.det(eff_t) == pytest.approx(1.0, abs=1e-12)
-    assert all(abs(np.linalg.det(m) - 1) < 1e-12 for m in eff_g)
+    assert all(abs(np.linalg.det(m) - 1) < 1e-12 for m in eff_gs.matrices())
+    assert [g.support for g in eff_gs] == [g.support for g in gs]
+    assert eff_gs.identity_index == gs.identity_index
 
-    (eff_t, eff_g, su), warned = su_warned(lambda: effective_instance(
+    (eff_t, eff_gs), warned = su_warned(lambda: effective_instance(
         SynthesisProblem(t, gs, P=2, phase_mode="global_phase")))
-    assert not su and not warned and np.array_equal(eff_t, t)
+    assert eff_gs is gs and not warned and np.array_equal(eff_t, t)
 
-    (eff_t, _, su), warned = su_warned(lambda: effective_instance(
+    (eff_t, eff_gs), warned = su_warned(lambda: effective_instance(
         SynthesisProblem(t, gs, P=2, objective="linearized_fidelity")))
-    assert not su and not warned and np.array_equal(eff_t, t)
+    assert eff_gs is gs and not warned and np.array_equal(eff_t, t)
 
     # an already-special instance is left alone, quietly
     rz = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.7)])
-    (eff_t, _, su), warned = su_warned(lambda: effective_instance(
+    (eff_t, eff_gs), warned = su_warned(lambda: effective_instance(
         SynthesisProblem(builtin_gate("RZ", 0.3), rz, P=2)))
-    assert su and not warned
+    assert eff_gs is rz and not warned
 
 
 def test_build_base_counts():
@@ -131,28 +134,45 @@ def test_build_base_counts():
     assert m.num_vars == 5 + 8 and h.v is None
     assert m.family_rows == {"one_hot": 1, "cumulative": 8}
 
-    # a target: forward to meet = ceil(5/2) = 3 (copy steps at p = 2, 3),
-    # backward from T (copy step at p = 4), P - 2 = 3 copy steps in all.
-    # n = 2, |G| = 3, P = 5.  z: |G|*P; Ghat: P*2n^2; V: (P-2)*|G|*2n^2
+    # a target: forward to meet = min(ceil(5/2), 4) = 3 (copy steps at
+    # p = 2, 3), backward from T (copy step at p = 4), P - 2 = 3 copy steps
+    # in all, and no Ghat_P.
+    # n = 2, |G| = 3, P = 5.  z: |G|*P; Ghat: (P-1)*2n^2; V: (P-2)*|G|*2n^2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         exact = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=5)
         m, h = build_base(exact)
-    assert h.meet == 3
-    assert m.num_vars == 15 + 40 + 72
+    assert h.meet == 3 and h.ghat.shape == (4, 2, 2, 2)
+    assert m.num_vars == 15 + 32 + 72
     # one-hot: P; cumulative: 2n^2 for Ghat_1 plus 2n^2 per copy step;
     # disjunctive: (P-2)*(|G|*4n^2 + 2n^2); target: 2n^2 for Ghat_{P-1}
     assert m.family_rows == {"one_hot": 5, "cumulative": 8 + 3 * 8,
                              "disjunctive": 3 * (3 * 16 + 8), "target": 8}
-    # global phase adds r, s and (r_g, s_g) per gate: 2 sums, 4|G| bounds
+    # global phase adds the split (r_g, s_g) per gate: 2|G| variables and
+    # 4|G| bounds
     gp = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=5,
                           phase_mode="global_phase")
     m, h = build_base(gp)
-    assert m.num_vars == 15 + 40 + 72 + 2 + 2 * 3
+    assert m.num_vars == 15 + 32 + 72 + 2 * 3
     assert m.family_rows == {"one_hot": 5, "cumulative": 8 + 3 * 8,
-                             "disjunctive": 3 * (3 * 16 + 8) + 2 + 4 * 3,
+                             "disjunctive": 3 * (3 * 16 + 8) + 4 * 3,
                              "target": 8}
     assert h.rs_split.shape == (3, 2)
+
+    # P = 1 with a target: meet = 0 and no Ghat at all; the target row is
+    # written onto the identity, sum_g z[g,1] T G_g^dag = I.
+    # exact: z: |G| variables; one-hot 1; target 2n^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m, h = build_base(SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=1))
+    assert h.meet == 0 and h.ghat.shape == (0, 2, 2, 2) and h.v is None
+    assert m.num_vars == 3
+    assert m.family_rows == {"one_hot": 1, "target": 8}
+    # global phase: z plus (r_g, s_g), 3|G| variables; 4|G| bounds
+    m, h = build_base(SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=1,
+                                       phase_mode="global_phase"))
+    assert m.num_vars == 3 * 3
+    assert m.family_rows == {"one_hot": 1, "target": 8, "disjunctive": 4 * 3}
 
 
 def test_full_model_adds_objective_and_cuts():
@@ -174,13 +194,30 @@ def test_exact_solve_small():
     assert r.certificate["bound"] == pytest.approx(2.0)
     assert r.certificate["gap"] == pytest.approx(0.0)
     # P = 2 meets the target at Ghat_1 and has no copy step (P - 2 = 0):
-    # one-hot P; cumulative 2n^2 for Ghat_1; target 2n^2 each for Ghat_P
-    # and Ghat_{P-1}; P - 1 identity-placement rows; n = 2
+    # one-hot P; cumulative 2n^2 for Ghat_1; target 2n^2 for Ghat_{P-1};
+    # P - 1 identity-placement rows; n = 2
     assert r.certificate["row_families"] == {
-        "one_hot": 2, "cumulative": 8, "target": 8 + 8,
+        "one_hot": 2, "cumulative": 8, "target": 8,
         "cut_identity_symmetry": 1}
     assert "presolve_retry" not in r.certificate
     assert isinstance(r.certificate["nodes"], int)
+
+
+@pytest.mark.filterwarnings("ignore:exact phase mode")
+@pytest.mark.parametrize("phase_mode", PHASE_MODES)
+@pytest.mark.parametrize("objective", TARGET_OBJECTIVES)
+def test_single_position_target(phase_mode, objective):
+    """P = 1 has only the target row, written onto the identity."""
+    gs = gs1("H", "T")
+    r = synthesize(SynthesisProblem(builtin_gate("T"), gs, P=1, objective=objective,
+                                    phase_mode=phase_mode), backend="scipy")
+    assert r.status == "optimal"
+    assert [s.name for s in r.sequence] == ["T"]
+    assert r.objective_value == pytest.approx(1.0)
+    assert r.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
+    r = synthesize(SynthesisProblem(builtin_gate("S"), gs, P=1, objective=objective,
+                                    phase_mode=phase_mode), backend="scipy")
+    assert r.status == "infeasible"
 
 
 def test_exact_solve_infeasible():
@@ -428,6 +465,27 @@ def test_bad_time_limits_fail_before_any_model(monkeypatch, backend):
                 synthesize(p, backend=backend, time_limit=bad)
 
 
+def test_time_limit_covers_the_model_build(monkeypatch):
+    import scipy.optimize
+
+    build = formulation.build_model
+
+    def slow_build(problem):
+        time.sleep(0.3)
+        return build(problem)
+
+    def no_milp(*args, **kwargs):
+        raise AssertionError("HiGHS ran with no time left")
+
+    monkeypatch.setattr(formulation, "build_model", slow_build)
+    monkeypatch.setattr(scipy.optimize, "milp", no_milp)
+    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2,
+                         phase_mode="global_phase")
+    r = synthesize(p, backend="scipy", time_limit=0.2)
+    assert r.status == "time_limit" and r.sequence == []
+    assert r.certificate["status"] == "time_limit"
+
+
 TWO_QUBIT_GATES = tuple((n, (q,)) for n in ("H", "T", "S", "X") for q in (1, 2)) + (
     ("CNOT", (1, 2)), ("CNOT", (2, 1)), ("CZ", (1, 2)))
 
@@ -588,7 +646,7 @@ def test_polished_point_satisfies_every_row():
         assert chosen == word
         viol = m.violations(xp)
         assert "target" in viol
-        assert ("disjunctive" in viol) == (P > 2 or (P == 2 and mode != "exact"))
+        assert ("disjunctive" in viol) == (P > 2 or mode != "exact")
         for fam, worst in viol.items():
             tol = DATA_TOL if fam in DATA_FAMILIES else POLISH_TOL
             assert worst <= tol, (P, mode, objective, fam, worst)
