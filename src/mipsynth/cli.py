@@ -434,6 +434,7 @@ def make_report(command: str, cfg: dict, problem: SynthesisProblem,
         "phase_factor": _jsonable(result.phase_factor),
         "wall_seconds": wall,
         "solve_seconds": result.solve_seconds,
+        "solver_time_limit": _jsonable(cert.get("solver_time_limit")),
         "row_families": cert.get("row_families", {}),
         "circuit": circuit_doc(result.sequence, nq),
     }

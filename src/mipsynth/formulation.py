@@ -31,6 +31,24 @@ point Ghat_p is the product of the first p gates on both halves, and the
 last gate's (r_g, s_g) is the phase of the circuit against T.
 Objectives without a target run the chain forward to Ghat_P.
 
+A forward chain also carries its reachable spans.  Let L_p be the real
+span of the Re/Im parts of every product of at most p gates; the identity
+is a gate, so L_{p-1} lies in L_p, and L_p = L_{p-1} + N_{p-1} G, where
+N_{p-1} holds the directions step p - 1 added (reachable_spans).  At every
+integer point Ghat_p lies in L_p and each copy V[p,g] in L_{p-1}, so each
+coordinate outside a set of pivots is a fixed combination of the pivots:
+one row per dependent coordinate (family `span`), or a bound fixed to 0 when
+the combination is empty, a structural zero.  The rows hold exactly at the
+polished point.  A library inside SU(2), such as the weaves, keeps every
+product in the 4-dimensional span of the quaternions; the targets H and X
+are orthogonal to that span, and the relaxation proves alpha <= 0 at its
+root, where at P = 5 HiGHS branched about 550 nodes without the rows.
+Target chains carry no span rows.  Measured on the oracle corpus in both
+modes at a 10 s cap, the summed solve time rose from 5.2-7.2 s to
+12.6-12.9 s with rows on the forward half (iswap_small exact from 1.0-1.4 s
+to 5.4 s), and rows on both halves were no better (5.3-6.6 s to 8.7-10.0 s;
+the registry's iswap in global phase from 7 s to 21 s).
+
 Four objectives share that base: weighted gate count, depth, and two
 approximate-compilation objectives that drop the target equality.  The
 fifth, exact fidelity, is quadratic and non-convex; it is always answered by
@@ -82,6 +100,10 @@ POLISH_TOL = 1e-9
 #: that tolerance and the residual is recorded in the certificate.
 DATA_FAMILIES = ("target", "frobenius_box", "cut_hc2")
 DATA_TOL = 1e-6
+#: A new direction enters a reachable span when its singular value exceeds
+#: this share of the candidates' norm; span-row coefficients at or below it
+#: are dropped.  Both errors stay far inside POLISH_TOL.
+SPAN_TOL = 1e-12
 
 
 @dataclass
@@ -221,7 +243,8 @@ def effective_instance(problem: SynthesisProblem) -> tuple[np.ndarray, GateSet]:
     normalization moves a matrix by more than 1e-14; otherwise it is a copy
     with the normalized matrices and the library's supports, in which the
     relations between gates are read as the model sees them (Z.Z == I, say,
-    stops being true).
+    stops being true).  A gate other than the identity that normalizes to
+    the identity, a pure phase such as i*I, raises ConfigError.
     """
     gs = problem.gate_set
     if problem.phase_mode != "exact" or not problem.targets_equality():
@@ -229,6 +252,11 @@ def effective_instance(problem: SynthesisProblem) -> tuple[np.ndarray, GateSet]:
     eff_t = su_normalize(problem.target)
     mats = gs.matrices()
     eff_g = np.stack([su_normalize(m) for m in mats])
+    for g in gs.non_identity_indices():
+        if replace(gs[g], full=eff_g[g]).is_identity:
+            raise ConfigError(
+                f"exact phase mode: gate {gs.label(g)} is a pure phase and "
+                "normalizes to the identity; drop it or use global phase mode")
     moved = np.abs(eff_g - mats).max()
     if np.abs(eff_t - problem.target).max() > 1e-12 or moved > 1e-12:
         warnings.warn("exact phase mode: target and gates were normalized to "
@@ -269,6 +297,69 @@ def _right_parts(mats: np.ndarray) -> np.ndarray:
     return np.array([[[m.real, m.imag], [-m.imag, m.real]] for m in mats])
 
 
+def reachable_spans(mats: np.ndarray, P: int) -> list[np.ndarray]:
+    """Orthonormal bases of L_0, ..., L_P, one (dim L_p, 2n^2) array each.
+
+    L_p is the real span of the Re/Im parts, flattened as a (2, n, n) array,
+    of every product of at most p of the matrices; `mats` holds the identity.
+    Step p multiplies only the directions step p - 1 added, N_{p-1}, by each
+    matrix, and keeps what is new beyond L_{p-1} by an SVD rank test at
+    SPAN_TOL.  The candidates are unit vectors, since a unitary on the right
+    keeps the Frobenius norm.  Once a step adds nothing, or the span is the
+    whole space, every later span is the same.
+    """
+    n = mats.shape[1]
+    d = 2 * n * n
+    new = _parts(np.eye(n)).reshape(1, d) / np.sqrt(n)
+    spans = [new]
+    for _ in range(P):
+        basis = spans[-1]
+        if len(new) and len(basis) < d:
+            held = new.reshape(-1, 2, n, n)
+            prods = (held[:, 0] + 1j * held[:, 1])[:, None] @ mats
+            cand = np.stack([prods.real, prods.imag], axis=2).reshape(-1, d)
+            cand -= cand @ basis.T @ basis
+            _, s, vt = np.linalg.svd(cand, full_matrices=False)
+            new = vt[s > SPAN_TOL]
+            basis = np.vstack([basis, new])
+        spans.append(basis)
+    return spans
+
+
+def span_relations(basis: np.ndarray) -> list[tuple[int, list[tuple[int, float]]]]:
+    """Each coordinate outside the pivots, as a combination of the pivots.
+
+    Pivoted Gram-Schmidt on the columns of the orthonormal `basis` picks
+    one pivot coordinate per dimension; every point x of the span then has
+    x_j = sum_k R_jk x_k over the pivots k for each other coordinate j.
+    Returns (j, [(k, R_jk), ...]) with the R_jk above SPAN_TOL; an empty
+    list marks a structural zero.
+    """
+    r, d = basis.shape
+    rest, piv = basis.copy(), []
+    for _ in range(r):
+        k = int(np.argmax(np.einsum("ij,ij->j", rest, rest)))
+        q = rest[:, k] / np.linalg.norm(rest[:, k])
+        rest -= np.outer(q, q @ rest)
+        piv.append(k)
+    dep = np.setdiff1d(np.arange(d), piv)
+    coef = np.linalg.solve(basis[:, piv], basis[:, dep])  # x_dep = x_piv @ coef
+    return [(int(j), [(k, float(c)) for k, c in zip(piv, col) if abs(c) > SPAN_TOL])
+            for j, col in zip(dep, coef.T)]
+
+
+def _span_rows(model: MipModel, ids: np.ndarray, relations) -> None:
+    """Confine the variables `ids`, flattened like the span, to its relations."""
+    flat = np.ravel(ids)
+    for j, terms in relations:
+        if terms:
+            coefs = {int(flat[j]): 1.0}
+            coefs.update((int(flat[k]), -c) for k, c in terms)
+            model.add_constr(coefs, "==", 0.0, family="span")
+        else:
+            model.fix_var(int(flat[j]), 0.0)
+
+
 def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     """One-hot selection plus the disaggregated cumulative-product chain.
 
@@ -283,6 +374,9 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     Ghat_{P-1}, or I at P = 1, to the target pulled back through the last
     gate (family target).  In global phase mode that pull-back splits the
     phase: 4|G| rows bound the r_g and s_g by z[g,P] (family disjunctive).
+    The forward chain of an objective without a target adds the span rows
+    (family span): 2n^2 - dim L_p for Ghat_p and 2n^2 - dim L_{p-1} for each
+    copy V[p,g], less the structural zeros, whose bounds are fixed to 0.
     """
     P, n = problem.P, problem.gate_set.dim
     eff_t, gs = effective_instance(problem)
@@ -338,6 +432,12 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
         copy_step(p, p - 1, p - 2, right)
 
     if not target:
+        rel = [span_relations(b) for b in reachable_spans(mats, P)]
+        for p in range(1, P + 1):
+            _span_rows(model, ghat[p - 1], rel[p])
+            if p > 1:
+                for copy in v[p]:
+                    _span_rows(model, copy, rel[p - 1])
         return model, handles
     pulled = [eff_t @ m.conj().T for m in mats]  # T G_g^dag
     last = [int(k) for k in z[:, P - 1]]
@@ -689,7 +789,8 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     """Solve one synthesis instance end to end and verify the outcome.
 
     `time_limit` is in seconds and covers building the model too; None
-    means no limit.
+    means no limit.  A MIP certificate records what was left of it for the
+    solver as `solver_time_limit`.
     """
     time_limit = checked_time_limit(time_limit)
     t0 = time.perf_counter()
@@ -705,7 +806,8 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     if time_limit is not None:
         time_limit -= time.perf_counter() - t0
     sol = be.solve(model, time_limit=time_limit)
-    solver_info = {"row_families": dict(model.family_rows), "nodes": sol.nodes}
+    solver_info = {"row_families": dict(model.family_rows), "nodes": sol.nodes,
+                   "solver_time_limit": time_limit}
     if sol.status in ("optimal", "feasible"):
         result = extract_and_verify(problem, model, handles, sol)
         result.solve_seconds = time.perf_counter() - t0

@@ -179,6 +179,28 @@ def test_main_budget_exhaustion_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["synthesize", "oracle"])
+def test_main_pure_phase_gate_exits_64(tmp_path, capsys, command):
+    cfg = tmp_path / "phase.json"
+    cfg.write_text(json.dumps({"target": "H", "P": 2, "gate_set": {
+        "qubits": 1, "gates": [
+            {"name": "H", "qubits": [1]},
+            {"name": "W", "qubits": [1],
+             "matrix": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]}]}}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == EXIT_SCHEMA
+    assert "W[1] is a pure phase" in capsys.readouterr().err
+
+
+def test_main_reports_the_solver_time_limit(tmp_path, capsys):
+    rep = tmp_path / "approx.json"
+    assert main(["approx", "--target", "T", "--gate-set", "weaves", "-P", "2",
+                 "--time-limit", "5", "--report", str(rep)]) == EXIT_OPTIMAL
+    capsys.readouterr()
+    assert 0 < json.loads(rep.read_text())["solver_time_limit"] <= 5
+
+
 def test_main_identity_target(capsys):
     code = main(["synthesize", "--target", "identity", "--gate-set", "weaves",
                  "-P", "2", "--backend", "oracle", "--quiet"])

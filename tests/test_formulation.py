@@ -31,6 +31,12 @@ def gs1(*names: str) -> GateSet:
     return GateSet.from_specs(1, [gate_spec(n, (1,)) for n in names])
 
 
+def fixed_zeros(model) -> int:
+    """Continuous variables whose bounds are fixed to 0."""
+    arr = model.to_arrays()
+    return int(np.sum((arr.lb == 0.0) & (arr.ub == 0.0) & (arr.integrality == 0)))
+
+
 def su_warned(fn):
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -122,9 +128,16 @@ def test_build_base_counts():
     # n = 2, |G| = 5, P = 2.  z: |G|*P; Ghat: P*2n^2; V: (P-1)*|G|*2n^2
     assert m.num_vars == 10 + 16 + 40
     # one-hot: P; cumulative: P*2n^2;
-    # disjunctive: (P-1)*(|G|*4n^2 copy bounds + 2n^2 aggregate rows)
+    # disjunctive: (P-1)*(|G|*4n^2 copy bounds + 2n^2 aggregate rows);
+    # span: 2n^2 - dim L_p dependent coordinates of Ghat_p and
+    # 2n^2 - dim L_{p-1} of each copy V[p,g], less the structural zeros.
+    # The weaves span dim L_1 = 3 with 2 structural zeros and dim L_2 = 4
+    # with none: Ghat_1 (5 - 2) + Ghat_2 4 + |G| copies (5 - 2) rows, and
+    # Ghat_1 2 + |G| copies 2 zeros fixed
     assert m.family_rows == {"one_hot": 2, "cumulative": 16,
-                             "disjunctive": 5 * 16 + 8}
+                             "disjunctive": 5 * 16 + 8,
+                             "span": 3 + 4 + 5 * 3}
+    assert fixed_zeros(m) == 2 + 5 * 2
     assert h.z.shape == (5, 2) and h.ghat.shape == (2, 2, 2, 2)
     assert h.v.shape == (3, 5, 2, 2, 2) and h.meet == 2
 
@@ -132,7 +145,9 @@ def test_build_base_counts():
                           objective="linearized_fidelity")
     m, h = build_base(p1)
     assert m.num_vars == 5 + 8 and h.v is None
-    assert m.family_rows == {"one_hot": 1, "cumulative": 8}
+    # span: Ghat_1 in L_1, 5 - 2 rows and 2 zeros fixed
+    assert m.family_rows == {"one_hot": 1, "cumulative": 8, "span": 3}
+    assert fixed_zeros(m) == 2
 
     # a target: forward to meet = min(ceil(5/2), 4) = 3 (copy steps at
     # p = 2, 3), backward from T (copy step at p = 4), P - 2 = 3 copy steps
@@ -173,6 +188,57 @@ def test_build_base_counts():
                                        phase_mode="global_phase"))
     assert m.num_vars == 3 * 3
     assert m.family_rows == {"one_hot": 1, "target": 8, "disjunctive": 4 * 3}
+
+
+def span_residual(p: SynthesisProblem, words) -> float:
+    """Worst span-row or bound violation at the polished points of `words`.
+
+    Each word fills all P positions; the identity pads shorter circuits.
+    """
+    m, h = build_base(p)
+    assert "span" in m.family_rows
+    worst = 0.0
+    for word in words:
+        x = np.zeros(m.num_vars)
+        x[h.z[list(word), np.arange(p.P)]] = 1.0
+        xp, chosen = polish_point(p, m, h, x)
+        assert chosen == list(word)
+        viol = m.violations(xp)
+        worst = max(worst, viol["span"], viol["bounds"])
+    return worst
+
+
+def test_span_rows_hold_on_every_weave_word():
+    # every word of at most 5 weaves, and each of its prefixes in the copies
+    p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=5,
+                         objective="linearized_fidelity")
+    words = itertools.product(range(len(p.gate_set)), repeat=p.P)
+    assert span_residual(p, words) <= 1e-12
+
+
+@pytest.mark.parametrize("special", [True, False], ids=["SU2", "U2"])
+def test_span_rows_hold_on_random_libraries(special):
+    rng = np.random.default_rng(20261019 + special)
+    for size in (1, 2, 3):
+        mats = [random_unitary(2, rng) for _ in range(size)]
+        gs = GateSet.from_specs(1, [
+            gate_spec(f"U{k}", (1,), matrix=su_normalize(u) if special else u)
+            for k, u in enumerate(mats)])
+        p = SynthesisProblem(random_unitary(2, rng), gs, P=4,
+                             objective="linearized_fidelity")
+        words = rng.integers(len(gs), size=(40, p.P))
+        assert span_residual(p, words) <= 1e-12, size
+
+
+def test_target_models_carry_no_span_rows():
+    for f, mode, objective in itertools.product(oracle_corpus(), PHASE_MODES,
+                                                TARGET_OBJECTIVES):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m, _ = build_base(SynthesisProblem(f.target, f.gate_set, P=f.P,
+                                               objective=objective, phase_mode=mode))
+        assert "span" not in m.family_rows, (f.name, mode, objective)
+        assert fixed_zeros(m) == 0, (f.name, mode, objective)
 
 
 def test_full_model_adds_objective_and_cuts():
@@ -465,6 +531,27 @@ def test_bad_time_limits_fail_before_any_model(monkeypatch, backend):
                 synthesize(p, backend=backend, time_limit=bad)
 
 
+def test_certificate_records_the_solver_time_limit():
+    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2,
+                         phase_mode="global_phase")
+    left = synthesize(p, backend="scipy", time_limit=5).certificate["solver_time_limit"]
+    assert 0 < left <= 5
+    assert synthesize(p, backend="scipy").certificate["solver_time_limit"] is None
+
+
+@pytest.mark.parametrize("backend", ["scipy", "oracle"])
+def test_pure_phase_gate_fails_clearly_in_exact_mode(backend):
+    # i*I normalizes to I in exact mode: a second identity
+    gs = GateSet.from_specs(1, [gate_spec("H", (1,)),
+                                gate_spec("W", (1,), matrix=1j * np.eye(2))])
+    p = SynthesisProblem(builtin_gate("H"), gs, P=2)
+    with pytest.raises(ConfigError, match=r"gate W\[1\] is a pure phase"):
+        synthesize(p, backend=backend)
+    p.phase_mode = "global_phase"
+    r = synthesize(p, backend=backend)
+    assert r.status == "optimal" and [s.name for s in r.sequence] == ["H"]
+
+
 def test_time_limit_covers_the_model_build(monkeypatch):
     import scipy.optimize
 
@@ -568,6 +655,51 @@ def test_mip_and_oracle_agree_on_random_unitaries(data):
             assert milp.objective_value == pytest.approx(brute.objective_value,
                                                          abs=1e-6), mode
             assert milp.fidelity_to_target == pytest.approx(1.0, abs=1e-9), mode
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fidelity_objectives_agree_with_search_on_random_libraries(data):
+    """Differential check of the forward chain and its span rows.
+
+    A seeded library of 1-3 random one-qubit gates, special (SU(2), where
+    the span rows bite) or not.  Linearized fidelity must reach the
+    oracle's alpha.  The Frobenius model must be feasible exactly when some
+    word of at most P gates lies in the epsilon-box, and its optimum must be
+    the least outer approximation over those words, both by enumeration.
+    """
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    size = data.draw(st.integers(1, 3), label="gates")
+    special = data.draw(st.booleans(), label="special")
+    P = data.draw(st.integers(1, 4), label="P")
+    rng = np.random.default_rng(seed)
+    mats = [random_unitary(2, rng) for _ in range(size)]
+    gs = GateSet.from_specs(1, [
+        gate_spec(f"U{k}", (1,), matrix=su_normalize(u) if special else u)
+        for k, u in enumerate(mats)])
+    target = random_unitary(2, rng)
+
+    p = SynthesisProblem(target, gs, P, objective="linearized_fidelity")
+    milp = synthesize(p, backend="scipy")
+    brute = synthesize(p, backend="oracle")
+    assert milp.status == brute.status == "optimal"
+    # HiGHS stops within its relative gap of the optimum
+    assert milp.alpha == pytest.approx(brute.alpha, abs=DEFAULT_GAP_TOL)
+
+    eps = data.draw(st.sampled_from([0.5, 1.0]), label="epsilon")
+    p = SynthesisProblem(target, gs, P, objective="frobenius_oa", epsilon=eps, K=5)
+    milp = synthesize(p, backend="scipy")
+    grid = np.linspace(-eps, eps, 5)[:, None, None, None]
+    in_box = []
+    for word in itertools.product(range(len(gs)), repeat=P):
+        d = sequence_product(gs.matrices()[list(word)], gs.dim) - target
+        dev = np.stack([d.real, d.imag])
+        if np.abs(dev).max() <= eps:
+            in_box.append(2.0 * np.max(2.0 * grid * dev - grid * grid, axis=0).sum())
+    assert milp.feasible == bool(in_box)
+    if in_box:
+        assert milp.objective_value == pytest.approx(min(in_box), rel=DEFAULT_GAP_TOL,
+                                                     abs=DEFAULT_GAP_TOL)
 
 
 # T on the weave library, P=2, maximising alpha: the true optimum.
