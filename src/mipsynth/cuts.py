@@ -73,14 +73,6 @@ class CutSelection:
     hindsight: bool = False
 
     @classmethod
-    def none(cls) -> "CutSelection":
-        return cls(identity_symmetry=False)
-
-    @classmethod
-    def all(cls) -> "CutSelection":
-        return cls(**{f.name: True for f in fields(cls)})
-
-    @classmethod
     def from_names(cls, names) -> "CutSelection":
         """Build a selection from comma-style tokens (CLI `--cuts`).
 
@@ -106,9 +98,6 @@ class CutSelection:
 
     def wants_patterns(self) -> bool:
         return self.commuting_pairs or self.equivalent_patterns or self.redundancy
-
-    def active_names(self) -> list[str]:
-        return [f.name for f in fields(self) if getattr(self, f.name)]
 
 
 def add_identity_symmetry_cuts(model: "MipModel", z: np.ndarray,

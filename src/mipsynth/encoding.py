@@ -17,14 +17,14 @@ import numpy as np
 
 from .errors import DimensionError, MalformedEncodingError, UnitarityError
 
-#: Default tolerance for unitarity checks.
+#: Tolerance for unitarity checks.
 UNITARY_TOL = 1e-9
 
 #: Unitarity defect above which require_unitary projects onto the unitaries:
 #: far above rounding, far below the 1e-9 that polished rows are held to.
 PROJECT_TOL = 1e-12
 
-#: Default tolerance for structural checks on encoded matrices.
+#: Tolerance for structural checks on encoded matrices.
 ENCODING_TOL = 1e-9
 
 
@@ -35,15 +35,8 @@ def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """True when u^dag u = 1 within entrywise tolerance `tol`."""
-    u = _as_square(u)
-    n = u.shape[0]
-    return bool(np.abs(u.conj().T @ u - np.eye(n)).max() <= tol)
-
-
-def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
-    """`u` as a complex matrix, if it is unitary within `tol`.
+def require_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """`u` as a complex matrix, if u^dag u = 1 within UNITARY_TOL entrywise.
 
     A matrix accepted with a defect above PROJECT_TOL is returned as its
     polar projection W V^dag (from u = W S V^dag), the nearest unitary:
@@ -53,8 +46,8 @@ def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL, name: str = "matrix
     """
     u = _as_square(np.asarray(u, dtype=complex), name)
     err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if not err <= tol:
-        raise UnitarityError(f"{name} is not unitary within {tol:g} (defect {err:.3e})")
+    if not err <= UNITARY_TOL:
+        raise UnitarityError(f"{name} is not unitary within {UNITARY_TOL:g} (defect {err:.3e})")
     if err > PROJECT_TOL:
         w, _, vh = np.linalg.svd(u)
         u = w @ vh
@@ -77,13 +70,14 @@ def encode_real(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_complex(b: np.ndarray, tol: float = ENCODING_TOL) -> np.ndarray:
+def decode_complex(b: np.ndarray) -> np.ndarray:
     """Invert encode_real, validating the block structure of `b`.
 
-    Raises MalformedEncodingError when `b` is not within `tol` of a valid
+    Raises MalformedEncodingError when `b` is not within ENCODING_TOL of a valid
     encoding (odd dimension, complex data, or inconsistent blocks).
     """
     b = _as_square(np.asarray(b))
+    tol = ENCODING_TOL
     if np.iscomplexobj(b):
         if np.abs(b.imag).max() > tol:
             raise MalformedEncodingError("encoded matrix must be real")
@@ -120,14 +114,14 @@ def trace_parts(b: np.ndarray) -> tuple[float, float]:
     return re, im
 
 
-def su_normalize(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def su_normalize(u: np.ndarray) -> np.ndarray:
     """Rescale a unitary by the principal n-th root of det(u)^-1.
 
     The result has determinant 1.  The principal root uses the argument in
     (-pi, pi], so e.g. the pi/8 gate diag(1, e^{i pi/4}) maps to
     e^{-i pi/8} diag(1, e^{i pi/4}).
     """
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     n = u.shape[0]
     w = 1.0 / np.linalg.det(u)
     lam = np.exp(1j * np.angle(w) / n)
@@ -168,7 +162,6 @@ def alpha_beta(b_hat: np.ndarray, t: np.ndarray) -> tuple[float, float]:
 __all__ = [
     "UNITARY_TOL",
     "ENCODING_TOL",
-    "is_unitary",
     "require_unitary",
     "encode_real",
     "decode_complex",

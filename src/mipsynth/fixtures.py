@@ -99,7 +99,7 @@ class Fixture:
 
 
 def _gs(num_qubits: int, *specs: GateSpec) -> GateSet:
-    return GateSet.from_specs(num_qubits, list(specs), add_identity=True)
+    return GateSet.from_specs(num_qubits, list(specs))
 
 
 def _g1(name: str, q: int, angle: float | None = None) -> GateSpec:

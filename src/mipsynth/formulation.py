@@ -100,6 +100,8 @@ POLISH_TOL = 1e-9
 #: that tolerance and the residual is recorded in the certificate.
 DATA_FAMILIES = ("target", "frobenius_box", "cut_hc2")
 DATA_TOL = 1e-6
+#: HiGHS reads a cost at or above this as infinite; gate weights stay below it.
+WEIGHT_CAP = 1e20
 #: A new direction enters a reachable span when its singular value exceeds
 #: this share of the candidates' norm; span-row coefficients at or below it
 #: are dropped.  Both errors stay far inside POLISH_TOL.
@@ -144,8 +146,10 @@ class SynthesisProblem:
         if w.shape != (len(self.gate_set),):
             raise ConfigError(f"weights needs one entry per gate "
                               f"({len(self.gate_set)}), got shape {w.shape}")
-        if np.any(w < 0):
-            raise ConfigError("gate weights must be non-negative")
+        bad = np.flatnonzero(~((w >= 0) & (w < WEIGHT_CAP)))
+        if bad.size:
+            raise ConfigError(f"weight of gate {self.gate_set.label(bad[0])} must lie "
+                              f"in [0, {WEIGHT_CAP:g}), got {w[bad[0]]:g}")
         w[self.gate_set.identity_index] = 0.0
         self.weights = w
         if not 0.0 < self.epsilon <= 1.0:

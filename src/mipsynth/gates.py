@@ -231,8 +231,9 @@ def next_layer(depth: int, layer: frozenset[int],
     return depth, layer | qubits
 
 
-def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int, tol: float = 1e-9) -> bool:
-    """True when `u` factors as identity on `qubit` times some matrix on the rest."""
+def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int) -> bool:
+    """True when `u` factors as identity on `qubit` times some matrix on the
+    rest, within 1e-9 entrywise."""
     u = np.asarray(u)
     dim = 2 ** num_qubits
     if u.shape != (dim, dim):
@@ -241,17 +242,10 @@ def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int, tol: float = 1e-9
     # fronted view of u is indexed by its inverse
     inv = np.argsort(front_permutation((qubit,), num_qubits))
     v = u[np.ix_(inv, inv)]
-    h = dim // 2
+    h, tol = dim // 2, 1e-9
     if np.abs(v[:h, h:]).max() > tol or np.abs(v[h:, :h]).max() > tol:
         return False
     return bool(np.abs(v[:h, :h] - v[h:, h:]).max() <= tol)
-
-
-def support_of(u: np.ndarray, num_qubits: int, tol: float = 1e-9) -> frozenset[int]:
-    """Qubits on which `u` acts non-trivially."""
-    return frozenset(
-        q for q in range(1, num_qubits + 1) if not acts_trivially(u, q, num_qubits, tol)
-    )
 
 
 class GateSet:
@@ -285,10 +279,10 @@ class GateSet:
                     )
 
     @classmethod
-    def from_specs(cls, num_qubits: int, specs: Iterable[GateSpec],
-                   add_identity: bool = True) -> "GateSet":
+    def from_specs(cls, num_qubits: int, specs: Iterable[GateSpec]) -> "GateSet":
+        """Extend `specs` to the register; the identity is added when absent."""
         ext = [extend_gate(s, num_qubits) for s in specs]
-        if add_identity and not any(g.is_identity for g in ext):
+        if not any(g.is_identity for g in ext):
             ext.insert(0, extend_gate(identity_spec(), num_qubits))
         return cls(num_qubits, ext)
 
@@ -383,7 +377,7 @@ def gate_set_from_dict(data: dict) -> GateSet:
     except (KeyError, TypeError) as exc:
         raise GateSetError(f"gate set document needs 'qubits' and 'gates': {exc}") from exc
     specs = [spec_from_dict(e) for e in entries]
-    return GateSet.from_specs(num_qubits, specs, add_identity=True)
+    return GateSet.from_specs(num_qubits, specs)
 
 
 def gate_set_to_dict(gs: GateSet) -> dict:
@@ -406,7 +400,6 @@ __all__ = [
     "sequence_product",
     "next_layer",
     "acts_trivially",
-    "support_of",
     "fibonacci_generators",
     "weave_gate_set",
     "spec_from_dict",

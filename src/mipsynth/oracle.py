@@ -62,14 +62,16 @@ from .relations import canonical_phase, equal_matrices
 KEY_SCALE = 1e6
 #: Number of complex directions in a key sketch.
 _SKETCH_DIM = 8
-#: Default bytes one LevelTables stores; a new level keeps its matrices only
-#: if they fit on top of what is stored already.
+#: Bytes one LevelTables stores; a new level keeps its matrices only if they
+#: fit on top of what is stored already.
 _MATRIX_BUDGET_BYTES = 800 << 20
 #: Total stored_bytes the table cache keeps before evicting the least
 #: recently used tables; equal to one table's budget.
 CACHE_BUDGET_BYTES = _MATRIX_BUDGET_BYTES
 #: Tolerance for the final exact re-verification of a candidate sequence.
 VERIFY_TOL = 1e-9
+#: Search nodes one exhaustive_synthesize call may visit before it gives up.
+NODE_BUDGET = 20_000_000
 #: Transient chunk size target in bytes for vectorized expansions.
 _CHUNK_BYTES = 120_000_000
 
@@ -199,8 +201,7 @@ class _Budget:
 class LevelTables:
     """Deduplicated product levels of a gate set, built lazily."""
 
-    def __init__(self, gs: GateSet, phase_mode: str,
-                 matrix_budget_bytes: int = _MATRIX_BUDGET_BYTES) -> None:
+    def __init__(self, gs: GateSet, phase_mode: str) -> None:
         self.ni = gs.non_identity_indices()
         mats = gs.matrices()
         self.gen = np.ascontiguousarray(mats[self.ni])
@@ -216,7 +217,6 @@ class LevelTables:
         self.query_map = _sketch_map(
             np.einsum("gij,djk->gdik", self.gen, dirs).reshape(-1, n, n))
         self.mults = _multipliers(2 * _SKETCH_DIM)
-        self.matrix_budget = matrix_budget_bytes
         eye = np.eye(n, dtype=complex)[None, :, :]
         lvl0 = _Level(keys=_KeySet(), src=np.empty(0, dtype=np.int64), count=1, mats=eye)
         lvl0.keys.add(self.keys_of(eye))
@@ -308,7 +308,7 @@ class LevelTables:
             src = np.concatenate(srcs)
             lev = _Level(keys=keys, src=src, count=len(src))
             self.levels.append(lev)
-            if self.stored_bytes + lev.count * n * n * 16 <= self.matrix_budget:
+            if self.stored_bytes + lev.count * n * n * 16 <= _MATRIX_BUDGET_BYTES:
                 mats = np.empty((lev.count, n, n), dtype=complex)
                 for lo, chunk in self._chunks(l):
                     mats[lo:lo + len(chunk)] = chunk
@@ -334,8 +334,8 @@ class LevelTables:
                 p, g = divmod(int(local[h]), g_count)
                 yield parents[p] @ self.gen[g], self.gen[g].conj().T @ y[p]
 
-    def equal(self, a: np.ndarray, b: np.ndarray, tol: float = VERIFY_TOL) -> bool:
-        return equal_matrices(a, b, self.up_to_phase, tol)
+    def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        return equal_matrices(a, b, self.up_to_phase, VERIFY_TOL)
 
     def peel(self, m: np.ndarray, l: int) -> list[int] | None:
         """Recover some exactly-l-gate sequence realizing matrix m, as positions
@@ -394,10 +394,6 @@ class OracleResult:
     objective: float | None
     nodes: int
     seconds: float
-
-    @property
-    def length(self) -> int | None:
-        return None if self.sequence is None else len(self.sequence)
 
 
 def _right_factors(chunk: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -496,13 +492,13 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str
 def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
                           objective: str = "gate_count", phase_mode: str = "exact",
                           weights: np.ndarray | None = None,
-                          node_budget: int = 20_000_000,
                           time_limit: float | None = None) -> OracleResult:
     """Provably optimal synthesis by exhaustive search up to `max_length` gates.
 
     Returns gate-set indices (identity never appears in the sequence).  The
     target is compared exactly or up to a global phase per `phase_mode`.
-    `time_limit` is in seconds; None means no limit.
+    `time_limit` is in seconds; None means no limit.  Searching more than
+    NODE_BUDGET nodes raises OracleInconclusiveError.
     """
     target = require_unitary(target)
     if target.shape != (gs.dim, gs.dim):
@@ -517,15 +513,16 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
         raise ValueError(f"unknown oracle objective {objective!r}")
     time_limit = checked_time_limit(time_limit)
 
-    tab = _tables_for(gs, phase_mode)
-    budget = _Budget(node_budget, time_limit)
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(gs),):
             raise ValueError(f"weights must have one entry per gate, got {w.shape}")
-        if np.any(w[tab.ni] < 0):
-            raise ValueError("gate weights must be non-negative")
+        gw = w[gs.non_identity_indices()]
+        if not np.all(np.isfinite(gw) & (gw >= 0)):
+            raise ValueError("gate weights must be finite and non-negative")
+    tab = _tables_for(gs, phase_mode)
+    budget = _Budget(NODE_BUDGET, time_limit)
 
     def search() -> tuple[list[int] | None, float | None]:
         if objective == "gate_count":

@@ -34,6 +34,8 @@ from .gates import GateSet
 
 #: Entrywise tolerance for relation equality checks.
 RELATION_TOL = 1e-8
+#: Most words detect_relations multiplies out; k_max shrinks to stay within it.
+ENUMERATION_LIMIT = 200_000
 #: Slack when comparing the weights of two words.
 WEIGHT_TOL = 1e-12
 
@@ -128,26 +130,26 @@ class RelationCatalog:
         }
 
 
-def detect_relations(gs: GateSet, k_max: int = 3, up_to_phase: bool = False,
-                     enumeration_limit: int = 200_000,
-                     tol: float = RELATION_TOL) -> RelationCatalog:
+def detect_relations(gs: GateSet, k_max: int = 3,
+                     up_to_phase: bool = False) -> RelationCatalog:
     """Catalog commuting pairs, equivalent groups and redundancies.
 
     Words run over the non-identity gates with lengths 2..k_max (k_max >= 2);
     k_max is reduced, down to 2, with a warning when the table would exceed
-    `enumeration_limit` words.
+    ENUMERATION_LIMIT words.  Products are equal within RELATION_TOL.
     """
     if k_max < 2:
         raise ConfigError(f"k_max must be >= 2, got {k_max}")
     mats = gs.matrices()
     ni = gs.non_identity_indices()
+    limit = ENUMERATION_LIMIT
     eff_k_max = k_max
-    while eff_k_max > 2 and sum(len(ni) ** k for k in range(2, eff_k_max + 1)) > enumeration_limit:
+    while eff_k_max > 2 and sum(len(ni) ** k for k in range(2, eff_k_max + 1)) > limit:
         eff_k_max -= 1
     if eff_k_max != k_max:
         warnings.warn(
             f"word enumeration reduced from k_max={k_max} to {eff_k_max} "
-            f"to stay within {enumeration_limit} words",
+            f"to stay within {limit} words",
             stacklevel=2,
         )
 
@@ -170,7 +172,7 @@ def detect_relations(gs: GateSet, k_max: int = 3, up_to_phase: bool = False,
     cat = RelationCatalog(up_to_phase=up_to_phase, k_max=eff_k_max)
     for members in map(np.array, buckets.values()):
         while len(members) > 1:
-            same = equal_matrices(table[members], table[members[0]], up_to_phase, tol)
+            same = equal_matrices(table[members], table[members[0]], up_to_phase, RELATION_TOL)
             same[0] = True
             _read_class([words[i] for i in members[same]], cat)
             members = members[~same]

@@ -41,58 +41,33 @@ def circuit_unitary(circuit: list[GateSpec], num_qubits: int | None = None) -> n
     return sequence_product((extend_gate(g, nq).full for g in circuit), 2 ** nq)
 
 
-def gates_on_qubits_up_to(circuit: list[GateSpec], qubits: set[int],
-                          prefix_len: int) -> list[int]:
-    """Indices within the first prefix_len gates that touch any given qubit."""
-    end = min(prefix_len, len(circuit))
-    return [p for p in range(end) if not qubits.isdisjoint(circuit[p].qubits)]
-
-
-def recursive_gates_on_qubits_up_to(circuit: list[GateSpec], qubits: set[int],
-                                    prefix_len: int) -> tuple[list[int], set[int]]:
-    """Close the qubit set under shared-qubit contact inside a prefix.
-
-    Gates touching the set pull their own qubits in, which may pull further
-    gates, until nothing changes.  Returns the touched gate indices in
-    circuit order together with the final qubit set.
-    """
-    q = set(qubits)
-    idx = gates_on_qubits_up_to(circuit, q, prefix_len)
-    while True:
-        q_next: set[int] = set()
-        for p in idx:
-            q_next.update(circuit[p].qubits)
-        if q_next == q:
-            return idx, q
-        q = q_next
-        idx = gates_on_qubits_up_to(circuit, q, prefix_len)
-
-
 def find_first_block(circuit: list[GateSpec], window_length: int,
                      max_qubits: int) -> list[int]:
     """Largest closed block from the front within the gate and qubit budgets.
 
-    The prefix bound grows one gate at a time; the block is the last closed
-    set seen before either budget broke or the input ran out.  A first gate
-    that alone breaks the qubit budget (or touches no qubit) still makes a
-    single-gate block, so the caller always progresses.
+    The prefix bound grows one gate at a time, and inside it gates touching
+    the qubit set pull their qubits in until the set is closed; the block is
+    the last closed set seen before either budget broke or the input ran
+    out.  A first gate that alone breaks the qubit budget (or touches no
+    qubit) still makes a single-gate block, so the caller always progresses.
     """
     if not circuit:
         return []
-    q = set(circuit[0].qubits)
+    qubits = set(circuit[0].qubits)
     best: list[int] = []
-    i = 1
-    while True:
-        idx, q = recursive_gates_on_qubits_up_to(circuit, q, i)
-        if i > len(circuit) or len(idx) > window_length or len(q) > max_qubits:
+    for end in range(1, len(circuit) + 1):
+        while True:
+            idx = [p for p in range(end) if not qubits.isdisjoint(circuit[p].qubits)]
+            grown = {q for p in idx for q in circuit[p].qubits}
+            if grown == qubits:
+                break
+            qubits = grown
+        if len(idx) > window_length or len(qubits) > max_qubits:
             break
         if len(idx) == window_length:
             return idx
         best = idx
-        i += 1
-    if not best:
-        return [0]
-    return best
+    return best or [0]
 
 
 def retarget(circuit: list[GateSpec], block: list[int]) -> list[GateSpec]:
@@ -133,7 +108,7 @@ def window_gate_set(prototypes, num_qubits: int) -> GateSet:
             continue
         full_seen.append(g.full)
         kept.append(g.spec)
-    return GateSet.from_specs(num_qubits, kept, add_identity=True)
+    return GateSet.from_specs(num_qubits, kept)
 
 
 @dataclass
@@ -158,6 +133,13 @@ class RhoConfig:
             raise ConfigError("max_qubits must be >= 1")
         if self.passes < 1:
             raise ConfigError("passes must be >= 1")
+        if not self.window_gates:
+            raise ConfigError("window_gates must name at least one gate")
+        try:
+            # every prototype is built, two-qubit ones before they are dropped
+            window_gate_set(self.window_gates, 1)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"window_gates {self.window_gates!r}: {exc}") from exc
         self.time_limit_per_window = checked_time_limit(self.time_limit_per_window,
                                                         "time_limit_per_window")
 
@@ -288,23 +270,9 @@ def rolling_horizon(circuit: list[GateSpec], cfg: RhoConfig | None = None) -> Rh
                      seconds=time.perf_counter() - t0, window_log=log)
 
 
-def parity_ladder_zzz(theta: float, qubits: tuple[int, int, int]) -> list[GateSpec]:
-    """Three-body parity phase: CNOTs fold the parity onto the last wire,
-    a Z rotation applies the phase, and the CNOTs unfold."""
-    a, b, c = qubits
-    return [
-        gate_spec("CNOT", (a, c)),
-        gate_spec("CNOT", (b, c)),
-        gate_spec("RZ", (c,), angle=theta),
-        gate_spec("CNOT", (b, c)),
-        gate_spec("CNOT", (a, c)),
-    ]
-
-
 __all__ = [
     "RhoConfig", "RhoResult", "VERIFY_MAX_QUBITS",
     "circuit_qubits", "circuit_unitary",
-    "gates_on_qubits_up_to", "recursive_gates_on_qubits_up_to",
     "find_first_block", "retarget", "window_gate_set",
-    "rolling_horizon_pass", "rolling_horizon", "parity_ladder_zzz",
+    "rolling_horizon_pass", "rolling_horizon",
 ]

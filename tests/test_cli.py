@@ -257,6 +257,16 @@ def test_main_rho_small_seed(tmp_path, capsys):
     assert doc["window_log"]
 
 
+def test_main_rho_rejects_unknown_window_gates(tmp_path, capsys):
+    # every block of this seed is skipped, so no window would ever be built
+    qfile = tmp_path / "skipped.qasm"
+    qfile.write_text("qreg q[2]; h q[0]; t q[0]; h q[1];")
+    with pytest.raises(SystemExit) as exc:
+        main(["rho", "--seed-circuit", str(qfile), "--window-gates", "CNOT,FOO"])
+    assert exc.value.code == EXIT_SCHEMA
+    assert "FOO" in capsys.readouterr().err
+
+
 def test_verify_depth_follows_gate_support(tmp_path, capsys):
     # IX = I (x) X is declared on qubits (1, 2) but acts on qubit 2 only, so
     # it shares a layer with X on qubit 1 in the solve and in verify alike
@@ -426,6 +436,27 @@ def test_bad_time_limits_exit_64_before_solving(tmp_path, capsys, monkeypatch):
             main([command, "--config", str(path)])
         assert exc.value.code == EXIT_SCHEMA, command
         assert "positive, finite number of seconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "oracle"])
+@pytest.mark.parametrize("bad", [float("nan"), 1e20])
+def test_bad_weights_exit_64_before_solving(tmp_path, capsys, monkeypatch, command, bad):
+    from mipsynth import formulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a model or table was built for bad weights")
+
+    monkeypatch.setattr(formulation, "build_model", never)
+    monkeypatch.setattr(formulation.oracle_mod, "exhaustive_synthesize", never)
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({
+        "target": "S", "P": 3, "weights": [0, bad, 1],
+        "gate_set": {"qubits": 1, "gates": [{"name": "H", "qubits": [1]},
+                                            {"name": "T", "qubits": [1]}]}}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == EXIT_SCHEMA
+    assert "weight of gate H[1]" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_64(tmp_path, capsys):

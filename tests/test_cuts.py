@@ -35,19 +35,14 @@ def test_family_name_contract():
 
 
 def test_from_names_aliases():
-    assert CutSelection().active_names() == ["identity_symmetry"]
-    sel = CutSelection.from_names("identity")
-    assert sel.active_names() == ["identity_symmetry"]
-    sel = CutSelection.from_names("hc")
-    assert sel.active_names() == ["hindsight"]
-    sel = CutSelection.from_names("all")
-    assert sel.active_names() == ["identity_symmetry", "commuting_pairs",
-                                  "equivalent_patterns", "redundancy",
-                                  "hindsight"]
-    assert CutSelection.all() == sel
+    assert CutSelection.from_names("identity") == CutSelection()
+    assert CutSelection.from_names("hc") == CutSelection(identity_symmetry=False,
+                                                         hindsight=True)
+    assert CutSelection.from_names("all") == CutSelection(
+        identity_symmetry=True, commuting_pairs=True, equivalent_patterns=True,
+        redundancy=True, hindsight=True)
     for spelled in ("none", "base", ""):
-        assert CutSelection.from_names(spelled).active_names() == []
-    assert CutSelection.none().active_names() == []
+        assert CutSelection.from_names(spelled) == CutSelection(identity_symmetry=False)
     sel = CutSelection.from_names(" identity , redundancy ")
     assert sel.identity_symmetry and sel.redundancy
     sel = CutSelection.from_names(["commuting", "equivalent"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mipsynth.encoding import (alpha_beta, decode_complex, encode_real,
-                               fidelity, is_unitary, j_matrix, require_unitary,
+                               fidelity, j_matrix, require_unitary,
                                su_normalize, trace_parts)
 from mipsynth.errors import (DimensionError, MalformedEncodingError,
                              UnitarityError)
@@ -99,9 +99,9 @@ def test_decode_rejects_malformed():
 
 def test_unitarity_checks(rng):
     u = random_unitary(4, rng)
-    assert is_unitary(u)
-    assert not is_unitary(2.0 * u)
     assert np.array_equal(require_unitary(u), u)
+    with pytest.raises(UnitarityError):
+        require_unitary(2.0 * u)
     near = u * (1 + 4e-10)
     projected = require_unitary(near)
     assert np.abs(projected.conj().T @ projected - np.eye(4)).max() < 1e-14

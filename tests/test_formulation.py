@@ -531,6 +531,34 @@ def test_bad_time_limits_fail_before_any_model(monkeypatch, backend):
                 synthesize(p, backend=backend, time_limit=bad)
 
 
+@pytest.mark.parametrize("backend", ["scipy", "oracle"])
+def test_bad_weights_fail_before_any_model(monkeypatch, backend):
+    def never(*args, **kwargs):
+        raise AssertionError("a model or table was built for bad weights")
+
+    monkeypatch.setattr(formulation, "build_model", never)
+    monkeypatch.setattr(formulation.oracle_mod, "exhaustive_synthesize", never)
+    gs = gs1("H", "T")
+    for bad in (float("nan"), float("inf"), -1.0, 1e20, 1e300):
+        w = np.ones(len(gs))
+        w[gs.index_of("T")] = bad
+        with pytest.raises(ConfigError, match=r"weight of gate T\[1\]"):
+            synthesize(SynthesisProblem(builtin_gate("S"), gs, P=3, weights=w),
+                       backend=backend)
+
+
+@pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
+@pytest.mark.parametrize("backend", ["scipy", "oracle"])
+def test_weights_just_below_the_cap_solve(backend):
+    gs = gs1("H", "T")
+    w = np.ones(len(gs))
+    w[gs.index_of("T")] = 0.999 * formulation.WEIGHT_CAP
+    r = synthesize(SynthesisProblem(builtin_gate("S"), gs, P=3, weights=w),
+                   backend=backend)
+    assert r.status == "optimal" and [g.name for g in r.sequence] == ["T", "T"]
+    assert r.objective_value == pytest.approx(2 * w[gs.index_of("T")])
+
+
 def test_certificate_records_the_solver_time_limit():
     p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2,
                          phase_mode="global_phase")

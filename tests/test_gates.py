@@ -9,7 +9,7 @@ from mipsynth.gates import (GateSet, GateSpec, acts_trivially, builtin_gate,
                             builtin_names, extend_gate, fibonacci_generators,
                             front_permutation, gate_set_from_dict,
                             gate_set_to_dict, gate_spec, identity_spec,
-                            spec_from_dict, spec_to_dict, support_of,
+                            spec_from_dict, spec_to_dict,
                             weave_gate_set)
 
 X = builtin_gate("X")
@@ -114,8 +114,9 @@ def test_extend_gate_reversed_wires():
 
 
 def test_support_and_trivial_action():
-    u = extend_gate(gate_spec("CZ", (1, 2)), 3).full
-    assert support_of(u, 3) == frozenset({1, 2})
+    eg = extend_gate(gate_spec("CZ", (1, 2)), 3)
+    u = eg.full
+    assert eg.support == frozenset({1, 2})
     assert acts_trivially(u, 3, 3)
     assert not acts_trivially(u, 1, 3)
 
@@ -135,7 +136,7 @@ def test_gate_set_identity_bookkeeping():
 def test_gate_set_rejects_double_identity():
     specs = [identity_spec(), gate_spec("I", (1,))]
     with pytest.raises(GateSetError):
-        GateSet.from_specs(1, specs, add_identity=False)
+        GateSet.from_specs(1, specs)
 
 
 def test_gate_set_warns_on_duplicate_matrices():

@@ -60,7 +60,7 @@ def test_min_length_matches_enumeration(rng, phase_mode):
         if want is None:
             assert res.status == "infeasible" and res.sequence is None
         else:
-            assert res.status == "optimal" and res.length == want
+            assert res.status == "optimal" and len(res.sequence) == want
             assert equal_matrices(product_of(gs, res.sequence), t, up)
             assert res.objective == pytest.approx(float(want))
 
@@ -77,17 +77,17 @@ def test_weighted_search_prefers_cheap_detour():
     gs = one_qubit_set("T", "Tdg", "Z")
     s = builtin_gate("S")
     uniform = exhaustive_synthesize(s, gs, 3)
-    assert uniform.length == 2 and uniform.objective == pytest.approx(2.0)
+    assert len(uniform.sequence) == 2 and uniform.objective == pytest.approx(2.0)
     # pricing T out of reach makes Z Tdg Tdg the optimum
     w = np.zeros(len(gs))
     w[gs.index_of("T")] = 5.0
     w[gs.index_of("Tdg")] = 1.0
     w[gs.index_of("Z")] = 1.0
     res = exhaustive_synthesize(s, gs, 3, weights=w)
-    assert res.length == 3 and res.objective == pytest.approx(3.0)
+    assert len(res.sequence) == 3 and res.objective == pytest.approx(3.0)
     assert equal_matrices(product_of(gs, res.sequence), s, False)
     doubled = exhaustive_synthesize(s, gs, 3, weights=np.full(len(gs), 2.0))
-    assert doubled.length == 2 and doubled.objective == pytest.approx(4.0)
+    assert len(doubled.sequence) == 2 and doubled.objective == pytest.approx(4.0)
 
 
 def test_depth_objective_parallelizes():
@@ -150,10 +150,11 @@ def test_sequence_depth_rules():
     assert depth([h1, cx, h2]) == 3
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     gs = one_qubit_set("H", "T")
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 3)
     with pytest.raises(OracleInconclusiveError):
-        exhaustive_synthesize(builtin_gate("X"), gs, 6, node_budget=3)
+        exhaustive_synthesize(builtin_gate("X"), gs, 6)
 
 
 def test_input_validation(rng):
@@ -186,6 +187,19 @@ def test_bad_time_limits_fail_before_any_table(monkeypatch):
             exhaustive_synthesize(builtin_gate("S"), gs, 2, time_limit=bad)
 
 
+def test_non_finite_weights_fail_before_any_table(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a level table was built for bad weights")
+
+    monkeypatch.setattr(oracle, "_tables_for", never)
+    gs = one_qubit_set("H", "T")
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        w = np.ones(len(gs))
+        w[gs.index_of("H")] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            exhaustive_synthesize(builtin_gate("S"), gs, 3, weights=w)
+
+
 def test_cache_survives_clear():
     gs = one_qubit_set("H", "T")
     t = builtin_gate("Z")
@@ -193,7 +207,7 @@ def test_cache_survives_clear():
     clear_oracle_cache()
     second = exhaustive_synthesize(t, gs, 4)
     assert isinstance(first, OracleResult)
-    assert first.length == second.length == 4
+    assert len(first.sequence) == len(second.sequence) == 4
     assert first.sequence == second.sequence
 
 
@@ -253,9 +267,13 @@ _SMALL_BUDGET = 200_000
 
 @functools.cache
 def triple_tables(phase_mode: str, budgeted: bool) -> LevelTables:
-    if budgeted:
-        return LevelTables(_TRIPLE_SET, phase_mode, matrix_budget_bytes=_SMALL_BUDGET)
-    return LevelTables(_TRIPLE_SET, phase_mode)
+    """Levels 0-4 of _TRIPLE_SET, built under _SMALL_BUDGET when budgeted."""
+    tab = LevelTables(_TRIPLE_SET, phase_mode)
+    with pytest.MonkeyPatch.context() as mp:
+        if budgeted:
+            mp.setattr(oracle, "_MATRIX_BUDGET_BYTES", _SMALL_BUDGET)
+        tab.ensure_level(4, oracle._Budget(10 ** 9, None))
+    return tab
 
 
 def test_gemm_kernels_match_einsum(rng):
@@ -328,8 +346,9 @@ def test_pointer_only_tables_answer_like_stored_ones(word):
         assert answers[0] == answers[1]
 
 
-def test_stored_bytes_count_keys_and_pointers():
-    tab = LevelTables(_TRIPLE_SET, "exact", matrix_budget_bytes=_SMALL_BUDGET)
+def test_stored_bytes_count_keys_and_pointers(monkeypatch):
+    monkeypatch.setattr(oracle, "_MATRIX_BUDGET_BYTES", _SMALL_BUDGET)
+    tab = LevelTables(_TRIPLE_SET, "exact")
     budget = oracle._Budget(10 ** 9, None)
     tab.ensure_level(2, budget)
     before = tab.stored_bytes
@@ -392,6 +411,6 @@ def test_random_words_reach_brute_force_minimum(word):
     for phase_mode in ("exact", "global_phase"):
         want = brute_min_length(_PAIR_SET, target, len(word), phase_mode == "global_phase")
         res = exhaustive_synthesize(target, _PAIR_SET, 3, phase_mode=phase_mode)
-        assert res.status == "optimal" and res.length == want
+        assert res.status == "optimal" and len(res.sequence) == want
         assert equal_matrices(product_of(_PAIR_SET, res.sequence), target,
                               phase_mode == "global_phase")

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mipsynth import relations
 from mipsynth.errors import ConfigError
 from mipsynth.fixtures import benchmark_registry
 from mipsynth.gates import GateSet, gate_spec, sequence_product
@@ -106,10 +107,11 @@ def test_two_qubit_commuting_and_kept_side():
     assert ("CNOT[1,2]", "CNOT[1,2]") in reds and ("CZ[1,2]", "CZ[1,2]") in reds
 
 
-def test_k_max_shrinks_under_enumeration_limit():
+def test_k_max_shrinks_under_enumeration_limit(monkeypatch):
     gs = _set1("X", "Y", "Z")
+    monkeypatch.setattr(relations, "ENUMERATION_LIMIT", 50)
     with pytest.warns(UserWarning, match="k_max"):
-        cat = detect_relations(gs, k_max=9, enumeration_limit=50)
+        cat = detect_relations(gs, k_max=9)
     assert cat.k_max < 9
     with pytest.raises(ConfigError, match="k_max"):
         detect_relations(gs, k_max=1)

@@ -7,11 +7,10 @@ from scipy.linalg import expm
 from mipsynth.encoding import fidelity
 from mipsynth.errors import BackendError, ConfigError
 from mipsynth.fixtures import brickwork_circuit, k4_parity_seed, k5_parity_seed
-from mipsynth.gates import gate_spec
+from mipsynth.gates import GateSpec, gate_spec
 from mipsynth import rho as rho_mod
 from mipsynth.rho import (RhoConfig, RhoResult, circuit_qubits,
-                          circuit_unitary, find_first_block,
-                          parity_ladder_zzz, retarget,
+                          circuit_unitary, find_first_block, retarget,
                           rolling_horizon, rolling_horizon_pass,
                           window_gate_set)
 
@@ -20,6 +19,19 @@ from util import SEED
 
 def _triples(circuit):
     return [(g.name, g.qubits, g.angle) for g in circuit]
+
+
+def parity_ladder_zzz(theta: float, qubits: tuple[int, int, int]) -> list[GateSpec]:
+    """Three-body parity phase: CNOTs fold the parity onto the last wire,
+    a Z rotation applies the phase, and the CNOTs unfold."""
+    a, b, c = qubits
+    return [
+        gate_spec("CNOT", (a, c)),
+        gate_spec("CNOT", (b, c)),
+        gate_spec("RZ", (c,), angle=theta),
+        gate_spec("CNOT", (b, c)),
+        gate_spec("CNOT", (a, c)),
+    ]
 
 
 def test_circuit_unitary_order():
@@ -107,6 +119,21 @@ def test_rho_config_validation():
         with pytest.raises(ConfigError, match="time_limit_per_window"):
             RhoConfig(time_limit_per_window=bad)
     assert RhoConfig(time_limit_per_window=2).time_limit_per_window == 2.0
+
+
+def test_rho_config_rejects_bad_window_gates():
+    bad = [(), ("FOO",), ("H", "FOO"), (("RZ", None),), (("H", 0.5),),
+           (("RZ", float("nan")),), (("CNOT", 1.0),), (("RZ", "x"),)]
+    for gates in bad:
+        with pytest.raises(ConfigError, match="window_gates"):
+            RhoConfig(window_gates=gates)
+    assert RhoConfig(window_gates=("CNOT", ("RZ", 0.5))).window_gates[1] == ("RZ", 0.5)
+    # a seed whose blocks are all skipped never builds a window, so only the
+    # config can catch the bad name
+    seed = [gate_spec("H", (1,)), gate_spec("T", (1,)), gate_spec("H", (2,))]
+    assert [e["action"] for e in rolling_horizon(seed).window_log] == ["skipped"] * 2
+    with pytest.raises(ConfigError, match="FOO"):
+        rolling_horizon(seed, RhoConfig(window_gates=("FOO",)))
 
 
 def test_parity_ladder_matches_exponential():
