@@ -42,8 +42,8 @@ from .formulation import (OBJECTIVES, TARGET_OBJECTIVES, SynthesisProblem,
                           SynthesisResult, build_model, schedule_depth,
                           synthesize)
 from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
-                    builtin_names, extend_gate, gate_set_from_dict, gate_spec,
-                    spec_from_dict, spec_to_dict, weave_gate_set)
+                    builtin_names, circuit_doc, circuit_from_doc, extend_gate,
+                    gate_set_from_dict, gate_spec, spec_to_dict, weave_gate_set)
 from .relations import detect_relations
 from .rho import RhoConfig, circuit_unitary, rolling_horizon
 
@@ -235,28 +235,11 @@ def parse_qasm(text: str) -> tuple[list[GateSpec], int]:
     return specs, num_qubits
 
 
-def circuit_from_doc(doc: dict) -> tuple[list[GateSpec], int]:
-    """Gate list from a circuit document or from a report embedding one."""
-    if "circuit" in doc and "gates" not in doc:
-        doc = doc["circuit"]
-    try:
-        num_qubits = int(doc["qubits"])
-        entries = doc["gates"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"circuit document needs 'qubits' and 'gates': {exc}") from exc
-    return [spec_from_dict(e) for e in entries], num_qubits
-
-
 def load_circuit(path: str) -> tuple[list[GateSpec], int]:
     if path.endswith(".qasm"):
         with open(path, "r", encoding="utf-8") as fh:
             return parse_qasm(fh.read())
     return circuit_from_doc(_load_json(path))
-
-
-def circuit_doc(specs: list[GateSpec], num_qubits: int) -> dict:
-    return {"qubits": num_qubits,
-            "gates": [spec_to_dict(s) for s in specs]}
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +262,30 @@ def _matrix_from_file(path: str) -> np.ndarray:
     if path.endswith(".qasm"):
         return circuit_unitary(*load_circuit(path))
     doc = _load_json(path)
-    if isinstance(doc, list):
+    if not isinstance(doc, dict):
         return _matrix_from_json(doc)
     if "matrix" in doc:
         return _matrix_from_json(doc["matrix"])
     if "gates" in doc or "circuit" in doc:
-        specs, nq = circuit_from_doc(doc)
-        return circuit_unitary(specs, nq)
+        return circuit_unitary(*circuit_from_doc(doc))
     raise ConfigError(f"{path}: no matrix, circuit, or report content found")
+
+
+def _fixture(cfg: dict, registry: dict, key: str):
+    """The configured fixture, which supplies `key` when the config has none."""
+    fx = cfg.get("fixture")
+    if fx is None:
+        raise ConfigError(f"no {key.replace('_', ' ')} given (use {key} or fixture)")
+    if fx not in registry:
+        raise ConfigError(f"unknown fixture {fx!r}; known: {sorted(registry)}")
+    return registry[fx]
 
 
 def resolve_target(cfg: dict, registry: dict, dim_hint: int | None) -> np.ndarray:
     """Target by fixture, name, file, or matrix literal."""
     t = cfg.get("target")
     if t is None:
-        fx = cfg.get("fixture")
-        if fx is not None:
-            if fx not in registry:
-                raise ConfigError(f"unknown fixture {fx!r}; known: "
-                                  f"{sorted(registry)}")
-            return registry[fx].target
-        raise ConfigError("no target given (use target or fixture)")
+        return _fixture(cfg, registry, "target").target
     if isinstance(t, dict):
         if "matrix" in t:
             return _matrix_from_json(t["matrix"])
@@ -328,17 +314,9 @@ def resolve_target(cfg: dict, registry: dict, dim_hint: int | None) -> np.ndarra
 def resolve_gate_set(cfg: dict, registry: dict) -> GateSet:
     g = cfg.get("gate_set")
     if g is None:
-        fx = cfg.get("fixture")
-        if fx is not None:
-            if fx not in registry:
-                raise ConfigError(f"unknown fixture {fx!r}; known: "
-                                  f"{sorted(registry)}")
-            return registry[fx].gate_set
-        raise ConfigError("no gate set given (use gate_set or fixture)")
+        return _fixture(cfg, registry, "gate_set").gate_set
     if isinstance(g, dict):
-        if "file" in g:
-            return gate_set_from_dict(_load_json(g["file"]))
-        return gate_set_from_dict(g)
+        return gate_set_from_dict(_load_json(g["file"]) if "file" in g else g)
     if g == "weaves":
         return weave_gate_set()
     if g in registry:
@@ -512,11 +490,6 @@ def _rho_seed(cfg: dict) -> tuple[list[GateSpec], int, dict]:
 def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
     t0 = time.perf_counter()
     circuit, declared_qubits, rc = _rho_seed(cfg)
-    gates = rc.pop("window_gates", None)
-    if gates is not None:
-        rc["window_gates"] = tuple(
-            (g[0], float(g[1])) if isinstance(g, (list, tuple)) else g
-            for g in gates)
     if rc.get("time_limit_per_window") is None:
         rc["time_limit_per_window"] = cfg.get("time_limit")
     rho_cfg = RhoConfig(backend=cfg.get("backend", "oracle"),
@@ -624,19 +597,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, phase: bool = True) -> None:
+def _comma_list(text: str) -> list[str]:
+    return [g.strip() for g in text.split(",") if g.strip()]
+
+
+def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", action="append", default=[],
                    help="JSON run configuration (repeatable for batch runs)")
+    p.add_argument("--report", help="write a JSON report here")
+    p.add_argument("--quiet", action="store_true", help="suppress the summary")
+
+
+def _add_common(p: argparse.ArgumentParser, phase: bool = True) -> None:
+    _add_io(p)
     p.add_argument("--backend", help="solver backend name")
     p.add_argument("--time-limit", type=float, help="solve budget in seconds")
     p.add_argument("--cuts", help="comma list of cut families (none|all|hc|...)")
     if phase:
         p.add_argument("--phase-mode", choices=["exact", "global"],
                        help="match the target exactly or up to global phase")
-    p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="run multiple --config files concurrently")
-    p.add_argument("--quiet", action="store_true", help="suppress the summary")
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -676,58 +657,50 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--window-length", type=int, help="max gates per window")
     p.add_argument("--accept-window", type=int, help="accepted prefix length")
     p.add_argument("--max-qubits", type=int, help="max qubits per window")
-    p.add_argument("--window-gates", help="comma list of resynthesis gates")
+    p.add_argument("--window-gates", type=_comma_list,
+                   help="comma list of resynthesis gates")
     p.add_argument("--passes", type=int, help="max optimization passes")
 
     p = sub.add_parser("verify", help="recompute circuit facts, no solving")
+    _add_io(p)
     p.add_argument("circuit", help="circuit or report JSON (or .qasm)")
     p.add_argument("--target", help="target name or file")
     p.add_argument("--fixture", help="take the target from this fixture")
-    p.add_argument("--config", action="append", default=[])
-    p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("relations", help="catalog gate-set relations")
+    _add_io(p)
     p.add_argument("--gate-set", dest="gate_set")
     p.add_argument("--fixture", help="take the gate set from this fixture")
-    p.add_argument("--config", action="append", default=[])
     p.add_argument("--k-max", type=int, default=3,
                    help="longest equivalent or redundant word (>= 2)")
     p.add_argument("--up-to-phase", action="store_true")
-    p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--quiet", action="store_true")
     return ap
 
 
-_FLAG_KEYS = ("fixture", "target", "gate_set", "P", "D", "objective",
-              "epsilon", "K", "backend", "time_limit", "cuts")
+#: Config key of each flag destination; "rho.<key>" is <key> of the rho section.
+_FLAG_KEYS = {
+    "fixture": "fixture", "target": "target", "gate_set": "gate_set", "P": "P",
+    "D": "D", "objective": "objective", "epsilon": "epsilon", "K": "K",
+    "phase_mode": "phase_mode", "backend": "backend", "time_limit": "time_limit",
+    "cuts": "cuts", "seed_circuit": "rho.seed",
+    "window_length": "rho.window_length", "accept_window": "rho.accept_window",
+    "max_qubits": "rho.max_qubits", "window_gates": "rho.window_gates",
+    "passes": "rho.passes",
+}
 
 
 def merge_config(args: argparse.Namespace, file_cfg: dict) -> dict:
     """File config plus flag overrides; flags win key by key."""
     cfg = dict(file_cfg)
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
+    for dest, key in _FLAG_KEYS.items():
+        val = getattr(args, dest, None)
+        if val is None:
+            continue
+        section, _, sub = key.rpartition(".")
+        if section:
+            cfg[section] = {**cfg.get(section, {}), sub: val}
+        else:
             cfg[key] = val
-    mode = getattr(args, "phase_mode", None)
-    if mode is not None:
-        cfg["phase_mode"] = mode
-    if args.command == "rho":
-        rc = dict(cfg.get("rho", {}))
-        for flag, key in (("seed_circuit", "seed"),
-                          ("window_length", "window_length"),
-                          ("accept_window", "accept_window"),
-                          ("max_qubits", "max_qubits"),
-                          ("passes", "passes")):
-            val = getattr(args, flag, None)
-            if val is not None:
-                rc[key] = val
-        gates = getattr(args, "window_gates", None)
-        if gates is not None:
-            rc["window_gates"] = [g.strip() for g in gates.split(",") if g.strip()]
-        if rc:
-            cfg["rho"] = rc
     return validate_config(cfg)
 
 

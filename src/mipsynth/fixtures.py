@@ -53,28 +53,29 @@ def _single_excitation_h() -> np.ndarray:
     ], dtype=complex)
 
 
+_STANDARD_TARGETS = {
+    "toffoli": lambda: controlled(builtin_gate("CNOT")),
+    "fredkin": lambda: controlled(_swap()),
+    "cnot13": lambda: extend_gate(gate_spec("CNOT", (1, 3)), 3).full,
+    "cnot41": lambda: extend_gate(gate_spec("CNOT", (4, 1)), 4).full,
+    "csx": lambda: controlled(SQRT_X),
+    "ch": lambda: controlled(builtin_gate("H")),
+    "iswap": lambda: builtin_gate("iSWAP"),
+    "magic": _magic_matrix,
+    "single_excitation_hadamard": _single_excitation_h,
+}
+
+
 def standard_target(name: str) -> np.ndarray:
     """Benchmark unitary by name; raises GateSetError on unknown names."""
-    builders = {
-        "toffoli": lambda: controlled(builtin_gate("CNOT")),
-        "fredkin": lambda: controlled(_swap()),
-        "cnot13": lambda: extend_gate(gate_spec("CNOT", (1, 3)), 3).full,
-        "cnot41": lambda: extend_gate(gate_spec("CNOT", (4, 1)), 4).full,
-        "csx": lambda: controlled(SQRT_X),
-        "ch": lambda: controlled(builtin_gate("H")),
-        "iswap": lambda: builtin_gate("iSWAP"),
-        "magic": _magic_matrix,
-        "single_excitation_hadamard": _single_excitation_h,
-    }
-    if name not in builders:
+    if name not in _STANDARD_TARGETS:
         raise GateSetError(f"unknown standard target {name!r}; "
-                           f"known: {sorted(builders)}")
-    return builders[name]()
+                           f"known: {sorted(_STANDARD_TARGETS)}")
+    return _STANDARD_TARGETS[name]()
 
 
 def standard_target_names() -> list[str]:
-    return ["toffoli", "fredkin", "cnot13", "cnot41", "csx", "ch", "iswap",
-            "magic", "single_excitation_hadamard"]
+    return list(_STANDARD_TARGETS)
 
 
 def _swap() -> np.ndarray:

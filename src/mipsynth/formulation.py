@@ -756,6 +756,20 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
 
 
 def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> SynthesisResult:
+    """Solve by exhaustive search over every word of at most P gates.
+
+    The fields of `problem` each objective reads, besides target, gate set,
+    P and phase mode:
+
+    - weighted_gate_count: the weights.
+    - depth: D; a least depth above D is infeasible, as in the MIP.  The
+      search returns the least depth over all words, so this is exact.
+    - linearized_fidelity, exact_fidelity: nothing more.
+    - frobenius_oa: epsilon; only words whose Re/Im deviations from the
+      target lie in the epsilon-box count, and none there is infeasible.
+      K is not read: the objective value is the word's true squared
+      Frobenius error, not the model's outer approximation of it.
+    """
     eff_t, eff_gs = effective_instance(problem)
     obj_map = {"weighted_gate_count": "gate_count", "depth": "depth",
                "linearized_fidelity": "alpha", "exact_fidelity": "fidelity",
@@ -763,8 +777,10 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
     mode = problem.phase_mode if problem.targets_equality() else "exact"
     res = oracle_mod.exhaustive_synthesize(
         eff_t, eff_gs, problem.P, objective=obj_map[problem.objective],
-        phase_mode=mode, weights=problem.weights, time_limit=time_limit)
-    if res.status == "infeasible":
+        phase_mode=mode, weights=problem.weights, time_limit=time_limit,
+        box=problem.epsilon if problem.objective == "frobenius_oa" else None)
+    if res.status == "infeasible" or (problem.objective == "depth"
+                                      and res.objective > problem.D):
         return SynthesisResult(status="infeasible",
                                certificate={"status": "infeasible", "bound": None,
                                             "gap": None, "nodes": res.nodes},

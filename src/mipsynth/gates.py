@@ -336,7 +336,7 @@ def weave_gate_set() -> GateSet:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format for gate sets
+# JSON wire format for gates, gate sets and circuits
 # ---------------------------------------------------------------------------
 
 
@@ -352,11 +352,15 @@ def _matrix_from_json(data) -> np.ndarray:
 
 
 def spec_from_dict(entry: dict) -> GateSpec:
-    name = entry["name"]
-    qubits = tuple(entry["qubits"])
-    angle = entry.get("angle")
-    matrix = _matrix_from_json(entry["matrix"]) if "matrix" in entry else None
-    return gate_spec(name, qubits, angle=angle, matrix=matrix)
+    """A gate from its wire form {"name", "qubits"[, "angle"][, "matrix"]}."""
+    if not (isinstance(entry, dict) and "name" in entry and "qubits" in entry):
+        raise GateSetError(f"gate entry {entry!r:.60} needs 'name' and 'qubits'")
+    try:
+        matrix = _matrix_from_json(entry["matrix"]) if "matrix" in entry else None
+        return gate_spec(entry["name"], tuple(entry["qubits"]),
+                         angle=entry.get("angle"), matrix=matrix)
+    except TypeError as exc:
+        raise GateSetError(f"gate entry {entry!r:.60}: {exc}") from exc
 
 
 def spec_to_dict(spec: GateSpec) -> dict:
@@ -369,22 +373,36 @@ def spec_to_dict(spec: GateSpec) -> dict:
     return out
 
 
-def gate_set_from_dict(data: dict) -> GateSet:
-    """Load a gate set from {"qubits": Q, "gates": [...]}; identity is added if absent."""
+def circuit_from_doc(doc: dict) -> tuple[list[GateSpec], int]:
+    """Gate list and register of a gate-list document {"qubits": Q, "gates": [...]}.
+
+    Gate-set files, circuit files, RHO seeds and reports share this format;
+    a report's document sits under "circuit".
+    """
     try:
-        num_qubits = int(data["qubits"])
-        entries = data["gates"]
+        if "circuit" in doc and "gates" not in doc:
+            doc = doc["circuit"]
+        num_qubits, entries = int(doc["qubits"]), doc["gates"]
+        if not isinstance(entries, list):
+            raise TypeError(f"'gates' must be a list, got {type(entries).__name__}")
     except (KeyError, TypeError) as exc:
-        raise GateSetError(f"gate set document needs 'qubits' and 'gates': {exc}") from exc
-    specs = [spec_from_dict(e) for e in entries]
+        raise GateSetError(f"gate-list document needs 'qubits' and 'gates': {exc}") from exc
+    return [spec_from_dict(e) for e in entries], num_qubits
+
+
+def circuit_doc(specs: Iterable[GateSpec], num_qubits: int) -> dict:
+    """The gate-list document circuit_from_doc reads back."""
+    return {"qubits": num_qubits, "gates": [spec_to_dict(s) for s in specs]}
+
+
+def gate_set_from_dict(data: dict) -> GateSet:
+    """Gate set of a gate-list document; the identity is added if absent."""
+    specs, num_qubits = circuit_from_doc(data)
     return GateSet.from_specs(num_qubits, specs)
 
 
 def gate_set_to_dict(gs: GateSet) -> dict:
-    return {
-        "qubits": gs.num_qubits,
-        "gates": [spec_to_dict(g.spec) for g in gs.gates],
-    }
+    return circuit_doc((g.spec for g in gs), gs.num_qubits)
 
 
 __all__ = [
@@ -404,6 +422,8 @@ __all__ = [
     "weave_gate_set",
     "spec_from_dict",
     "spec_to_dict",
+    "circuit_from_doc",
+    "circuit_doc",
     "gate_set_from_dict",
     "gate_set_to_dict",
 ]

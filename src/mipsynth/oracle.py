@@ -461,17 +461,30 @@ def _dfs(tab: LevelTables, target: np.ndarray, max_length: int, order: list[int]
 
 
 def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str,
-                budget: _Budget) -> tuple[list[int], float]:
+                budget: _Budget, box: float | None
+                ) -> tuple[list[int] | None, float | None]:
+    """Best-scoring word of at most max_length gates, (None, None) if none counts.
+
+    With a `box`, only words whose every Re/Im deviation from the target lies
+    within box + VERIFY_TOL count.
+    """
     def score(stack: np.ndarray) -> np.ndarray:
         tr = stack.reshape(len(stack), -1) @ target.conj().ravel()
         if mode == "fidelity":
-            return np.abs(tr) ** 2 / tab.n ** 2
-        if tab.up_to_phase:
-            return np.abs(tr) / tab.n
-        return tr.real / tab.n
+            vals = np.abs(tr) ** 2 / tab.n ** 2
+        elif tab.up_to_phase:
+            vals = np.abs(tr) / tab.n
+        else:
+            vals = tr.real / tab.n
+        if box is not None:
+            dev = stack - target
+            worst = np.maximum(np.abs(dev.real).max(axis=(1, 2)),
+                               np.abs(dev.imag).max(axis=(1, 2)))
+            vals = np.where(worst <= box + VERIFY_TOL, vals, -np.inf)
+        return vals
 
-    best_val = float(score(np.eye(tab.n, dtype=complex)[None])[0])
     best_mat = np.eye(tab.n, dtype=complex)
+    best_val = float(score(best_mat[None])[0])
     best_level = 0
     for l in range(1, max_length + 1):
         tab.ensure_level(l, budget)
@@ -483,6 +496,8 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str
                 best_val = float(vals[k])
                 best_mat = np.ascontiguousarray(chunk[k])
                 best_level = l
+    if best_val == -np.inf:
+        return None, None
     seq = tab.peel(best_mat, best_level)
     if seq is None:
         raise OracleInconclusiveError("failed to reconstruct the best-scoring sequence")
@@ -492,13 +507,16 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str
 def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
                           objective: str = "gate_count", phase_mode: str = "exact",
                           weights: np.ndarray | None = None,
-                          time_limit: float | None = None) -> OracleResult:
+                          time_limit: float | None = None,
+                          box: float | None = None) -> OracleResult:
     """Provably optimal synthesis by exhaustive search up to `max_length` gates.
 
     Returns gate-set indices (identity never appears in the sequence).  The
     target is compared exactly or up to a global phase per `phase_mode`.
-    `time_limit` is in seconds; None means no limit.  Searching more than
-    NODE_BUDGET nodes raises OracleInconclusiveError.
+    `time_limit` is in seconds; None means no limit.  The fidelity and alpha
+    scans consider only words inside the entrywise `box` around the target,
+    when one is given, and are infeasible when no word is.  Searching more
+    than NODE_BUDGET nodes raises OracleInconclusiveError.
     """
     target = require_unitary(target)
     if target.shape != (gs.dim, gs.dim):
@@ -540,7 +558,7 @@ def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
             return _dfs(tab, target, max_length, list(range(len(tab.gen))),
                         lambda d, layer, p: next_layer(d, layer, supports[p]),
                         budget) or (None, None)
-        return _best_score(tab, target, max_length, objective, budget)
+        return _best_score(tab, target, max_length, objective, budget, box)
 
     try:
         seq, obj = search()

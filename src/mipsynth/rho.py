@@ -79,7 +79,8 @@ def retarget(circuit: list[GateSpec], block: list[int]) -> list[GateSpec]:
 def window_gate_set(prototypes, num_qubits: int) -> GateSet:
     """Instantiate library prototypes on every qubit assignment of a window.
 
-    Prototypes are builtin names, or (name, angle) pairs for angled gates.
+    Prototypes are builtin names, or [name, angle] pairs (any two-item
+    sequence) for angled gates.
     One-qubit prototypes land on each wire, two-qubit ones on each ordered
     pair; exact duplicate matrices (symmetric gates) are emitted once.
     """
@@ -87,7 +88,7 @@ def window_gate_set(prototypes, num_qubits: int) -> GateSet:
 
     specs = []
     for proto in prototypes:
-        name, angle = proto if isinstance(proto, tuple) else (proto, None)
+        name, angle = (proto, None) if isinstance(proto, str) else proto
         base = builtin_gate(name, angle)
         arity = int(round(np.log2(base.shape[0])))
         if arity > num_qubits:

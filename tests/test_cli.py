@@ -82,8 +82,36 @@ def test_circuit_doc_round_trip():
     # reports embed the same document under "circuit"
     back2, _ = circuit_from_doc({"status": "optimal", "circuit": doc})
     assert [s.name for s in back2] == ["H", "CSX", "RZ"]
-    with pytest.raises(ConfigError, match="'qubits' and 'gates'"):
+    with pytest.raises(GateSetError, match="'qubits' and 'gates'"):
         circuit_from_doc({"gates": "nope"})
+
+
+MALFORMED_DOCS = {"entry_without_qubits": {"qubits": 1, "gates": [{"name": "H"}]},
+                  "gates_not_a_list": {"qubits": 1, "gates": 5},
+                  "entry_not_an_object": {"qubits": 1, "gates": ["H"]},
+                  "qubits_not_a_list": {"qubits": 1,
+                                        "gates": [{"name": "H", "qubits": 1}]}}
+
+
+@pytest.mark.parametrize("entry", ["verify", "gate_set", "rho_seed_file",
+                                   "rho_inline_seed"])
+@pytest.mark.parametrize("doc", sorted(MALFORMED_DOCS))
+def test_malformed_gate_list_documents_exit_64(tmp_path, capsys, doc, entry):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED_DOCS[doc]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rho": {"seed": MALFORMED_DOCS[doc]}}))
+    argv = {"verify": ["verify", str(path), "--target", "H"],
+            "gate_set": ["synthesize", "--gate-set", str(path), "--target", "H",
+                         "-P", "1"],
+            "rho_seed_file": ["rho", "--seed-circuit", str(path)],
+            "rho_inline_seed": ["rho", "--config", str(cfg)]}[entry]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("mipsynth: error:")
 
 
 def test_resolve_target_forms(tmp_path):

@@ -354,6 +354,23 @@ def test_depth_zero_is_certified_by_the_solver():
     assert r.certificate["bound"] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("phase_mode", PHASE_MODES)
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_depth_budget_binds_on_both_routes(D, phase_mode):
+    # H[1].CNOT[1,2].H[1] needs three layers: below D = 3 both routes refuse
+    hch = [gate_spec("H", (1,)), gate_spec("CNOT", (1, 2)), gate_spec("H", (1,))]
+    target = sequence_product([extend_gate(s, 2).full for s in hch], 4)
+    gs = GateSet.from_specs(2, [hch[0], gate_spec("H", (2,)), hch[1]])
+    p = SynthesisProblem(target, gs, P=3, D=D, objective="depth",
+                         phase_mode=phase_mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        milp = synthesize(p, backend="scipy")
+        brute = synthesize(p, backend="oracle")
+    assert milp.status == brute.status == ("optimal" if D == 3 else "infeasible")
+    assert milp.depth == brute.depth == (3 if D == 3 else None)
+
+
 def test_linearized_fidelity_matches_oracle():
     p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=2,
                          objective="linearized_fidelity")
@@ -695,6 +712,8 @@ def test_fidelity_objectives_agree_with_search_on_random_libraries(data):
     oracle's alpha.  The Frobenius model must be feasible exactly when some
     word of at most P gates lies in the epsilon-box, and its optimum must be
     the least outer approximation over those words, both by enumeration.
+    The oracle route must be feasible just as often, with the least true
+    squared error over the same words.
     """
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     size = data.draw(st.integers(1, 3), label="gates")
@@ -717,17 +736,21 @@ def test_fidelity_objectives_agree_with_search_on_random_libraries(data):
     eps = data.draw(st.sampled_from([0.5, 1.0]), label="epsilon")
     p = SynthesisProblem(target, gs, P, objective="frobenius_oa", epsilon=eps, K=5)
     milp = synthesize(p, backend="scipy")
+    brute = synthesize(p, backend="oracle")
     grid = np.linspace(-eps, eps, 5)[:, None, None, None]
-    in_box = []
+    in_box, errors = [], []
     for word in itertools.product(range(len(gs)), repeat=P):
         d = sequence_product(gs.matrices()[list(word)], gs.dim) - target
         dev = np.stack([d.real, d.imag])
         if np.abs(dev).max() <= eps:
             in_box.append(2.0 * np.max(2.0 * grid * dev - grid * grid, axis=0).sum())
-    assert milp.feasible == bool(in_box)
+            errors.append(2.0 * np.sum(dev ** 2))
+    assert milp.feasible == brute.feasible == bool(in_box)
     if in_box:
         assert milp.objective_value == pytest.approx(min(in_box), rel=DEFAULT_GAP_TOL,
                                                      abs=DEFAULT_GAP_TOL)
+        assert brute.error_fro_sq == pytest.approx(min(errors), abs=1e-9)
+        assert brute.objective_value == brute.error_fro_sq
 
 
 # T on the weave library, P=2, maximising alpha: the true optimum.
