@@ -24,8 +24,8 @@ from .solvers import Solution, get_backend, is_oracle_backend
 from .oracle import OracleResult, exhaustive_synthesize
 from .cuts import CutSelection, apply_cuts
 from .formulation import (ModelHandles, SynthesisProblem, SynthesisResult,
-                          build_model, effective_instance, extract_and_verify,
-                          schedule_depth, synthesize)
+                          build_model, extract_and_verify, schedule_depth,
+                          synthesize)
 from .rho import (RhoConfig, RhoResult, circuit_unitary,
                   find_first_block, rolling_horizon, rolling_horizon_pass,
                   window_gate_set)
@@ -56,7 +56,7 @@ __all__ = [
     "OracleResult", "exhaustive_synthesize",
     "CutSelection", "apply_cuts",
     "SynthesisProblem", "SynthesisResult", "ModelHandles",
-    "build_model", "effective_instance", "extract_and_verify",
+    "build_model", "extract_and_verify",
     "schedule_depth", "synthesize",
     # rolling horizon
     "RhoConfig", "RhoResult", "circuit_unitary",

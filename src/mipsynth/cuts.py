@@ -131,10 +131,11 @@ def add_pattern_rows(model: "MipModel", z: np.ndarray, words, P: int,
 def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
                  handles: "ModelHandles") -> None:
     """Propagate the exact target two positions back through the last pair."""
-    gs, P = handles.eff_gate_set, problem.P
+    t, gs = problem.effective_instance
+    P = problem.P
     if P < 2:
         return
-    z, t, mats = handles.z, handles.eff_target, gs.matrices()
+    z, mats = handles.z, gs.matrices()
     terms = []
     for g in range(len(gs)):
         for h in range(len(gs)):
@@ -154,15 +155,14 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     selection like `hc` works everywhere.
     """
     sel = problem.cuts
-    gs = handles.eff_gate_set
+    gs = problem.effective_instance[1]
 
     if sel.identity_symmetry and problem.P > 1:
         add_identity_symmetry_cuts(model, handles.z, gs.identity_index, problem.P)
 
     if sel.wants_patterns():
         # patterns must hold for the matrices the model constrains
-        up = problem.phase_mode == "global_phase" and problem.targets_equality()
-        catalog = detect_relations(gs, k_max=WORD_K_MAX, up_to_phase=up)
+        catalog = detect_relations(gs, k_max=WORD_K_MAX, up_to_phase=problem.up_to_phase)
         for family in ("commuting", "equivalent", "redundancy"):
             if getattr(sel, _TOKENS[family]):
                 add_pattern_rows(model, handles.z,
@@ -174,7 +174,7 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     if not problem.targets_equality():
         warnings.warn("hindsight cuts need a target-equality objective; skipped",
                       stacklevel=2)
-    elif problem.phase_mode == "exact":
+    elif not problem.up_to_phase:
         add_hc2_cuts(problem, model, handles)
 
 

@@ -67,6 +67,7 @@ returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 import warnings
@@ -76,7 +77,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .cuts import CutSelection, apply_cuts
-from .encoding import fidelity, require_unitary, su_normalize
+from .encoding import require_unitary, su_normalize
 from .errors import ConfigError, DimensionError, ModelIntegrityError
 from .gates import GateSet, GateSpec, next_layer, sequence_product
 from .mip import MipModel
@@ -110,7 +111,14 @@ SPAN_TOL = 1e-12
 
 @dataclass
 class SynthesisProblem:
-    """One synthesis instance: target, library, budgets, objective, options."""
+    """One synthesis instance: target, library, budgets, objective, options.
+
+    Both routes read the question from here: the model (build_model) and
+    the exhaustive search (oracle.exhaustive_synthesize).  Fields are
+    checked and normalized once, at construction, and the effective
+    instance is computed once, on first use; to change a field, build a new
+    problem with dataclasses.replace rather than assigning to it.
+    """
 
     target: np.ndarray
     gate_set: GateSet
@@ -171,6 +179,49 @@ class SynthesisProblem:
     def targets_equality(self) -> bool:
         return self.objective in TARGET_OBJECTIVES
 
+    @property
+    def up_to_phase(self) -> bool:
+        """Whether the target is matched up to a global phase: in global
+        phase mode, and only for objectives that constrain to the target."""
+        return self.phase_mode == "global_phase" and self.targets_equality()
+
+    @functools.cached_property
+    def effective_instance(self) -> tuple[np.ndarray, GateSet]:
+        """Target and gate set the model and both routes' verification read.
+
+        Exact-phase target matching is only meaningful inside the special
+        unitary group, so both sides are determinant-normalized there; every
+        other mode uses the inputs as given.  The gate set is the library
+        itself unless normalization moves a matrix by more than 1e-14;
+        otherwise it is a copy with the normalized matrices and the library's
+        supports, in which the relations between gates are read as the model
+        sees them (Z.Z == I, say, stops being true).  A gate other than the
+        identity that normalizes to the identity, a pure phase such as i*I,
+        raises ConfigError.
+        """
+        gs = self.gate_set
+        if self.phase_mode != "exact" or not self.targets_equality():
+            return self.target.copy(), gs
+        eff_t = su_normalize(self.target)
+        mats = gs.matrices()
+        eff_g = np.stack([su_normalize(m) for m in mats])
+        for g in gs.non_identity_indices():
+            if replace(gs[g], full=eff_g[g]).is_identity:
+                raise ConfigError(
+                    f"exact phase mode: gate {gs.label(g)} is a pure phase and "
+                    "normalizes to the identity; drop it or use global phase mode")
+        moved = np.abs(eff_g - mats).max()
+        if np.abs(eff_t - self.target).max() > 1e-12 or moved > 1e-12:
+            warnings.warn("exact phase mode: target and gates were normalized to "
+                          "unit determinant", stacklevel=3)
+        if moved <= 1e-14:
+            return eff_t, gs
+        gates = [replace(g, spec=replace(g.spec, matrix=su_normalize(g.spec.matrix)),
+                         full=m) for g, m in zip(gs, eff_g)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
+            return eff_t, GateSet(gs.num_qubits, gates)
+
 
 @dataclass
 class ModelHandles:
@@ -185,9 +236,6 @@ class ModelHandles:
     # Ghat_meet is where the forward and backward halves link, 0 (the
     # identity) at P = 1; P when the chain runs forward only (no target)
     meet: int
-    eff_target: np.ndarray  # complex target the model constrains against
-    eff_gate_set: GateSet  # the gates the model constrains (effective_instance)
-    breaks: np.ndarray | None = None  # (P,) binaries, 1 where a layer opens
     # (|G|, 2) ids of r_g and s_g, the last gate's phase against the target
     rs_split: np.ndarray | None = None
     alpha: int | None = None
@@ -201,7 +249,7 @@ class ModelHandles:
         `terms` pairs distinct variable ids with complex matrices M_k;
         pos0 = -1 addresses the empty product, the identity.
         """
-        n = self.eff_target.shape[0]
+        n = self.ghat.shape[-1]
         parts = [(var, _parts(m)) for var, m in terms]
         rhs = np.zeros((2, n, n))
         if pos0 < 0:
@@ -222,7 +270,6 @@ class SynthesisResult:
     sequence: list[GateSpec] = field(default_factory=list)
     gate_indices: list[int] = field(default_factory=list)
     objective_value: float | None = None
-    realized_unitary: np.ndarray | None = None
     fidelity_to_target: float | None = None
     alpha: float | None = None
     beta: float | None = None
@@ -236,42 +283,6 @@ class SynthesisResult:
     @property
     def feasible(self) -> bool:
         return self.status in ("optimal", "feasible")
-
-
-def effective_instance(problem: SynthesisProblem) -> tuple[np.ndarray, GateSet]:
-    """Target and gate set the model and both routes' verification read.
-
-    Exact-phase target matching is only meaningful inside the special unitary
-    group, so both sides are determinant-normalized there; every other mode
-    uses the inputs as given.  The gate set is the library itself unless
-    normalization moves a matrix by more than 1e-14; otherwise it is a copy
-    with the normalized matrices and the library's supports, in which the
-    relations between gates are read as the model sees them (Z.Z == I, say,
-    stops being true).  A gate other than the identity that normalizes to
-    the identity, a pure phase such as i*I, raises ConfigError.
-    """
-    gs = problem.gate_set
-    if problem.phase_mode != "exact" or not problem.targets_equality():
-        return problem.target.copy(), gs
-    eff_t = su_normalize(problem.target)
-    mats = gs.matrices()
-    eff_g = np.stack([su_normalize(m) for m in mats])
-    for g in gs.non_identity_indices():
-        if replace(gs[g], full=eff_g[g]).is_identity:
-            raise ConfigError(
-                f"exact phase mode: gate {gs.label(g)} is a pure phase and "
-                "normalizes to the identity; drop it or use global phase mode")
-    moved = np.abs(eff_g - mats).max()
-    if np.abs(eff_t - problem.target).max() > 1e-12 or moved > 1e-12:
-        warnings.warn("exact phase mode: target and gates were normalized to "
-                      "unit determinant", stacklevel=3)
-    if moved <= 1e-14:
-        return eff_t, gs
-    gates = [replace(g, spec=replace(g.spec, matrix=su_normalize(g.spec.matrix)),
-                     full=m) for g, m in zip(gs, eff_g)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
-        return eff_t, GateSet(gs.num_qubits, gates)
 
 
 def _parts(a: np.ndarray) -> np.ndarray:
@@ -383,7 +394,7 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     copy V[p,g], less the structural zeros, whose bounds are fixed to 0.
     """
     P, n = problem.P, problem.gate_set.dim
-    eff_t, gs = effective_instance(problem)
+    eff_t, gs = problem.effective_instance
     G, mats = len(gs), gs.matrices()
     model = MipModel(name=f"synth_{problem.objective}_Q{gs.num_qubits}_P{P}")
 
@@ -403,8 +414,7 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     backward = range(P - 1, meet, -1)  # Ghat_{p-1} from Ghat_p through G_p^dag
     v = (np.empty((P + 1, G, 2, n, n), dtype=np.int64)
          if len(forward) + len(backward) else None)
-    handles = ModelHandles(z=z, ghat=ghat, v=v, meet=meet, eff_target=eff_t,
-                           eff_gate_set=gs)
+    handles = ModelHandles(z=z, ghat=ghat, v=v, meet=meet)
     if meet:
         handles.pin_rows(model, 0, [(int(z[g, 0]), m) for g, m in enumerate(mats)],
                          "cumulative")
@@ -445,7 +455,7 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
         return model, handles
     pulled = [eff_t @ m.conj().T for m in mats]  # T G_g^dag
     last = [int(k) for k in z[:, P - 1]]
-    if problem.phase_mode == "exact":
+    if not problem.up_to_phase:
         terms = list(zip(last, pulled))
     else:
         split = np.array([[model.add_var(f"{c}({gs.label(g)})", -1.0, 1.0)
@@ -491,7 +501,6 @@ def add_depth_scheduling(problem: SynthesisProblem, model: MipModel,
     P, z = problem.P, handles.z
     breaks = np.array([model.add_binary(f"break({p + 1})") for p in range(P)],
                       dtype=np.int64)
-    handles.breaks = breaks
     acting = [g for g in range(len(gs)) if gs[g].support]
     for p in range(P):
         coefs = {int(breaks[k]): 1.0 for k in range(p + 1)}
@@ -512,11 +521,11 @@ def add_depth_scheduling(problem: SynthesisProblem, model: MipModel,
     model.set_objective(every, "min")
 
 
-def _alpha_coefs(handles: ModelHandles, P: int) -> dict[int, float]:
+def _alpha_coefs(problem: SynthesisProblem, handles: ModelHandles) -> dict[int, float]:
     """alpha = Re tr(T^dag Ghat_P) / n on the Re/Im parts."""
-    rt = _parts(handles.eff_target)
+    rt = _parts(problem.effective_instance[0])
     scale = 1.0 / rt.shape[1]  # 1 / 2^Q
-    gP = handles.ghat[P - 1]
+    gP = handles.ghat[problem.P - 1]
     return {int(gP[idx]): float(rt[idx]) * scale
             for idx in np.ndindex(rt.shape) if abs(rt[idx]) > 1e-14}
 
@@ -525,7 +534,7 @@ def add_objective_linearized_fidelity(problem: SynthesisProblem, model: MipModel
                                       handles: ModelHandles) -> None:
     a = model.add_var("alpha", -1.0, 1.0)
     handles.alpha = a
-    coefs = _alpha_coefs(handles, problem.P)
+    coefs = _alpha_coefs(problem, handles)
     coefs[a] = coefs.get(a, 0.0) - 1.0
     model.add_constr(coefs, "==", 0.0, family="objective")
     model.set_objective({a: 1.0}, "max")
@@ -545,7 +554,7 @@ def add_objective_frobenius_oa(problem: SynthesisProblem, model: MipModel,
     appears twice in R(Ghat_P) - R(T), whose squared norm is the error.
     """
     eps = float(problem.epsilon)
-    rt = _parts(handles.eff_target)
+    rt = _parts(problem.effective_instance[0])
     gP = handles.ghat[problem.P - 1]
     e = np.empty(rt.shape, dtype=np.int64)
     ehat = np.empty(rt.shape, dtype=np.int64)
@@ -597,39 +606,38 @@ def schedule_depth(sequence) -> tuple[int, dict[int, int]]:
     return depth, assignment
 
 
-def verify_sequence(problem: SynthesisProblem, gate_indices: list[int],
-                    eff_target: np.ndarray, eff_gs: GateSet) -> SynthesisResult:
+def verify_sequence(problem: SynthesisProblem, gate_indices: list[int]) -> SynthesisResult:
     """Everything a chosen gate sequence determines, computed from the gates.
 
-    The realized unitary and its fidelity use the library's own matrices;
-    alpha, beta, the squared Frobenius error and the phase factor use the
-    effective instance the model constrains (see effective_instance).  The
-    phase factor is alpha + i*beta, in global-phase mode with a target: the
-    value of the last gate's phase split (r_g + i s_g).  Depth and schedule
-    come from the gates' supports.  Both synthesis routes build their
-    results here and add only their own objective value and certificate.
+    The word is multiplied once, in the problem's effective instance;
+    normalization rescales each matrix by a phase, so the fidelity is the
+    library's.  The phase factor is alpha + i*beta, in global-phase mode
+    with a target: the value of the last gate's phase split (r_g + i s_g).
+    Depth and schedule come from the gates' supports.  Both synthesis routes
+    build their results here, and a word that misses the target of a target
+    objective raises ModelIntegrityError.
     """
     gs = problem.gate_set
-    realized = sequence_product(gs.matrices()[gate_indices], gs.dim)
+    eff_t, eff_gs = problem.effective_instance
     eff_prod = sequence_product(eff_gs.matrices()[gate_indices], gs.dim)
-    overlap = np.vdot(eff_target, eff_prod) / gs.dim  # tr(T^dag U) / n
+    overlap = np.vdot(eff_t, eff_prod) / gs.dim  # tr(T^dag U) / n
     alpha, beta = float(overlap.real), float(overlap.imag)
+    fid = alpha ** 2 + beta ** 2
+    if problem.targets_equality() and fid < 1 - 1e-9:
+        raise ModelIntegrityError(
+            f"the chosen circuit reaches the target with fidelity {fid:.12f}")
     depth, schedule = schedule_depth([gs[g].support for g in gate_indices])
-    phase = None
-    if problem.phase_mode == "global_phase" and problem.targets_equality():
-        phase = complex(alpha, beta)
     return SynthesisResult(
         status="optimal",
         sequence=[gs[g].spec for g in gate_indices],
         gate_indices=list(gate_indices),
-        realized_unitary=realized,
-        fidelity_to_target=fidelity(realized, problem.target),
+        fidelity_to_target=fid,
         alpha=alpha,
         beta=beta,
-        error_fro_sq=float(np.sum(np.abs(eff_prod - eff_target) ** 2) * 2.0),
+        error_fro_sq=float(np.sum(np.abs(eff_prod - eff_t) ** 2) * 2.0),
         depth_schedule=schedule,
         depth=depth,
-        phase_factor=phase,
+        phase_factor=complex(alpha, beta) if problem.up_to_phase else None,
     )
 
 
@@ -669,7 +677,8 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
                 f"position {p + 1} selects {len(sel)} gates after rounding")
         chosen.append(int(sel[0]))
 
-    mats = handles.eff_gate_set.matrices()
+    eff_t, eff_gs = problem.effective_instance
+    mats = eff_gs.matrices()
     chain = [mats[chosen[0]]]
     for g in chosen[1:]:
         chain.append(chain[-1] @ mats[g])
@@ -683,14 +692,14 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
 
     final = chain[-1]
     # the target row makes the last gate's split the phase, tr(T^dag U) / n
-    phase = np.vdot(handles.eff_target, final) / len(final)
+    phase = np.vdot(eff_t, final) / len(final)
     if handles.alpha is not None:
         xp[handles.alpha] = phase.real
     if handles.rs_split is not None:
         xp[handles.rs_split] = z[:, -1, None] * [phase.real, phase.imag]
     if handles.e is not None:
         eps = float(problem.epsilon)
-        dev = np.clip(_parts(final - handles.eff_target), -eps, eps)
+        dev = np.clip(_parts(final - eff_t), -eps, eps)
         xp[handles.e] = dev
         grid = _tangent_grid(problem)
         g = grid[:, None, None, None]
@@ -741,8 +750,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
             f"gives {polished:.8f} (allowed gap {allowed:.1e})")
 
     seq_idx = [g for g in chosen if g != problem.gate_set.identity_index]
-    result = verify_sequence(problem, seq_idx, handles.eff_target,
-                             handles.eff_gate_set)
+    result = verify_sequence(problem, seq_idx)
     # a time-limited incumbent may carry more breaks than its depth
     return replace(
         result, status=solution.status,
@@ -756,48 +764,18 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
 
 
 def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> SynthesisResult:
-    """Solve by exhaustive search over every word of at most P gates.
-
-    The fields of `problem` each objective reads, besides target, gate set,
-    P and phase mode:
-
-    - weighted_gate_count: the weights.
-    - depth: D; a least depth above D is infeasible, as in the MIP.  The
-      search returns the least depth over all words, so this is exact.
-    - linearized_fidelity, exact_fidelity: nothing more.
-    - frobenius_oa: epsilon; only words whose Re/Im deviations from the
-      target lie in the epsilon-box count, and none there is infeasible.
-      K is not read: the objective value is the word's true squared
-      Frobenius error, not the model's outer approximation of it.
-    """
-    eff_t, eff_gs = effective_instance(problem)
-    obj_map = {"weighted_gate_count": "gate_count", "depth": "depth",
-               "linearized_fidelity": "alpha", "exact_fidelity": "fidelity",
-               "frobenius_oa": "alpha"}
-    mode = problem.phase_mode if problem.targets_equality() else "exact"
-    res = oracle_mod.exhaustive_synthesize(
-        eff_t, eff_gs, problem.P, objective=obj_map[problem.objective],
-        phase_mode=mode, weights=problem.weights, time_limit=time_limit,
-        box=problem.epsilon if problem.objective == "frobenius_oa" else None)
-    if res.status == "infeasible" or (problem.objective == "depth"
-                                      and res.objective > problem.D):
+    """Solve by exhaustive search over every word of at most P gates."""
+    res = oracle_mod.exhaustive_synthesize(problem, time_limit)
+    if res.status == "infeasible":
         return SynthesisResult(status="infeasible",
                                certificate={"status": "infeasible", "bound": None,
                                             "gap": None, "nodes": res.nodes},
                                solve_seconds=res.seconds)
-    result = verify_sequence(problem, res.sequence, eff_t, eff_gs)
-    fid = result.fidelity_to_target
-    if problem.targets_equality() and fid < 1 - 1e-9:
-        raise ModelIntegrityError(
-            f"exhaustive search returned a sequence with fidelity {fid:.12f}")
-    if problem.objective in TARGET_OBJECTIVES:
-        obj_val = float(res.objective)
-    elif problem.objective == "linearized_fidelity":
-        obj_val = result.alpha
-    elif problem.objective == "exact_fidelity":
-        obj_val = result.alpha ** 2 + result.beta ** 2
-    else:  # frobenius_oa: the enumeration minimizes the true squared error
-        obj_val = result.error_fro_sq
+    result = verify_sequence(problem, res.sequence)
+    scores = {"linearized_fidelity": result.alpha,
+              "exact_fidelity": result.fidelity_to_target,
+              "frobenius_oa": result.error_fro_sq}  # the true error, not its OA
+    obj_val = float(scores.get(problem.objective, res.objective))
     return replace(result, objective_value=obj_val,
                    certificate={"status": "optimal", "bound": obj_val, "gap": 0.0,
                                 "nodes": res.nodes},

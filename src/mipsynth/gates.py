@@ -20,6 +20,9 @@ from .errors import DimensionError, GateSetError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
+#: Largest register extend_gate embeds a gate into: each embedded gate is one
+#: dense 2^Q x 2^Q complex matrix, 256 MiB at 12 qubits.
+MAX_QUBITS = 12
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
 _FIB_R = np.diag([np.exp(-4j * np.pi / 5), np.exp(3j * np.pi / 5)])
 _FIB_F = np.array([[1 / _PHI, 1 / np.sqrt(_PHI)], [1 / np.sqrt(_PHI), -1 / _PHI]], dtype=complex)
@@ -182,8 +185,12 @@ def extend_gate(spec: GateSpec, num_qubits: int) -> ExtendedGate:
 
     The embedding is P^dag (U x 1) P with P the front_permutation of the
     addressed qubits sorted ascending; the base matrix is reindexed
-    accordingly when the declared qubit order is not ascending.
+    accordingly when the declared qubit order is not ascending.  A register
+    above MAX_QUBITS raises DimensionError before anything is allocated.
     """
+    if num_qubits > MAX_QUBITS:
+        raise DimensionError(f"a register of {num_qubits} qubits is above the "
+                             f"{MAX_QUBITS} a gate can be embedded into")
     if any(q > num_qubits for q in spec.qubits):
         raise DimensionError(
             f"gate {spec.name} on qubits {spec.qubits} does not fit {num_qubits} qubit(s)"
@@ -377,7 +384,8 @@ def circuit_from_doc(doc: dict) -> tuple[list[GateSpec], int]:
     """Gate list and register of a gate-list document {"qubits": Q, "gates": [...]}.
 
     Gate-set files, circuit files, RHO seeds and reports share this format;
-    a report's document sits under "circuit".
+    a report's document sits under "circuit".  The register must hold at
+    least one qubit and every qubit a gate names.
     """
     try:
         if "circuit" in doc and "gates" not in doc:
@@ -387,7 +395,12 @@ def circuit_from_doc(doc: dict) -> tuple[list[GateSpec], int]:
             raise TypeError(f"'gates' must be a list, got {type(entries).__name__}")
     except (KeyError, TypeError) as exc:
         raise GateSetError(f"gate-list document needs 'qubits' and 'gates': {exc}") from exc
-    return [spec_from_dict(e) for e in entries], num_qubits
+    specs = [spec_from_dict(e) for e in entries]
+    needed = max((q for s in specs for q in s.qubits), default=1)
+    if num_qubits < needed:
+        raise GateSetError(f"gate-list document declares {num_qubits} qubit(s) "
+                           f"but needs at least {needed}")
+    return specs, num_qubits
 
 
 def circuit_doc(specs: Iterable[GateSpec], num_qubits: int) -> dict:
@@ -406,6 +419,7 @@ def gate_set_to_dict(gs: GateSet) -> dict:
 
 
 __all__ = [
+    "MAX_QUBITS",
     "GateSpec",
     "ExtendedGate",
     "GateSet",

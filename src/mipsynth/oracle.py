@@ -1,5 +1,12 @@
 """Exhaustive synthesis used as an independent reference implementation.
 
+The question comes from the same SynthesisProblem the MIP reads: its
+effective instance (target and gate set after determinant normalization),
+its phase rule, P, the objective, the weights, D and epsilon, so the
+reference cannot be asked anything the routes it checks are not.  The
+search and its checks share nothing else with the MIP: no model, no row,
+no solver.
+
 Minimum-length questions run as a meet-in-the-middle search over deduplicated
 product levels: level l holds every matrix reachable with exactly l
 non-identity gates and not reachable with fewer.  A length-m query splits
@@ -36,9 +43,9 @@ differ only in the order children are tried and in the cost step; the depth
 step is gates.next_layer, the layering rule formulation.schedule_depth
 applies.  Fidelity objectives score whole levels vectorized.
 
-All search modes are exhaustive within `max_length`: a returned optimum is
-proven, and "infeasible" means no realization of length <= max_length
-exists.  Exceeding the node budget or time limit raises
+All search modes are exhaustive within the problem's P: a returned optimum
+is proven, and "infeasible" means no word of at most P gates answers the
+problem.  Exceeding the node budget or time limit raises
 OracleInconclusiveError instead of guessing.
 """
 
@@ -48,13 +55,16 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoding import require_unitary
-from .errors import ConfigError, DimensionError, OracleInconclusiveError
+from .errors import ConfigError, OracleInconclusiveError
 from .gates import GateSet, next_layer, sequence_product
 from .relations import canonical_phase, equal_matrices
+
+if TYPE_CHECKING:
+    from .formulation import SynthesisProblem
 
 #: Rounding scale of the key sketch.  Directions have unit norm, so the sketch
 #: carries the entries' accumulated matmul error (~1e-14) without amplifying
@@ -201,12 +211,12 @@ class _Budget:
 class LevelTables:
     """Deduplicated product levels of a gate set, built lazily."""
 
-    def __init__(self, gs: GateSet, phase_mode: str) -> None:
+    def __init__(self, gs: GateSet, up_to_phase: bool) -> None:
         self.ni = gs.non_identity_indices()
         mats = gs.matrices()
         self.gen = np.ascontiguousarray(mats[self.ni])
         self.n = n = gs.dim
-        self.up_to_phase = phase_mode == "global_phase"
+        self.up_to_phase = up_to_phase
         dirs = _directions(n)
         # sketch maps: of X itself; of every child X @ g, through the
         # directions C_d g^H; of every g^H @ X, through g C_d (one block of
@@ -352,18 +362,18 @@ class LevelTables:
         return None
 
 
-#: Level tables by gate set and phase mode, least recently used first.
+#: Level tables by gate set and phase rule, least recently used first.
 _TABLE_CACHE: dict[tuple, LevelTables] = {}
 
 
-def _tables_for(gs: GateSet, phase_mode: str) -> LevelTables:
+def _tables_for(gs: GateSet, up_to_phase: bool) -> LevelTables:
     digest = hashlib.blake2b(digest_size=16)
     digest.update(np.ascontiguousarray(gs.matrices()).tobytes())
     digest.update(bytes(gs.non_identity_indices()))
-    key = (digest.hexdigest(), phase_mode)
+    key = (digest.hexdigest(), up_to_phase)
     tab = _TABLE_CACHE.pop(key, None)
     if tab is None:
-        tab = LevelTables(gs, phase_mode)
+        tab = LevelTables(gs, up_to_phase)
     _TABLE_CACHE[key] = tab
     return tab
 
@@ -460,22 +470,18 @@ def _dfs(tab: LevelTables, target: np.ndarray, max_length: int, order: list[int]
     return best[1], best[0]
 
 
-def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str,
+def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, fid: bool,
                 budget: _Budget, box: float | None
                 ) -> tuple[list[int] | None, float | None]:
     """Best-scoring word of at most max_length gates, (None, None) if none counts.
 
-    With a `box`, only words whose every Re/Im deviation from the target lies
-    within box + VERIFY_TOL count.
+    The score is |tr(T^dag U)|^2 / n^2 with `fid`, Re tr(T^dag U) / n
+    without.  With a `box`, only words whose every Re/Im deviation from the
+    target lies within box + VERIFY_TOL count.
     """
     def score(stack: np.ndarray) -> np.ndarray:
         tr = stack.reshape(len(stack), -1) @ target.conj().ravel()
-        if mode == "fidelity":
-            vals = np.abs(tr) ** 2 / tab.n ** 2
-        elif tab.up_to_phase:
-            vals = np.abs(tr) / tab.n
-        else:
-            vals = tr.real / tab.n
+        vals = np.abs(tr) ** 2 / tab.n ** 2 if fid else tr.real / tab.n
         if box is not None:
             dev = stack - target
             worst = np.maximum(np.abs(dev.real).max(axis=(1, 2)),
@@ -504,61 +510,52 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, mode: str
     return seq, best_val
 
 
-def exhaustive_synthesize(target: np.ndarray, gs: GateSet, max_length: int,
-                          objective: str = "gate_count", phase_mode: str = "exact",
-                          weights: np.ndarray | None = None,
-                          time_limit: float | None = None,
-                          box: float | None = None) -> OracleResult:
-    """Provably optimal synthesis by exhaustive search up to `max_length` gates.
+def exhaustive_synthesize(problem: SynthesisProblem,
+                          time_limit: float | None = None) -> OracleResult:
+    """Provably optimal answer to `problem` over every word of at most P gates.
 
     Returns gate-set indices (identity never appears in the sequence).  The
-    target is compared exactly or up to a global phase per `phase_mode`.
-    `time_limit` is in seconds; None means no limit.  The fidelity and alpha
-    scans consider only words inside the entrywise `box` around the target,
-    when one is given, and are infeasible when no word is.  Searching more
-    than NODE_BUDGET nodes raises OracleInconclusiveError.
-    """
-    target = require_unitary(target)
-    if target.shape != (gs.dim, gs.dim):
-        raise DimensionError(
-            f"target is {target.shape[0]}x{target.shape[1]}, gate set needs "
-            f"{gs.dim}x{gs.dim}")
-    if max_length < 0:
-        raise ValueError("max_length must be >= 0")
-    if phase_mode not in ("exact", "global_phase"):
-        raise ValueError(f"unknown phase mode {phase_mode!r}")
-    if objective not in ("gate_count", "depth", "fidelity", "alpha"):
-        raise ValueError(f"unknown oracle objective {objective!r}")
-    time_limit = checked_time_limit(time_limit)
+    search reads the problem's effective instance, matched up to a global
+    phase when problem.up_to_phase, and, by objective:
 
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(gs),):
-            raise ValueError(f"weights must have one entry per gate, got {w.shape}")
-        gw = w[gs.non_identity_indices()]
-        if not np.all(np.isfinite(gw) & (gw >= 0)):
-            raise ValueError("gate weights must be finite and non-negative")
-    tab = _tables_for(gs, phase_mode)
+    - weighted_gate_count: the weights.  Equal weights run the
+      meet-in-the-middle length search, others the branch and bound.
+    - depth: D.  The branch and bound finds the least depth over all words,
+      so one above D is infeasible, as in the MIP.
+    - linearized_fidelity: nothing more; the score is alpha,
+      Re tr(T^dag U) / n.
+    - exact_fidelity: nothing more; the score is |tr(T^dag U)|^2 / n^2.
+    - frobenius_oa: epsilon.  Only words whose Re/Im deviations from the
+      target lie in the epsilon-box count, and none there is infeasible.
+      Among them the best alpha has the least squared Frobenius error, which
+      falls as alpha grows; K, the model's outer approximation of that
+      error, is not read.
+
+    `time_limit` is in seconds; None means no limit.  Searching more than
+    NODE_BUDGET nodes or past the time limit raises OracleInconclusiveError.
+    """
+    time_limit = checked_time_limit(time_limit)
+    target, gs = problem.effective_instance
+    P, objective = problem.P, problem.objective
+    tab = _tables_for(gs, problem.up_to_phase)
     budget = _Budget(NODE_BUDGET, time_limit)
 
     def search() -> tuple[list[int] | None, float | None]:
-        if objective == "gate_count":
-            uniform = w is None or (len(tab.ni) > 0 and np.ptp(w[tab.ni]) <= 1e-12)
-            if not uniform:
-                gw = w[tab.ni]
+        if objective == "weighted_gate_count":
+            gw = problem.weights[tab.ni]
+            if len(gw) == 0 or np.ptp(gw) > 1e-12:
                 order = sorted(range(len(tab.gen)), key=lambda p: gw[p])
-                return _dfs(tab, target, max_length, order,
+                return _dfs(tab, target, P, order,
                             lambda c, layer, p: (c + gw[p], layer), budget) or (None, None)
-            unit = 1.0 if w is None else float(w[tab.ni[0]]) if tab.ni else 0.0
-            seq = _mitm_min_length(tab, target, max_length, budget)
-            return seq, None if seq is None else unit * len(seq)
+            seq = _mitm_min_length(tab, target, P, budget)
+            return seq, None if seq is None else float(gw[0]) * len(seq)
         if objective == "depth":
             supports = [gs[i].support for i in tab.ni]
-            return _dfs(tab, target, max_length, list(range(len(tab.gen))),
-                        lambda d, layer, p: next_layer(d, layer, supports[p]),
-                        budget) or (None, None)
-        return _best_score(tab, target, max_length, objective, budget, box)
+            found = _dfs(tab, target, P, list(range(len(tab.gen))),
+                         lambda d, layer, p: next_layer(d, layer, supports[p]), budget)
+            return found if found and found[1] <= problem.D else (None, None)
+        return _best_score(tab, target, P, objective == "exact_fidelity", budget,
+                           problem.epsilon if objective == "frobenius_oa" else None)
 
     try:
         seq, obj = search()

@@ -23,8 +23,8 @@ from .cuts import CutSelection
 from .encoding import fidelity
 from .errors import BackendError, ConfigError, OracleInconclusiveError
 from .formulation import SynthesisProblem, synthesize
-from .gates import (GateSet, GateSpec, builtin_gate, extend_gate, gate_spec,
-                    sequence_product)
+from .gates import (MAX_QUBITS, GateSet, GateSpec, builtin_gate, extend_gate,
+                    gate_spec, sequence_product)
 from .oracle import checked_time_limit
 
 #: Largest register (in qubits) on which the final unitary check runs.
@@ -130,8 +130,9 @@ class RhoConfig:
             raise ConfigError("window_length must be >= 1")
         if self.accept_window < 1:
             raise ConfigError("accept_window must be >= 1")
-        if self.max_qubits < 1:
-            raise ConfigError("max_qubits must be >= 1")
+        if not 1 <= self.max_qubits <= MAX_QUBITS:
+            raise ConfigError(f"max_qubits must lie in [1, {MAX_QUBITS}], "
+                              f"got {self.max_qubits}")
         if self.passes < 1:
             raise ConfigError("passes must be >= 1")
         if not self.window_gates:

@@ -12,7 +12,8 @@ from mipsynth.cli import (EXIT_INFEASIBLE, EXIT_NO_SOLUTION, EXIT_OPTIMAL,
                           sequence_counts, validate_config)
 from mipsynth.errors import ConfigError, GateSetError
 from mipsynth.fixtures import benchmark_registry, csx_spec, standard_target
-from mipsynth.gates import builtin_gate, gate_spec
+from mipsynth import gates
+from mipsynth.gates import MAX_QUBITS, builtin_gate, gate_spec
 from mipsynth.rho import circuit_unitary
 
 BIG = "1" + "0" * 400  # an integer no float can hold
@@ -90,7 +91,10 @@ MALFORMED_DOCS = {"entry_without_qubits": {"qubits": 1, "gates": [{"name": "H"}]
                   "gates_not_a_list": {"qubits": 1, "gates": 5},
                   "entry_not_an_object": {"qubits": 1, "gates": ["H"]},
                   "qubits_not_a_list": {"qubits": 1,
-                                        "gates": [{"name": "H", "qubits": 1}]}}
+                                        "gates": [{"name": "H", "qubits": 1}]},
+                  "register_below_one": {"qubits": -1, "gates": []},
+                  "gate_above_register": {"qubits": 1, "gates": [
+                      {"name": "CNOT", "qubits": [1, 2]}]}}
 
 
 @pytest.mark.parametrize("entry", ["verify", "gate_set", "rho_seed_file",
@@ -112,6 +116,29 @@ def test_malformed_gate_list_documents_exit_64(tmp_path, capsys, doc, entry):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("mipsynth: error:")
+
+
+
+def test_oversized_registers_exit_64_before_allocating(tmp_path, capsys, monkeypatch):
+    permutation = gates.front_permutation
+
+    def guarded(qubits, num_qubits):
+        assert num_qubits <= MAX_QUBITS, "a register above MAX_QUBITS was allocated"
+        return permutation(qubits, num_qubits)
+
+    monkeypatch.setattr(gates, "front_permutation", guarded)
+    path = tmp_path / "gs.json"
+    path.write_text(json.dumps({"qubits": 30, "gates": [{"name": "H", "qubits": [1]}]}))
+    for argv in (["synthesize", "--gate-set", str(path), "--target", "identity",
+                  "-P", "1"],
+                 ["rho", "--seed-circuit", "k4_parity",
+                  "--max-qubits", str(MAX_QUBITS + 1)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("mipsynth: error:")
+        assert str(MAX_QUBITS) in err
 
 
 def test_resolve_target_forms(tmp_path):

@@ -1,8 +1,10 @@
 """Every exported name resolves, so a deletion cannot leave a dangling export;
-and no definition outlives its callers without a stated reason."""
+no definition outlives its callers without a stated reason; and every entry
+point the benchmark traces is still called on the paths it times."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -79,3 +81,46 @@ def unreferenced_definitions(root: Path) -> list[str]:
 def test_every_unreferenced_definition_has_a_reason():
     root = Path(mipsynth.__file__).resolve().parent
     assert sorted(unreferenced_definitions(root)) == sorted(UNREFERENCED_ALLOWED)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: Spans the benchmark installs that no library path records: verification
+#: checks rows with MipModel.violations, never check_point.
+UNRECORDED_SPANS = {"MipModel.check_point"}
+#: Loads perfbench/run.py, installs its spans on a throwaway Tracer, solves a
+#: feasible corpus instance on both backends and runs a small RHO pass, then
+#: prints the recorded span names and the names the benchmark times.
+_SPAN_PROBE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+from spans import Tracer
+from mipsynth import fixtures, formulation, rho
+tracer = Tracer()
+run.install_spans(tracer, {})
+fix = next(f for f in fixtures.oracle_corpus() if f.name == "hch_cz")
+problem = formulation.SynthesisProblem(fix.target, fix.gate_set, P=fix.P,
+                                       phase_mode="global_phase")
+with tracer.recording():
+    for backend in ("scipy", "oracle"):
+        assert formulation.synthesize(problem, backend=backend).status == "optimal"
+    rho.rolling_horizon(fixtures.k4_parity_seed()[:8],
+                        rho.RhoConfig(window_length=4, max_qubits=2, passes=1))
+tracer.unpatch()
+print(json.dumps({"recorded": sorted({sp.name for sp in tracer.spans}),
+                  "timed": sorted(run.SELF_TIME_METRICS)}))
+"""
+
+
+def test_perfbench_spans_are_recorded():
+    src = str(Path(mipsynth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, str(PERFBENCH), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _SPAN_PROBE, str(PERFBENCH / "run.py")],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=300)
+    names = json.loads(done.stdout.strip().splitlines()[-1])
+    assert UNRECORDED_SPANS <= set(names["timed"])
+    missing = set(names["timed"]) - UNRECORDED_SPANS - set(names["recorded"])
+    assert missing == set()

@@ -3,6 +3,7 @@
 import itertools
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from mipsynth.fixtures import oracle_corpus
 from mipsynth.formulation import (DATA_FAMILIES, DATA_TOL, OBJECTIVES,
                                   PHASE_MODES, POLISH_TOL, TARGET_OBJECTIVES,
                                   SynthesisProblem, build_base, build_model,
-                                  effective_instance, extract_and_verify,
-                                  polish_point, schedule_depth, synthesize)
+                                  extract_and_verify, polish_point,
+                                  schedule_depth, synthesize, verify_sequence)
 from mipsynth.gates import (GateSet, builtin_gate, extend_gate, gate_spec,
                             sequence_product, weave_gate_set)
 from mipsynth.solvers import DEFAULT_GAP_TOL, get_backend
@@ -96,27 +97,41 @@ def test_effective_instance_scope():
     gs = gs1("H", "T")
     t = builtin_gate("S")
     (eff_t, eff_gs), warned = su_warned(
-        lambda: effective_instance(SynthesisProblem(t, gs, P=2)))
+        lambda: SynthesisProblem(t, gs, P=2).effective_instance)
     assert warned and eff_gs is not gs
     assert np.linalg.det(eff_t) == pytest.approx(1.0, abs=1e-12)
     assert all(abs(np.linalg.det(m) - 1) < 1e-12 for m in eff_gs.matrices())
     assert [g.support for g in eff_gs] == [g.support for g in gs]
     assert eff_gs.identity_index == gs.identity_index
 
-    (eff_t, eff_gs), warned = su_warned(lambda: effective_instance(
-        SynthesisProblem(t, gs, P=2, phase_mode="global_phase")))
+    (eff_t, eff_gs), warned = su_warned(lambda: SynthesisProblem(
+        t, gs, P=2, phase_mode="global_phase").effective_instance)
     assert eff_gs is gs and not warned and np.array_equal(eff_t, t)
 
-    (eff_t, eff_gs), warned = su_warned(lambda: effective_instance(
-        SynthesisProblem(t, gs, P=2, objective="linearized_fidelity")))
+    (eff_t, eff_gs), warned = su_warned(lambda: SynthesisProblem(
+        t, gs, P=2, objective="linearized_fidelity").effective_instance)
     assert eff_gs is gs and not warned and np.array_equal(eff_t, t)
 
     # an already-special instance is left alone, quietly
     rz = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.7)])
-    (eff_t, eff_gs), warned = su_warned(lambda: effective_instance(
-        SynthesisProblem(builtin_gate("RZ", 0.3), rz, P=2)))
+    (eff_t, eff_gs), warned = su_warned(lambda: SynthesisProblem(
+        builtin_gate("RZ", 0.3), rz, P=2).effective_instance)
     assert eff_gs is rz and not warned
 
+
+
+@pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
+def test_verify_sequence_rejects_a_word_that_misses_the_target():
+    gs = gs1("H", "T")
+    h, t = gs.index_of("H"), gs.index_of("T")
+    for mode in PHASE_MODES:
+        p = SynthesisProblem(builtin_gate("S"), gs, P=2, phase_mode=mode)
+        assert verify_sequence(p, [t, t]).fidelity_to_target == pytest.approx(1.0)
+        with pytest.raises(ModelIntegrityError, match="fidelity"):
+            verify_sequence(p, [h, t])
+    # an objective without the target equality scores any word
+    p = SynthesisProblem(builtin_gate("S"), gs, P=2, objective="linearized_fidelity")
+    assert verify_sequence(p, [h, t]).fidelity_to_target < 0.9
 
 def test_build_base_counts():
     with warnings.catch_warnings():
@@ -542,7 +557,7 @@ def test_bad_time_limits_fail_before_any_model(monkeypatch, backend):
     monkeypatch.setattr(formulation.oracle_mod, "exhaustive_synthesize", never)
     p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
     for objective in ("weighted_gate_count", "depth"):
-        p.objective = objective
+        p = replace(p, objective=objective)
         for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400):
             with pytest.raises(ConfigError, match="time_limit"):
                 synthesize(p, backend=backend, time_limit=bad)
@@ -592,8 +607,7 @@ def test_pure_phase_gate_fails_clearly_in_exact_mode(backend):
     p = SynthesisProblem(builtin_gate("H"), gs, P=2)
     with pytest.raises(ConfigError, match=r"gate W\[1\] is a pure phase"):
         synthesize(p, backend=backend)
-    p.phase_mode = "global_phase"
-    r = synthesize(p, backend=backend)
+    r = synthesize(replace(p, phase_mode="global_phase"), backend=backend)
     assert r.status == "optimal" and [s.name for s in r.sequence] == ["H"]
 
 

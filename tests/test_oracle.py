@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipsynth import oracle
-from mipsynth.errors import (ConfigError, DimensionError,
-                             OracleInconclusiveError, UnitarityError)
-from mipsynth.formulation import SynthesisProblem, schedule_depth, synthesize
+from mipsynth.errors import ConfigError, OracleInconclusiveError
+from mipsynth.formulation import (PHASE_MODES, SynthesisProblem, schedule_depth,
+                                  synthesize)
 from mipsynth.gates import GateSet, builtin_gate, gate_spec, weave_gate_set
 from mipsynth.oracle import (LevelTables, OracleResult, clear_oracle_cache,
                              exhaustive_synthesize)
@@ -19,6 +20,9 @@ from mipsynth.relations import equal_matrices
 from mipsynth.rho import window_gate_set
 
 from util import SEED, random_unitary
+
+# exact-mode problems are determinant-normalized, which warns
+pytestmark = pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
 
 
 def one_qubit_set(*names: str) -> GateSet:
@@ -37,99 +41,110 @@ def product_of(gs: GateSet, indices) -> np.ndarray:
     return u
 
 
-def brute_min_length(gs: GateSet, target: np.ndarray, max_length: int,
-                     up_to_phase: bool) -> int | None:
-    gens = gs.non_identity_indices()
-    for m in range(max_length + 1):
+def realizes(problem: SynthesisProblem, indices) -> bool:
+    """Whether the word meets the problem's effective target."""
+    target, gs = problem.effective_instance
+    return equal_matrices(product_of(gs, indices), target, problem.up_to_phase)
+
+
+def brute_min_length(problem: SynthesisProblem) -> int | None:
+    """Fewest gates of a word of at most P that meets the effective target."""
+    gens = problem.gate_set.non_identity_indices()
+    for m in range(problem.P + 1):
         for seq in itertools.product(gens, repeat=m):
-            if equal_matrices(product_of(gs, seq), target, up_to_phase):
+            if realizes(problem, seq):
                 return m
     return None
 
 
-@pytest.mark.parametrize("phase_mode", ["exact", "global_phase"])
+def assert_min_length(problem: SynthesisProblem, res: OracleResult) -> None:
+    want = brute_min_length(problem)
+    if want is None:
+        assert res.status == "infeasible" and res.sequence is None
+    else:
+        assert res.status == "optimal" and len(res.sequence) == want
+        assert realizes(problem, res.sequence)
+        assert res.objective == pytest.approx(float(want))
+
+
+@pytest.mark.parametrize("phase_mode", PHASE_MODES)
 def test_min_length_matches_enumeration(rng, phase_mode):
     gs = one_qubit_set("H", "T")
-    up = phase_mode == "global_phase"
     targets = [builtin_gate("S"), builtin_gate("Z"),
                builtin_gate("H") @ builtin_gate("T") @ builtin_gate("H"),
                np.eye(2, dtype=complex), random_unitary(2, rng)]
     for t in targets:
-        want = brute_min_length(gs, t, 4, up)
-        res = exhaustive_synthesize(t, gs, 4, phase_mode=phase_mode)
-        if want is None:
-            assert res.status == "infeasible" and res.sequence is None
-        else:
-            assert res.status == "optimal" and len(res.sequence) == want
-            assert equal_matrices(product_of(gs, res.sequence), t, up)
-            assert res.objective == pytest.approx(float(want))
+        p = SynthesisProblem(t, gs, P=4, phase_mode=phase_mode)
+        assert_min_length(p, exhaustive_synthesize(p))
 
 
-def test_phase_only_target_splits_modes():
+def test_phase_only_target_agrees_across_routes():
+    # e^{i pi/4} I normalizes to I in exact mode and is I up to a phase
     gs = one_qubit_set("H", "T")
     t = np.exp(1j * np.pi / 4) * np.eye(2)
-    assert exhaustive_synthesize(t, gs, 3, phase_mode="exact").status == "infeasible"
-    res = exhaustive_synthesize(t, gs, 3, phase_mode="global_phase")
-    assert res.status == "optimal" and res.sequence == []
+    for mode in PHASE_MODES:
+        p = SynthesisProblem(t, gs, P=3, phase_mode=mode)
+        res = exhaustive_synthesize(p)
+        assert res.status == "optimal" and res.sequence == [], mode
+        for backend in ("oracle", "scipy"):
+            r = synthesize(p, backend=backend)
+            assert r.status == "optimal" and r.gate_indices == [], (mode, backend)
+            assert r.objective_value == pytest.approx(0.0, abs=1e-9), (mode, backend)
 
 
 def test_weighted_search_prefers_cheap_detour():
     gs = one_qubit_set("T", "Tdg", "Z")
-    s = builtin_gate("S")
-    uniform = exhaustive_synthesize(s, gs, 3)
+    p = SynthesisProblem(builtin_gate("S"), gs, P=3)
+    uniform = exhaustive_synthesize(p)
     assert len(uniform.sequence) == 2 and uniform.objective == pytest.approx(2.0)
     # pricing T out of reach makes Z Tdg Tdg the optimum
     w = np.zeros(len(gs))
     w[gs.index_of("T")] = 5.0
     w[gs.index_of("Tdg")] = 1.0
     w[gs.index_of("Z")] = 1.0
-    res = exhaustive_synthesize(s, gs, 3, weights=w)
+    res = exhaustive_synthesize(replace(p, weights=w))
     assert len(res.sequence) == 3 and res.objective == pytest.approx(3.0)
-    assert equal_matrices(product_of(gs, res.sequence), s, False)
-    doubled = exhaustive_synthesize(s, gs, 3, weights=np.full(len(gs), 2.0))
+    assert realizes(p, res.sequence)
+    doubled = exhaustive_synthesize(replace(p, weights=np.full(len(gs), 2.0)))
     assert len(doubled.sequence) == 2 and doubled.objective == pytest.approx(4.0)
 
 
 def test_depth_objective_parallelizes():
     gs = line_set()
     hh = np.kron(builtin_gate("H"), builtin_gate("H"))
-    res = exhaustive_synthesize(hh, gs, 3, objective="depth")
+    res = exhaustive_synthesize(SynthesisProblem(hh, gs, P=3, objective="depth"))
     assert res.objective == pytest.approx(1.0)
     assert schedule_depth([gs[i].support for i in res.sequence])[0] == 1
     layered = product_of(gs, [gs.index_of("H", (1,)), gs.index_of("H", (2,)),
                               gs.index_of("CNOT", (1, 2))])
-    res = exhaustive_synthesize(layered, gs, 4, objective="depth")
+    p = SynthesisProblem(layered, gs, P=4, objective="depth")
+    res = exhaustive_synthesize(p)
     assert res.objective == pytest.approx(2.0)
-    assert equal_matrices(product_of(gs, res.sequence), layered, False)
+    assert realizes(p, res.sequence)
+    # a least depth above D is infeasible
+    assert exhaustive_synthesize(replace(p, D=1)).status == "infeasible"
 
 
 @pytest.mark.parametrize("objective,phase_mode", [
-    ("alpha", "exact"), ("alpha", "global_phase"),
-    ("fidelity", "exact"), ("fidelity", "global_phase"),
+    ("alpha", "exact"), ("fidelity", "exact"), ("fidelity", "global_phase"),
 ])
 def test_score_objectives_match_enumeration(rng, objective, phase_mode):
-    gs = weave_gate_set()
-    target = random_unitary(2, rng)
+    p = SynthesisProblem(random_unitary(2, rng), weave_gate_set(), P=3,
+                         objective={"alpha": "linearized_fidelity",
+                                    "fidelity": "exact_fidelity"}[objective],
+                         phase_mode=phase_mode)
+    target, gs = p.effective_instance
+
+    def score(seq) -> float:
+        tr = np.trace(target.conj().T @ product_of(gs, seq))
+        return abs(tr) ** 2 / 4 if objective == "fidelity" else tr.real / 2
+
     gens = gs.non_identity_indices()
-    best = -np.inf
-    for m in range(4):
-        for seq in itertools.product(gens, repeat=m):
-            tr = np.trace(target.conj().T @ product_of(gs, seq))
-            if objective == "fidelity":
-                val = abs(tr) ** 2 / 4
-            elif phase_mode == "global_phase":
-                val = abs(tr) / 2
-            else:
-                val = tr.real / 2
-            best = max(best, val)
-    res = exhaustive_synthesize(target, gs, 3, objective=objective,
-                                phase_mode=phase_mode)
+    best = max(score(seq) for m in range(4) for seq in itertools.product(gens, repeat=m))
+    res = exhaustive_synthesize(p)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(best, abs=1e-9)
-    tr = np.trace(target.conj().T @ product_of(gs, res.sequence))
-    achieved = (abs(tr) ** 2 / 4 if objective == "fidelity"
-                else abs(tr) / 2 if phase_mode == "global_phase" else tr.real / 2)
-    assert achieved == pytest.approx(res.objective, abs=1e-9)
+    assert score(res.sequence) == pytest.approx(res.objective, abs=1e-9)
 
 
 def test_sequence_depth_rules():
@@ -154,26 +169,7 @@ def test_budget_exhaustion_raises(monkeypatch):
     gs = one_qubit_set("H", "T")
     monkeypatch.setattr(oracle, "NODE_BUDGET", 3)
     with pytest.raises(OracleInconclusiveError):
-        exhaustive_synthesize(builtin_gate("X"), gs, 6)
-
-
-def test_input_validation(rng):
-    gs = one_qubit_set("H", "T")
-    t = builtin_gate("S")
-    with pytest.raises(ValueError):
-        exhaustive_synthesize(t, gs, -1)
-    with pytest.raises(ValueError):
-        exhaustive_synthesize(t, gs, 2, objective="elegance")
-    with pytest.raises(ValueError):
-        exhaustive_synthesize(t, gs, 2, phase_mode="local")
-    with pytest.raises(DimensionError):
-        exhaustive_synthesize(random_unitary(4, rng), gs, 2)
-    with pytest.raises(UnitarityError):
-        exhaustive_synthesize(np.ones((2, 2), dtype=complex), gs, 2)
-    with pytest.raises(ValueError):
-        exhaustive_synthesize(t, gs, 2, weights=np.ones(2))
-    with pytest.raises(ValueError):
-        exhaustive_synthesize(t, gs, 2, weights=-np.ones(len(gs)))
+        exhaustive_synthesize(SynthesisProblem(builtin_gate("X"), gs, P=6))
 
 
 def test_bad_time_limits_fail_before_any_table(monkeypatch):
@@ -181,37 +177,22 @@ def test_bad_time_limits_fail_before_any_table(monkeypatch):
         raise AssertionError("a level table was built for a bad time limit")
 
     monkeypatch.setattr(oracle, "_tables_for", never)
-    gs = one_qubit_set("H", "T")
+    p = SynthesisProblem(builtin_gate("S"), one_qubit_set("H", "T"), P=2)
     for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400):
         with pytest.raises(ConfigError, match="time_limit"):
-            exhaustive_synthesize(builtin_gate("S"), gs, 2, time_limit=bad)
-
-
-def test_non_finite_weights_fail_before_any_table(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a level table was built for bad weights")
-
-    monkeypatch.setattr(oracle, "_tables_for", never)
-    gs = one_qubit_set("H", "T")
-    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
-        w = np.ones(len(gs))
-        w[gs.index_of("H")] = bad
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            exhaustive_synthesize(builtin_gate("S"), gs, 3, weights=w)
+            exhaustive_synthesize(p, time_limit=bad)
 
 
 def test_cache_survives_clear():
-    gs = one_qubit_set("H", "T")
-    t = builtin_gate("Z")
-    first = exhaustive_synthesize(t, gs, 4)
+    p = SynthesisProblem(builtin_gate("Z"), one_qubit_set("H", "T"), P=4)
+    first = exhaustive_synthesize(p)
     clear_oracle_cache()
-    second = exhaustive_synthesize(t, gs, 4)
+    second = exhaustive_synthesize(p)
     assert isinstance(first, OracleResult)
     assert len(first.sequence) == len(second.sequence) == 4
     assert first.sequence == second.sequence
 
 
-@pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
 def test_depth_of_empty_support_gate_agrees_across_routes():
     # NEG = -I acts on no qubit, so it opens no layer on either route
     neg = gate_spec("NEG", (1,), matrix=-np.eye(2))
@@ -231,10 +212,13 @@ def test_table_cache_is_lru_within_byte_budget(monkeypatch):
               product_of(sets[2], [1, 3, 2]), builtin_gate("S")]
     calls = [0, 1, 2, 3, 0, 2, 1, 3, 0]
 
+    def solve(i):
+        return exhaustive_synthesize(SynthesisProblem(target[i], sets[i], P=4))
+
     def run_all():
         out = []
         for i in calls:
-            res = exhaustive_synthesize(target[i], sets[i], 4)
+            res = solve(i)
             total = sum(t.stored_bytes for t in oracle._TABLE_CACHE.values())
             out.append((res.status, res.sequence, total, len(oracle._TABLE_CACHE)))
         return out
@@ -253,7 +237,7 @@ def test_table_cache_is_lru_within_byte_budget(monkeypatch):
     assert min(r[3] for r in bounded[len(sets):]) < len(sets)  # it did evict
     # a budget below one table still keeps the table just used
     monkeypatch.setattr(oracle, "CACHE_BUDGET_BYTES", 0)
-    res = exhaustive_synthesize(target[2], sets[2], 4)
+    res = solve(2)
     (kept,) = oracle._TABLE_CACHE.values()
     assert kept.stored_bytes > 0 and res.sequence == free[2][1]
     clear_oracle_cache()
@@ -268,7 +252,7 @@ _SMALL_BUDGET = 200_000
 @functools.cache
 def triple_tables(phase_mode: str, budgeted: bool) -> LevelTables:
     """Levels 0-4 of _TRIPLE_SET, built under _SMALL_BUDGET when budgeted."""
-    tab = LevelTables(_TRIPLE_SET, phase_mode)
+    tab = LevelTables(_TRIPLE_SET, phase_mode == "global_phase")
     with pytest.MonkeyPatch.context() as mp:
         if budgeted:
             mp.setattr(oracle, "_MATRIX_BUDGET_BYTES", _SMALL_BUDGET)
@@ -285,8 +269,8 @@ def test_gemm_kernels_match_einsum(rng):
     assert np.abs(oracle._right_factors(parents, target) - y).max() <= 1e-12
     dirs = oracle._directions(n)
     assert np.allclose(np.linalg.norm(dirs.reshape(len(dirs), -1), axis=1), 1.0)
-    for phase_mode in ("exact", "global_phase"):
-        tab = LevelTables(gs, phase_mode)
+    for phase_mode in PHASE_MODES:
+        tab = LevelTables(gs, phase_mode == "global_phase")
         children = np.einsum("cij,gjk->cgik", parents, tab.gen).reshape(-1, n, n)
         rights = np.einsum("gji,cjk->cgik", tab.gen.conj(), y).reshape(-1, n, n)
         for stack, sketch_map, formed in ((parents, tab.child_map, children),
@@ -348,7 +332,7 @@ def test_pointer_only_tables_answer_like_stored_ones(word):
 
 def test_stored_bytes_count_keys_and_pointers(monkeypatch):
     monkeypatch.setattr(oracle, "_MATRIX_BUDGET_BYTES", _SMALL_BUDGET)
-    tab = LevelTables(_TRIPLE_SET, "exact")
+    tab = LevelTables(_TRIPLE_SET, False)
     budget = oracle._Budget(10 ** 9, None)
     tab.ensure_level(2, budget)
     before = tab.stored_bytes
@@ -389,14 +373,14 @@ def independent_level_counts(gs: GateSet, up_to_phase: bool, lmax: int) -> list[
 @pytest.mark.parametrize("phase_mode", ["exact", "global_phase"])
 def test_level_counts_match_independent_dedup(phase_mode):
     gs = window_gate_set(("CNOT", "H", "S"), 3)
-    tab = LevelTables(gs, phase_mode)
+    tab = LevelTables(gs, phase_mode == "global_phase")
     tab.ensure_level(4, oracle._Budget(10 ** 9, None))
     want = independent_level_counts(gs, phase_mode == "global_phase", 4)
     assert [lev.count for lev in tab.levels] == want
 
 
 def test_four_qubit_level_counts_pinned():
-    tab = LevelTables(window_gate_set(("CNOT", "H", "S"), 4), "exact")
+    tab = LevelTables(window_gate_set(("CNOT", "H", "S"), 4), False)
     tab.ensure_level(4, oracle._Budget(10 ** 9, None))
     assert [lev.count for lev in tab.levels] == [1, 20, 264, 2820, 26166]
 
@@ -408,9 +392,6 @@ _PAIR_SET = window_gate_set(("CNOT", "H", "S"), 2)
 @given(word=st.lists(st.sampled_from(_PAIR_SET.non_identity_indices()), max_size=3))
 def test_random_words_reach_brute_force_minimum(word):
     target = product_of(_PAIR_SET, word)
-    for phase_mode in ("exact", "global_phase"):
-        want = brute_min_length(_PAIR_SET, target, len(word), phase_mode == "global_phase")
-        res = exhaustive_synthesize(target, _PAIR_SET, 3, phase_mode=phase_mode)
-        assert res.status == "optimal" and len(res.sequence) == want
-        assert equal_matrices(product_of(_PAIR_SET, res.sequence), target,
-                              phase_mode == "global_phase")
+    for phase_mode in PHASE_MODES:
+        p = SynthesisProblem(target, _PAIR_SET, P=3, phase_mode=phase_mode)
+        assert_min_length(p, exhaustive_synthesize(p))

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from mipsynth.encoding import fidelity
 from mipsynth.errors import BackendError, ConfigError
 from mipsynth.fixtures import brickwork_circuit, k4_parity_seed, k5_parity_seed
-from mipsynth.gates import GateSpec, gate_spec
+from mipsynth.gates import MAX_QUBITS, GateSpec, gate_spec
 from mipsynth import rho as rho_mod
 from mipsynth.rho import (RhoConfig, RhoResult, circuit_qubits,
                           circuit_unitary, find_first_block, retarget,
@@ -113,6 +113,9 @@ def test_rho_config_validation():
         RhoConfig(accept_window=0)
     with pytest.raises(ConfigError):
         RhoConfig(max_qubits=0)
+    with pytest.raises(ConfigError, match="max_qubits"):
+        RhoConfig(max_qubits=MAX_QUBITS + 1)
+    assert RhoConfig(max_qubits=MAX_QUBITS).max_qubits == MAX_QUBITS
     with pytest.raises(ConfigError):
         RhoConfig(passes=0)
     for bad in (float("nan"), 0.0, -1.0, float("inf"), 10 ** 400):
