@@ -10,10 +10,13 @@ no solver.
 Minimum-length questions run as a meet-in-the-middle search over deduplicated
 product levels: level l holds every matrix reachable with exactly l
 non-identity gates and not reachable with fewer.  A length-m query splits
-m = l + r, walks the left level, and hash-looks the required right factor up
-in the keys of level r; sequences come back by peeling generators against
-lower-level key sets, and every answer is re-verified in exact arithmetic
-before it is returned.
+m = l + r with l = m // 2, walks the left level, and hash-looks the required
+right factor up in the keys of level r; sequences come back by peeling
+generators against lower-level key sets, and every answer is re-verified in
+exact arithmetic before it is returned.  Lengths 2l and 2l+1 walk the same
+left level, so a query forms the right-factor keys of each left level once,
+in member order, and replays them for the second length; a hit is formed
+from its member index alone.
 
 A level is an array of pointers: member k of level l is a parent in level
 l-1 times a generator g, stored as the product index parent * G + g, in
@@ -35,7 +38,9 @@ gives the keys of all children of a parent chunk from one GEMM, and
 query the same way.  Only hits are formed as matrices.  Two distinct
 matrices share a key only if they agree to about 1e-6 along all 8
 directions; every hit is still peeled and re-verified against the exact
-matrices.
+matrices.  A level's keys are a sorted uint64 array (plus a few sorted
+pending batches while it grows), deduplicated by a sort and a neighbour
+compare and searched by bisection.
 
 Weighted counts and circuit depth are not monotone in sequence length, so
 those objectives share one branch-and-bound depth-first enumeration.  They
@@ -129,8 +134,19 @@ def _sketch_map(dirs: np.ndarray) -> np.ndarray:
         np.stack([re, im], axis=1).reshape(2 * len(w), 2 * w.shape[1]).T)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending, by a sort and a neighbour compare;
+    np.unique hashes integer keys, which is many times slower."""
+    keys = np.sort(keys)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 class _KeySet:
-    """Growing set of uint64 keys with vectorized membership tests."""
+    """Growing set of uint64 keys with vectorized membership tests: a sorted
+    base and a few sorted pending batches, merged once they grow large."""
 
     def __init__(self) -> None:
         self._base = np.empty(0, dtype=np.uint64)
@@ -139,14 +155,14 @@ class _KeySet:
 
     def consolidate(self) -> None:
         if self._pending:
-            self._base = np.unique(np.concatenate([self._base, *self._pending]))
+            self._base = _sorted_unique(np.concatenate([self._base, *self._pending]))
             self._pending = []
             self._pending_n = 0
 
     def add(self, keys: np.ndarray) -> None:
         if len(keys) == 0:
             return
-        self._pending.append(np.unique(keys))
+        self._pending.append(_sorted_unique(keys))
         self._pending_n += len(keys)
         if self._pending_n > max(50_000, len(self._base) // 4):
             self.consolidate()
@@ -324,25 +340,30 @@ class LevelTables:
                     mats[lo:lo + len(chunk)] = chunk
                 lev.mats = mats
 
-    def left_hits(self, l: int, target: np.ndarray, right_keys: _KeySet,
-                  budget: _Budget):
-        """Yield (A, A^H @ target) for each level-l member A whose right factor
-        has a key in right_keys, in member order.  Keys come from the parents'
-        Y = P^H @ target; only hits are formed, as P @ g and g^H @ Y."""
+    def query_keys(self, l: int, target: np.ndarray, budget: _Budget):
+        """Yield (lo, keys): the keys of the right factors A^H @ target of the
+        level-l members A from lo on, in member order, charging the budget
+        once per chunk.  Keys come from the parents' Y = P^H @ target
+        through the query sketch; no member is formed."""
         if l == 0:
             budget.charge(1)
-            if right_keys.contains_scalar(self.key_of_one(target)):
-                yield np.eye(self.n, dtype=complex), target
+            yield 0, self.keys_of(target[None, :, :])
             return
         src, g_count = self.levels[l].src, len(self.gen)
         for start, parents, lo, hi in self._families(l):
             budget.charge(hi - lo)
             y = _right_factors(parents, target)
             local = src[lo:hi] - start * g_count
-            qkeys = self._hash(self._sketch(y, self.query_map)[local])
-            for h in np.nonzero(right_keys.contains(qkeys))[0]:
-                p, g = divmod(int(local[h]), g_count)
-                yield parents[p] @ self.gen[g], self.gen[g].conj().T @ y[p]
+            yield lo, self._hash(self._sketch(y, self.query_map)[local])
+
+    def member(self, l: int, i: int) -> np.ndarray:
+        """Matrix of member i of level l: stored, or rebuilt as parent @
+        generator through the pointers of pointer-only levels."""
+        lev = self.levels[l]
+        if lev.mats is not None:
+            return lev.mats[i]
+        p, g = divmod(int(lev.src[i]), len(self.gen))
+        return self.member(l - 1, p) @ self.gen[g]
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         return equal_matrices(a, b, self.up_to_phase, VERIFY_TOL)
@@ -412,29 +433,39 @@ def _right_factors(chunk: np.ndarray, target: np.ndarray) -> np.ndarray:
     return (chunk.conj().transpose(0, 2, 1).reshape(-1, n) @ target).reshape(-1, n, n)
 
 
-def _check_length(tab: LevelTables, target: np.ndarray, m: int,
-                  budget: _Budget) -> list[int] | None:
-    if m == 0:
-        return [] if tab.equal(np.eye(tab.n), target) else None
-    l, r = m // 2, m - m // 2
-    tab.ensure_level(r, budget)
-    for left, right in tab.left_hits(l, target, tab.levels[r].keys, budget):
-        left_seq = tab.peel(left, l)
-        right_seq = tab.peel(right, r)
-        if left_seq is None or right_seq is None:
-            continue
-        seq = left_seq + right_seq
-        if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
-            return seq
-    return None
-
-
 def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
                      budget: _Budget) -> list[int] | None:
-    for m in range(max_length + 1):
-        seq = _check_length(tab, target, m, budget)
-        if seq is not None:
-            return seq
+    """Shortest word for target of at most max_length gates, or None.
+
+    Lengths 2l and 2l+1 both scan left level l, so each level's query keys
+    are formed once, lazily and in member order, and replayed for the
+    second length: a length whose hit comes early still stops early.
+    """
+    if tab.equal(np.eye(tab.n), target):
+        return []
+    scans = {}  # level -> (query-key chunks formed so far, generator of the rest)
+
+    def left_keys(l: int):
+        done, rest = scans.setdefault(l, ([], tab.query_keys(l, target, budget)))
+        yield from done
+        for chunk in rest:
+            done.append(chunk)
+            yield chunk
+
+    for m in range(1, max_length + 1):
+        l, r = m // 2, m - m // 2
+        tab.ensure_level(r, budget)
+        right_keys = tab.levels[r].keys
+        for lo, qkeys in left_keys(l):
+            for h in np.nonzero(right_keys.contains(qkeys))[0]:
+                left = tab.member(l, lo + int(h))
+                left_seq = tab.peel(left, l)
+                right_seq = tab.peel(left.conj().T @ target, r)
+                if left_seq is None or right_seq is None:
+                    continue
+                seq = left_seq + right_seq
+                if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
+                    return seq
     return None
 
 

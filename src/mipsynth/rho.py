@@ -8,7 +8,9 @@ block exceeds the window's gate or qubit budget, re-synthesizes the block on
 its own qubits from the builtin window gates, accepts a fixed number of the
 optimized gates, and pushes the remainder back onto the unprocessed tail.
 Gates skipped over by a block share no qubit with it, so commuting the block
-to the front never changes the circuit's unitary.
+to the front never changes the circuit's unitary.  A pass builds the window
+gate set once per window qubit count and reuses it for every window of that
+width.
 """
 
 from __future__ import annotations
@@ -165,14 +167,23 @@ class RhoResult:
         return sum(e["action"] == "kept" for e in self.window_log)
 
 
-def _optimize_window(block: list[GateSpec], cfg: RhoConfig) -> list[GateSpec] | None:
-    """Resynthesize one block on its own qubits; None means keep it as is."""
+def _optimize_window(block: list[GateSpec], cfg: RhoConfig,
+                     gate_sets: dict[int, GateSet]
+                     ) -> tuple[list[GateSpec] | None, int | None]:
+    """Resynthesize one block on its own qubits.
+
+    Returns the new gates, None to keep the block as is, and the search
+    nodes of the answer (None when the engine gave up without one).
+    `gate_sets` holds the window gate set of each qubit count built so far.
+    """
     wires = sorted({q for g in block for q in g.qubits})
     local = {q: x + 1 for x, q in enumerate(wires)}
     k = len(wires)
     target = circuit_unitary(
         [replace(g, qubits=tuple(local[q] for q in g.qubits)) for g in block], k)
-    gs = window_gate_set(cfg.window_gates, k)
+    if k not in gate_sets:
+        gate_sets[k] = window_gate_set(cfg.window_gates, k)
+    gs = gate_sets[k]
 
     m = len(block)
     problem = SynthesisProblem(target=target, gate_set=gs, P=m,
@@ -186,14 +197,15 @@ def _optimize_window(block: list[GateSpec], cfg: RhoConfig) -> list[GateSpec] | 
     except (OracleInconclusiveError, BackendError) as exc:
         warnings.warn(f"window resynthesis gave up ({exc}); keeping the original "
                       f"{m}-gate block", stacklevel=2)
-        return None
+        return None, None
+    nodes = result.certificate.get("nodes")
     if not result.feasible:
         if result.status == "time_limit":
             warnings.warn(f"window resynthesis timed out; keeping the original "
                           f"{m}-gate block", stacklevel=2)
-        return None
+        return None, nodes
     return [replace(spec, qubits=tuple(wires[q - 1] for q in spec.qubits))
-            for spec in result.sequence]
+            for spec in result.sequence], nodes
 
 
 def rolling_horizon_pass(circuit: list[GateSpec], cfg: RhoConfig,
@@ -201,10 +213,13 @@ def rolling_horizon_pass(circuit: list[GateSpec], cfg: RhoConfig,
                          pass_index: int = 0) -> list[GateSpec]:
     """One front-to-back sweep of block extraction and resynthesis.
 
-    When `log` is given, one entry per window is appended to it.
+    When `log` is given, one entry per window is appended to it; a
+    resynthesized window's entry carries its wall time in `seconds` and the
+    search nodes of its answer in `nodes`.
     """
     t = list(circuit)
     out: list[GateSpec] = []
+    gate_sets: dict[int, GateSet] = {}
 
     def record(entry: dict) -> None:
         if log is not None:
@@ -221,7 +236,9 @@ def rolling_horizon_pass(circuit: list[GateSpec], cfg: RhoConfig,
             record({**entry, "action": "skipped", "gates_out": len(block)})
             out.extend(block)
             continue
-        optimized = _optimize_window(block, cfg)
+        t0 = time.perf_counter()
+        optimized, nodes = _optimize_window(block, cfg, gate_sets)
+        entry.update(seconds=time.perf_counter() - t0, nodes=nodes)
         if optimized is None:
             record({**entry, "action": "kept", "gates_out": len(block)})
             out.extend(block)

@@ -309,7 +309,9 @@ def test_main_rho_small_seed(tmp_path, capsys):
     assert doc["pass_lengths"][0] == 2
     assert doc["fidelity_to_input"] == pytest.approx(1.0, abs=1e-9)
     assert doc["circuit"]["qubits"] == 2
-    assert doc["window_log"]
+    windows = [e for e in doc["window_log"] if e["action"] != "skipped"]
+    assert windows
+    assert all(e["seconds"] >= 0 and e["nodes"] >= 0 for e in windows)
 
 
 def test_main_rho_rejects_unknown_window_gates(tmp_path, capsys):

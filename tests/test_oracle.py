@@ -244,6 +244,7 @@ def test_table_cache_is_lru_within_byte_budget(monkeypatch):
 
 
 _TRIPLE_SET = window_gate_set(("CNOT", "H", "S"), 3)
+_PAIR_SET = window_gate_set(("CNOT", "H", "S"), 2)
 #: Fits levels 0-2 of _TRIPLE_SET (116472 bytes) but not the 668 matrices of
 #: level 3, so levels 3 and up keep keys and pointers only.
 _SMALL_BUDGET = 200_000
@@ -345,6 +346,42 @@ def test_stored_bytes_count_keys_and_pointers(monkeypatch):
     assert tab.stored_bytes - before == lev3.count * (8 + 8)
 
 
+def test_key_set_agrees_with_python_set(rng):
+    pool = rng.integers(0, 2 ** 63, size=30_000, dtype=np.uint64) * np.uint64(2)
+    ks, want = oracle._KeySet(), set()
+    for size in (5, 1_000, 20_000, 40_000, 3, 60_000, 7):
+        batch = rng.choice(pool, size=size)  # repeats inside and across batches
+        ks.add(batch)
+        want.update(batch.tolist())
+        pending = ks._pending
+        assert ks.nbytes == ks._base.nbytes + sum(a.nbytes for a in pending)
+        query = np.concatenate([pool, pool + np.uint64(1)])
+        assert ks.contains(query).tolist() == [q in want for q in query.tolist()]
+    ks.consolidate()
+    assert ks._pending == [] and ks.nbytes == ks._base.nbytes
+    assert np.all(ks._base[1:] > ks._base[:-1])
+    assert ks._base.tolist() == sorted(want)
+
+
+def test_each_left_level_is_scanned_once_per_query(monkeypatch):
+    tab = LevelTables(_PAIR_SET, False)
+    budget = oracle._Budget(10 ** 9, None)
+    tab.ensure_level(5, budget)
+    target = tab.member(5, tab.levels[5].count // 2)
+    scanned = []
+
+    def spy(chunk, target):
+        scanned.append(chunk.tobytes())
+        return right_factors(chunk, target)
+
+    right_factors = oracle._right_factors
+    monkeypatch.setattr(oracle, "_right_factors", spy)
+    seq = oracle._mitm_min_length(tab, target, 5, budget)
+    assert seq is not None and len(seq) == 5  # lengths 4 and 5 share left level 2
+    assert tab.equal(product_of(_PAIR_SET, [tab.ni[p] for p in seq]), target)
+    assert len(scanned) >= 2 and len(set(scanned)) == len(scanned)
+
+
 def independent_level_counts(gs: GateSet, up_to_phase: bool, lmax: int) -> list[int]:
     """Level sizes by dedup on every rounded entry, phase fixed by hand."""
     gens = gs.matrices()[gs.non_identity_indices()]
@@ -383,9 +420,6 @@ def test_four_qubit_level_counts_pinned():
     tab = LevelTables(window_gate_set(("CNOT", "H", "S"), 4), False)
     tab.ensure_level(4, oracle._Budget(10 ** 9, None))
     assert [lev.count for lev in tab.levels] == [1, 20, 264, 2820, 26166]
-
-
-_PAIR_SET = window_gate_set(("CNOT", "H", "S"), 2)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

@@ -177,6 +177,10 @@ def test_rolling_horizon_compresses_parity_seed():
             assert e["saved"] == e["gates_in"] - e["gates_out"]
         else:
             assert e["gates_out"] == e["gates_in"]
+        if e["action"] == "skipped":
+            assert "seconds" not in e and "nodes" not in e
+        else:
+            assert e["seconds"] >= 0 and e["nodes"] >= 0
 
 
 def test_wide_windows_compress_k5_seed_to_22():
@@ -200,9 +204,26 @@ def test_single_pass_preserves_unitary():
     assert fid == pytest.approx(1.0, abs=1e-9)
 
 
+def test_pass_builds_one_gate_set_per_window_width(monkeypatch):
+    cfg = RhoConfig(window_length=10, accept_window=5, max_qubits=4,
+                    window_gates=("CNOT", "H", "S"), backend="oracle")
+    widths = []
+
+    def counted(prototypes, num_qubits):
+        widths.append(num_qubits)
+        return window_gate_set(prototypes, num_qubits)
+
+    monkeypatch.setattr(rho_mod, "window_gate_set", counted)
+    log = []
+    rolling_horizon_pass(k5_parity_seed(), cfg, log)
+    resynthesized = [len(e["qubits"]) for e in log if e["action"] != "skipped"]
+    assert len(resynthesized) > len(set(resynthesized))
+    assert sorted(widths) == sorted(set(resynthesized))
+
+
 def test_verification_catches_wrong_rewrites(monkeypatch):
-    def bogus(block, cfg):
-        return [gate_spec("X", (1,))]
+    def bogus(block, cfg, gate_sets):
+        return [gate_spec("X", (1,))], 0
 
     monkeypatch.setattr(rho_mod, "_optimize_window", bogus)
     circ = [gate_spec("H", (1,)), gate_spec("CNOT", (1, 2)),
