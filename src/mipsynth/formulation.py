@@ -109,6 +109,17 @@ WEIGHT_CAP = 1e20
 SPAN_TOL = 1e-12
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; ConfigError for a bool or a value that is not integral."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if value == int(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r:.40}")
+
+
 @dataclass
 class SynthesisProblem:
     """One synthesis instance: target, library, budgets, objective, options.
@@ -137,6 +148,9 @@ class SynthesisProblem:
             raise DimensionError(
                 f"target is {self.target.shape[0]}x{self.target.shape[1]} but the "
                 f"gate set acts on dimension {self.gate_set.dim}")
+        for name in ("P", "D", "K"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _integer(name, getattr(self, name)))
         if self.P < 1:
             raise ConfigError("P must be >= 1")
         if self.D is None:

@@ -11,21 +11,21 @@ Minimum-length questions run as a meet-in-the-middle search over deduplicated
 product levels: level l holds every matrix reachable with exactly l
 non-identity gates and not reachable with fewer.  A length-m query splits
 m = l + r with l = m // 2, walks the left level, and hash-looks the required
-right factor up in the keys of level r; sequences come back by peeling
-generators against lower-level key sets, and every answer is re-verified in
-exact arithmetic before it is returned.  Lengths 2l and 2l+1 walk the same
-left level, so a query forms the right-factor keys of each left level once,
-in member order, and replays them for the second length; a hit is formed
-from its member index alone.
+right factor up in the keys of level r; a hit's two words are read off the
+members' parent pointers, and every answer is re-verified in exact
+arithmetic before it is returned.  Lengths 2l and 2l+1 walk the same left
+level, so a query forms the right-factor keys of each left level once, in
+member order, and replays them for the second length.
 
 A level is an array of pointers: member k of level l is a parent in level
 l-1 times a generator g, stored as the product index parent * G + g, in
-first-occurrence order (parent-major, generator-minor).  A level keeps its
-matrices only when they fit the table's byte budget, decided once its keys
-are known; otherwise its members are rebuilt from the parent level on
-demand, one GEMM per generator.  Level tables are target independent and
-cached per gate set, least recently used first out once their stored bytes
-(matrices, keys and pointers) pass CACHE_BUDGET_BYTES.
+first-occurrence order (parent-major, generator-minor), so walking the
+pointers down spells the member's word.  A level keeps its matrices only
+when they fit the table's byte budget, decided once its keys are known;
+otherwise its members are rebuilt from the parent level on demand, one GEMM
+per generator.  Level tables are target independent and cached per gate
+set, least recently used first out once their stored bytes (matrices, keys,
+key-to-member indices and pointers) pass CACHE_BUDGET_BYTES.
 
 A key is a sketch, not the matrix: 8 complex inner products
 s_d(X) = <C_d, X> = tr(C_d^H X) with fixed, seeded unit-norm directions C_d,
@@ -37,10 +37,9 @@ gives the keys of all children of a parent chunk from one GEMM, and
 <C_d, g^H Y> = <g C_d, Y> with Y = A^H T gives the right-factor keys of a
 query the same way.  Only hits are formed as matrices.  Two distinct
 matrices share a key only if they agree to about 1e-6 along all 8
-directions; every hit is still peeled and re-verified against the exact
-matrices.  A level's keys are a sorted uint64 array (plus a few sorted
-pending batches while it grows), deduplicated by a sort and a neighbour
-compare and searched by bisection.
+directions; every hit is still re-verified against the exact matrices.
+A level's keys are one sorted uint64 array, built once the level is
+complete and searched by bisection, with the member index of each key.
 
 Weighted counts and circuit depth are not monotone in sequence length, so
 those objectives share one branch-and-bound depth-first enumeration.  They
@@ -134,74 +133,30 @@ def _sketch_map(dirs: np.ndarray) -> np.ndarray:
         np.stack([re, im], axis=1).reshape(2 * len(w), 2 * w.shape[1]).T)
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys, ascending, by a sort and a neighbour compare;
-    np.unique hashes integer keys, which is many times slower."""
-    keys = np.sort(keys)
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
-class _KeySet:
-    """Growing set of uint64 keys with vectorized membership tests: a sorted
-    base and a few sorted pending batches, merged once they grow large."""
-
-    def __init__(self) -> None:
-        self._base = np.empty(0, dtype=np.uint64)
-        self._pending: list[np.ndarray] = []
-        self._pending_n = 0
-
-    def consolidate(self) -> None:
-        if self._pending:
-            self._base = _sorted_unique(np.concatenate([self._base, *self._pending]))
-            self._pending = []
-            self._pending_n = 0
-
-    def add(self, keys: np.ndarray) -> None:
-        if len(keys) == 0:
-            return
-        self._pending.append(_sorted_unique(keys))
-        self._pending_n += len(keys)
-        if self._pending_n > max(50_000, len(self._base) // 4):
-            self.consolidate()
-
-    @property
-    def nbytes(self) -> int:
-        return self._base.nbytes + sum(p.nbytes for p in self._pending)
-
-    @staticmethod
-    def _in_sorted(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
-        if len(arr) == 0:
-            return np.zeros(len(q), dtype=bool)
-        pos = np.searchsorted(arr, q)
-        inside = pos < len(arr)
-        out = np.zeros(len(q), dtype=bool)
-        out[inside] = arr[pos[inside]] == q[inside]
-        return out
-
-    def contains(self, q: np.ndarray) -> np.ndarray:
-        m = self._in_sorted(self._base, q)
-        for p in self._pending:
-            m |= self._in_sorted(p, q)
-        return m
-
-    def contains_scalar(self, key: np.uint64) -> bool:
-        return bool(self.contains(np.array([key], dtype=np.uint64))[0])
+def _in_sorted(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether each of q is in the sorted array keys, by bisection."""
+    pos = np.searchsorted(keys, q)
+    out = np.zeros(len(q), dtype=bool)
+    inside = pos < len(keys)
+    out[inside] = keys[pos[inside]] == q[inside]
+    return out
 
 
 @dataclass
 class _Level:
-    keys: _KeySet
+    keys: np.ndarray  # the members' keys, strictly ascending
+    order: np.ndarray  # member index of each key
     src: np.ndarray  # product index parent * G + g of each member, ascending
-    count: int
     mats: np.ndarray | None = None  # the members' matrices, or None when pointer-only
+
+    @property
+    def count(self) -> int:
+        return len(self.keys)
 
     @property
     def nbytes(self) -> int:
         mats = 0 if self.mats is None else self.mats.nbytes
-        return self.keys.nbytes + self.src.nbytes + mats
+        return self.keys.nbytes + self.order.nbytes + self.src.nbytes + mats
 
 
 class _Budget:
@@ -225,7 +180,13 @@ class _Budget:
 
 
 class LevelTables:
-    """Deduplicated product levels of a gate set, built lazily."""
+    """Deduplicated product levels of a gate set, built lazily.
+
+    Level l keeps one pointer per member, src = parent * G + g: the member
+    is parent @ gen[g] with parent a member of level l-1, so walking the
+    pointers down spells its word (peel).  Its keys are one sorted array,
+    and `order` holds the member index of each key.
+    """
 
     def __init__(self, gs: GateSet, up_to_phase: bool) -> None:
         self.ni = gs.non_identity_indices()
@@ -244,9 +205,9 @@ class LevelTables:
             np.einsum("gij,djk->gdik", self.gen, dirs).reshape(-1, n, n))
         self.mults = _multipliers(2 * _SKETCH_DIM)
         eye = np.eye(n, dtype=complex)[None, :, :]
-        lvl0 = _Level(keys=_KeySet(), src=np.empty(0, dtype=np.int64), count=1, mats=eye)
-        lvl0.keys.add(self.keys_of(eye))
-        self.levels: list[_Level] = [lvl0]
+        self.levels: list[_Level] = [
+            _Level(keys=self.keys_of(eye), order=np.zeros(1, dtype=np.int64),
+                   src=np.empty(0, dtype=np.int64), mats=eye)]
         row_bytes = max(1, len(self.ni)) * n * n * 16
         self.chunk_rows = max(64, _CHUNK_BYTES // row_bytes)
 
@@ -271,13 +232,11 @@ class LevelTables:
     def keys_of(self, stack: np.ndarray) -> np.ndarray:
         return self._hash(self._sketch(stack, self.key_map))
 
-    def key_of_one(self, m: np.ndarray) -> np.uint64:
-        return self.keys_of(m[None, :, :])[0]
-
-    def _chunks(self, l: int):
-        """Yield (start, mats): the level-l members from index start on, in
-        order, each exactly once.  Callers charge the budget for what they
-        consume."""
+    def iter_level_matrices(self, l: int):
+        """Yield (start, mats): every level-l matrix (reachable in exactly l
+        gates, not fewer) once, in member order, mats holding the members
+        from index start on; a pointer-only level is rebuilt from its parent
+        level.  Callers charge the budget for what they consume."""
         lev = self.levels[l]
         if lev.mats is not None:
             for i in range(0, len(lev.mats), self.chunk_rows):
@@ -294,7 +253,7 @@ class LevelTables:
 
     def _parent_chunks(self, l: int):
         """Yield (start, parents): level l-1 in slices of at most chunk_rows."""
-        for start, mats in self._chunks(l - 1):
+        for start, mats in self.iter_level_matrices(l - 1):
             for i in range(0, len(mats), self.chunk_rows):
                 yield start + i, mats[i:i + self.chunk_rows]
 
@@ -307,36 +266,30 @@ class LevelTables:
             if hi > lo:
                 yield start, parents, int(lo), int(hi)
 
-    def iter_level_matrices(self, l: int):
-        """Yield chunks holding every level-l matrix (reachable in exactly l
-        gates, not fewer) once, in member order; a pointer-only level is
-        rebuilt from its parent level."""
-        for _, mats in self._chunks(l):
-            yield mats
-
     def ensure_level(self, lmax: int, budget: _Budget) -> None:
         n, g_count = self.n, len(self.gen)
         while len(self.levels) <= lmax:
             l = len(self.levels)
-            keys = _KeySet()
-            srcs = [np.empty(0, dtype=np.int64)]
+            keys, srcs = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)]
             for start, parents in self._parent_chunks(l):
                 budget.charge(len(parents) * g_count)
                 pkeys = self._hash(self._sketch(parents, self.child_map))
                 uniq, first = np.unique(pkeys, return_index=True)
-                seen = keys.contains(uniq)
+                seen = np.zeros(len(uniq), dtype=bool)
                 for lower in self.levels:
-                    seen |= lower.keys.contains(uniq)
+                    seen |= _in_sorted(lower.keys, uniq)
                 fresh = np.sort(first[~seen])
-                keys.add(pkeys[fresh])
+                keys.append(pkeys[fresh])
                 srcs.append(start * g_count + fresh)
-            keys.consolidate()
-            src = np.concatenate(srcs)
-            lev = _Level(keys=keys, src=src, count=len(src))
+            # first occurrences across chunks, so src stays ascending
+            ukeys, first = np.unique(np.concatenate(keys), return_index=True)
+            members = np.sort(first)
+            lev = _Level(keys=ukeys, order=np.searchsorted(members, first),
+                         src=np.concatenate(srcs)[members])
             self.levels.append(lev)
             if self.stored_bytes + lev.count * n * n * 16 <= _MATRIX_BUDGET_BYTES:
                 mats = np.empty((lev.count, n, n), dtype=complex)
-                for lo, chunk in self._chunks(l):
+                for lo, chunk in self.iter_level_matrices(l):
                     mats[lo:lo + len(chunk)] = chunk
                 lev.mats = mats
 
@@ -356,31 +309,19 @@ class LevelTables:
             local = src[lo:hi] - start * g_count
             yield lo, self._hash(self._sketch(y, self.query_map)[local])
 
-    def member(self, l: int, i: int) -> np.ndarray:
-        """Matrix of member i of level l: stored, or rebuilt as parent @
-        generator through the pointers of pointer-only levels."""
-        lev = self.levels[l]
-        if lev.mats is not None:
-            return lev.mats[i]
-        p, g = divmod(int(lev.src[i]), len(self.gen))
-        return self.member(l - 1, p) @ self.gen[g]
-
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         return equal_matrices(a, b, self.up_to_phase, VERIFY_TOL)
 
-    def peel(self, m: np.ndarray, l: int) -> list[int] | None:
-        """Recover some exactly-l-gate sequence realizing matrix m, as positions
-        into self.gen, or None when m is not a level-l member."""
-        if l == 0:
-            return [] if self.equal(m, np.eye(self.n)) else None
-        below = self.levels[l - 1].keys
-        for gi in range(len(self.gen)):
-            rest_m = self.gen[gi].conj().T @ m
-            if below.contains_scalar(self.key_of_one(rest_m)):
-                rest = self.peel(rest_m, l - 1)
-                if rest is not None:
-                    return [gi] + rest
-        return None
+    def peel(self, l: int, i: int) -> list[int]:
+        """The word of member i of level l, as positions into self.gen: its
+        src pointers walked down to level 0, the first gate leftmost.  It is
+        the lexicographically least l-gate word of the member, since levels
+        list members in that order and keep each one's first occurrence."""
+        word = []
+        for lev in self.levels[l:0:-1]:
+            i, g = divmod(int(lev.src[i]), len(self.gen))
+            word.append(g)
+        return word[::-1]
 
 
 #: Level tables by gate set and phase rule, least recently used first.
@@ -390,7 +331,7 @@ _TABLE_CACHE: dict[tuple, LevelTables] = {}
 def _tables_for(gs: GateSet, up_to_phase: bool) -> LevelTables:
     digest = hashlib.blake2b(digest_size=16)
     digest.update(np.ascontiguousarray(gs.matrices()).tobytes())
-    digest.update(bytes(gs.non_identity_indices()))
+    digest.update(np.asarray(gs.non_identity_indices(), dtype=np.int64).tobytes())
     key = (digest.hexdigest(), up_to_phase)
     tab = _TABLE_CACHE.pop(key, None)
     if tab is None:
@@ -455,15 +396,11 @@ def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
     for m in range(1, max_length + 1):
         l, r = m // 2, m - m // 2
         tab.ensure_level(r, budget)
-        right_keys = tab.levels[r].keys
+        right = tab.levels[r]
         for lo, qkeys in left_keys(l):
-            for h in np.nonzero(right_keys.contains(qkeys))[0]:
-                left = tab.member(l, lo + int(h))
-                left_seq = tab.peel(left, l)
-                right_seq = tab.peel(left.conj().T @ target, r)
-                if left_seq is None or right_seq is None:
-                    continue
-                seq = left_seq + right_seq
+            for h in np.nonzero(_in_sorted(right.keys, qkeys))[0]:
+                k = int(right.order[np.searchsorted(right.keys, qkeys[h])])
+                seq = tab.peel(l, lo + int(h)) + tab.peel(r, k)
                 if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
                     return seq
     return None
@@ -520,25 +457,20 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, fid: bool
             vals = np.where(worst <= box + VERIFY_TOL, vals, -np.inf)
         return vals
 
-    best_mat = np.eye(tab.n, dtype=complex)
-    best_val = float(score(best_mat[None])[0])
-    best_level = 0
+    best_val = float(score(np.eye(tab.n, dtype=complex)[None])[0])
+    best = (0, 0)  # level and member index
     for l in range(1, max_length + 1):
         tab.ensure_level(l, budget)
-        for chunk in tab.iter_level_matrices(l):
+        for lo, chunk in tab.iter_level_matrices(l):
             budget.charge(len(chunk))
             vals = score(chunk)
             k = int(vals.argmax())
             if vals[k] > best_val + 1e-12:
                 best_val = float(vals[k])
-                best_mat = np.ascontiguousarray(chunk[k])
-                best_level = l
+                best = (l, lo + k)
     if best_val == -np.inf:
         return None, None
-    seq = tab.peel(best_mat, best_level)
-    if seq is None:
-        raise OracleInconclusiveError("failed to reconstruct the best-scoring sequence")
-    return seq, best_val
+    return tab.peel(*best), best_val
 
 
 def exhaustive_synthesize(problem: SynthesisProblem,

@@ -74,6 +74,12 @@ def test_problem_validation():
         SynthesisProblem(t, gs, P=2, epsilon=1.5)
     with pytest.raises(ConfigError):
         SynthesisProblem(t, gs, P=2, K=1)
+    for budgets in ({"P": 2.5}, {"P": True}, {"P": "2"}, {"P": 3, "D": 1.5},
+                    {"P": 2, "D": np.True_}, {"P": 2, "K": 2.5}, {"P": 2, "K": True}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SynthesisProblem(t, gs, **budgets)
+    p = SynthesisProblem(t, gs, P=np.int64(3), D=np.int32(2), K=np.uint8(4))
+    assert (p.P, p.D, p.K) == (3, 2, 4)
     with pytest.raises(DimensionError):
         SynthesisProblem(np.eye(4), gs, P=2)
     with pytest.raises(UnitarityError):

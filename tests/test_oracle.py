@@ -13,7 +13,8 @@ from mipsynth import oracle
 from mipsynth.errors import ConfigError, OracleInconclusiveError
 from mipsynth.formulation import (PHASE_MODES, SynthesisProblem, schedule_depth,
                                   synthesize)
-from mipsynth.gates import GateSet, builtin_gate, gate_spec, weave_gate_set
+from mipsynth.gates import (GateSet, builtin_gate, gate_spec, sequence_product,
+                            weave_gate_set)
 from mipsynth.oracle import (LevelTables, OracleResult, clear_oracle_cache,
                              exhaustive_synthesize)
 from mipsynth.relations import equal_matrices
@@ -90,6 +91,15 @@ def test_phase_only_target_agrees_across_routes():
             r = synthesize(p, backend=backend)
             assert r.status == "optimal" and r.gate_indices == [], (mode, backend)
             assert r.objective_value == pytest.approx(0.0, abs=1e-9), (mode, backend)
+
+
+def test_library_of_more_than_256_gates_agrees_across_routes():
+    gs = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.001 * k)
+                                for k in range(1, 301)])
+    p = SynthesisProblem(builtin_gate("RZ", 0.003), gs, P=1, phase_mode="global_phase")
+    for backend in ("oracle", "scipy"):
+        r = synthesize(p, backend=backend)
+        assert r.status == "optimal" and r.gate_indices == [3], backend
 
 
 def test_weighted_search_prefers_cheap_detour():
@@ -252,11 +262,14 @@ _SMALL_BUDGET = 200_000
 
 @functools.cache
 def triple_tables(phase_mode: str, budgeted: bool) -> LevelTables:
-    """Levels 0-4 of _TRIPLE_SET, built under _SMALL_BUDGET when budgeted."""
+    """Levels 0-4 of _TRIPLE_SET, built under _SMALL_BUDGET when budgeted.
+    Budgeted tables also build in chunks of 50 parents, so a member can
+    recur across chunks."""
     tab = LevelTables(_TRIPLE_SET, phase_mode == "global_phase")
     with pytest.MonkeyPatch.context() as mp:
         if budgeted:
             mp.setattr(oracle, "_MATRIX_BUDGET_BYTES", _SMALL_BUDGET)
+            tab.chunk_rows = 50
         tab.ensure_level(4, oracle._Budget(10 ** 9, None))
     return tab
 
@@ -292,7 +305,7 @@ def test_gemm_kernels_match_einsum(rng):
     assert lev.mats is None and tab.levels[2].mats is not None
     want = np.einsum("cij,cjk->cik", tab.levels[2].mats[lev.src // g_count],
                      tab.gen[lev.src % g_count])
-    got = np.concatenate(list(tab.iter_level_matrices(3)))
+    got = np.concatenate([mats for _, mats in tab.iter_level_matrices(3)])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
 
@@ -308,12 +321,29 @@ def test_pointer_only_level_yields_each_member_once(phase_mode):
     assert [lev.count for lev in tab.levels] == [lev.count for lev in full.levels]
     for l in (3, 4):
         lev = tab.levels[l]
-        got = np.concatenate(list(tab.iter_level_matrices(l)))
+        got = np.concatenate([mats for _, mats in tab.iter_level_matrices(l)])
         assert len(got) == lev.count
         keys = tab.keys_of(got)
         assert len(np.unique(keys)) == lev.count
-        assert lev.keys.contains(keys).all()
+        assert oracle._in_sorted(lev.keys, keys).all()
         assert np.array_equal(np.sort(keys), np.sort(full.keys_of(full.levels[l].mats)))
+
+
+@pytest.mark.parametrize("budgeted", [False, True])
+@pytest.mark.parametrize("phase_mode", ["exact", "global_phase"])
+def test_level_pointers_spell_each_member_and_keys_find_it(phase_mode, budgeted):
+    tab = triple_tables(phase_mode, budgeted)
+    for l in range(5):
+        lev = tab.levels[l]
+        assert np.all(lev.keys[1:] > lev.keys[:-1])
+        for lo, mats in tab.iter_level_matrices(l):
+            members = np.arange(lo, lo + len(mats))
+            words = [tab.peel(l, i) for i in members]
+            assert all(len(w) == l for w in words)
+            spelled = np.stack([sequence_product(tab.gen[w], tab.n) for w in words])
+            assert np.abs(spelled - mats).max() <= 1e-12
+            keys = tab.keys_of(mats)
+            assert np.array_equal(lev.order[np.searchsorted(lev.keys, keys)], members)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -338,36 +368,31 @@ def test_stored_bytes_count_keys_and_pointers(monkeypatch):
     tab.ensure_level(2, budget)
     before = tab.stored_bytes
     lev2 = tab.levels[2]
-    # one uint64 key, one int64 pointer and one complex 8x8 matrix per member
-    assert lev2.nbytes == lev2.count * (8 + 8 + 64 * 16)
+    # one uint64 key, one int64 member index of a key, one int64 pointer and
+    # one complex 8x8 matrix per member
+    assert lev2.nbytes == lev2.count * (8 + 8 + 8 + 64 * 16)
     tab.ensure_level(3, budget)
     lev3 = tab.levels[3]
     assert lev3.mats is None and lev3.count == 668
-    assert tab.stored_bytes - before == lev3.count * (8 + 8)
+    assert tab.stored_bytes - before == lev3.count * (8 + 8 + 8)
 
 
 def test_key_set_agrees_with_python_set(rng):
     pool = rng.integers(0, 2 ** 63, size=30_000, dtype=np.uint64) * np.uint64(2)
-    ks, want = oracle._KeySet(), set()
-    for size in (5, 1_000, 20_000, 40_000, 3, 60_000, 7):
-        batch = rng.choice(pool, size=size)  # repeats inside and across batches
-        ks.add(batch)
-        want.update(batch.tolist())
-        pending = ks._pending
-        assert ks.nbytes == ks._base.nbytes + sum(a.nbytes for a in pending)
-        query = np.concatenate([pool, pool + np.uint64(1)])
-        assert ks.contains(query).tolist() == [q in want for q in query.tolist()]
-    ks.consolidate()
-    assert ks._pending == [] and ks.nbytes == ks._base.nbytes
-    assert np.all(ks._base[1:] > ks._base[:-1])
-    assert ks._base.tolist() == sorted(want)
+    query = np.concatenate([pool, pool + np.uint64(1), [np.uint64(2 ** 64 - 1)]])
+    for size in (0, 1, 5, 1_000, 20_000):
+        want = set(rng.choice(pool, size=size).tolist())  # drawn with repeats
+        keys = np.array(sorted(want), dtype=np.uint64)
+        got = oracle._in_sorted(keys, query)
+        assert got.tolist() == [q in want for q in query.tolist()]
 
 
 def test_each_left_level_is_scanned_once_per_query(monkeypatch):
     tab = LevelTables(_PAIR_SET, False)
     budget = oracle._Budget(10 ** 9, None)
     tab.ensure_level(5, budget)
-    target = tab.member(5, tab.levels[5].count // 2)
+    word = tab.peel(5, tab.levels[5].count // 2)
+    target = product_of(_PAIR_SET, [tab.ni[p] for p in word])
     scanned = []
 
     def spy(chunk, target):
