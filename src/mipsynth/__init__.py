@@ -8,8 +8,7 @@ meet-in-the-middle oracle provides independent ground truth, and a
 rolling-horizon pass re-synthesizes windows of long circuits.
 """
 
-from .encoding import (alpha_beta, decode_complex, encode_real, fidelity,
-                       j_matrix, su_normalize, trace_parts)
+from .encoding import fidelity, su_normalize
 from .errors import (BackendError, ConfigError, DimensionError, GateSetError,
                      MalformedEncodingError, ModelIntegrityError,
                      OracleInconclusiveError, UnitarityError)
@@ -38,8 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # encoding
-    "encode_real", "decode_complex", "su_normalize", "fidelity",
-    "alpha_beta", "trace_parts", "j_matrix",
+    "su_normalize", "fidelity",
     # errors
     "DimensionError", "MalformedEncodingError", "UnitarityError",
     "GateSetError", "ModelIntegrityError", "OracleInconclusiveError",

@@ -728,11 +728,11 @@ def _run_one(args: argparse.Namespace, file_cfg: dict,
 
 
 #: Exit code of each failure a run may end in; every configuration, gate-set
-#: and matrix error is a ValueError, and an OverflowError is a number in the
-#: input too large for a float.
+#: and matrix error is a ValueError, an OverflowError is a number in the
+#: input too large for a float, and an OSError is an input file that cannot
+#: be read or a report path that cannot be written.
 _FAILURE_CODES = (
-    ((jsonschema.ValidationError, ValueError, OverflowError, FileNotFoundError,
-      NotADirectoryError), EXIT_SCHEMA),
+    ((jsonschema.ValidationError, ValueError, OverflowError, OSError), EXIT_SCHEMA),
     ((OracleInconclusiveError,), EXIT_NO_SOLUTION),
     ((BackendError, ModelIntegrityError), EXIT_BACKEND),
 )

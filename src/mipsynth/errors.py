@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class MalformedEncodingError(ValueError):
-    """A real matrix does not carry the expected 2x2 block structure."""
+    """A real matrix lacks the 2x2 block structure of R(.); nothing raises it now."""
 
 
 class UnitarityError(ValueError):

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -109,7 +110,7 @@ WEIGHT_CAP = 1e20
 SPAN_TOL = 1e-12
 
 
-def _integer(name: str, value) -> int:
+def checked_integer(value, name: str) -> int:
     """value as an int; ConfigError for a bool or a value that is not integral."""
     if not isinstance(value, (bool, np.bool_)):
         try:
@@ -150,7 +151,7 @@ class SynthesisProblem:
                 f"gate set acts on dimension {self.gate_set.dim}")
         for name in ("P", "D", "K"):
             if getattr(self, name) is not None:
-                setattr(self, name, _integer(name, getattr(self, name)))
+                setattr(self, name, checked_integer(getattr(self, name), name))
         if self.P < 1:
             raise ConfigError("P must be >= 1")
         if self.D is None:
@@ -174,8 +175,9 @@ class SynthesisProblem:
                               f"in [0, {WEIGHT_CAP:g}), got {w[bad[0]]:g}")
         w[self.gate_set.identity_index] = 0.0
         self.weights = w
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if (isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real)
+                or not 0.0 < self.epsilon <= 1.0):
+            raise ConfigError(f"epsilon must lie in (0, 1], got {self.epsilon!r:.40}")
         if self.K < 2:
             raise ConfigError(f"K must be >= 2, got {self.K}")
         # order-sensitive cuts cannot survive a depth objective
@@ -742,7 +744,7 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
     x = np.asarray(solution.x, dtype=float)
     xp, chosen = polish_point(problem, model, handles, x)
 
-    viol = model.violations(xp)
+    viol = model.check_point(xp)
     data_viol = {f: viol.pop(f) for f in DATA_FAMILIES if f in viol}
     worst = max(viol, key=viol.get)
     if viol[worst] > POLISH_TOL:

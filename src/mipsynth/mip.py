@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _INF = math.inf
-#: Family under which `violations` reports rows added without one.
+#: Family under which `check_point` reports rows added without one.
 UNNAMED_FAMILY = "other"
 
 
@@ -113,15 +113,6 @@ class MipModel:
             self.family_rows[family] = self.family_rows.get(family, 0) + 1
         return len(self._row_lb) - 1
 
-    def add_mccormick(self, beta: int, x: int, z: int, bound: float = 1.0,
-                      family: str | None = None) -> None:
-        """Rows forcing beta = z*x for binary z and x in [-bound, bound]."""
-        u = float(bound)
-        self.add_constr({beta: 1.0, z: -u}, "<=", 0.0, family)
-        self.add_constr({beta: 1.0, z: u}, ">=", 0.0, family)
-        self.add_constr({beta: 1.0, x: -1.0, z: u}, "<=", u, family)
-        self.add_constr({beta: 1.0, x: -1.0, z: -u}, ">=", -u, family)
-
     def add_product_binary(self, w: int, z1: int, z2: int,
                            family: str | None = None) -> None:
         """Rows forcing w = z1*z2 for binaries (w bounded in [0,1])."""
@@ -172,7 +163,7 @@ class MipModel:
             num_rows=self.num_rows,
         )
 
-    def violations(self, x: np.ndarray) -> dict[str, float]:
+    def check_point(self, x: np.ndarray) -> dict[str, float]:
         """Worst violation at point x, by row family.
 
         Variable bounds are reported under "bounds", integrality under
@@ -197,10 +188,6 @@ class MipModel:
         for fam in dict.fromkeys(self._row_family):
             out[fam] = worst(row_v[fams == fam])
         return out
-
-    def check_point(self, x: np.ndarray) -> float:
-        """Max violation of bounds, integrality, and rows at x."""
-        return max(self.violations(x).values())
 
     def to_lp(self) -> str:
         """CPLEX-style LP text."""

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -93,15 +94,18 @@ _CHUNK_BYTES = 120_000_000
 def checked_time_limit(value, name: str = "time_limit") -> float | None:
     """A time budget as seconds: None, or a positive finite float.
 
-    Raises ConfigError for NaN, zero, negative, infinite and float-overflowing
-    values, so a bad budget fails before any model or table is built.
+    Raises ConfigError for a bool, a value that is not a real number, and
+    NaN, zero, negative, infinite and float-overflowing values, so a bad
+    budget fails before any model or table is built.
     """
     if value is None:
         return None
-    try:
-        seconds = float(value)
-    except OverflowError:
-        seconds = math.inf
+    seconds = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:
+            seconds = math.inf
     if not 0.0 < seconds < math.inf:
         raise ConfigError(f"{name} must be a positive, finite number of seconds, "
                           f"got {value!r:.40}")

@@ -24,7 +24,7 @@ import numpy as np
 from .cuts import CutSelection
 from .encoding import fidelity
 from .errors import BackendError, ConfigError, OracleInconclusiveError
-from .formulation import SynthesisProblem, synthesize
+from .formulation import SynthesisProblem, checked_integer, synthesize
 from .gates import (MAX_QUBITS, GateSet, GateSpec, builtin_gate, extend_gate,
                     gate_spec, sequence_product)
 from .oracle import checked_time_limit
@@ -128,6 +128,8 @@ class RhoConfig:
     cuts: CutSelection = field(default_factory=CutSelection)
 
     def __post_init__(self) -> None:
+        for name in ("window_length", "accept_window", "max_qubits", "passes"):
+            setattr(self, name, checked_integer(getattr(self, name), name))
         if self.window_length < 1:
             raise ConfigError("window_length must be >= 1")
         if self.accept_window < 1:
@@ -155,7 +157,6 @@ class RhoResult:
     pass_lengths: list[int]
     fidelity_to_input: float | None
     num_qubits: int
-    seconds: float
     window_log: list = field(default_factory=list)
 
     @property
@@ -264,7 +265,6 @@ def rolling_horizon(circuit: list[GateSpec], cfg: RhoConfig | None = None) -> Rh
     up to a global phase.
     """
     cfg = cfg or RhoConfig()
-    t0 = time.perf_counter()
     current = list(circuit)
     lengths = [len(current)]
     log: list = []
@@ -286,7 +286,7 @@ def rolling_horizon(circuit: list[GateSpec], cfg: RhoConfig | None = None) -> Rh
                 f"rolling horizon changed the circuit's unitary: fidelity {fid!r}")
     return RhoResult(circuit=current, input_length=len(circuit),
                      pass_lengths=lengths, fidelity_to_input=fid, num_qubits=nq,
-                     seconds=time.perf_counter() - t0, window_log=log)
+                     window_log=log)
 
 
 __all__ = [

@@ -37,7 +37,6 @@ class Solution:
     bound: float | None = None
     gap: float | None = None
     solve_seconds: float = 0.0
-    message: str = ""
     #: branch-and-bound nodes HiGHS explored (its mip_node_count)
     nodes: int | None = None
 
@@ -64,8 +63,7 @@ class ScipyHighsBackend:
         if time_limit is not None:
             time_limit -= time.perf_counter() - start
             if time_limit <= 0:
-                return Solution(status="time_limit",
-                                message="the time limit ran out before the solve")
+                return Solution(status="time_limit")
         sign = -1.0 if arr.sense == "max" else 1.0
         constraints = None
         if arr.num_rows:
@@ -120,7 +118,7 @@ class ScipyHighsBackend:
         else:
             raise BackendError(f"solver failed: {res.message}")
         return Solution(status=status, x=x, objective=obj, bound=bound, gap=gap,
-                        solve_seconds=dt, message=str(res.message), nodes=nodes)
+                        solve_seconds=dt, nodes=nodes)
 
 
 def is_oracle_backend(name: str) -> bool:

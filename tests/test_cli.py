@@ -224,6 +224,15 @@ def test_main_infeasible_and_schema_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_unwritable_report_exits_64(tmp_path, capsys):
+    # the run solves, then cannot write its report: a directory is in the way
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--fixture", "iswap", "--phase-mode", "global",
+              "--backend", "oracle", "--report", str(tmp_path)])
+    assert exc.value.code == EXIT_SCHEMA
+    assert "Is a directory" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:exact phase mode")
 def test_main_budget_exhaustion_exit(tmp_path, capsys):
     cfg = tmp_path / "tiny_budget.json"
@@ -421,15 +430,19 @@ def test_main_batch_sequential(tmp_path, capsys):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_main_batch_survives_a_bad_config(tmp_path, capsys, jobs):
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    unwritable = tmp_path / "unwritable.json"
     report = tmp_path / "good_report.json"
     bad.write_text(json.dumps({"fixture": "nope", "backend": "oracle"}))
+    unwritable.write_text(json.dumps({"fixture": "iswap", "phase_mode": "global",
+                                      "backend": "oracle", "report": str(tmp_path)}))
     good.write_text(json.dumps({"fixture": "iswap", "phase_mode": "global",
                                 "backend": "oracle", "report": str(report)}))
     code = main(["synthesize", "--jobs", jobs, "--config", str(bad),
-                 "--config", str(good)])
+                 "--config", str(unwritable), "--config", str(good)])
     assert code == EXIT_SCHEMA  # max over per-run codes
     assert json.loads(report.read_text())["exit_code"] == EXIT_OPTIMAL
-    assert f"[{bad}] failed" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"[{bad}] failed" in out and f"[{unwritable}] failed" in out
 
 
 def test_batch_jobs_are_capped_by_the_runs(tmp_path, capsys, monkeypatch):

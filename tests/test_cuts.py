@@ -133,7 +133,7 @@ def test_prefix_rows_forbid_exactly_their_words(family):
     for circuit in itertools.product(range(len(gs)), repeat=P):
         x = np.zeros(model.num_vars)
         x[z[list(circuit), range(P)]] = 1.0
-        meets_rows = max(model.violations(x).values()) <= 1e-9
+        meets_rows = max(model.check_point(x).values()) <= 1e-9
         has_forbidden = any(circuit[p:p + len(w)] == w
                             for w in words for p in range(P))
         assert meets_rows != has_forbidden, circuit

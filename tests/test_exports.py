@@ -44,17 +44,13 @@ def test_import_leaves_scipy_unloaded():
 #: the reason it stays.  A helper only tests call belongs in the tests.
 UNREFERENCED_ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
-    "encoding.decode_complex": "criterion 01 checks the encoding round trip",
-    "encoding.j_matrix": "criterion 01 checks J = R(i)",
-    "encoding.trace_parts": "criterion 01 checks the trace read off R(.)",
-    "encoding.alpha_beta": "criterion 01 checks the overlap read off R(.)",
+    "errors.MalformedEncodingError": "perfbench's LIBRARY_ERRORS names it; "
+                                     "nothing raises it",
     "fixtures.oracle_corpus": "the oracle corpus, read by criterion 03 and the bench",
     "fixtures.depth_corpus": "the depth corpus, read by criterion 06 and the bench",
     "fixtures.criterion_phase_instance": "the global-phase instance of criterion 05",
     "gates.gate_set_to_dict": "writes the gate-set wire format the CLI reads",
     "gates.GateSet.index_of": "public lookup of a gate by name and wires",
-    "mip.MipModel.add_mccormick": "criterion 02 checks the McCormick envelope",
-    "mip.MipModel.check_point": "independent row check; the bench traces it",
     "oracle.clear_oracle_cache": "public reset of the level-table cache",
 }
 
@@ -84,9 +80,8 @@ def test_every_unreferenced_definition_has_a_reason():
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-#: Spans the benchmark installs that no library path records: verification
-#: checks rows with MipModel.violations, never check_point.
-UNRECORDED_SPANS = {"MipModel.check_point"}
+#: Spans the benchmark installs that no library path records.
+UNRECORDED_SPANS: set[str] = set()
 #: Loads perfbench/run.py, installs its spans on a throwaway Tracer, solves a
 #: feasible corpus instance on both backends and runs a small RHO pass, then
 #: prints the recorded span names and the names the benchmark times.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mipsynth import formulation
 from mipsynth.cuts import CUT_FAMILIES, CutSelection
-from mipsynth.encoding import alpha_beta, encode_real, su_normalize
+from mipsynth.encoding import su_normalize
 from mipsynth.errors import (ConfigError, DimensionError, ModelIntegrityError,
                              UnitarityError)
 from mipsynth.fixtures import oracle_corpus
@@ -72,6 +72,9 @@ def test_problem_validation():
         SynthesisProblem(t, gs, P=2, epsilon=0.0)
     with pytest.raises(ConfigError):
         SynthesisProblem(t, gs, P=2, epsilon=1.5)
+    for bad in (True, np.True_, "0.5", None, float("nan")):
+        with pytest.raises(ConfigError, match="epsilon"):
+            SynthesisProblem(t, gs, P=2, epsilon=bad)
     with pytest.raises(ConfigError):
         SynthesisProblem(t, gs, P=2, K=1)
     for budgets in ({"P": 2.5}, {"P": True}, {"P": "2"}, {"P": 3, "D": 1.5},
@@ -224,7 +227,7 @@ def span_residual(p: SynthesisProblem, words) -> float:
         x[h.z[list(word), np.arange(p.P)]] = 1.0
         xp, chosen = polish_point(p, m, h, x)
         assert chosen == list(word)
-        viol = m.violations(xp)
+        viol = m.check_point(xp)
         worst = max(worst, viol["span"], viol["bounds"])
     return worst
 
@@ -564,7 +567,7 @@ def test_bad_time_limits_fail_before_any_model(monkeypatch, backend):
     p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
     for objective in ("weighted_gate_count", "depth"):
         p = replace(p, objective=objective)
-        for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400):
+        for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400, True, "1"):
             with pytest.raises(ConfigError, match="time_limit"):
                 synthesize(p, backend=backend, time_limit=bad)
 
@@ -823,7 +826,7 @@ def test_polished_point_satisfies_every_row():
     """
     p, m, h, sol = solved_weave_t()
     xp, chosen = polish_point(p, m, h, sol.x)
-    assert m.check_point(xp) <= 1e-12
+    assert max(m.check_point(xp).values()) <= 1e-12
     assert xp[h.alpha] == pytest.approx(WEAVE_T_ALPHA, abs=1e-12)
     assert len(chosen) == p.P
 
@@ -847,7 +850,7 @@ def test_polished_point_satisfies_every_row():
         assert sol.status == "optimal", (P, mode, objective)
         xp, chosen = polish_point(p, m, h, sol.x)
         assert chosen == word
-        viol = m.violations(xp)
+        viol = m.check_point(xp)
         assert "target" in viol
         assert ("disjunctive" in viol) == (P > 2 or mode != "exact")
         for fam, worst in viol.items():
@@ -866,7 +869,7 @@ def test_verification_rejects_inflated_alpha():
 def test_verification_rejects_worse_circuit_under_same_claim():
     p, m, h, sol = solved_weave_t()
     mats = p.gate_set.matrices()
-    worst = int(np.argmin([alpha_beta(encode_real(u), p.target)[0] for u in mats]))
+    worst = int(np.argmin([np.vdot(p.target, u).real for u in mats]))
     x = sol.x.copy()
     x[h.z] = 0.0
     x[h.z[worst, 0]] = 1.0

@@ -11,31 +11,6 @@ from mipsynth.solvers import (DEFAULT_GAP_TOL, ORACLE_BACKEND_NAMES,
 from util import beta_interval as _beta_interval
 
 
-def test_mccormick_rows_pin_beta_exactly():
-    m = MipModel()
-    beta = m.add_var("beta", -1.0, 1.0)
-    x = m.add_var("x", -1.0, 1.0)
-    z = m.add_binary("z")
-    m.add_mccormick(beta, x, z)
-    for zv in (0.0, 1.0):
-        for xv in np.linspace(-1.0, 1.0, 41):
-            lo, hi = _beta_interval(m, beta, {x: xv, z: zv})
-            want = zv * xv
-            assert abs(lo - want) <= 1e-12 and abs(hi - want) <= 1e-12
-
-
-def test_mccormick_scaled_bound():
-    m = MipModel()
-    beta = m.add_var("beta", -3.0, 3.0)
-    x = m.add_var("x", -3.0, 3.0)
-    z = m.add_binary("z")
-    m.add_mccormick(beta, x, z, bound=3.0)
-    for zv in (0.0, 1.0):
-        for xv in (-3.0, -1.2, 0.0, 2.7, 3.0):
-            lo, hi = _beta_interval(m, beta, {x: xv, z: zv})
-            assert abs(lo - zv * xv) <= 1e-12 and abs(hi - zv * xv) <= 1e-12
-
-
 def test_product_binary_truth_table():
     m = MipModel()
     w = m.add_var("w", 0.0, 1.0)
@@ -71,9 +46,10 @@ def test_check_point_reports_worst_violation():
     v = m.add_var("v", 0.0, 1.0)
     b = m.add_binary("b")
     m.add_constr({v: 1.0, b: 1.0}, "<=", 1.0)
-    assert m.check_point(np.array([0.5, 0.0])) == 0.0
-    assert m.check_point(np.array([0.5, 1.0])) == pytest.approx(0.5)
-    assert m.check_point(np.array([0.2, 0.4])) == pytest.approx(0.4)  # fractional binary
+    assert max(m.check_point(np.array([0.5, 0.0])).values()) == 0.0
+    assert max(m.check_point(np.array([0.5, 1.0])).values()) == pytest.approx(0.5)
+    # fractional binary
+    assert max(m.check_point(np.array([0.2, 0.4])).values()) == pytest.approx(0.4)
     with pytest.raises(ValueError):
         m.check_point(np.zeros(3))
 
@@ -84,13 +60,13 @@ def test_violations_by_family():
     b = m.add_binary("b")
     m.add_constr({v: 1.0, b: 1.0}, "<=", 1.0, family="cap")
     m.add_constr({v: 1.0}, ">=", 0.25)
-    assert m.violations(np.array([0.5, 0.0])) == {
+    assert m.check_point(np.array([0.5, 0.0])) == {
         "bounds": 0.0, "integrality": 0.0, "cap": 0.0, "other": 0.0}
-    got = m.violations(np.array([0.125, 1.5]))
+    got = m.check_point(np.array([0.125, 1.5]))
     assert got == {"bounds": 0.5, "integrality": 0.5, "cap": 0.625,
                    "other": 0.125}
-    assert m.check_point(np.array([0.125, 1.5])) == 0.625
-    assert m.violations(np.array([np.nan, 0.0]))["cap"] == np.inf
+    assert max(got.values()) == 0.625
+    assert m.check_point(np.array([np.nan, 0.0]))["cap"] == np.inf
     assert list(m.integer_vars()) == [b]
 
 
@@ -177,7 +153,7 @@ def test_scipy_backend_solves_small_mip():
     sol = get_backend("scipy").solve(m)
     assert sol.status == "optimal" and sol.x is not None
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
-    assert m.check_point(sol.x) <= 1e-6
+    assert max(m.check_point(sol.x).values()) <= 1e-6
 
 
 def test_scipy_backend_detects_infeasible():
@@ -194,6 +170,35 @@ def test_scipy_backend_maximize():
     m.set_objective({x: 1.0}, sense="max")
     sol = get_backend("scipy").solve(m)
     assert sol.objective == pytest.approx(4.0, abs=1e-9)
+
+
+def test_backend_maps_every_milp_status(monkeypatch):
+    # HiGHS's status codes: 1 is a limit hit, with or without an incumbent
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    m = MipModel()
+    x = m.add_var("x", 0.0, 4.0, integer=True)
+    m.set_objective({x: 1.0}, sense="max")
+
+    def solve_as(status, point):
+        res = OptimizeResult(status=status, message=f"code {status}",
+                             x=None if point is None else np.array(point),
+                             mip_dual_bound=-4.0, mip_gap=0.25, mip_node_count=7)
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **kw: res)
+        return get_backend("scipy").solve(m)
+
+    sol = solve_as(1, [3.0])
+    # the model is maximized as min -x, so the bound comes back with its sign
+    assert (sol.status, sol.objective, sol.bound, sol.gap, sol.nodes) == (
+        "feasible", 3.0, 4.0, 0.25, 7)
+    sol = solve_as(1, None)
+    assert (sol.status, sol.x, sol.objective, sol.bound, sol.gap, sol.nodes) == (
+        "time_limit", None, None, 4.0, 0.25, 7)
+    with pytest.raises(BackendError, match="unbounded"):
+        solve_as(3, None)
+    with pytest.raises(BackendError, match="solver failed: code 4"):
+        solve_as(4, None)
 
 
 def test_backend_registry():

@@ -188,7 +188,7 @@ def test_bad_time_limits_fail_before_any_table(monkeypatch):
 
     monkeypatch.setattr(oracle, "_tables_for", never)
     p = SynthesisProblem(builtin_gate("S"), one_qubit_set("H", "T"), P=2)
-    for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400):
+    for bad in (float("nan"), 0, -1.0, float("inf"), 10 ** 400, True, "1"):
         with pytest.raises(ConfigError, match="time_limit"):
             exhaustive_synthesize(p, time_limit=bad)
 

@@ -8,6 +8,7 @@ from mipsynth.encoding import fidelity
 from mipsynth.errors import BackendError, ConfigError
 from mipsynth.fixtures import brickwork_circuit, k4_parity_seed, k5_parity_seed
 from mipsynth.gates import MAX_QUBITS, GateSpec, gate_spec
+from mipsynth import oracle
 from mipsynth import rho as rho_mod
 from mipsynth.rho import (RhoConfig, RhoResult, circuit_qubits,
                           circuit_unitary, find_first_block, retarget,
@@ -118,7 +119,13 @@ def test_rho_config_validation():
     assert RhoConfig(max_qubits=MAX_QUBITS).max_qubits == MAX_QUBITS
     with pytest.raises(ConfigError):
         RhoConfig(passes=0)
-    for bad in (float("nan"), 0.0, -1.0, float("inf"), 10 ** 400):
+    for counts in ({"passes": 2.5}, {"accept_window": 2.5}, {"window_length": 2.5},
+                   {"max_qubits": 2.5}, {"passes": True}, {"window_length": "4"}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RhoConfig(**counts)
+    cfg = RhoConfig(window_length=np.int64(6), passes=2.0)
+    assert (cfg.window_length, cfg.passes) == (6, 2)
+    for bad in (float("nan"), 0.0, -1.0, float("inf"), 10 ** 400, True, "1"):
         with pytest.raises(ConfigError, match="time_limit_per_window"):
             RhoConfig(time_limit_per_window=bad)
     assert RhoConfig(time_limit_per_window=2).time_limit_per_window == 2.0
@@ -155,6 +162,27 @@ def test_unrepresentable_window_passes_through():
     assert res.fidelity_to_input == pytest.approx(1.0, abs=1e-12)
     assert res.windows_passed_through == 1 and res.windows_optimized == 0
     assert [e["action"] for e in res.window_log] == ["kept"]
+
+
+@pytest.mark.parametrize("limit", ["node_budget", "time_limit"])
+def test_window_the_engine_cannot_finish_is_kept(monkeypatch, limit):
+    cfg = {"window_length": 10, "accept_window": 5, "max_qubits": 4}
+    if limit == "node_budget":
+        monkeypatch.setattr(oracle, "NODE_BUDGET", 50)
+        seed, said = k4_parity_seed(), "gave up"
+    else:
+        # building the 4-qubit model alone takes longer than the window's
+        # budget, so the solve reports time_limit before HiGHS runs
+        seed, said = k4_parity_seed()[:10], "timed out"
+        cfg.update(backend="scipy", time_limit_per_window=1e-3)
+    with pytest.warns(UserWarning, match=f"window resynthesis {said}.*original 10-gate"):
+        res = rolling_horizon(seed, RhoConfig(**cfg))
+    assert _triples(res.circuit) == _triples(seed)
+    assert res.pass_lengths == [len(seed), len(seed)]
+    assert res.window_log and all(e["action"] == "kept" and e["nodes"] is None
+                                  for e in res.window_log)
+    assert res.windows_passed_through == len(res.window_log)
+    assert res.windows_optimized == 0
 
 
 def test_rolling_horizon_compresses_parity_seed():
