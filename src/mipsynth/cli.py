@@ -135,7 +135,6 @@ CONFIG_SCHEMA = {
         "phase_mode": {"enum": ["exact", "global", "global_phase"]},
         "weights": {"type": "array", "items": {"type": "number"}},
         "epsilon": {"type": "number"},
-        "K": {"type": "integer"},
         "cuts": {"oneOf": [{"type": "string"},
                            {"type": "array", "items": {"type": "string"}}]},
         "backend": {"type": "string"},
@@ -281,6 +280,14 @@ def _fixture(cfg: dict, registry: dict, key: str):
     return registry[fx]
 
 
+def _registry(cfg: dict) -> dict:
+    """The fixture registry; a configured fixture must be in it, used or not."""
+    registry = benchmark_registry()
+    if "fixture" in cfg:
+        _fixture(cfg, registry, "fixture")
+    return registry
+
+
 def resolve_target(cfg: dict, registry: dict, dim_hint: int | None) -> np.ndarray:
     """Target by fixture, name, file, or matrix literal."""
     t = cfg.get("target")
@@ -332,11 +339,11 @@ def _phase_mode(cfg: dict) -> str:
 
 
 def build_problem(cfg: dict, allowed_objectives: tuple[str, ...]) -> SynthesisProblem:
-    registry = benchmark_registry()
+    registry = _registry(cfg)
     gs = resolve_gate_set(cfg, registry)
     target = resolve_target(cfg, registry, gs.dim)
     fx = cfg.get("fixture")
-    p = cfg.get("P", registry[fx].P if fx in registry else None)
+    p = cfg.get("P", None if fx is None else registry[fx].P)
     if p is None:
         raise ConfigError("no gate budget given (use P or fixture)")
     objective = cfg.get("objective", allowed_objectives[0])
@@ -352,8 +359,6 @@ def build_problem(cfg: dict, allowed_objectives: tuple[str, ...]) -> SynthesisPr
     )
     if "epsilon" in cfg:
         kwargs["epsilon"] = float(cfg["epsilon"])
-    if "K" in cfg:
-        kwargs["K"] = int(cfg["K"])
     return SynthesisProblem(**kwargs)
 
 
@@ -523,7 +528,7 @@ def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
 def run_verify(cfg: dict, circuit_file: str) -> tuple[int, dict, list[str]]:
     t0 = time.perf_counter()
     specs, nq = load_circuit(circuit_file)
-    registry = benchmark_registry()
+    registry = _registry(cfg)
     target = resolve_target(cfg, registry, 2 ** nq)
     if target.shape[0] != 2 ** nq:
         raise DimensionError(f"target is {target.shape[0]}-dimensional but the "
@@ -558,7 +563,7 @@ def run_relations(cfg: dict, k_max: int, up_to_phase: bool) -> tuple[int, dict, 
     sequences alike.
     """
     t0 = time.perf_counter()
-    registry = benchmark_registry()
+    registry = _registry(cfg)
     gs = resolve_gate_set(cfg, registry)
     cat = detect_relations(gs, k_max=k_max, up_to_phase=up_to_phase)
     doc = cat.to_dict(gs)
@@ -630,8 +635,6 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-D", "--max-depth", dest="D", type=int, help="depth budget")
     p.add_argument("--objective", help="objective function")
     p.add_argument("--epsilon", type=float, help="deviation box half-width")
-    p.add_argument("-K", "--segments", dest="K", type=int,
-                   help="outer-approximation tangent count")
     p.add_argument("--dump-lp", help="debug: write the LP-format model here")
 
 
@@ -680,7 +683,7 @@ def build_arg_parser() -> _Parser:
 #: Config key of each flag destination; "rho.<key>" is <key> of the rho section.
 _FLAG_KEYS = {
     "fixture": "fixture", "target": "target", "gate_set": "gate_set", "P": "P",
-    "D": "D", "objective": "objective", "epsilon": "epsilon", "K": "K",
+    "D": "D", "objective": "objective", "epsilon": "epsilon",
     "phase_mode": "phase_mode", "backend": "backend", "time_limit": "time_limit",
     "cuts": "cuts", "seed_circuit": "rho.seed",
     "window_length": "rho.window_length", "accept_window": "rho.accept_window",

@@ -384,7 +384,8 @@ def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
 
     Lengths 2l and 2l+1 both scan left level l, so each level's query keys
     are formed once, lazily and in member order, and replayed for the
-    second length: a length whose hit comes early still stops early.
+    second length: a length whose hit comes early still stops early.  Once
+    the right level r = ceil(m/2) is empty, so is every longer level.
     """
     if tab.equal(np.eye(tab.n), target):
         return []
@@ -407,6 +408,8 @@ def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
                 seq = tab.peel(l, lo + int(h)) + tab.peel(r, k)
                 if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
                     return seq
+        if not right.count:
+            break
     return None
 
 
@@ -449,7 +452,8 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, fid: bool
 
     The score is |tr(T^dag U)|^2 / n^2 with `fid`, Re tr(T^dag U) / n
     without.  With a `box`, only words whose every Re/Im deviation from the
-    target lies within box + VERIFY_TOL count.
+    target lies within box + VERIFY_TOL count.  Levels past an empty one
+    are empty too, so the scan stops there.
     """
     def score(stack: np.ndarray) -> np.ndarray:
         tr = stack.reshape(len(stack), -1) @ target.conj().ravel()
@@ -465,6 +469,8 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, fid: bool
     best = (0, 0)  # level and member index
     for l in range(1, max_length + 1):
         tab.ensure_level(l, budget)
+        if not tab.levels[l].count:
+            break
         for lo, chunk in tab.iter_level_matrices(l):
             budget.charge(len(chunk))
             vals = score(chunk)
@@ -494,9 +500,8 @@ def exhaustive_synthesize(problem: SynthesisProblem,
     - exact_fidelity: nothing more; the score is |tr(T^dag U)|^2 / n^2.
     - frobenius_oa: epsilon.  Only words whose Re/Im deviations from the
       target lie in the epsilon-box count, and none there is infeasible.
-      Among them the best alpha has the least squared Frobenius error, which
-      falls as alpha grows; K, the model's outer approximation of that
-      error, is not read.
+      Among them the best alpha has the least squared Frobenius error,
+      4n (1 - alpha): both routes minimize that same error.
 
     `time_limit` is in seconds; None means no limit.  Searching more than
     NODE_BUDGET nodes or past the time limit raises OracleInconclusiveError.

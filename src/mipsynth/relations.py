@@ -34,7 +34,7 @@ from .gates import GateSet
 
 #: Entrywise tolerance for relation equality checks.
 RELATION_TOL = 1e-8
-#: Most words detect_relations multiplies out; k_max shrinks to stay within it.
+#: Most letters (k per word of length k) the word table holds; k_max shrinks to fit.
 ENUMERATION_LIMIT = 200_000
 #: Slack when comparing the weights of two words.
 WEIGHT_TOL = 1e-12
@@ -135,21 +135,25 @@ def detect_relations(gs: GateSet, k_max: int = 3,
     """Catalog commuting pairs, equivalent groups and redundancies.
 
     Words run over the non-identity gates with lengths 2..k_max (k_max >= 2);
-    k_max is reduced, down to 2, with a warning when the table would exceed
-    ENUMERATION_LIMIT words.  Products are equal within RELATION_TOL.
+    k_max is reduced, with a warning, to the largest one whose words hold at
+    most ENUMERATION_LIMIT letters, but not below 2, and to 2 without a
+    non-identity gate.  Products are equal within RELATION_TOL.
     """
     if k_max < 2:
         raise ConfigError(f"k_max must be >= 2, got {k_max}")
     mats = gs.matrices()
     ni = gs.non_identity_indices()
     limit = ENUMERATION_LIMIT
-    eff_k_max = k_max
-    while eff_k_max > 2 and sum(len(ni) ** k for k in range(2, eff_k_max + 1)) > limit:
-        eff_k_max -= 1
+    eff_k_max, letters = 2, 2 * len(ni) ** 2
+    while ni and eff_k_max < k_max:
+        letters += (eff_k_max + 1) * len(ni) ** (eff_k_max + 1)
+        if letters > limit:
+            break
+        eff_k_max += 1
     if eff_k_max != k_max:
         warnings.warn(
             f"word enumeration reduced from k_max={k_max} to {eff_k_max} "
-            f"to stay within {limit} words",
+            f"to stay within {limit} letters",
             stacklevel=2,
         )
 

@@ -256,6 +256,7 @@ def test_criterion_08_approximate_objectives():
             if not r.feasible:
                 continue
             feasible_seen += 1
+            # the model objective is the squared error itself
             assert r.objective_value <= r.error_fro_sq + 1e-9, (name, P)
             lb = max(0.0, 1.0 - r.error_fro_sq / 8.0) ** 2
             assert r.fidelity_to_target >= lb - 1e-8, (name, P)

@@ -564,3 +564,15 @@ def test_usage_errors_exit_64(tmp_path, capsys):
             main(argv)
         assert exc.value.code == EXIT_SCHEMA, argv
         assert "mipsynth: error:" in capsys.readouterr().err
+
+    # an unknown fixture is refused even when nothing is taken from it
+    good = tmp_path / "h.qasm"
+    good.write_text("qreg q[1]; h q[0];")
+    for argv in (["synthesize", "--fixture", "nonsense", "--target", "H",
+                  "--gate-set", "weaves", "-P", "2", "--backend", "oracle"],
+                 ["relations", "--fixture", "nonsense", "--gate-set", "weaves"],
+                 ["verify", str(good), "--fixture", "nonsense", "--target", "H"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_SCHEMA, argv
+        assert "unknown fixture 'nonsense'" in capsys.readouterr().err

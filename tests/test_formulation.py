@@ -273,6 +273,19 @@ def test_full_model_adds_objective_and_cuts():
     assert m.family_rows["cut_identity_symmetry"] == 1
 
 
+def test_frobenius_model_adds_only_the_box():
+    """The exact error needs no estimator: 2n^2 box rows over 2n^2 deviations."""
+    p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=3,
+                         objective="frobenius_oa", epsilon=1.0)
+    base, _ = build_base(p)
+    m, h = build_model(p)
+    n = p.gate_set.dim
+    assert m.family_rows["frobenius_box"] == 2 * n * n
+    assert "objective" not in m.family_rows
+    assert m.num_vars - base.num_vars == 2 * n * n == h.e.size
+    assert len(m.integer_vars()) == len(base.integer_vars())
+
+
 def test_exact_solve_small():
     with pytest.warns(UserWarning, match="unit determinant"):
         p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
@@ -412,8 +425,8 @@ def test_frobenius_oa_bounds_true_error():
                          objective="frobenius_oa", epsilon=1.0, K=5)
     r = synthesize(p, backend="scipy")
     assert r.status == "optimal"
-    # piecewise rows only underestimate the squared error
-    assert r.objective_value <= r.error_fro_sq + 1e-9
+    # the model objective is the squared error, reported as verified
+    assert r.objective_value == r.error_fro_sq
     assert r.error_fro_sq == pytest.approx(1.1715728752538097, abs=1e-6)
     assert r.alpha == pytest.approx(0.8535533905932737, abs=1e-6)
     brute = synthesize(p, backend="oracle")
@@ -734,9 +747,8 @@ def test_fidelity_objectives_agree_with_search_on_random_libraries(data):
     the span rows bite) or not.  Linearized fidelity must reach the
     oracle's alpha.  The Frobenius model must be feasible exactly when some
     word of at most P gates lies in the epsilon-box, and its optimum must be
-    the least outer approximation over those words, both by enumeration.
-    The oracle route must be feasible just as often, with the least true
-    squared error over the same words.
+    the least squared error over those words, both by enumeration.  The
+    oracle route must be feasible just as often, with the same error.
     """
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     size = data.draw(st.integers(1, 3), label="gates")
@@ -760,18 +772,18 @@ def test_fidelity_objectives_agree_with_search_on_random_libraries(data):
     p = SynthesisProblem(target, gs, P, objective="frobenius_oa", epsilon=eps, K=5)
     milp = synthesize(p, backend="scipy")
     brute = synthesize(p, backend="oracle")
-    grid = np.linspace(-eps, eps, 5)[:, None, None, None]
-    in_box, errors = [], []
+    errors = []
     for word in itertools.product(range(len(gs)), repeat=P):
         d = sequence_product(gs.matrices()[list(word)], gs.dim) - target
         dev = np.stack([d.real, d.imag])
         if np.abs(dev).max() <= eps:
-            in_box.append(2.0 * np.max(2.0 * grid * dev - grid * grid, axis=0).sum())
             errors.append(2.0 * np.sum(dev ** 2))
-    assert milp.feasible == brute.feasible == bool(in_box)
-    if in_box:
-        assert milp.objective_value == pytest.approx(min(in_box), rel=DEFAULT_GAP_TOL,
+    assert milp.feasible == brute.feasible == bool(errors)
+    if errors:
+        assert milp.objective_value == pytest.approx(min(errors), rel=DEFAULT_GAP_TOL,
                                                      abs=DEFAULT_GAP_TOL)
+        assert milp.error_fro_sq == pytest.approx(brute.error_fro_sq,
+                                                  abs=DEFAULT_GAP_TOL)
         assert brute.error_fro_sq == pytest.approx(min(errors), abs=1e-9)
         assert brute.objective_value == brute.error_fro_sq
 

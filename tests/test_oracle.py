@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,20 @@ def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(oracle, "NODE_BUDGET", 3)
     with pytest.raises(OracleInconclusiveError):
         exhaustive_synthesize(SynthesisProblem(builtin_gate("X"), gs, P=6))
+
+
+def test_searches_stop_at_the_first_empty_level():
+    """{H} reaches I and H only, so level 2 is empty and a huge P ends at once."""
+    gs = one_qubit_set("H")
+    clear_oracle_cache()
+    t0 = time.perf_counter()
+    r = exhaustive_synthesize(SynthesisProblem(builtin_gate("X"), gs, P=10 ** 6),
+                              time_limit=0.5)
+    assert (r.status, r.nodes) == ("infeasible", 8)
+    r = exhaustive_synthesize(SynthesisProblem(builtin_gate("X"), gs, P=10 ** 6,
+                                               objective="linearized_fidelity"))
+    assert r.status == "optimal"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_bad_time_limits_fail_before_any_table(monkeypatch):

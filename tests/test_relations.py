@@ -1,6 +1,7 @@
 """Relation discovery on small gate sets, pinned against hand algebra."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def test_k_max_shrinks_under_enumeration_limit(monkeypatch):
     assert cat.k_max < 9
     with pytest.raises(ConfigError, match="k_max"):
         detect_relations(gs, k_max=1)
+
+
+def test_huge_k_max_shrinks_at_once():
+    """The letter bound stops the table at k = 4 on csx's library, at k = 631
+    on one gate and at 2 on none, without summing word counts once per k."""
+    for gs, want in ((benchmark_registry()["csx"].gate_set, 4), (_set1("H"), 631),
+                     (_set1(), 2)):
+        t0 = time.perf_counter()
+        with pytest.warns(UserWarning, match="k_max"):
+            cat = detect_relations(gs, k_max=10 ** 9)
+        assert cat.k_max == want
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_catalog_to_dict_round_trips_labels():
