@@ -56,7 +56,7 @@ Ghat_P is unitary at every integer point.  The fifth, exact fidelity, is
 quadratic and non-convex; it is always answered by exhaustive search.  Depth
 adds one binary per position that marks where a new layer opens.  Layers are
 contiguous runs of positions whose gates act on disjoint qubits, the greedy
-rule gates.next_layer applies in time order, so the fewest breaks for a
+rule schedule_depth applies in time order, so the fewest breaks for a
 fixed gate choice is that circuit's depth, 0 for a circuit with no gate on
 any qubit.
 
@@ -82,7 +82,7 @@ from . import oracle as oracle_mod
 from .cuts import CutSelection, apply_cuts
 from .encoding import require_unitary, su_normalize
 from .errors import ConfigError, DimensionError, ModelIntegrityError
-from .gates import GateSet, GateSpec, next_layer, sequence_product
+from .gates import GateSet, GateSpec, sequence_product
 from .mip import MipModel
 from .oracle import checked_time_limit
 from .solvers import DEFAULT_GAP_TOL, Solution, get_backend, is_oracle_backend
@@ -503,12 +503,12 @@ def add_depth_scheduling(problem: SynthesisProblem, model: MipModel,
     """Layer breaks: breaks[p] = 1 when position p opens a new layer; min their sum.
 
     A layer is a contiguous run of positions whose gates act on disjoint
-    qubits, the rule gates.next_layer applies in time order.  Rows: every
+    qubits, the rule schedule_depth applies in time order.  Rows: every
     gate on some qubit has a break at or before it; two gates sharing a
     qubit have a break after the first and at or before the second; at most
     D breaks.  For fixed z the fewest breaks meeting these rows is the depth
-    schedule_depth computes: next_layer opens a layer at position e only
-    when the gate there shares a qubit with the run opened at e' < e, so the
+    schedule_depth computes: it opens a layer at position e only when the
+    gate there shares a qubit with the run opened at e' < e, so the
     rows force a break in (e', e]; those intervals are disjoint, and the
     first gate that acts on any qubit forces one more at or before it.
     Gates on no qubit, the identity among them, need no layer, so an empty
@@ -601,15 +601,19 @@ def build_model(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
 def schedule_depth(sequence) -> tuple[int, dict[int, int]]:
     """Earliest-possible monotone layering of a fixed gate order.
 
-    Each gate is given by the qubits it acts on (its support) and placed by
-    gates.next_layer.  Returns the depth and each gate's 1-based layer; a
-    gate on no qubits adds no depth and is listed in the current layer
-    (layer 1 before any other gate).
+    Each gate, given by the qubits it acts on (its support), joins the
+    current layer when those are disjoint from everything there and opens
+    the next layer otherwise, which gives the least depth for that order.
+    Returns the depth and each gate's 1-based layer; a gate on no qubits
+    adds no depth and is listed in the current layer (layer 1 before any
+    other gate).
     """
-    depth, layer = 0, frozenset()
+    depth, layer = 0, set()
     assignment: dict[int, int] = {}
     for idx, gate in enumerate(sequence, start=1):
-        depth, layer = next_layer(depth, layer, frozenset(gate))
+        if gate and (depth == 0 or layer.intersection(gate)):
+            depth, layer = depth + 1, set()
+        layer.update(gate)
         assignment[idx] = max(depth, 1)
     return depth, assignment
 

@@ -221,23 +221,6 @@ def sequence_product(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
     return u
 
 
-def next_layer(depth: int, layer: frozenset[int],
-               qubits: frozenset[int]) -> tuple[int, frozenset[int]]:
-    """Depth and current layer after one more gate, placed in time order.
-
-    The gate joins the current layer when its qubits are disjoint from
-    everything already there and opens the next layer otherwise; a gate on
-    no qubits takes no layer.  For a fixed gate order this earliest
-    placement gives the least depth.  A circuit starts at depth 0 with an
-    empty layer.
-    """
-    if not qubits:
-        return depth, layer
-    if depth == 0 or (qubits & layer):
-        return depth + 1, qubits
-    return depth, layer | qubits
-
-
 def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int) -> bool:
     """True when `u` factors as identity on `qubit` times some matrix on the
     rest, within 1e-9 entrywise."""
@@ -430,7 +413,6 @@ __all__ = [
     "front_permutation",
     "extend_gate",
     "sequence_product",
-    "next_layer",
     "acts_trivially",
     "fibonacci_generators",
     "weave_gate_set",

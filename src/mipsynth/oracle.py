@@ -7,25 +7,24 @@ reference cannot be asked anything the routes it checks are not.  The
 search and its checks share nothing else with the MIP: no model, no row,
 no solver.
 
-Minimum-length questions run as a meet-in-the-middle search over deduplicated
-product levels: level l holds every matrix reachable with exactly l
-non-identity gates and not reachable with fewer.  A length-m query splits
-m = l + r with l = m // 2, walks the left level, and hash-looks the required
-right factor up in the keys of level r; a hit's two words are read off the
-members' parent pointers, and every answer is re-verified in exact
-arithmetic before it is returned.  Lengths 2l and 2l+1 walk the same left
-level, so a query forms the right-factor keys of each left level once, in
-member order, and replays them for the second length.
+Target objectives run one meet-in-the-middle search over product levels
+of an alphabet whose letters carry costs: the non-identity gates at their
+weights, or, for depth, the layers (gates on disjoint qubits) at their gate
+counts.  Level l holds products of l letters, each once, at its cheapest
+occurrence, and none that a lower level holds at no more cost.  A length-m
+query splits m = l + r with l = m // 2, walks the left level, and
+hash-looks the required right factor up in the keys of level r; hits are
+tried cheapest first, their words read off the members' parent pointers
+and re-verified in exact arithmetic.  The search is exact: halve a cheapest
+word, shortest among the cheapest, at l; were a half's product held more
+cheaply by its level, or by a lower one at no more cost, the word could be
+made cheaper or shorter, so both halves are members.
 
-A level is an array of pointers: member k of level l is a parent in level
-l-1 times a generator g, stored as the product index parent * G + g, in
-first-occurrence order (parent-major, generator-minor), so walking the
-pointers down spells the member's word.  A level keeps its matrices only
-when they fit the table's byte budget, decided once its keys are known;
-otherwise its members are rebuilt from the parent level on demand, one GEMM
-per generator.  Level tables are target independent and cached per gate
-set, least recently used first out once their stored bytes (matrices, keys,
-key-to-member indices and pointers) pass CACHE_BUDGET_BYTES.
+A level is an array of parent pointers (LevelTables).  It keeps its
+matrices only when they fit the table's byte budget; otherwise its members
+are rebuilt from the parent level on demand, one GEMM per letter.  Level
+tables are target independent and cached per alphabet, least recently used
+first out once their stored bytes pass CACHE_BUDGET_BYTES.
 
 A key is a sketch, not the matrix: 8 complex inner products
 s_d(X) = <C_d, X> = tr(C_d^H X) with fixed, seeded unit-norm directions C_d,
@@ -38,14 +37,11 @@ gives the keys of all children of a parent chunk from one GEMM, and
 query the same way.  Only hits are formed as matrices.  Two distinct
 matrices share a key only if they agree to about 1e-6 along all 8
 directions; every hit is still re-verified against the exact matrices.
-A level's keys are one sorted uint64 array, built once the level is
-complete and searched by bisection, with the member index of each key.
 
-Weighted counts and circuit depth are not monotone in sequence length, so
-those objectives share one branch-and-bound depth-first enumeration.  They
-differ only in the order children are tried and in the cost step; the depth
-step is gates.next_layer, the layering rule formulation.schedule_depth
-applies.  Fidelity objectives score whole levels vectorized.
+The least depth is the least d whose cheapest word of at most d layers has
+at most P gates.  A gate on no qubit is a pure phase: it takes no layer, so
+in exact mode each scalar the pure phases reach shifts the target, and its
+fewest gates come off P.  Fidelity objectives score whole levels vectorized.
 
 All search modes are exhaustive within the problem's P: a returned optimum
 is proven, and "infeasible" means no word of at most P gates answers the
@@ -56,6 +52,7 @@ OracleInconclusiveError instead of guessing.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import numbers
 import time
@@ -65,8 +62,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, OracleInconclusiveError
-from .gates import GateSet, next_layer, sequence_product
-from .relations import canonical_phase, equal_matrices
+from .gates import GateSet, sequence_product
+from .relations import WEIGHT_TOL, canonical_phase, equal_matrices
 
 if TYPE_CHECKING:
     from .formulation import SynthesisProblem
@@ -139,11 +136,18 @@ def _sketch_map(dirs: np.ndarray) -> np.ndarray:
 
 def _in_sorted(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Whether each of q is in the sorted array keys, by bisection."""
-    pos = np.searchsorted(keys, q)
-    out = np.zeros(len(q), dtype=bool)
-    inside = pos < len(keys)
-    out[inside] = keys[pos[inside]] == q[inside]
-    return out
+    if not len(keys):
+        return np.zeros(len(q), dtype=bool)
+    return keys[np.searchsorted(keys, q).clip(max=len(keys) - 1)] == q
+
+
+def _cheapest(keys: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys, ascending, and the index of each one's cheapest occurrence,
+    the first among equal costs (under equal costs, np.unique's return_index)."""
+    perm = np.lexsort((cost, keys))  # stable: by key, then cost, then index
+    keys = keys[perm]
+    first = np.r_[True, keys[1:] != keys[:-1]][:len(keys)]
+    return keys[first], perm[first]
 
 
 @dataclass
@@ -151,6 +155,7 @@ class _Level:
     keys: np.ndarray  # the members' keys, strictly ascending
     order: np.ndarray  # member index of each key
     src: np.ndarray  # product index parent * G + g of each member, ascending
+    cost: np.ndarray  # the members' costs
     mats: np.ndarray | None = None  # the members' matrices, or None when pointer-only
 
     @property
@@ -159,8 +164,14 @@ class _Level:
 
     @property
     def nbytes(self) -> int:
-        mats = 0 if self.mats is None else self.mats.nbytes
-        return self.keys.nbytes + self.order.nbytes + self.src.nbytes + mats
+        return sum(a.nbytes for a in vars(self).values() if a is not None)
+
+    def members(self, q: np.ndarray) -> np.ndarray:
+        """Member index of each key of q, -1 where the level does not hold it."""
+        hit = _in_sorted(self.keys, q)
+        out = np.full(len(q), -1)
+        out[hit] = self.order[np.searchsorted(self.keys, q[hit])]
+        return out
 
 
 class _Budget:
@@ -184,19 +195,19 @@ class _Budget:
 
 
 class LevelTables:
-    """Deduplicated product levels of a gate set, built lazily.
+    """Deduplicated product levels of letters with costs, built lazily.
 
     Level l keeps one pointer per member, src = parent * G + g: the member
-    is parent @ gen[g] with parent a member of level l-1, so walking the
-    pointers down spells its word (peel).  Its keys are one sorted array,
-    and `order` holds the member index of each key.
+    is parent @ gen[g] at the parent's cost plus costs[g], with parent a
+    member of level l-1, so walking the pointers down spells its word
+    (peel).  Its keys are one sorted array, and `order` holds the member
+    index of each key.
     """
 
-    def __init__(self, gs: GateSet, up_to_phase: bool) -> None:
-        self.ni = gs.non_identity_indices()
-        mats = gs.matrices()
-        self.gen = np.ascontiguousarray(mats[self.ni])
-        self.n = n = gs.dim
+    def __init__(self, letters: np.ndarray, costs: np.ndarray, up_to_phase: bool) -> None:
+        self.gen = np.ascontiguousarray(letters, dtype=complex)
+        self.costs = np.asarray(costs, dtype=float)
+        self.n = n = self.gen.shape[1]
         self.up_to_phase = up_to_phase
         dirs = _directions(n)
         # sketch maps: of X itself; of every child X @ g, through the
@@ -211,8 +222,8 @@ class LevelTables:
         eye = np.eye(n, dtype=complex)[None, :, :]
         self.levels: list[_Level] = [
             _Level(keys=self.keys_of(eye), order=np.zeros(1, dtype=np.int64),
-                   src=np.empty(0, dtype=np.int64), mats=eye)]
-        row_bytes = max(1, len(self.ni)) * n * n * 16
+                   src=np.empty(0, dtype=np.int64), cost=np.zeros(1), mats=eye)]
+        row_bytes = max(1, len(self.gen)) * n * n * 16
         self.chunk_rows = max(64, _CHUNK_BYTES // row_bytes)
 
     @property
@@ -237,10 +248,10 @@ class LevelTables:
         return self._hash(self._sketch(stack, self.key_map))
 
     def iter_level_matrices(self, l: int):
-        """Yield (start, mats): every level-l matrix (reachable in exactly l
-        gates, not fewer) once, in member order, mats holding the members
-        from index start on; a pointer-only level is rebuilt from its parent
-        level.  Callers charge the budget for what they consume."""
+        """Yield (start, mats): every level-l member's matrix once, in member
+        order, mats holding the members from index start on; a pointer-only
+        level is rebuilt from its parent level.  Callers charge the budget
+        for what they consume."""
         lev = self.levels[l]
         if lev.mats is not None:
             for i in range(0, len(lev.mats), self.chunk_rows):
@@ -274,22 +285,25 @@ class LevelTables:
         n, g_count = self.n, len(self.gen)
         while len(self.levels) <= lmax:
             l = len(self.levels)
-            keys, srcs = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)]
+            parts = [(np.empty(0, dtype=np.uint64), np.empty(0), np.empty(0, dtype=np.int64))]
             for start, parents in self._parent_chunks(l):
                 budget.charge(len(parents) * g_count)
                 pkeys = self._hash(self._sketch(parents, self.child_map))
-                uniq, first = np.unique(pkeys, return_index=True)
-                seen = np.zeros(len(uniq), dtype=bool)
-                for lower in self.levels:
-                    seen |= _in_sorted(lower.keys, uniq)
-                fresh = np.sort(first[~seen])
-                keys.append(pkeys[fresh])
-                srcs.append(start * g_count + fresh)
-            # first occurrences across chunks, so src stays ascending
-            ukeys, first = np.unique(np.concatenate(keys), return_index=True)
+                pcost = (self.levels[l - 1].cost[start:start + len(parents), None]
+                         + self.costs).ravel()
+                uniq, first = _cheapest(pkeys, pcost)
+                fresh, limit = np.ones(len(uniq), dtype=bool), pcost[first] + WEIGHT_TOL
+                for lower in self.levels:  # none is empty while level l-1 has members
+                    k = lower.members(uniq)
+                    fresh &= (k < 0) | (lower.cost[k] > limit)
+                fresh = np.sort(first[fresh])
+                parts.append((pkeys[fresh], pcost[fresh], start * g_count + fresh))
+            keys, costs, srcs = (np.concatenate(a) for a in zip(*parts))
+            # cheapest first occurrences across chunks, so src stays ascending
+            ukeys, first = _cheapest(keys, costs)
             members = np.sort(first)
             lev = _Level(keys=ukeys, order=np.searchsorted(members, first),
-                         src=np.concatenate(srcs)[members])
+                         src=srcs[members], cost=costs[members])
             self.levels.append(lev)
             if self.stored_bytes + lev.count * n * n * 16 <= _MATRIX_BUDGET_BYTES:
                 mats = np.empty((lev.count, n, n), dtype=complex)
@@ -317,10 +331,9 @@ class LevelTables:
         return equal_matrices(a, b, self.up_to_phase, VERIFY_TOL)
 
     def peel(self, l: int, i: int) -> list[int]:
-        """The word of member i of level l, as positions into self.gen: its
-        src pointers walked down to level 0, the first gate leftmost.  It is
-        the lexicographically least l-gate word of the member, since levels
-        list members in that order and keep each one's first occurrence."""
+        """Member i of level l spelled as positions into self.gen, first letter
+        leftmost, by walking its src pointers down; levels keep first occurrences,
+        so under equal costs it is the member's lexicographically least word."""
         word = []
         for lev in self.levels[l:0:-1]:
             i, g = divmod(int(lev.src[i]), len(self.gen))
@@ -328,18 +341,18 @@ class LevelTables:
         return word[::-1]
 
 
-#: Level tables by gate set and phase rule, least recently used first.
+#: Level tables by alphabet and phase rule, least recently used first.
 _TABLE_CACHE: dict[tuple, LevelTables] = {}
 
 
-def _tables_for(gs: GateSet, up_to_phase: bool) -> LevelTables:
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.ascontiguousarray(gs.matrices()).tobytes())
-    digest.update(np.asarray(gs.non_identity_indices(), dtype=np.int64).tobytes())
-    key = (digest.hexdigest(), up_to_phase)
+def _tables_for(letters: np.ndarray, costs: np.ndarray, up_to_phase: bool) -> LevelTables:
+    blob = (np.ascontiguousarray(letters, dtype=complex).tobytes()
+            + np.asarray(costs, dtype=float).tobytes())
+    # the shape too: empty stacks of every dimension hash alike
+    key = (hashlib.blake2b(blob, digest_size=16).hexdigest(), letters.shape, up_to_phase)
     tab = _TABLE_CACHE.pop(key, None)
     if tab is None:
-        tab = LevelTables(gs, up_to_phase)
+        tab = LevelTables(letters, costs, up_to_phase)
     _TABLE_CACHE[key] = tab
     return tab
 
@@ -378,77 +391,81 @@ def _right_factors(chunk: np.ndarray, target: np.ndarray) -> np.ndarray:
     return (chunk.conj().transpose(0, 2, 1).reshape(-1, n) @ target).reshape(-1, n, n)
 
 
-def _mitm_min_length(tab: LevelTables, target: np.ndarray, max_length: int,
-                     budget: _Budget) -> list[int] | None:
-    """Shortest word for target of at most max_length gates, or None.
-
-    Lengths 2l and 2l+1 both scan left level l, so each level's query keys
-    are formed once, lazily and in member order, and replayed for the
-    second length: a length whose hit comes early still stops early.  Once
-    the right level r = ceil(m/2) is empty, so is every longer level.
-    """
+def _mitm(tab: LevelTables, target: np.ndarray, max_length: int,
+         budget: _Budget) -> tuple[list[int], float] | None:
+    """Cheapest word for target of at most max_length letters, with its cost,
+    or None.  Lengths 2l and 2l+1 replay one lazy scan of left level l.  A word
+    of length m costs at least m times the cheapest letter: a hit at that
+    floor ends the search, as does a length whose floor reaches the best.
+    Once the right level r = ceil(m/2) is empty, so is every longer one."""
     if tab.equal(np.eye(tab.n), target):
-        return []
-    scans = {}  # level -> (query-key chunks formed so far, generator of the rest)
-
-    def left_keys(l: int):
-        done, rest = scans.setdefault(l, ([], tab.query_keys(l, target, budget)))
-        yield from done
-        for chunk in rest:
-            done.append(chunk)
-            yield chunk
-
+        return [], 0.0
+    floor = tab.costs.min(initial=np.inf)
+    best = None  # (cost, word)
+    scans = {}  # left level l -> its scans for lengths 2l and 2l+1, one query
     for m in range(1, max_length + 1):
+        if best is not None and m * floor >= best[0] - WEIGHT_TOL:
+            break
         l, r = m // 2, m - m // 2
         tab.ensure_level(r, budget)
-        right = tab.levels[r]
-        for lo, qkeys in left_keys(l):
-            for h in np.nonzero(_in_sorted(right.keys, qkeys))[0]:
-                k = int(right.order[np.searchsorted(right.keys, qkeys[h])])
-                seq = tab.peel(l, lo + int(h)) + tab.peel(r, k)
+        left, right = tab.levels[l], tab.levels[r]
+        scan = scans.setdefault(l, itertools.tee(tab.query_keys(l, target, budget)))
+        for lo, qkeys in scan[m % 2]:
+            k = right.members(qkeys)
+            hits = np.flatnonzero(k >= 0)
+            cost = left.cost[lo + hits] + right.cost[k[hits]]
+            for h in np.argsort(cost, kind="stable"):
+                if best is not None and cost[h] >= best[0] - WEIGHT_TOL:
+                    break
+                seq = tab.peel(l, lo + int(hits[h])) + tab.peel(r, int(k[hits[h]]))
                 if tab.equal(sequence_product(tab.gen[seq], tab.n), target):
-                    return seq
+                    best = (float(cost[h]), seq)
+            if best is not None and best[0] <= m * floor + WEIGHT_TOL:
+                return best[1], best[0]
         if not right.count:
+            break
+    return None if best is None else (best[1], best[0])
+
+
+def _layers(gs: GateSet, ni: list[int]) -> list[tuple[int, ...]]:
+    """Depth's letters: every nonempty set of the gates ni on pairwise disjoint
+    qubits, fewest gates first.  Counted before any matrix is built: more than
+    their stack and two sketch maps fit the table budget are inconclusive."""
+    cap = _MATRIX_BUDGET_BYTES // (gs.dim ** 2 * 16 * (1 + 4 * _SKETCH_DIM))
+    layers = [((), frozenset())]
+    for i in ni:
+        s = gs[i].support
+        layers += [(lay + (i,), used | s) for lay, used in layers if s and not used & s]
+        if len(layers) - 1 > cap:
+            raise OracleInconclusiveError(f"more than {cap} layers: their sketch maps "
+                                          "would pass the table budget")
+    return sorted((lay for lay, _ in layers[1:]), key=lambda lay: (len(lay), lay))
+
+
+def _least_depth(tab: LevelTables, target: np.ndarray, scalars: list[complex], P: int,
+                 D: int, budget: _Budget) -> tuple[list[int], float] | None:
+    """Least-depth word of at most P gates and depth at most D, and its
+    depth, or None.  Letter len(tab.gen) + j is the pure phase scalars[j];
+    each scalar they reach, with a fewest-gate word, shifts the target.
+    Once a level of at most d + 1 layers is empty, no longer word is cheaper."""
+    shifts = [(1.0, [])]
+    for s, word in shifts:  # breadth first: the loop reaches what it appends
+        for j, c in enumerate(scalars):
+            if all(abs(s * c - u) > VERIFY_TOL for u, _ in shifts):
+                shifts.append((s * c, word + [len(tab.gen) + j]))
+    for d in range(D + 1):
+        for scalar, phases in shifts:
+            found = _mitm(tab, target * np.conj(scalar), d, budget)
+            if found is not None and found[1] + len(phases) <= P:
+                return found[0] + phases, float(d)
+        if any(not lev.count for lev in tab.levels[:d + 2]):
             break
     return None
 
 
-def _dfs(tab: LevelTables, target: np.ndarray, max_length: int, order: list[int],
-         step, budget: _Budget) -> tuple[list[int], float] | None:
-    """Least-cost sequence by branch and bound over sequences up to max_length.
-
-    Children are tried in `order`; step(cost, layer, p) gives the cost and
-    the current layer after appending generator p.  Costs never decrease
-    along a sequence, so a node whose cost reaches the best found is pruned.
-    """
-    best: tuple[float, list[int]] | None = None
-
-    def rec(prod: np.ndarray, seq: list[int], cost: float, layer: frozenset[int]) -> None:
-        nonlocal best
-        budget.charge()
-        if best is not None and cost >= best[0] - 1e-12:
-            return
-        if tab.equal(prod, target):
-            best = (cost, list(seq))
-            return
-        if len(seq) == max_length:
-            return
-        for p in order:
-            child_cost, child_layer = step(cost, layer, p)
-            seq.append(p)
-            rec(prod @ tab.gen[p], seq, child_cost, child_layer)
-            seq.pop()
-
-    rec(np.eye(tab.n, dtype=complex), [], 0, frozenset())
-    if best is None:
-        return None
-    return best[1], best[0]
-
-
 def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, fid: bool,
-                budget: _Budget, box: float | None
-                ) -> tuple[list[int] | None, float | None]:
-    """Best-scoring word of at most max_length gates, (None, None) if none counts.
+                budget: _Budget, box: float | None) -> tuple[list[int], float] | None:
+    """Best-scoring word of at most max_length gates and its score, or None.
 
     The score is |tr(T^dag U)|^2 / n^2 with `fid`, Re tr(T^dag U) / n
     without.  With a `box`, only words whose every Re/Im deviation from the
@@ -479,7 +496,7 @@ def _best_score(tab: LevelTables, target: np.ndarray, max_length: int, fid: bool
                 best_val = float(vals[k])
                 best = (l, lo + k)
     if best_val == -np.inf:
-        return None, None
+        return None
     return tab.peel(*best), best_val
 
 
@@ -491,12 +508,10 @@ def exhaustive_synthesize(problem: SynthesisProblem,
     search reads the problem's effective instance, matched up to a global
     phase when problem.up_to_phase, and, by objective:
 
-    - weighted_gate_count: the weights.  Equal weights run the
-      meet-in-the-middle length search, others the branch and bound.
-    - depth: D.  The branch and bound finds the least depth over all words,
-      so one above D is infeasible, as in the MIP.
-    - linearized_fidelity: nothing more; the score is alpha,
-      Re tr(T^dag U) / n.
+    - weighted_gate_count: the weights, as the gate letters' costs.
+    - depth: D; a least depth above D is infeasible, as in the MIP.  A layer
+      alphabet past the table budget raises OracleInconclusiveError.
+    - linearized_fidelity: nothing more; the score is alpha, Re tr(T^dag U) / n.
     - exact_fidelity: nothing more; the score is |tr(T^dag U)|^2 / n^2.
     - frobenius_oa: epsilon.  Only words whose Re/Im deviations from the
       target lie in the epsilon-box count, and none there is infeasible.
@@ -509,35 +524,34 @@ def exhaustive_synthesize(problem: SynthesisProblem,
     time_limit = checked_time_limit(time_limit)
     target, gs = problem.effective_instance
     P, objective = problem.P, problem.objective
-    tab = _tables_for(gs, problem.up_to_phase)
     budget = _Budget(NODE_BUDGET, time_limit)
-
-    def search() -> tuple[list[int] | None, float | None]:
-        if objective == "weighted_gate_count":
-            gw = problem.weights[tab.ni]
-            if len(gw) == 0 or np.ptp(gw) > 1e-12:
-                order = sorted(range(len(tab.gen)), key=lambda p: gw[p])
-                return _dfs(tab, target, P, order,
-                            lambda c, layer, p: (c + gw[p], layer), budget) or (None, None)
-            seq = _mitm_min_length(tab, target, P, budget)
-            return seq, None if seq is None else float(gw[0]) * len(seq)
-        if objective == "depth":
-            supports = [gs[i].support for i in tab.ni]
-            found = _dfs(tab, target, P, list(range(len(tab.gen))),
-                         lambda d, layer, p: next_layer(d, layer, supports[p]), budget)
-            return found if found and found[1] <= problem.D else (None, None)
-        return _best_score(tab, target, P, objective == "exact_fidelity", budget,
-                           problem.epsilon if objective == "frobenius_oa" else None)
-
+    ni, mats = gs.non_identity_indices(), gs.matrices()
+    letters, stack, phases = [(i,) for i in ni], mats[ni], []
+    # fidelity scans read every level member whatever it costs: unit costs
+    costs = problem.weights[ni] if objective == "weighted_gate_count" else np.ones(len(ni))
+    if objective == "depth":
+        letters = _layers(gs, ni)
+        costs = [len(lay) for lay in letters]
+        phases = [] if problem.up_to_phase else [i for i in ni if not gs[i].support]
+        stack = np.array([sequence_product(mats[list(lay)], gs.dim) for lay in letters],
+                         dtype=complex).reshape(-1, gs.dim, gs.dim)
+    tab = _tables_for(stack, costs, problem.up_to_phase)
+    letters = letters + [(i,) for i in phases]  # pure phases follow the table's letters
     try:
-        seq, obj = search()
+        if objective == "weighted_gate_count":
+            found = _mitm(tab, target, P, budget)
+        elif objective == "depth":
+            found = _least_depth(tab, target, [mats[i][0, 0] for i in phases], P,
+                                 problem.D, budget)
+        else:
+            found = _best_score(tab, target, P, objective == "exact_fidelity", budget,
+                                problem.epsilon if objective == "frobenius_oa" else None)
     finally:
         _trim_cache(keep=tab)
-    if seq is None:
-        return OracleResult(status="infeasible", sequence=None, objective=None,
-                            nodes=budget.nodes, seconds=budget.seconds)
-    return OracleResult(status="optimal", sequence=[tab.ni[p] for p in seq],
-                        objective=obj, nodes=budget.nodes, seconds=budget.seconds)
+    seq = None if found is None else [g for p in found[0] for g in letters[p]]
+    return OracleResult(status="infeasible" if seq is None else "optimal", sequence=seq,
+                        objective=None if seq is None else found[1],
+                        nodes=budget.nodes, seconds=budget.seconds)
 
 
 __all__ = [

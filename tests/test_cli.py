@@ -14,7 +14,7 @@ from mipsynth.errors import ConfigError, GateSetError
 from mipsynth.fixtures import benchmark_registry, csx_spec, standard_target
 from mipsynth import gates
 from mipsynth.gates import MAX_QUBITS, builtin_gate, gate_spec
-from mipsynth.rho import circuit_unitary
+from mipsynth.rho import circuit_unitary, window_gate_set
 
 BIG = "1" + "0" * 400  # an integer no float can hold
 BELL_QASM = """OPENQASM 2.0;
@@ -255,6 +255,23 @@ def test_main_pure_phase_gate_exits_64(tmp_path, capsys, command):
         main([command, "--config", str(cfg)])
     assert exc.value.code == EXIT_SCHEMA
     assert "W[1] is a pure phase" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:exact phase mode")
+def test_main_oracle_answers_large_budgets_and_huge_layer_sets(tmp_path, capsys):
+    h_set = tmp_path / "h.json"
+    h_set.write_text(json.dumps({"qubits": 1, "gates": [{"name": "H", "qubits": [1]}]}))
+    assert main(["oracle", "--target", "X", "--gate-set", str(h_set), "-P", "5000",
+                 "--objective", "depth", "--time-limit", "2"]) == EXIT_INFEASIBLE
+    # six qubits of CNOT/H/S have 4898 layers, whose sketch maps need gigabytes
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(gates.gate_set_to_dict(
+        window_gate_set(("CNOT", "H", "S"), 6))))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--target", "identity", "--gate-set", str(wide), "-P", "3",
+              "--objective", "depth"])
+    assert exc.value.code == EXIT_NO_SOLUTION
+    assert "layers" in capsys.readouterr().err
 
 
 def test_main_reports_the_solver_time_limit(tmp_path, capsys):

@@ -666,6 +666,7 @@ def test_mip_and_oracle_agree_on_two_qubit_words(objective, data):
 
     The library holds 2-3 gates on a two-qubit register, so layers can hold
     two gates; the target is a random word at most one gate longer than P.
+    Gate counts are weighted, with zero and tied weights drawn.
     """
     picks = data.draw(st.lists(st.sampled_from(TWO_QUBIT_GATES), min_size=2,
                                max_size=3, unique=True), label="library")
@@ -673,11 +674,16 @@ def test_mip_and_oracle_agree_on_two_qubit_words(objective, data):
     P = data.draw(st.integers(1, 3), label="P")
     word = data.draw(st.lists(st.sampled_from(gs.non_identity_indices()),
                               max_size=P + 1), label="word")
+    weights = None
+    if objective == "weighted_gate_count":
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                                     min_size=len(gs), max_size=len(gs)), label="weights")
     target = sequence_product(gs.matrices()[word], gs.dim)
     for mode in PHASE_MODES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            p = SynthesisProblem(target, gs, P, objective=objective, phase_mode=mode)
+            p = SynthesisProblem(target, gs, P, objective=objective, weights=weights,
+                                 phase_mode=mode)
             milp = synthesize(p, backend="scipy")
             brute = synthesize(p, backend="oracle")
         assert milp.status == brute.status, mode

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipsynth import oracle
+from mipsynth import fixtures, oracle
 from mipsynth.errors import ConfigError, OracleInconclusiveError
 from mipsynth.formulation import (PHASE_MODES, SynthesisProblem, schedule_depth,
                                   synthesize)
@@ -195,6 +195,19 @@ def test_searches_stop_at_the_first_empty_level():
                                                objective="linearized_fidelity"))
     assert r.status == "optimal"
     assert time.perf_counter() - t0 < 1.0
+    # depth and unequal weights answer at a large P too, without recursing
+    t0 = time.perf_counter()
+    r = exhaustive_synthesize(SynthesisProblem(builtin_gate("X"), gs, P=5000,
+                                               objective="depth"), time_limit=2)
+    assert r.status == "infeasible"
+    ht = one_qubit_set("H", "T")
+    w = np.zeros(len(ht))
+    w[ht.index_of("H")], w[ht.index_of("T")] = 1.0, 2.0
+    p = SynthesisProblem(builtin_gate("X"), ht, P=5000, weights=w)
+    r = exhaustive_synthesize(p, time_limit=2)
+    assert r.status == "optimal" and realizes(p, r.sequence)
+    assert r.objective == pytest.approx(w[r.sequence].sum())
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_bad_time_limits_fail_before_any_table(monkeypatch):
@@ -228,6 +241,59 @@ def test_depth_of_empty_support_gate_agrees_across_routes():
         assert res.status == "optimal", backend
         assert res.objective_value == pytest.approx(0.0), backend
         assert res.certificate["bound"] == pytest.approx(0.0, abs=1e-9), backend
+    # W = i*I on two qubits has unit determinant, so exact mode keeps it, and
+    # -X[1] needs W twice: both ride the one layer X[1] opens
+    gs = GateSet.from_specs(2, [gate_spec("X", (1,)),
+                                gate_spec("W", (1, 2), matrix=1j * np.eye(4))])
+    target = -gs[gs.index_of("X", (1,))].full
+    for backend in ("oracle", "scipy"):
+        p = SynthesisProblem(target, gs, P=2, objective="depth")
+        assert synthesize(p, backend=backend).status == "infeasible", backend
+        res = synthesize(replace(p, P=3), backend=backend)
+        assert res.status == "optimal", backend
+        assert (res.objective_value, res.depth) == (1.0, 1), backend
+        assert len(res.gate_indices) == 3, backend
+
+
+#: Least depth (gates of the word) of every registry row, exact and global
+#: phase; None is infeasible within the row's P.
+REGISTRY_DEPTHS = {
+    "toffoli2q": (None, (5, 5)), "cnot13": ((4, 4), (4, 4)),
+    "fredkin": (None, (7, 7)), "cnot41": ((5, 9), (5, 9)),
+    "csx": (None, (6, 7)), "ch": ((3, 3), (3, 3)),
+    "iswap": ((7, 8), (4, 4)), "single_excitation_hadamard": (None, (5, 5)),
+}
+
+
+def test_registry_depths_are_decided():
+    t0 = time.perf_counter()
+    rows = fixtures.benchmark_registry()
+    assert set(rows) == set(REGISTRY_DEPTHS)
+    for name, fx in rows.items():
+        for mode, want in zip(PHASE_MODES, REGISTRY_DEPTHS[name]):
+            p = SynthesisProblem(fx.target, fx.gate_set, fx.P, objective="depth",
+                                 phase_mode=mode)
+            res = synthesize(p, backend="oracle", time_limit=30)
+            if want is None:
+                assert res.status == "infeasible", (name, mode)
+                continue
+            assert res.status == "optimal", (name, mode)
+            assert (res.depth, len(res.gate_indices)) == want, (name, mode)
+            assert res.objective_value == res.depth and len(res.gate_indices) <= fx.P
+            assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-9), (name, mode)
+    assert time.perf_counter() - t0 < 30
+
+
+def test_layer_alphabet_past_the_budget_is_inconclusive(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a level table was built for an alphabet past the budget")
+
+    monkeypatch.setattr(oracle, "_tables_for", never)
+    gs = window_gate_set(("CNOT", "H", "S"), 6)
+    t0 = time.perf_counter()
+    with pytest.raises(OracleInconclusiveError, match="layers"):
+        exhaustive_synthesize(SynthesisProblem(np.eye(gs.dim), gs, P=3, objective="depth"))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_table_cache_is_lru_within_byte_budget(monkeypatch):
@@ -268,6 +334,12 @@ def test_table_cache_is_lru_within_byte_budget(monkeypatch):
     clear_oracle_cache()
 
 
+def gate_tables(gs: GateSet, up_to_phase: bool) -> LevelTables:
+    """Level tables whose letters are the non-identity gates of gs at unit cost."""
+    ni = gs.non_identity_indices()
+    return LevelTables(gs.matrices()[ni], np.ones(len(ni)), up_to_phase)
+
+
 _TRIPLE_SET = window_gate_set(("CNOT", "H", "S"), 3)
 _PAIR_SET = window_gate_set(("CNOT", "H", "S"), 2)
 #: Fits levels 0-2 of _TRIPLE_SET (116472 bytes) but not the 668 matrices of
@@ -280,7 +352,7 @@ def triple_tables(phase_mode: str, budgeted: bool) -> LevelTables:
     """Levels 0-4 of _TRIPLE_SET, built under _SMALL_BUDGET when budgeted.
     Budgeted tables also build in chunks of 50 parents, so a member can
     recur across chunks."""
-    tab = LevelTables(_TRIPLE_SET, phase_mode == "global_phase")
+    tab = gate_tables(_TRIPLE_SET, phase_mode == "global_phase")
     with pytest.MonkeyPatch.context() as mp:
         if budgeted:
             mp.setattr(oracle, "_MATRIX_BUDGET_BYTES", _SMALL_BUDGET)
@@ -299,7 +371,7 @@ def test_gemm_kernels_match_einsum(rng):
     dirs = oracle._directions(n)
     assert np.allclose(np.linalg.norm(dirs.reshape(len(dirs), -1), axis=1), 1.0)
     for phase_mode in PHASE_MODES:
-        tab = LevelTables(gs, phase_mode == "global_phase")
+        tab = gate_tables(gs, phase_mode == "global_phase")
         children = np.einsum("cij,gjk->cgik", parents, tab.gen).reshape(-1, n, n)
         rights = np.einsum("gji,cjk->cgik", tab.gen.conj(), y).reshape(-1, n, n)
         for stack, sketch_map, formed in ((parents, tab.child_map, children),
@@ -369,27 +441,28 @@ def test_pointer_only_tables_answer_like_stored_ones(word):
         answers = []
         for budgeted in (True, False):
             tab = triple_tables(phase_mode, budgeted)
-            seq = oracle._mitm_min_length(tab, target, 7, oracle._Budget(10 ** 9, None))
+            seq = oracle._mitm(tab, target, 7, oracle._Budget(10 ** 9, None))[0]
             assert seq is not None and len(seq) <= len(word)
-            assert tab.equal(product_of(_TRIPLE_SET, [tab.ni[p] for p in seq]), target)
+            ni = _TRIPLE_SET.non_identity_indices()
+            assert tab.equal(product_of(_TRIPLE_SET, [ni[p] for p in seq]), target)
             answers.append(seq)
         assert answers[0] == answers[1]
 
 
 def test_stored_bytes_count_keys_and_pointers(monkeypatch):
     monkeypatch.setattr(oracle, "_MATRIX_BUDGET_BYTES", _SMALL_BUDGET)
-    tab = LevelTables(_TRIPLE_SET, False)
+    tab = gate_tables(_TRIPLE_SET, False)
     budget = oracle._Budget(10 ** 9, None)
     tab.ensure_level(2, budget)
     before = tab.stored_bytes
     lev2 = tab.levels[2]
-    # one uint64 key, one int64 member index of a key, one int64 pointer and
-    # one complex 8x8 matrix per member
-    assert lev2.nbytes == lev2.count * (8 + 8 + 8 + 64 * 16)
+    # one uint64 key, one int64 member index of a key, one int64 pointer, one
+    # float64 cost and one complex 8x8 matrix per member
+    assert lev2.nbytes == lev2.count * (8 + 8 + 8 + 8 + 64 * 16)
     tab.ensure_level(3, budget)
     lev3 = tab.levels[3]
     assert lev3.mats is None and lev3.count == 668
-    assert tab.stored_bytes - before == lev3.count * (8 + 8 + 8)
+    assert tab.stored_bytes - before == lev3.count * (8 + 8 + 8 + 8)
 
 
 def test_key_set_agrees_with_python_set(rng):
@@ -403,11 +476,12 @@ def test_key_set_agrees_with_python_set(rng):
 
 
 def test_each_left_level_is_scanned_once_per_query(monkeypatch):
-    tab = LevelTables(_PAIR_SET, False)
+    tab = gate_tables(_PAIR_SET, False)
     budget = oracle._Budget(10 ** 9, None)
     tab.ensure_level(5, budget)
     word = tab.peel(5, tab.levels[5].count // 2)
-    target = product_of(_PAIR_SET, [tab.ni[p] for p in word])
+    ni = _PAIR_SET.non_identity_indices()
+    target = product_of(_PAIR_SET, [ni[p] for p in word])
     scanned = []
 
     def spy(chunk, target):
@@ -416,9 +490,9 @@ def test_each_left_level_is_scanned_once_per_query(monkeypatch):
 
     right_factors = oracle._right_factors
     monkeypatch.setattr(oracle, "_right_factors", spy)
-    seq = oracle._mitm_min_length(tab, target, 5, budget)
+    seq = oracle._mitm(tab, target, 5, budget)[0]
     assert seq is not None and len(seq) == 5  # lengths 4 and 5 share left level 2
-    assert tab.equal(product_of(_PAIR_SET, [tab.ni[p] for p in seq]), target)
+    assert tab.equal(product_of(_PAIR_SET, [ni[p] for p in seq]), target)
     assert len(scanned) >= 2 and len(set(scanned)) == len(scanned)
 
 
@@ -450,14 +524,14 @@ def independent_level_counts(gs: GateSet, up_to_phase: bool, lmax: int) -> list[
 @pytest.mark.parametrize("phase_mode", ["exact", "global_phase"])
 def test_level_counts_match_independent_dedup(phase_mode):
     gs = window_gate_set(("CNOT", "H", "S"), 3)
-    tab = LevelTables(gs, phase_mode == "global_phase")
+    tab = gate_tables(gs, phase_mode == "global_phase")
     tab.ensure_level(4, oracle._Budget(10 ** 9, None))
     want = independent_level_counts(gs, phase_mode == "global_phase", 4)
     assert [lev.count for lev in tab.levels] == want
 
 
 def test_four_qubit_level_counts_pinned():
-    tab = LevelTables(window_gate_set(("CNOT", "H", "S"), 4), False)
+    tab = gate_tables(window_gate_set(("CNOT", "H", "S"), 4), False)
     tab.ensure_level(4, oracle._Budget(10 ** 9, None))
     assert [lev.count for lev in tab.levels] == [1, 20, 264, 2820, 26166]
 
