@@ -620,7 +620,8 @@ def _add_common(p: argparse.ArgumentParser, phase: bool = True) -> None:
     p.add_argument("--cuts", help="comma list of cut families (none|all|hc|...)")
     if phase:
         p.add_argument("--phase-mode", choices=["exact", "global"],
-                       help="match the target exactly or up to global phase")
+                       help="exact: equal after scaling the target and every "
+                       "gate to determinant 1; global: equal up to a global phase")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="run multiple --config files concurrently")
 

@@ -21,9 +21,10 @@ when |F| > 1: at k = 1, z[a,p] = z[c_1,p+1] = z[c_2,p+1] = 1/2 meets both
 per-word rows and violates this one.  This is the clique aggregation of
 conflict rows (Atamtürk, Nemhauser and Savelsbergh 2000).  Every forbidden
 word keeps a no-heavier word of equal product allowed, so each family keeps
-an optimum.  Families that reorder gates are switched off under the depth
-objective (SynthesisProblem.__post_init__), where order changes the
-objective value.
+an optimum.  apply_cuts alone decides where a selected family applies, and
+skips the others silently: the families that reorder gates (commuting,
+equivalent) under the depth objective, where order changes the objective
+value, and the hindsight family without a target.
 
 The base chain already runs backward from the target (see
 formulation.build_base): its first backward step,
@@ -37,7 +38,6 @@ mode `hc` emits nothing.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -96,9 +96,6 @@ class CutSelection:
                                   f"{sorted(set(_TOKENS) | {'all', 'none'})}")
         return cls(**on)
 
-    def wants_patterns(self) -> bool:
-        return self.commuting_pairs or self.equivalent_patterns or self.redundancy
-
 
 def add_identity_symmetry_cuts(model: "MipModel", z: np.ndarray,
                                identity_index: int, P: int) -> None:
@@ -148,11 +145,12 @@ def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
 
 def apply_cuts(model: "MipModel", handles: "ModelHandles",
                problem: "SynthesisProblem") -> None:
-    """Emit every selected and applicable family.
+    """Emit every selected family where it applies; skip the rest silently.
 
-    The hindsight family emits its exact-mode rows only, and skips with a
-    warning under objectives that drop the target equality, so one
-    selection like `hc` works everywhere.
+    Under the depth objective the families that reorder gates (commuting,
+    equivalent) are skipped; the hindsight family emits its exact-mode rows
+    only, and nothing without a target, so one selection like `all` works
+    everywhere.
     """
     sel = problem.cuts
     gs = problem.effective_instance[1]
@@ -160,21 +158,19 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     if sel.identity_symmetry and problem.P > 1:
         add_identity_symmetry_cuts(model, handles.z, gs.identity_index, problem.P)
 
-    if sel.wants_patterns():
+    # reordering gates changes the depth
+    families = (("redundancy",) if problem.objective == "depth"
+                else ("commuting", "equivalent", "redundancy"))
+    families = [f for f in families if getattr(sel, _TOKENS[f])]
+    if families:
         # patterns must hold for the matrices the model constrains
         catalog = detect_relations(gs, k_max=WORD_K_MAX, up_to_phase=problem.up_to_phase)
-        for family in ("commuting", "equivalent", "redundancy"):
-            if getattr(sel, _TOKENS[family]):
-                add_pattern_rows(model, handles.z,
-                                 catalog.forbidden_words(family, problem.weights),
-                                 problem.P, f"cut_{family}")
+        for family in families:
+            add_pattern_rows(model, handles.z,
+                             catalog.forbidden_words(family, problem.weights),
+                             problem.P, f"cut_{family}")
 
-    if not sel.hindsight:
-        return
-    if not problem.targets_equality():
-        warnings.warn("hindsight cuts need a target-equality objective; skipped",
-                      stacklevel=2)
-    elif not problem.up_to_phase:
+    if sel.hindsight and problem.targets_equality() and not problem.up_to_phase:
         add_hc2_cuts(problem, model, handles)
 
 

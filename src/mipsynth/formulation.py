@@ -131,7 +131,13 @@ class SynthesisProblem:
     the exhaustive search (oracle.exhaustive_synthesize).  Fields are
     checked and normalized once, at construction, and the effective
     instance is computed once, on first use; to change a field, build a new
-    problem with dataclasses.replace rather than assigning to it.
+    problem with dataclasses.replace rather than assigning to it.  `cuts`
+    is kept as given; apply_cuts skips the families that do not apply.
+
+    phase_mode "exact" asks for a circuit equal to the target after the
+    target and every gate are scaled to determinant 1 (su_normalize);
+    "global_phase" asks for equality up to a global phase.  Both apply to
+    the objectives with a target; the others use the inputs as given.
     """
 
     target: np.ndarray
@@ -182,13 +188,6 @@ class SynthesisProblem:
             raise ConfigError(f"epsilon must lie in (0, 1], got {self.epsilon!r:.40}")
         if self.K < 2:
             raise ConfigError(f"K must be >= 2, got {self.K}")
-        # order-sensitive cuts cannot survive a depth objective
-        if self.objective == "depth" and (self.cuts.commuting_pairs
-                                          or self.cuts.equivalent_patterns):
-            warnings.warn("commuting/equivalent-pattern cuts are invalid under the "
-                          "depth objective and were disabled", stacklevel=2)
-            self.cuts = replace(self.cuts, commuting_pairs=False,
-                                equivalent_patterns=False)
 
     @property
     def num_qubits(self) -> int:
@@ -211,11 +210,11 @@ class SynthesisProblem:
         unitary group, so both sides are determinant-normalized there; every
         other mode uses the inputs as given.  The gate set is the library
         itself unless normalization moves a matrix by more than 1e-14;
-        otherwise it is a copy with the normalized matrices and the library's
-        supports, in which the relations between gates are read as the model
-        sees them (Z.Z == I, say, stops being true).  A gate other than the
-        identity that normalizes to the identity, a pure phase such as i*I,
-        raises ConfigError.
+        otherwise it is a copy that changes only the matrices, in which the
+        relations between gates are read as the model sees them (Z.Z == I,
+        say, stops being true).  A gate other than the identity that
+        normalizes to the identity, a pure phase such as i*I, raises
+        ConfigError.
         """
         gs = self.gate_set
         if self.phase_mode != "exact" or not self.targets_equality():
@@ -228,14 +227,9 @@ class SynthesisProblem:
                 raise ConfigError(
                     f"exact phase mode: gate {gs.label(g)} is a pure phase and "
                     "normalizes to the identity; drop it or use global phase mode")
-        moved = np.abs(eff_g - mats).max()
-        if np.abs(eff_t - self.target).max() > 1e-12 or moved > 1e-12:
-            warnings.warn("exact phase mode: target and gates were normalized to "
-                          "unit determinant", stacklevel=3)
-        if moved <= 1e-14:
+        if np.abs(eff_g - mats).max() <= 1e-14:
             return eff_t, gs
-        gates = [replace(g, spec=replace(g.spec, matrix=su_normalize(g.spec.matrix)),
-                         full=m) for g, m in zip(gs, eff_g)]
+        gates = [replace(g, full=m) for g, m in zip(gs, eff_g)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
             return eff_t, GateSet(gs.num_qubits, gates)

@@ -51,6 +51,7 @@ OracleInconclusiveError instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -134,13 +135,6 @@ def _sketch_map(dirs: np.ndarray) -> np.ndarray:
         np.stack([re, im], axis=1).reshape(2 * len(w), 2 * w.shape[1]).T)
 
 
-def _in_sorted(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Whether each of q is in the sorted array keys, by bisection."""
-    if not len(keys):
-        return np.zeros(len(q), dtype=bool)
-    return keys[np.searchsorted(keys, q).clip(max=len(keys) - 1)] == q
-
-
 def _cheapest(keys: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys, ascending, and the index of each one's cheapest occurrence,
     the first among equal costs (under equal costs, np.unique's return_index)."""
@@ -168,10 +162,10 @@ class _Level:
 
     def members(self, q: np.ndarray) -> np.ndarray:
         """Member index of each key of q, -1 where the level does not hold it."""
-        hit = _in_sorted(self.keys, q)
-        out = np.full(len(q), -1)
-        out[hit] = self.order[np.searchsorted(self.keys, q[hit])]
-        return out
+        if not len(self.keys):
+            return np.full(len(q), -1)
+        i = np.searchsorted(self.keys, q).clip(max=len(self.keys) - 1)
+        return np.where(self.keys[i] == q, self.order[i], -1)
 
 
 class _Budget:
@@ -209,15 +203,8 @@ class LevelTables:
         self.costs = np.asarray(costs, dtype=float)
         self.n = n = self.gen.shape[1]
         self.up_to_phase = up_to_phase
-        dirs = _directions(n)
-        # sketch maps: of X itself; of every child X @ g, through the
-        # directions C_d g^H; of every g^H @ X, through g C_d (one block of
-        # directions per generator, in generator order)
-        self.key_map = _sketch_map(dirs)
-        self.child_map = _sketch_map(
-            np.einsum("dij,gkj->gdik", dirs, self.gen.conj()).reshape(-1, n, n))
-        self.query_map = _sketch_map(
-            np.einsum("gij,djk->gdik", self.gen, dirs).reshape(-1, n, n))
+        self.dirs = _directions(n)
+        self.key_map = _sketch_map(self.dirs)  # sketches X itself
         self.mults = _multipliers(2 * _SKETCH_DIM)
         eye = np.eye(n, dtype=complex)[None, :, :]
         self.levels: list[_Level] = [
@@ -225,6 +212,20 @@ class LevelTables:
                    src=np.empty(0, dtype=np.int64), cost=np.zeros(1), mats=eye)]
         row_bytes = max(1, len(self.gen)) * n * n * 16
         self.chunk_rows = max(64, _CHUNK_BYTES // row_bytes)
+
+    @functools.cached_property
+    def child_map(self) -> np.ndarray:
+        """Sketches every child X @ g of X, through the directions C_d g^H,
+        one block of directions per generator, in generator order."""
+        return _sketch_map(np.einsum("dij,gkj->gdik", self.dirs, self.gen.conj())
+                           .reshape(-1, self.n, self.n))
+
+    @functools.cached_property
+    def query_map(self) -> np.ndarray:
+        """Sketches every g^H @ X, through the directions g C_d, blocked as
+        child_map is."""
+        return _sketch_map(np.einsum("gij,djk->gdik", self.gen, self.dirs)
+                           .reshape(-1, self.n, self.n))
 
     @property
     def stored_bytes(self) -> int:

@@ -191,10 +191,8 @@ def _optimize_window(block: list[GateSpec], cfg: RhoConfig,
                                objective="weighted_gate_count",
                                phase_mode="exact", cuts=cfg.cuts)
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=".*normalized to unit determinant.*")
-            result = synthesize(problem, backend=cfg.backend,
-                                time_limit=cfg.time_limit_per_window)
+        result = synthesize(problem, backend=cfg.backend,
+                            time_limit=cfg.time_limit_per_window)
     except (OracleInconclusiveError, BackendError) as exc:
         warnings.warn(f"window resynthesis gave up ({exc}); keeping the original "
                       f"{m}-gate block", stacklevel=2)

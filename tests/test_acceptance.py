@@ -28,8 +28,6 @@ from mipsynth.rho import RhoConfig, find_first_block, rolling_horizon
 from util import (SEED, beta_interval, naive_encode, random_complex,
                   random_unitary)
 
-pytestmark = pytest.mark.filterwarnings("ignore:exact phase mode")
-
 
 def _count(result):
     return None if not result.feasible else round(result.objective_value)

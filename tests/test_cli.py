@@ -1,6 +1,11 @@
 """Command-line surface: configs, formats, exit codes, report closure."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -11,7 +16,10 @@ from mipsynth.cli import (EXIT_INFEASIBLE, EXIT_NO_SOLUTION, EXIT_OPTIMAL,
                           main, parse_qasm, resolve_target,
                           sequence_counts, validate_config)
 from mipsynth.errors import ConfigError, GateSetError
-from mipsynth.fixtures import benchmark_registry, csx_spec, standard_target
+from mipsynth.fixtures import (benchmark_registry, csx_spec, oracle_corpus,
+                               standard_target)
+from mipsynth.formulation import SynthesisProblem, synthesize
+import mipsynth
 from mipsynth import gates
 from mipsynth.gates import MAX_QUBITS, builtin_gate, gate_spec
 from mipsynth.rho import circuit_unitary, window_gate_set
@@ -233,7 +241,6 @@ def test_main_unwritable_report_exits_64(tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:exact phase mode")
 def test_main_budget_exhaustion_exit(tmp_path, capsys):
     cfg = tmp_path / "tiny_budget.json"
     cfg.write_text(json.dumps({"target": "X", "gate_set": "weaves", "P": 6}))
@@ -257,7 +264,25 @@ def test_main_pure_phase_gate_exits_64(tmp_path, capsys, command):
     assert "W[1] is a pure phase" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:exact phase mode")
+def test_default_exact_run_does_not_warn():
+    # exact phase mode normalizes target and gates to determinant 1 quietly
+    src = str(Path(mipsynth.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "error::UserWarning", "-m",
+                           "mipsynth.cli", "synthesize", "--fixture", "csx", "-P", "3",
+                           "--time-limit", "5"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == EXIT_INFEASIBLE, done.stderr
+    fix = next(f for f in oracle_corpus() if f.name == "t2_s")
+    for backend in ("scipy", "oracle"):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            r = synthesize(SynthesisProblem(fix.target, fix.gate_set, fix.P),
+                           backend=backend)
+        assert r.status == "optimal" and rec == [], backend
+
+
 def test_main_oracle_answers_large_budgets_and_huge_layer_sets(tmp_path, capsys):
     h_set = tmp_path / "h.json"
     h_set.write_text(json.dumps({"qubits": 1, "gates": [{"name": "H", "qubits": [1]}]}))

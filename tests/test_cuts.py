@@ -8,7 +8,8 @@ import pytest
 
 from mipsynth.cuts import CUT_FAMILIES, CutSelection, add_pattern_rows
 from mipsynth.errors import ConfigError
-from mipsynth.formulation import SynthesisProblem, synthesize
+from mipsynth.formulation import (OBJECTIVES, PHASE_MODES, TARGET_OBJECTIVES,
+                                  SynthesisProblem, build_model, synthesize)
 from mipsynth.gates import GateSet, builtin_gate, gate_spec, weave_gate_set
 from mipsynth.mip import MipModel
 from mipsynth.relations import detect_relations
@@ -110,9 +111,29 @@ def test_hindsight_cuts_skip_on_mode_mismatch():
     p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=2,
                          objective="linearized_fidelity",
                          cuts=CutSelection.from_names("hc"))
-    with pytest.warns(UserWarning, match="target-equality"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         r = synthesize(p, backend="scipy")
     assert cut_rows(r) == {}
+
+
+@pytest.mark.parametrize("phase_mode", PHASE_MODES)
+@pytest.mark.parametrize("objective", [o for o in OBJECTIVES if o != "exact_fidelity"])
+def test_apply_cuts_writes_only_the_families_that_apply(objective, phase_mode):
+    sel = CutSelection.from_names("all")
+    p = SynthesisProblem(builtin_gate("Z"), gs1("H", "T", "S"), P=3,
+                         objective=objective, phase_mode=phase_mode, cuts=sel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, _ = build_model(p)
+    assert p.cuts == sel
+    # reordering changes the depth; hindsight needs an exact-mode target
+    want = {"cut_identity_symmetry", "cut_redundancy"}
+    if objective != "depth":
+        want |= {"cut_commuting", "cut_equivalent"}
+    if objective in TARGET_OBJECTIVES and phase_mode == "exact":
+        want.add("cut_hc2")
+    assert {f for f in model.family_rows if f.startswith("cut_")} == want
 
 
 @pytest.mark.parametrize("family", ["commuting", "equivalent", "redundancy"])

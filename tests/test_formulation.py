@@ -38,11 +38,11 @@ def fixed_zeros(model) -> int:
     return int(np.sum((arr.lb == 0.0) & (arr.ub == 0.0) & (arr.integrality == 0)))
 
 
-def su_warned(fn):
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        out = fn()
-    return out, any("unit determinant" in str(w.message) for w in rec)
+def silent(fn):
+    """fn() with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn()
 
 
 def test_objective_name_contract():
@@ -96,40 +96,42 @@ def test_problem_validation():
 def test_depth_objective_disables_order_cuts():
     gs = gs1("H", "T")
     sel = CutSelection(commuting_pairs=True, equivalent_patterns=True)
-    with pytest.warns(UserWarning, match="depth objective"):
-        p = SynthesisProblem(builtin_gate("S"), gs, P=2, objective="depth", cuts=sel)
-    assert not p.cuts.commuting_pairs and not p.cuts.equivalent_patterns
-    assert p.cuts.identity_symmetry
+    p = silent(lambda: SynthesisProblem(builtin_gate("S"), gs, P=2,
+                                        objective="depth", cuts=sel))
+    assert p.cuts == sel
+    m, _ = silent(lambda: build_model(p))
+    assert m.family_rows["cut_identity_symmetry"] == 1
+    assert "cut_commuting" not in m.family_rows
+    assert "cut_equivalent" not in m.family_rows
 
 
 def test_effective_instance_scope():
     gs = gs1("H", "T")
     t = builtin_gate("S")
-    (eff_t, eff_gs), warned = su_warned(
-        lambda: SynthesisProblem(t, gs, P=2).effective_instance)
-    assert warned and eff_gs is not gs
+    eff_t, eff_gs = silent(lambda: SynthesisProblem(t, gs, P=2).effective_instance)
+    assert eff_gs is not gs
     assert np.linalg.det(eff_t) == pytest.approx(1.0, abs=1e-12)
     assert all(abs(np.linalg.det(m) - 1) < 1e-12 for m in eff_gs.matrices())
     assert [g.support for g in eff_gs] == [g.support for g in gs]
+    assert all(eff_gs[g].spec is gs[g].spec for g in range(len(gs)))
     assert eff_gs.identity_index == gs.identity_index
 
-    (eff_t, eff_gs), warned = su_warned(lambda: SynthesisProblem(
+    eff_t, eff_gs = silent(lambda: SynthesisProblem(
         t, gs, P=2, phase_mode="global_phase").effective_instance)
-    assert eff_gs is gs and not warned and np.array_equal(eff_t, t)
+    assert eff_gs is gs and np.array_equal(eff_t, t)
 
-    (eff_t, eff_gs), warned = su_warned(lambda: SynthesisProblem(
+    eff_t, eff_gs = silent(lambda: SynthesisProblem(
         t, gs, P=2, objective="linearized_fidelity").effective_instance)
-    assert eff_gs is gs and not warned and np.array_equal(eff_t, t)
+    assert eff_gs is gs and np.array_equal(eff_t, t)
 
-    # an already-special instance is left alone, quietly
+    # an already-special instance is left alone
     rz = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.7)])
-    (eff_t, eff_gs), warned = su_warned(lambda: SynthesisProblem(
+    eff_t, eff_gs = silent(lambda: SynthesisProblem(
         builtin_gate("RZ", 0.3), rz, P=2).effective_instance)
-    assert eff_gs is rz and not warned
+    assert eff_gs is rz
 
 
 
-@pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
 def test_verify_sequence_rejects_a_word_that_misses_the_target():
     gs = gs1("H", "T")
     h, t = gs.index_of("H"), gs.index_of("T")
@@ -287,9 +289,8 @@ def test_frobenius_model_adds_only_the_box():
 
 
 def test_exact_solve_small():
-    with pytest.warns(UserWarning, match="unit determinant"):
-        p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
-        r = synthesize(p, backend="scipy")
+    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
+    r = synthesize(p, backend="scipy")
     assert r.status == "optimal" and r.feasible
     assert [s.name for s in r.sequence] == ["T", "T"]
     assert r.objective_value == pytest.approx(2.0)
@@ -306,7 +307,6 @@ def test_exact_solve_small():
     assert isinstance(r.certificate["nodes"], int)
 
 
-@pytest.mark.filterwarnings("ignore:exact phase mode")
 @pytest.mark.parametrize("phase_mode", PHASE_MODES)
 @pytest.mark.parametrize("objective", TARGET_OBJECTIVES)
 def test_single_position_target(phase_mode, objective):
@@ -324,9 +324,8 @@ def test_single_position_target(phase_mode, objective):
 
 
 def test_exact_solve_infeasible():
-    with pytest.warns(UserWarning, match="unit determinant"):
-        p = SynthesisProblem(builtin_gate("Sdg"), gs1("T"), P=2)
-        r = synthesize(p, backend="scipy")
+    p = SynthesisProblem(builtin_gate("Sdg"), gs1("T"), P=2)
+    r = synthesize(p, backend="scipy")
     assert r.status == "infeasible" and not r.feasible
     assert r.sequence == [] and r.objective_value is None
     assert r.certificate["status"] == "infeasible"
@@ -360,10 +359,9 @@ def test_near_unitary_library_solves_in_global_phase(P):
 
 
 def test_depth_solve_single_qubit():
-    with pytest.warns(UserWarning, match="unit determinant"):
-        p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2, D=2,
-                             objective="depth")
-        r = synthesize(p, backend="scipy")
+    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2, D=2,
+                         objective="depth")
+    r = synthesize(p, backend="scipy")
     assert r.status == "optimal" and r.objective_value == pytest.approx(2.0)
     assert r.depth == 2 and r.depth_schedule == {1: 1, 2: 2}
 
@@ -372,9 +370,8 @@ def test_depth_solve_parallel_layer():
     specs = [gate_spec("H", (1,)), gate_spec("H", (2,)), gate_spec("CNOT", (1, 2))]
     gs = GateSet.from_specs(2, specs)
     hh = np.kron(builtin_gate("H"), builtin_gate("H"))
-    with pytest.warns(UserWarning, match="unit determinant"):
-        p = SynthesisProblem(hh, gs, P=2, D=2, objective="depth")
-        r = synthesize(p, backend="scipy")
+    p = SynthesisProblem(hh, gs, P=2, D=2, objective="depth")
+    r = synthesize(p, backend="scipy")
     assert r.status == "optimal" and r.objective_value == pytest.approx(1.0)
     assert r.depth == 1 and r.depth_schedule == {1: 1, 2: 1}
 
@@ -456,7 +453,6 @@ def test_build_model_refuses_exact_fidelity():
         build_model(p)
 
 
-@pytest.mark.filterwarnings("ignore:exact phase mode")
 @pytest.mark.parametrize("phase_mode", PHASE_MODES)
 def test_identity_only_library_routes_agree(phase_mode):
     gs = GateSet.from_specs(1, [])
@@ -601,7 +597,6 @@ def test_bad_weights_fail_before_any_model(monkeypatch, backend):
                        backend=backend)
 
 
-@pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
 @pytest.mark.parametrize("backend", ["scipy", "oracle"])
 def test_weights_just_below_the_cap_solve(backend):
     gs = gs1("H", "T")
@@ -907,9 +902,8 @@ def test_verification_rejects_fractional_selection():
 
 
 def test_verification_rejects_circuit_that_misses_the_target():
-    with pytest.warns(UserWarning, match="unit determinant"):
-        p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
-        m, h = build_model(p)
+    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
+    m, h = build_model(p)
     sol = get_backend("scipy").solve(m)
     hadamard = [p.gate_set.label(g) for g in range(len(p.gate_set))].index("H[1]")
     x = sol.x.copy()

@@ -23,9 +23,6 @@ from mipsynth.rho import window_gate_set
 
 from util import SEED, random_unitary
 
-# exact-mode problems are determinant-normalized, which warns
-pytestmark = pytest.mark.filterwarnings("ignore:.*normalized to unit determinant")
-
 
 def one_qubit_set(*names: str) -> GateSet:
     return GateSet.from_specs(1, [gate_spec(n, (1,)) for n in names])
@@ -296,6 +293,19 @@ def test_layer_alphabet_past_the_budget_is_inconclusive(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_identity_depth_query_builds_no_sketch_map():
+    # the sketch maps for children and queries are built on first use
+    clear_oracle_cache()
+    gs = window_gate_set(("CNOT", "H", "S"), 5)
+    t0 = time.perf_counter()
+    res = exhaustive_synthesize(SynthesisProblem(np.eye(gs.dim), gs, P=3, objective="depth"))
+    assert time.perf_counter() - t0 < 1.5
+    assert res.status == "optimal" and res.sequence == []
+    tab = list(oracle._TABLE_CACHE.values())[-1]
+    assert "child_map" not in vars(tab) and "query_map" not in vars(tab)
+    clear_oracle_cache()
+
+
 def test_table_cache_is_lru_within_byte_budget(monkeypatch):
     sets = [one_qubit_set("H", "T"), one_qubit_set("H", "S"), line_set(),
             one_qubit_set("T", "Tdg", "Z")]
@@ -412,7 +422,7 @@ def test_pointer_only_level_yields_each_member_once(phase_mode):
         assert len(got) == lev.count
         keys = tab.keys_of(got)
         assert len(np.unique(keys)) == lev.count
-        assert oracle._in_sorted(lev.keys, keys).all()
+        assert (lev.members(keys) >= 0).all()
         assert np.array_equal(np.sort(keys), np.sort(full.keys_of(full.levels[l].mats)))
 
 
@@ -471,8 +481,13 @@ def test_key_set_agrees_with_python_set(rng):
     for size in (0, 1, 5, 1_000, 20_000):
         want = set(rng.choice(pool, size=size).tolist())  # drawn with repeats
         keys = np.array(sorted(want), dtype=np.uint64)
-        got = oracle._in_sorted(keys, query)
-        assert got.tolist() == [q in want for q in query.tolist()]
+        order = rng.permutation(len(keys))
+        lev = oracle._Level(keys=keys, order=order, src=np.empty(0, dtype=np.int64),
+                            cost=np.zeros(len(keys)))
+        got = lev.members(query)
+        assert (got >= 0).tolist() == [q in want for q in query.tolist()]
+        index = dict(zip(keys.tolist(), order.tolist()))
+        assert got.tolist() == [index.get(q, -1) for q in query.tolist()]
 
 
 def test_each_left_level_is_scanned_once_per_query(monkeypatch):
