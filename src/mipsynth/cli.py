@@ -419,6 +419,8 @@ def make_report(command: str, cfg: dict, problem: SynthesisProblem,
         "solve_seconds": result.solve_seconds,
         "solver_time_limit": _jsonable(cert.get("solver_time_limit")),
         "row_families": cert.get("row_families", {}),
+        # the gate-count MIP's length ladder: L, verdict, seconds, nodes
+        "rungs": cert.get("rungs"),
         "circuit": circuit_doc(result.sequence, nq),
     }
     if result.error_fro_sq is not None:

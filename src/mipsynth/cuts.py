@@ -21,7 +21,27 @@ when |F| > 1: at k = 1, z[a,p] = z[c_1,p+1] = z[c_2,p+1] = 1/2 meets both
 per-word rows and violates this one.  This is the clique aggregation of
 conflict rows (Atamtürk, Nemhauser and Savelsbergh 2000).  Every forbidden
 word keeps a no-heavier word of equal product allowed, so each family keeps
-an optimum.  apply_cuts alone decides where a selected family applies, and
+an optimum.
+
+The weighted gate count runs as a ladder of rungs, one model per exact
+length L with the identity excluded (formulation.synthesize), and each
+family stays valid in rung L: the lexicographically least of the lightest
+words rung L admits avoids every forbidden word.  It avoids the commuting
+and equivalent words, since replacing one gives a lexicographically smaller
+word of the same length and product and no more weight.  A redundant word
+of k gates collapses to one gate or to the identity, so a rung-L word that
+holds one collapses to a no-heavier word of L - k + 1 or L - k gates, which
+lies in a shorter rung.  The ladder reaches rung L only once every shorter
+rung is decided.  Before any word is found, each was proved infeasible, so
+the shorter word cannot exist.  After, none holds a word under rung L's
+cutoff: each was proved infeasible under a cutoff no lower, or solved to an
+optimum no lighter than the incumbent.  So the rung-L word is not under the
+cutoff either, and rung L's cutoff row already excludes it.  A rung
+that ends out of time proves neither, which is why the ladder stops there
+instead of going on to L + 1.  Identity placement holds trivially in a
+rung, and hindsight restates the target.
+
+apply_cuts alone decides where a selected family applies, and
 skips the others silently: the families that reorder gates (commuting,
 equivalent) under the depth objective, where order changes the objective
 value, and the hindsight family without a target.

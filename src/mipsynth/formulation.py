@@ -60,6 +60,13 @@ rule schedule_depth applies in time order, so the fewest breaks for a
 fixed gate choice is that circuit's depth, 0 for a circuit with no gate on
 any qubit.
 
+The weighted gate count runs as a length ladder (synthesize): the empty
+word, then one model per exact length L = 1, 2, ..., P, each this base at
+P = L with the identity's selections fixed to 0.  The oracle tries lengths
+in turn the same way, as SAT-based exact synthesis solves one instance per
+length (Große, Wille, Dueck and Drechsler 2009).  Depth and the approximate
+objectives solve one model of P positions padded with the identity.
+
 Extraction never trusts the solver.  It reads only the integer choices from
 the solver point, recomputes every continuous variable exactly from the
 chosen gates (the polished point), checks every model row there, and compares
@@ -71,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 import time
 import warnings
@@ -85,7 +93,9 @@ from .errors import ConfigError, DimensionError, ModelIntegrityError
 from .gates import GateSet, GateSpec, sequence_product
 from .mip import MipModel
 from .oracle import checked_time_limit
-from .solvers import DEFAULT_GAP_TOL, Solution, get_backend, is_oracle_backend
+from .relations import equal_matrices
+from .solvers import (DEFAULT_GAP_TOL, ScipyHighsBackend, Solution, get_backend,
+                      is_oracle_backend)
 
 OBJECTIVES = ("weighted_gate_count", "depth", "linearized_fidelity",
               "frobenius_oa", "exact_fidelity")
@@ -98,11 +108,12 @@ INTEGRALITY_TOL = 1e-6
 #: Rows that polishing makes true by construction must hold this tightly.
 POLISH_TOL = 1e-9
 #: Row families that tie the circuit to input data: the backward chain's first
-#: step from the target (`target`), the hindsight cuts that restate it, and
-#: the Frobenius epsilon-box.  They hold at the polished point only as tightly
-#: as the data and HiGHS's feasibility tolerance allow, so they are held to
-#: that tolerance and the residual is recorded in the certificate.
-DATA_FAMILIES = ("target", "frobenius_box", "cut_hc2")
+#: step from the target (`target`), the hindsight cuts that restate it, the
+#: Frobenius epsilon-box, and a ladder rung's objective cutoff.  They hold at
+#: the polished point only as tightly as the data and HiGHS's feasibility
+#: tolerance allow, so they are held to that tolerance and the residual is
+#: recorded in the certificate.
+DATA_FAMILIES = ("target", "frobenius_box", "cut_hc2", "cutoff")
 DATA_TOL = 1e-6
 #: HiGHS reads a cost at or above this as infinite; gate weights stay below it.
 WEIGHT_CAP = 1e20
@@ -783,13 +794,83 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
                    solve_seconds=res.seconds)
 
 
+def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
+                   time_limit: float | None, t0: float) -> SynthesisResult:
+    """Weighted gate count as exact-length rungs L = 0, 1, ..., P, in turn.
+
+    Rung 0 is the empty word, matched to the target as the oracle matches
+    it.  Rung L is build_model at P = L with the identity's selections fixed
+    to 0, so its words have exactly L gates; once a word is found, every
+    later rung carries a cutoff row that asks for a word lighter by the
+    relative gap DEFAULT_GAP_TOL.  The ladder stops when the lightest gate
+    times L reaches that cutoff, so under unit weights the first feasible
+    rung is the optimum.  A rung that ends out of time ends the ladder:
+    the pattern cuts of a later rung are valid only once this one is
+    decided (see cuts).  All rungs share the caller's `time_limit`, counted
+    from t0.  The certificate lists the rungs with verdict, seconds and
+    nodes; its row families are those of the last rung built.
+    """
+    gs = problem.gate_set
+    lightest = min((float(problem.weights[g]) for g in gs.non_identity_indices()),
+                   default=math.inf)
+    best = None
+    if equal_matrices(np.eye(gs.dim), problem.effective_instance[0],
+                      problem.up_to_phase, oracle_mod.VERIFY_TOL):
+        best = replace(verify_sequence(problem, []), objective_value=0.0,
+                       certificate={"bound": 0.0, "gap": 0.0})
+    rungs = [{"L": 0, "verdict": "infeasible" if best is None else "optimal",
+              "seconds": time.perf_counter() - t0, "nodes": None}]
+    model, left, decided = None, None, True
+    for L in range(1, problem.P + 1):
+        cutoff = math.inf if best is None else (
+            best.objective_value - DEFAULT_GAP_TOL * max(1.0, best.objective_value))
+        if lightest * L >= cutoff:
+            break
+        start = time.perf_counter()
+        rung = replace(problem, P=L, D=L)
+        model, handles = build_model(rung)
+        for k in handles.z[gs.identity_index]:
+            model.fix_var(int(k), 0.0)
+        if best is not None:
+            model.add_objective_cutoff(cutoff, "cutoff")
+        if time_limit is not None:
+            left = time_limit - (time.perf_counter() - t0)
+        sol = backend.solve(model, time_limit=left)
+        if sol.x is not None:
+            found = extract_and_verify(rung, model, handles, sol)
+            if best is None or found.objective_value < best.objective_value:
+                best = found
+        rungs.append({"L": L, "verdict": sol.status,
+                      "seconds": time.perf_counter() - start, "nodes": sol.nodes})
+        if sol.status in ("feasible", "time_limit"):
+            decided = False
+            break
+
+    cert = {"bound": None, "gap": None} if best is None else dict(best.certificate)
+    if decided:
+        status = "infeasible" if best is None else "optimal"
+    else:
+        # shorter rungs hold nothing lighter, and no word of L or more gates
+        # weighs less than L lightest gates
+        status = "time_limit" if best is None else "feasible"
+        cert.update(bound=lightest * L, gap=None)
+    counted = [r["nodes"] for r in rungs if r["nodes"] is not None]
+    cert.update(status=status, rungs=rungs, nodes=sum(counted) if counted else None,
+                row_families={} if model is None else dict(model.family_rows),
+                solver_time_limit=left)
+    return replace(best or SynthesisResult(status=status), status=status,
+                   certificate=cert, solve_seconds=time.perf_counter() - t0)
+
+
 def synthesize(problem: SynthesisProblem, backend: str = "scipy",
                time_limit: float | None = None) -> SynthesisResult:
     """Solve one synthesis instance end to end and verify the outcome.
 
-    `time_limit` is in seconds and covers building the model too; None
+    `time_limit` is in seconds and covers building the models too; None
     means no limit.  A MIP certificate records what was left of it for the
-    solver as `solver_time_limit`.
+    (last) solver run as `solver_time_limit`.  The weighted gate count runs
+    as a length ladder (_length_ladder); the other MIP objectives solve one
+    model of P positions padded with the identity.
     """
     time_limit = checked_time_limit(time_limit)
     t0 = time.perf_counter()
@@ -801,6 +882,8 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
         warnings.warn("the MIP backend cannot handle the quadratic fidelity "
                       "objective; falling back to exhaustive search", stacklevel=2)
         return _oracle_route(problem, time_limit)
+    if problem.objective == "weighted_gate_count":
+        return _length_ladder(problem, be, time_limit, t0)
     model, handles = build_model(problem)
     if time_limit is not None:
         time_limit -= time.perf_counter() - t0

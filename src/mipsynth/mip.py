@@ -128,6 +128,12 @@ class MipModel:
         self.sense = sense
         self._obj = {int(k): float(v) for k, v in coefs.items()}
 
+    def add_objective_cutoff(self, value: float, family: str) -> int:
+        """Row objective <= value of a minimization: worse points are cut off."""
+        if self.sense != "min":
+            raise ValueError("an objective cutoff needs a minimization")
+        return self.add_constr(self._obj, "<=", value, family=family)
+
     def objective_value(self, x: np.ndarray) -> float:
         return float(sum(c * x[i] for i, c in self._obj.items()))
 

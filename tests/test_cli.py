@@ -307,6 +307,22 @@ def test_main_reports_the_solver_time_limit(tmp_path, capsys):
     assert 0 < json.loads(rep.read_text())["solver_time_limit"] <= 5
 
 
+def test_main_report_lists_the_rungs(tmp_path, capsys):
+    hz = tmp_path / "hz.json"
+    hz.write_text(json.dumps({"qubits": 1, "gates": [{"name": "H", "qubits": [1]},
+                                                     {"name": "Z", "qubits": [1]}]}))
+    rep = tmp_path / "x.json"
+    assert main(["synthesize", "--target", "X", "--gate-set", str(hz), "-P", "4",
+                 "--phase-mode", "global", "--report", str(rep)]) == EXIT_OPTIMAL
+    capsys.readouterr()
+    doc = json.loads(rep.read_text())
+    assert doc["counts"]["total"] == 3
+    assert [(r["L"], r["verdict"]) for r in doc["rungs"]] == [
+        (0, "infeasible"), (1, "infeasible"), (2, "infeasible"), (3, "optimal")]
+    assert all(r["seconds"] >= 0 and set(r) == {"L", "verdict", "seconds", "nodes"}
+               for r in doc["rungs"])
+
+
 def test_main_identity_target(capsys):
     code = main(["synthesize", "--target", "identity", "--gate-set", "weaves",
                  "-P", "2", "--backend", "oracle", "--quiet"])

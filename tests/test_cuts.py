@@ -93,18 +93,42 @@ def test_phase_families_preserve_optimum(names):
 
 
 def test_emitted_row_counts():
+    def model_cut_rows(names, **kw):
+        model, _ = build_model(SynthesisProblem(cuts=CutSelection.from_names(names), **kw))
+        return {k: v for k, v in model.family_rows.items() if k.startswith("cut_")}
+
     kw = dict(target=builtin_gate("S"), gate_set=gs1("H", "T"), **EXACT_CASE)
-    r = solve(CutSelection.from_names("identity"), **kw)
-    assert cut_rows(r) == {"cut_identity_symmetry": 2}  # P - 1 ordering rows
-    r = solve(CutSelection.from_names("hc"), **kw)
+    assert model_cut_rows("identity", **kw) == {"cut_identity_symmetry": 2}  # P - 1 rows
     # one row per Re/Im entry of the chain (2n^2 = 8) plus 3 product rows
     # for each of the |G|^2 = 9 gate pairs at the last two positions
-    assert cut_rows(r) == {"cut_hc2": 8 + 27}
+    assert model_cut_rows("hc", **kw) == {"cut_hc2": 8 + 27}
     kw = dict(target=builtin_gate("X"), gate_set=gs1("H", "Z"), **GP_CASE)
-    r = solve(CutSelection.from_names("hc"), **kw)
-    assert cut_rows(r) == {}
-    r = solve(CutSelection.from_names("none"), **kw)
-    assert cut_rows(r) == {}
+    assert model_cut_rows("hc", **kw) == {}
+    assert model_cut_rows("none", **kw) == {}
+
+
+@pytest.mark.parametrize("phase_mode", PHASE_MODES)
+def test_weighted_ladder_under_all_cuts_matches_oracle(phase_mode):
+    """A longer word is lighter: Z is S.S (weight 6), S.T.T (5) or T^4 (4).
+
+    The ladder goes on past the first feasible rung under a cutoff row, with
+    every pattern family on, and ends where 5 gates of weight 1 reach 4.
+    """
+    gs = gs1("H", "T", "S")
+    w = np.ones(len(gs))
+    w[gs.index_of("S")] = 3.0
+    p = SynthesisProblem(builtin_gate("Z"), gs, P=6, weights=w, phase_mode=phase_mode,
+                         cuts=CutSelection.from_names("all"))
+    milp = synthesize(p, backend="scipy")
+    brute = synthesize(p, backend="oracle")
+    assert milp.status == brute.status == "optimal"
+    assert milp.objective_value == pytest.approx(brute.objective_value, abs=1e-6)
+    assert milp.objective_value == pytest.approx(4.0, abs=1e-6)
+    rungs = milp.certificate["rungs"]
+    assert [(g["L"], g["verdict"]) for g in rungs] == [
+        (0, "infeasible"), (1, "infeasible"), (2, "optimal"), (3, "optimal"),
+        (4, "optimal")]
+    assert milp.certificate["row_families"]["cutoff"] == 1
 
 
 def test_hindsight_cuts_skip_on_mode_mismatch():

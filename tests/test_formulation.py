@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipsynth import formulation
+from mipsynth import formulation, solvers
 from mipsynth.cuts import CUT_FAMILIES, CutSelection
 from mipsynth.encoding import su_normalize
 from mipsynth.errors import (ConfigError, DimensionError, ModelIntegrityError,
@@ -23,7 +23,7 @@ from mipsynth.formulation import (DATA_FAMILIES, DATA_TOL, OBJECTIVES,
                                   schedule_depth, synthesize, verify_sequence)
 from mipsynth.gates import (GateSet, builtin_gate, extend_gate, gate_spec,
                             sequence_product, weave_gate_set)
-from mipsynth.solvers import DEFAULT_GAP_TOL, get_backend
+from mipsynth.solvers import DEFAULT_GAP_TOL, Solution, get_backend
 
 from util import random_unitary
 
@@ -466,6 +466,16 @@ def test_identity_only_library_routes_agree(phase_mode):
         assert r.status == "infeasible"
 
 
+@pytest.mark.parametrize("phase_mode,gates", [("exact", 2), ("global_phase", 0)])
+def test_empty_word_follows_the_phase_rule(phase_mode, gates):
+    # -I is the empty word up to phase; in SU(2) it is H.H, H scaled by 1/i
+    p = SynthesisProblem(-np.eye(2), gs1("H"), P=3, phase_mode=phase_mode)
+    milp = synthesize(p, backend="scipy")
+    brute = synthesize(p, backend="oracle")
+    assert milp.status == brute.status == "optimal"
+    assert milp.objective_value == brute.objective_value == gates
+
+
 def test_schedule_depth_cases():
     assert schedule_depth([]) == (0, {})
     depth, sched = schedule_depth([(1,), (2,), (1, 2)])
@@ -647,6 +657,101 @@ def test_time_limit_covers_the_model_build(monkeypatch):
     r = synthesize(p, backend="scipy", time_limit=0.2)
     assert r.status == "time_limit" and r.sequence == []
     assert r.certificate["status"] == "time_limit"
+
+
+def test_a_rung_out_of_time_ends_the_ladder(monkeypatch):
+    """Rung 2 runs out of time, so rung 3 never runs, even with a word there."""
+    calls = []
+
+    def stub_solve(self, model, time_limit=None):
+        L = model.family_rows["one_hot"]
+        calls.append((L, time_limit))
+        if L == 1:
+            time.sleep(0.1)
+            return Solution(status="infeasible", nodes=3)
+        if L == 2:
+            time.sleep(time_limit)
+            return Solution(status="time_limit")
+        return Solution(status="optimal", x=np.zeros(model.num_vars), objective=3.0)
+
+    monkeypatch.setattr(solvers.ScipyHighsBackend, "solve", stub_solve)
+    # X = H.Z.H is a word of rung 3
+    p = SynthesisProblem(builtin_gate("X"), gs1("H", "Z"), P=3, phase_mode="global_phase")
+    r = synthesize(p, backend="scipy", time_limit=0.5)
+    assert r.status == r.certificate["status"] == "time_limit" and r.sequence == []
+    assert [L for L, _ in calls] == [1, 2]
+    rungs = r.certificate["rungs"]
+    assert [(g["L"], g["verdict"], g["nodes"]) for g in rungs] == [
+        (0, "infeasible", None), (1, "infeasible", 3), (2, "time_limit", None)]
+    assert r.certificate["nodes"] == 3
+    # rung 2 gets what rung 1 left, and together the rungs keep the budget
+    assert calls[1][1] <= 0.5 - 0.1
+    assert r.certificate["solver_time_limit"] == calls[1][1]
+    assert sum(g["seconds"] for g in rungs) <= r.solve_seconds <= 0.5 + 0.1
+    # every word left has at least 2 gates of weight 1
+    assert r.certificate["bound"] == 2.0
+
+
+def test_certificate_lists_the_rungs():
+    p = SynthesisProblem(builtin_gate("X"), gs1("H", "Z"), P=4, phase_mode="global_phase")
+    r = synthesize(p, backend="scipy")
+    assert r.status == "optimal" and [s.name for s in r.sequence] == ["H", "Z", "H"]
+    rungs = r.certificate["rungs"]
+    # unit weights: the first feasible rung is the optimum, so rung 4 never runs
+    assert [(g["L"], g["verdict"]) for g in rungs] == [
+        (0, "infeasible"), (1, "infeasible"), (2, "infeasible"), (3, "optimal")]
+    # milp gives no node count when presolve alone proves a rung infeasible
+    assert rungs[0]["nodes"] is None and isinstance(rungs[3]["nodes"], int)
+    assert r.certificate["nodes"] == sum(g["nodes"] or 0 for g in rungs)
+    assert all(g["seconds"] >= 0 for g in rungs)
+    # the row families are those of the last rung, a model of 3 positions
+    assert r.certificate["row_families"]["one_hot"] == 3
+
+
+#: Instances on which HiGHS's presolve proved the identity-padded model
+#: infeasible although a word exists: (library, P, target word, phase mode,
+#: cuts).  Each solves in milliseconds.
+PRESOLVE_FALSE_INFEASIBLE = [
+    ("H1 H2 CNOT12", 2, "CNOT12", "global_phase", "all"),
+    ("H1 X1 X2", 2, "X2", "global_phase", "identity"),
+    ("H1 X1 X2", 2, "X2", "global_phase", "all"),
+    ("H2 T1 S1", 3, "S1 T1", "global_phase", "identity"),
+    ("H2 T1 S1", 3, "T1 T1 T1", "global_phase", "identity"),
+    ("H2 X1 X2", 2, "X1", "global_phase", "identity"),
+    ("H2 X1 X2", 2, "X1", "global_phase", "all"),
+    ("H2 X2 CNOT21", 2, "CNOT21", "global_phase", "identity"),
+    ("H2 X2 CNOT21", 2, "CNOT21", "global_phase", "all"),
+    ("T1 CNOT12 CNOT21", 3, "CNOT21", "exact", "all"),
+    ("T2 S1 X1", 2, "S1", "global_phase", "identity"),
+    ("T2 S1 X1", 2, "S1", "global_phase", "all"),
+    ("T2 S1 CNOT21", 3, "CNOT21", "exact", "all"),
+    ("T2 S1 CZ12", 2, "T2", "exact", "identity"),
+    ("T2 CNOT12 CNOT21", 3, "CNOT12", "exact", "all"),
+    ("S1 S2 CNOT12", 2, "S1", "exact", "all"),
+    ("S1 S2 CNOT21", 2, "S1", "exact", "all"),
+    ("S1 CNOT12 CZ12", 2, "CZ12", "exact", "all"),
+    ("T1 S2", 2, "S2", "global_phase", "identity"),
+]
+
+
+def two_qubit_spec(token: str):
+    """`CNOT12` -> CNOT on qubits (1, 2)."""
+    name = token.rstrip("0123456789")
+    return gate_spec(name, tuple(int(c) for c in token[len(name):]))
+
+
+@pytest.mark.parametrize("library,P,word,phase_mode,cuts", PRESOLVE_FALSE_INFEASIBLE)
+def test_presolve_false_infeasible_instances_agree_with_oracle(library, P, word,
+                                                               phase_mode, cuts):
+    gs = GateSet.from_specs(2, [two_qubit_spec(t) for t in library.split()])
+    target = sequence_product([extend_gate(two_qubit_spec(t), 2).full
+                               for t in word.split()], 4)
+    p = SynthesisProblem(target, gs, P=P, phase_mode=phase_mode,
+                         cuts=CutSelection.from_names(cuts))
+    milp = synthesize(p, backend="scipy")
+    brute = synthesize(p, backend="oracle")
+    assert brute.status == "optimal"
+    assert (milp.status, milp.objective_value) == (brute.status, brute.objective_value)
 
 
 TWO_QUBIT_GATES = tuple((n, (q,)) for n in ("H", "T", "S", "X") for q in (1, 2)) + (
