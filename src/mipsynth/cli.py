@@ -31,7 +31,7 @@ from collections import Counter
 import jsonschema
 import numpy as np
 
-from .cuts import CutSelection
+from .cuts import CUT_NAMES, CutSelection
 from .encoding import fidelity
 from .errors import (BackendError, ConfigError, DimensionError, GateSetError,
                      ModelIntegrityError, OracleInconclusiveError)
@@ -39,8 +39,8 @@ from .fixtures import (benchmark_registry, brickwork_circuit,
                        golden_weave_circuit, k4_parity_seed, k5_parity_seed,
                        standard_target, standard_target_names)
 from .formulation import (OBJECTIVES, TARGET_OBJECTIVES, SynthesisProblem,
-                          SynthesisResult, build_model, schedule_depth,
-                          synthesize)
+                          SynthesisResult, build_model, ladder_rung,
+                          schedule_depth, synthesize)
 from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
                     builtin_names, circuit_doc, circuit_from_doc, extend_gate,
                     gate_set_from_dict, gate_spec, spec_to_dict, weave_gate_set)
@@ -468,12 +468,18 @@ def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int,
     t0 = time.perf_counter()
     problem = build_problem(cfg, allowed)
     backend = "oracle" if command == "oracle" else cfg.get("backend", "scipy")
-    if dump_lp:
-        model, _ = build_model(problem)
-        with open(dump_lp, "w", encoding="utf-8") as fh:
-            fh.write(model.to_lp())
+    # a gate count's model is a ladder rung, known after the solve; the others
+    # are built first, so exact fidelity fails before any search
+    ladder = problem.objective == "weighted_gate_count"
+    model = build_model(problem)[0] if dump_lp and not ladder else None
     result = synthesize(problem, backend=backend,
                         time_limit=cfg.get("time_limit"))
+    last = result.certificate.get("rungs", [{"L": 0}])[-1]["L"]
+    if dump_lp and last:  # the oracle route and the empty word solve no rung
+        model = ladder_rung(problem, last, result.certificate["cutoff"])[1]
+    if model is not None:
+        with open(dump_lp, "w", encoding="utf-8") as fh:
+            fh.write(model.to_lp())
     report = make_report(command, cfg, problem, result,
                          time.perf_counter() - t0)
     lines = [_summary(report)]
@@ -619,7 +625,7 @@ def _add_common(p: argparse.ArgumentParser, phase: bool = True) -> None:
     _add_io(p)
     p.add_argument("--backend", help="solver backend name")
     p.add_argument("--time-limit", type=float, help="solve budget in seconds")
-    p.add_argument("--cuts", help="comma list of cut families (none|all|hc|...)")
+    p.add_argument("--cuts", help=f"comma list of cut families: {', '.join(CUT_NAMES)}")
     if phase:
         p.add_argument("--phase-mode", choices=["exact", "global"],
                        help="exact: equal after scaling the target and every "
@@ -638,7 +644,8 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-D", "--max-depth", dest="D", type=int, help="depth budget")
     p.add_argument("--objective", help="objective function")
     p.add_argument("--epsilon", type=float, help="deviation box half-width")
-    p.add_argument("--dump-lp", help="debug: write the LP-format model here")
+    p.add_argument("--dump-lp", help="debug: write the LP-format model here; for a "
+                   "gate count, the last ladder rung the MIP solved, if any")
 
 
 def build_arg_parser() -> _Parser:

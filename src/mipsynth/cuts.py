@@ -2,8 +2,9 @@
 
 Four families break symmetry or remove provably dominated choices
 (identity placement, commuting order, equivalent patterns, collapsible
-windows); the hindsight family propagates the target equality backward
-through the last gates.
+windows); the hindsight family `hc` propagates the target equality
+backward through the last gates.  A family's CUT_FAMILIES name is its
+CutSelection field, and its rows' family is `cut_<name>` (`cut_hc2` for hc).
 
 The commuting, equivalent and redundancy families each forbid a set of
 words (relations.RelationCatalog.forbidden_words), and one writer,
@@ -39,12 +40,12 @@ optimum no lighter than the incumbent.  So the rung-L word is not under the
 cutoff either, and rung L's cutoff row already excludes it.  A rung
 that ends out of time proves neither, which is why the ladder stops there
 instead of going on to L + 1.  Identity placement holds trivially in a
-rung, and hindsight restates the target.
+rung, and `hc` restates the target.
 
 apply_cuts alone decides where a selected family applies, and
 skips the others silently: the families that reorder gates (commuting,
 equivalent) under the depth objective, where order changes the objective
-value, and the hindsight family without a target.
+value, and `hc` without a target.
 
 The base chain already runs backward from the target (see
 formulation.build_base): its first backward step,
@@ -58,7 +59,7 @@ mode `hc` emits nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,13 +74,10 @@ if TYPE_CHECKING:
 CUT_FAMILIES = ("identity_symmetry", "commuting", "equivalent", "redundancy", "hc")
 #: Longest word the commuting, equivalent and redundancy families read.
 WORD_K_MAX = 3
-_TOKENS = {
-    "identity": "identity_symmetry", "identity_symmetry": "identity_symmetry",
-    "commuting": "commuting_pairs", "commuting_pairs": "commuting_pairs",
-    "equivalent": "equivalent_patterns",
-    "equivalent_patterns": "equivalent_patterns",
-    "redundancy": "redundancy", "hc": "hindsight",
-}
+#: Every token `from_names` reads: the families, aliases of three, none, all.
+_ALIASES = {"identity": "identity_symmetry", "commuting_pairs": "commuting",
+            "equivalent_patterns": "equivalent"}
+CUT_NAMES = (*CUT_FAMILIES, *_ALIASES, "none", "base", "all")
 
 
 @dataclass(frozen=True)
@@ -87,33 +85,31 @@ class CutSelection:
     """Which cut families to emit.  Identity placement is on by default."""
 
     identity_symmetry: bool = True
-    commuting_pairs: bool = False
-    equivalent_patterns: bool = False
+    commuting: bool = False
+    equivalent: bool = False
     redundancy: bool = False
-    hindsight: bool = False
+    hc: bool = False
 
     @classmethod
     def from_names(cls, names) -> "CutSelection":
         """Build a selection from comma-style tokens (CLI `--cuts`).
 
-        `hc` selects the hindsight family, which emits rows in exact phase
-        mode only.  `none` and `all` behave as expected; unknown
-        tokens raise.
+        Each token is a family of CUT_FAMILIES or an alias of one; `hc` emits
+        rows in exact phase mode only.  `none` (or `base`) and `all` behave
+        as expected; unknown tokens raise.
         """
         if isinstance(names, str):
             names = [t.strip() for t in names.split(",") if t.strip()]
-        on = {f.name: False for f in fields(cls)}
+        on = dict.fromkeys(CUT_FAMILIES, False)
         for tok in names:
-            t = tok.lower()
-            if t == "none" or t == "base":
-                continue
+            t = _ALIASES.get(tok.lower(), tok.lower())
             if t == "all":
                 on = dict.fromkeys(on, True)
-            elif t in _TOKENS:
-                on[_TOKENS[t]] = True
-            else:
+            elif t in on:
+                on[t] = True
+            elif t not in ("none", "base"):
                 raise ConfigError(f"unknown cut family {tok!r}; known: "
-                                  f"{sorted(set(_TOKENS) | {'all', 'none'})}")
+                                  f"{', '.join(CUT_NAMES)}")
         return cls(**on)
 
 
@@ -168,9 +164,8 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     """Emit every selected family where it applies; skip the rest silently.
 
     Under the depth objective the families that reorder gates (commuting,
-    equivalent) are skipped; the hindsight family emits its exact-mode rows
-    only, and nothing without a target, so one selection like `all` works
-    everywhere.
+    equivalent) are skipped; `hc` emits its exact-mode rows only, and
+    nothing without a target, so one selection like `all` works everywhere.
     """
     sel = problem.cuts
     gs = problem.effective_instance[1]
@@ -181,7 +176,7 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     # reordering gates changes the depth
     families = (("redundancy",) if problem.objective == "depth"
                 else ("commuting", "equivalent", "redundancy"))
-    families = [f for f in families if getattr(sel, _TOKENS[f])]
+    families = [f for f in families if getattr(sel, f)]
     if families:
         # patterns must hold for the matrices the model constrains
         catalog = detect_relations(gs, k_max=WORD_K_MAX, up_to_phase=problem.up_to_phase)
@@ -190,11 +185,11 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
                              catalog.forbidden_words(family, problem.weights),
                              problem.P, f"cut_{family}")
 
-    if sel.hindsight and problem.targets_equality() and not problem.up_to_phase:
+    if sel.hc and problem.targets_equality() and not problem.up_to_phase:
         add_hc2_cuts(problem, model, handles)
 
 
 __all__ = [
-    "CutSelection", "apply_cuts", "CUT_FAMILIES",
+    "CutSelection", "apply_cuts", "CUT_FAMILIES", "CUT_NAMES",
     "add_identity_symmetry_cuts", "add_pattern_rows", "add_hc2_cuts",
 ]

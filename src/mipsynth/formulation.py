@@ -624,15 +624,16 @@ def schedule_depth(sequence) -> tuple[int, dict[int, int]]:
 
 
 def verify_sequence(problem: SynthesisProblem, gate_indices: list[int]) -> SynthesisResult:
-    """Everything a chosen gate sequence determines, computed from the gates.
+    """Accept and score a word: the one check both synthesis routes share.
 
     The word is multiplied once, in the problem's effective instance;
     normalization rescales each matrix by a phase, so the fidelity is the
-    library's.  The phase factor is alpha + i*beta, in global-phase mode
-    with a target: the value of the last gate's phase split (r_g + i s_g).
-    Depth and schedule come from the gates' supports.  Both synthesis routes
-    build their results here, and a word that misses the target of a target
-    objective raises ModelIntegrityError.
+    library's.  For a target objective the product must equal the target
+    as the oracle's search asks (equal_matrices at oracle.VERIFY_TOL, under
+    the problem's phase rule), or ModelIntegrityError is raised.  The phase
+    factor is alpha + i*beta in global-phase mode with a target: the last
+    gate's phase split (r_g + i s_g).  objective_value is the word's weight,
+    depth, alpha, fidelity or squared Frobenius error, as the objective asks.
     """
     gs = problem.gate_set
     eff_t, eff_gs = problem.effective_instance
@@ -640,18 +641,25 @@ def verify_sequence(problem: SynthesisProblem, gate_indices: list[int]) -> Synth
     overlap = np.vdot(eff_t, eff_prod) / gs.dim  # tr(T^dag U) / n
     alpha, beta = float(overlap.real), float(overlap.imag)
     fid = alpha ** 2 + beta ** 2
-    if problem.targets_equality() and fid < 1 - 1e-9:
-        raise ModelIntegrityError(
-            f"the chosen circuit reaches the target with fidelity {fid:.12f}")
+    if problem.targets_equality() and not equal_matrices(
+            eff_prod, eff_t, problem.up_to_phase, oracle_mod.VERIFY_TOL):
+        raise ModelIntegrityError(f"the chosen circuit misses the target: fidelity "
+                                  f"{fid:.12f}, entries off by up to "
+                                  f"{np.abs(eff_prod - eff_t).max():.3e}")
+    fro_sq = float(np.sum(np.abs(eff_prod - eff_t) ** 2) * 2.0)
     depth, schedule = schedule_depth([gs[g].support for g in gate_indices])
     return SynthesisResult(
         status="optimal",
         sequence=[gs[g].spec for g in gate_indices],
         gate_indices=list(gate_indices),
+        objective_value={
+            "weighted_gate_count": float(problem.weights[gate_indices].sum()),
+            "depth": float(depth), "linearized_fidelity": alpha,
+            "exact_fidelity": fid, "frobenius_oa": fro_sq}[problem.objective],
         fidelity_to_target=fid,
         alpha=alpha,
         beta=beta,
-        error_fro_sq=float(np.sum(np.abs(eff_prod - eff_t) ** 2) * 2.0),
+        error_fro_sq=fro_sq,
         depth_schedule=schedule,
         depth=depth,
         phase_factor=complex(alpha, beta) if problem.up_to_phase else None,
@@ -762,12 +770,8 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
             f"gives {polished:.8f} (allowed gap {allowed:.1e})")
 
     seq_idx = [g for g in chosen if g != problem.gate_set.identity_index]
-    result = verify_sequence(problem, seq_idx)
-    # as verified: extra breaks of an incumbent and E's box clipping do not count
-    verified = {"depth": float(result.depth), "frobenius_oa": result.error_fro_sq}
     return replace(
-        result, status=solution.status,
-        objective_value=verified.get(problem.objective, polished),
+        verify_sequence(problem, seq_idx), status=solution.status,
         certificate={"status": solution.status, "bound": solution.bound,
                      "gap": solution.gap, "gap_tol": DEFAULT_GAP_TOL,
                      "claim_discrepancy": claimed - polished,
@@ -778,20 +782,24 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
 def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> SynthesisResult:
     """Solve by exhaustive search over every word of at most P gates."""
     res = oracle_mod.exhaustive_synthesize(problem, time_limit)
-    if res.status == "infeasible":
-        return SynthesisResult(status="infeasible",
-                               certificate={"status": "infeasible", "bound": None,
-                                            "gap": None, "nodes": res.nodes},
-                               solve_seconds=res.seconds)
-    result = verify_sequence(problem, res.sequence)
-    scores = {"linearized_fidelity": result.alpha,
-              "exact_fidelity": result.fidelity_to_target,
-              "frobenius_oa": result.error_fro_sq}
-    obj_val = float(scores.get(problem.objective, res.objective))
-    return replace(result, objective_value=obj_val,
-                   certificate={"status": "optimal", "bound": obj_val, "gap": 0.0,
-                                "nodes": res.nodes},
-                   solve_seconds=res.seconds)
+    result = (SynthesisResult(status="infeasible") if res.sequence is None
+              else verify_sequence(problem, res.sequence))
+    return replace(result, solve_seconds=res.seconds, certificate={
+        "status": result.status, "bound": result.objective_value,
+        "gap": 0.0 if result.feasible else None, "nodes": res.nodes})
+
+
+def ladder_rung(problem: SynthesisProblem, L: int, cutoff: float | None = None
+                ) -> tuple[SynthesisProblem, MipModel, ModelHandles]:
+    """Rung L of the length ladder, its problem, model and handles: build_model
+    at P = L, the identity's selections fixed to 0, and a cutoff row if any."""
+    rung = replace(problem, P=L, D=L)
+    model, handles = build_model(rung)
+    for k in handles.z[problem.gate_set.identity_index]:
+        model.fix_var(int(k), 0.0)
+    if cutoff is not None:
+        model.add_objective_cutoff(cutoff, "cutoff")
+    return rung, model, handles
 
 
 def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
@@ -799,16 +807,16 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     """Weighted gate count as exact-length rungs L = 0, 1, ..., P, in turn.
 
     Rung 0 is the empty word, matched to the target as the oracle matches
-    it.  Rung L is build_model at P = L with the identity's selections fixed
-    to 0, so its words have exactly L gates; once a word is found, every
-    later rung carries a cutoff row that asks for a word lighter by the
-    relative gap DEFAULT_GAP_TOL.  The ladder stops when the lightest gate
-    times L reaches that cutoff, so under unit weights the first feasible
-    rung is the optimum.  A rung that ends out of time ends the ladder:
-    the pattern cuts of a later rung are valid only once this one is
-    decided (see cuts).  All rungs share the caller's `time_limit`, counted
-    from t0.  The certificate lists the rungs with verdict, seconds and
-    nodes; its row families are those of the last rung built.
+    it.  Rung L (ladder_rung) has words of exactly L gates; once a word is
+    found, every later rung carries a cutoff row that asks for a word
+    lighter by the relative gap DEFAULT_GAP_TOL.  The ladder stops when the
+    lightest gate times L reaches that cutoff, so under unit weights the
+    first feasible rung is the optimum.  A rung that ends out of time ends
+    the ladder: the pattern cuts of a later rung are valid only once this
+    one is decided (see cuts).  All rungs share the caller's `time_limit`,
+    counted from t0.  The certificate lists the rungs with verdict, seconds
+    and nodes; its row families and `cutoff` (None for no cutoff row) are
+    those of the last rung built.
     """
     gs = problem.gate_set
     lightest = min((float(problem.weights[g]) for g in gs.non_identity_indices()),
@@ -816,23 +824,18 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     best = None
     if equal_matrices(np.eye(gs.dim), problem.effective_instance[0],
                       problem.up_to_phase, oracle_mod.VERIFY_TOL):
-        best = replace(verify_sequence(problem, []), objective_value=0.0,
+        best = replace(verify_sequence(problem, []),
                        certificate={"bound": 0.0, "gap": 0.0})
     rungs = [{"L": 0, "verdict": "infeasible" if best is None else "optimal",
               "seconds": time.perf_counter() - t0, "nodes": None}]
-    model, left, decided = None, None, True
+    model, left, decided, built = None, None, True, None
     for L in range(1, problem.P + 1):
-        cutoff = math.inf if best is None else (
+        cutoff = None if best is None else (
             best.objective_value - DEFAULT_GAP_TOL * max(1.0, best.objective_value))
-        if lightest * L >= cutoff:
+        if lightest * L >= (math.inf if cutoff is None else cutoff):
             break
-        start = time.perf_counter()
-        rung = replace(problem, P=L, D=L)
-        model, handles = build_model(rung)
-        for k in handles.z[gs.identity_index]:
-            model.fix_var(int(k), 0.0)
-        if best is not None:
-            model.add_objective_cutoff(cutoff, "cutoff")
+        start, built = time.perf_counter(), cutoff
+        rung, model, handles = ladder_rung(problem, L, cutoff)
         if time_limit is not None:
             left = time_limit - (time.perf_counter() - t0)
         sol = backend.solve(model, time_limit=left)
@@ -857,7 +860,7 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     counted = [r["nodes"] for r in rungs if r["nodes"] is not None]
     cert.update(status=status, rungs=rungs, nodes=sum(counted) if counted else None,
                 row_families={} if model is None else dict(model.family_rows),
-                solver_time_limit=left)
+                cutoff=built, solver_time_limit=left)
     return replace(best or SynthesisResult(status=status), status=status,
                    certificate=cert, solve_seconds=time.perf_counter() - t0)
 
@@ -888,25 +891,19 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     if time_limit is not None:
         time_limit -= time.perf_counter() - t0
     sol = be.solve(model, time_limit=time_limit)
-    solver_info = {"row_families": dict(model.family_rows), "nodes": sol.nodes,
-                   "solver_time_limit": time_limit}
-    if sol.status in ("optimal", "feasible"):
-        result = extract_and_verify(problem, model, handles, sol)
-        result.solve_seconds = time.perf_counter() - t0
-        result.certificate.update(solver_info)
-        return result
-    return SynthesisResult(
-        status=sol.status,
-        certificate={"status": sol.status, "bound": sol.bound, "gap": sol.gap,
-                     **solver_info},
-        solve_seconds=time.perf_counter() - t0)
+    result = (extract_and_verify(problem, model, handles, sol) if sol.x is not None
+              else SynthesisResult(status=sol.status, certificate={
+                  "status": sol.status, "bound": sol.bound, "gap": sol.gap}))
+    result.certificate.update(row_families=dict(model.family_rows), nodes=sol.nodes,
+                              solver_time_limit=time_limit)
+    return replace(result, solve_seconds=time.perf_counter() - t0)
 
 
 __all__ = [
     "SynthesisProblem", "ModelHandles", "SynthesisResult",
     "build_base", "build_model", "add_objective_gate_count",
     "add_depth_scheduling", "add_objective_linearized_fidelity",
-    "add_objective_frobenius_oa",
+    "add_objective_frobenius_oa", "ladder_rung",
     "extract_and_verify", "polish_point", "schedule_depth", "verify_sequence",
     "synthesize",
     "OBJECTIVES", "PHASE_MODES",

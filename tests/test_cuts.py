@@ -2,11 +2,12 @@
 
 import itertools
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mipsynth.cuts import CUT_FAMILIES, CutSelection, add_pattern_rows
+from mipsynth.cuts import CUT_FAMILIES, CUT_NAMES, CutSelection, add_pattern_rows
 from mipsynth.errors import ConfigError
 from mipsynth.formulation import (OBJECTIVES, PHASE_MODES, TARGET_OBJECTIVES,
                                   SynthesisProblem, build_model, synthesize)
@@ -33,25 +34,33 @@ def cut_rows(result) -> dict[str, int]:
 def test_family_name_contract():
     assert CUT_FAMILIES == ("identity_symmetry", "commuting", "equivalent",
                             "redundancy", "hc")
+    # a family's selection field is its name, and its rows are cut_<name>
+    assert tuple(f.name for f in fields(CutSelection)) == CUT_FAMILIES
 
 
 def test_from_names_aliases():
     assert CutSelection.from_names("identity") == CutSelection()
     assert CutSelection.from_names("hc") == CutSelection(identity_symmetry=False,
-                                                         hindsight=True)
+                                                         hc=True)
     assert CutSelection.from_names("all") == CutSelection(
-        identity_symmetry=True, commuting_pairs=True, equivalent_patterns=True,
-        redundancy=True, hindsight=True)
+        identity_symmetry=True, commuting=True, equivalent=True,
+        redundancy=True, hc=True)
     for spelled in ("none", "base", ""):
         assert CutSelection.from_names(spelled) == CutSelection(identity_symmetry=False)
     sel = CutSelection.from_names(" identity , redundancy ")
     assert sel.identity_symmetry and sel.redundancy
     sel = CutSelection.from_names(["commuting", "equivalent"])
-    assert sel.commuting_pairs and sel.equivalent_patterns
-    assert CutSelection.from_names("HC").hindsight
+    assert sel.commuting and sel.equivalent
+    assert CutSelection.from_names("commuting_pairs,equivalent_patterns") == sel
+    assert CutSelection.from_names("HC").hc
     for unknown in ("identity,magic", "hc1", "hc2", "hc1_global_phase"):
-        with pytest.raises(ConfigError, match="unknown cut family"):
+        with pytest.raises(ConfigError, match="unknown cut family") as err:
             CutSelection.from_names(unknown)
+        assert all(name in str(err.value) for name in CUT_NAMES)
+    assert CUT_NAMES == CUT_FAMILIES + ("identity", "commuting_pairs",
+                                        "equivalent_patterns", "none", "base", "all")
+    for name in CUT_NAMES:
+        CutSelection.from_names(name)
 
 
 EXACT_CASE = dict(P=3)

@@ -95,7 +95,7 @@ def test_problem_validation():
 
 def test_depth_objective_disables_order_cuts():
     gs = gs1("H", "T")
-    sel = CutSelection(commuting_pairs=True, equivalent_patterns=True)
+    sel = CutSelection(commuting=True, equivalent=True)
     p = silent(lambda: SynthesisProblem(builtin_gate("S"), gs, P=2,
                                         objective="depth", cuts=sel))
     assert p.cuts == sel
@@ -143,6 +143,50 @@ def test_verify_sequence_rejects_a_word_that_misses_the_target():
     # an objective without the target equality scores any word
     p = SynthesisProblem(builtin_gate("S"), gs, P=2, objective="linearized_fidelity")
     assert verify_sequence(p, [h, t]).fidelity_to_target < 0.9
+
+
+def test_verify_sequence_follows_the_phase_rule():
+    # X.X is -I in SU(2): not the identity exactly, the identity up to phase
+    gs = gs1("X")
+    x = gs.index_of("X")
+    exact = SynthesisProblem(np.eye(2), gs, P=2)
+    with pytest.raises(ModelIntegrityError, match="entries off by up to 2"):
+        verify_sequence(exact, [x, x])
+    r = verify_sequence(replace(exact, phase_mode="global_phase"), [x, x])
+    assert r.objective_value == 2.0 and r.phase_factor == pytest.approx(1.0)
+
+
+def test_a_near_miss_is_rejected_by_both_routes():
+    """RZ(0.3).RZ(0.3) misses RZ(0.6 + 1e-8) by 5e-9 in two entries.
+
+    That is inside HiGHS's feasibility tolerance, so the MIP finds the word,
+    and outside VERIFY_TOL, so exact mode rejects it as the oracle does.  Up
+    to phase the two differ by 2.5e-17 in |tr| and both routes accept it.
+    """
+    gs = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.3)])
+    rz = gs.index_of("RZ")
+    p = SynthesisProblem(builtin_gate("RZ", 0.6 + 1e-8), gs, P=2)
+    assert synthesize(p, backend="oracle").status == "infeasible"
+    with pytest.raises(ModelIntegrityError, match="misses the target"):
+        synthesize(p, backend="scipy")
+    gp = replace(p, phase_mode="global_phase")
+    for backend in ("scipy", "oracle"):
+        r = synthesize(gp, backend=backend)
+        assert r.status == "optimal" and r.gate_indices == [rz, rz], backend
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_verify_sequence_scores_every_objective(objective):
+    gs = gs1("H", "T")
+    h, t = gs.index_of("H"), gs.index_of("T")
+    w = np.ones(len(gs))
+    w[t] = 0.25
+    p = SynthesisProblem(builtin_gate("S"), gs, P=3, objective=objective, weights=w)
+    r = verify_sequence(p, [t, t] if p.targets_equality() else [h, t, t])
+    want = {"weighted_gate_count": 0.5, "depth": r.depth,
+            "linearized_fidelity": r.alpha, "exact_fidelity": r.fidelity_to_target,
+            "frobenius_oa": r.error_fro_sq}[objective]
+    assert r.objective_value == want
 
 def test_build_base_counts():
     with warnings.catch_warnings():
@@ -706,6 +750,24 @@ def test_certificate_lists_the_rungs():
     assert all(g["seconds"] >= 0 for g in rungs)
     # the row families are those of the last rung, a model of 3 positions
     assert r.certificate["row_families"]["one_hot"] == 3
+
+
+def test_ladder_rung_rebuilds_the_last_rung():
+    # S weighs 3: S.T.T (5) is found at rung 3, T^4 (4) under its cutoff at rung 4
+    gs = gs1("H", "T", "S")
+    w = np.ones(len(gs))
+    w[gs.index_of("S")] = 3.0
+    p = SynthesisProblem(builtin_gate("Z"), gs, P=6, weights=w,
+                         cuts=CutSelection.from_names("all"))
+    r = synthesize(p, backend="scipy")
+    assert r.objective_value == pytest.approx(4.0)
+    cert = r.certificate
+    assert cert["rungs"][-1]["L"] == 4
+    assert cert["cutoff"] == pytest.approx(5.0 - DEFAULT_GAP_TOL * 5.0)
+    rung, model, _ = formulation.ladder_rung(p, 4, cert["cutoff"])
+    assert rung.P == 4 and dict(model.family_rows) == cert["row_families"]
+    unit = synthesize(replace(p, weights=None), backend="scipy").certificate
+    assert unit["rungs"][-1]["L"] == 2 and unit["cutoff"] is None
 
 
 #: Instances on which HiGHS's presolve proved the identity-padded model
