@@ -46,6 +46,7 @@ from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
                     gate_set_from_dict, gate_spec, spec_to_dict, weave_gate_set)
 from .relations import detect_relations
 from .rho import RhoConfig, circuit_unitary, rolling_horizon
+from .solvers import is_oracle_backend
 
 EXIT_OPTIMAL = 0
 EXIT_FEASIBLE = 2
@@ -57,7 +58,7 @@ EXIT_BACKEND = 70
 _STATUS_CODE = {"optimal": EXIT_OPTIMAL, "feasible": EXIT_FEASIBLE,
                 "infeasible": EXIT_INFEASIBLE, "time_limit": EXIT_NO_SOLUTION}
 
-APPROX_OBJECTIVES = ("linearized_fidelity", "frobenius_oa", "exact_fidelity")
+APPROX_OBJECTIVES = tuple(o for o in OBJECTIVES if o not in TARGET_OBJECTIVES)
 
 # ---------------------------------------------------------------------------
 # RunConfig schema
@@ -468,10 +469,10 @@ def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int,
     t0 = time.perf_counter()
     problem = build_problem(cfg, allowed)
     backend = "oracle" if command == "oracle" else cfg.get("backend", "scipy")
-    # a gate count's model is a ladder rung, known after the solve; the others
-    # are built first, so exact fidelity fails before any search
-    ladder = problem.objective == "weighted_gate_count"
-    model = build_model(problem)[0] if dump_lp and not ladder else None
+    # an oracle solves no model, a gate count's is the last rung solved; the
+    # others are built first, so exact fidelity fails before any search
+    padded = problem.objective != "weighted_gate_count" and not is_oracle_backend(backend)
+    model = build_model(problem)[0] if dump_lp and padded else None
     result = synthesize(problem, backend=backend,
                         time_limit=cfg.get("time_limit"))
     last = result.certificate.get("rungs", [{"L": 0}])[-1]["L"]
@@ -573,7 +574,7 @@ def run_relations(cfg: dict, k_max: int, up_to_phase: bool) -> tuple[int, dict, 
     t0 = time.perf_counter()
     registry = _registry(cfg)
     gs = resolve_gate_set(cfg, registry)
-    cat = detect_relations(gs, k_max=k_max, up_to_phase=up_to_phase)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max, up_to_phase)
     doc = cat.to_dict(gs)
     report = {
         "command": "relations",
@@ -644,8 +645,9 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-D", "--max-depth", dest="D", type=int, help="depth budget")
     p.add_argument("--objective", help="objective function")
     p.add_argument("--epsilon", type=float, help="deviation box half-width")
-    p.add_argument("--dump-lp", help="debug: write the LP-format model here; for a "
-                   "gate count, the last ladder rung the MIP solved, if any")
+    p.add_argument("--dump-lp", help="debug: write the LP-format model the MIP "
+                   "solved here; for a gate count, the last ladder rung it solved, "
+                   "if any; nothing for an oracle backend")
 
 
 def build_arg_parser() -> _Parser:

@@ -144,11 +144,11 @@ def add_pattern_rows(model: "MipModel", z: np.ndarray, words, P: int,
 def add_hc2_cuts(problem: "SynthesisProblem", model: "MipModel",
                  handles: "ModelHandles") -> None:
     """Propagate the exact target two positions back through the last pair."""
-    t, gs = problem.effective_instance
-    P = problem.P
+    t, mats = problem.effective_instance
+    gs, P = problem.gate_set, problem.P
     if P < 2:
         return
-    z, mats = handles.z, gs.matrices()
+    z = handles.z
     terms = []
     for g in range(len(gs)):
         for h in range(len(gs)):
@@ -167,11 +167,10 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     equivalent) are skipped; `hc` emits its exact-mode rows only, and
     nothing without a target, so one selection like `all` works everywhere.
     """
-    sel = problem.cuts
-    gs = problem.effective_instance[1]
+    sel, id_index = problem.cuts, problem.gate_set.identity_index
 
     if sel.identity_symmetry and problem.P > 1:
-        add_identity_symmetry_cuts(model, handles.z, gs.identity_index, problem.P)
+        add_identity_symmetry_cuts(model, handles.z, id_index, problem.P)
 
     # reordering gates changes the depth
     families = (("redundancy",) if problem.objective == "depth"
@@ -179,7 +178,8 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     families = [f for f in families if getattr(sel, f)]
     if families:
         # patterns must hold for the matrices the model constrains
-        catalog = detect_relations(gs, k_max=WORD_K_MAX, up_to_phase=problem.up_to_phase)
+        catalog = detect_relations(problem.effective_instance[1], id_index, WORD_K_MAX,
+                                   problem.up_to_phase)
         for family in families:
             add_pattern_rows(model, handles.z,
                              catalog.forbidden_words(family, problem.weights),

@@ -141,9 +141,10 @@ class SynthesisProblem:
     Both routes read the question from here: the model (build_model) and
     the exhaustive search (oracle.exhaustive_synthesize).  Fields are
     checked and normalized once, at construction, and the effective
-    instance is computed once, on first use; to change a field, build a new
-    problem with dataclasses.replace rather than assigning to it.  `cuts`
-    is kept as given; apply_cuts skips the families that do not apply.
+    instance, the numbers every reader takes, is computed once, on first
+    use; to change a field, build a new problem with dataclasses.replace
+    rather than assigning to it.  `cuts` is kept as given; apply_cuts skips
+    the families that do not apply.
 
     phase_mode "exact" asks for a circuit equal to the target after the
     target and every gate are scaled to determinant 1 (su_normalize);
@@ -214,36 +215,30 @@ class SynthesisProblem:
         return self.phase_mode == "global_phase" and self.targets_equality()
 
     @functools.cached_property
-    def effective_instance(self) -> tuple[np.ndarray, GateSet]:
-        """Target and gate set the model and both routes' verification read.
+    def effective_instance(self) -> tuple[np.ndarray, np.ndarray]:
+        """Target and (|G|, n, n) gate matrices the model and both routes read.
 
         Exact-phase target matching is only meaningful inside the special
         unitary group, so both sides are determinant-normalized there; every
-        other mode uses the inputs as given.  The gate set is the library
-        itself unless normalization moves a matrix by more than 1e-14;
-        otherwise it is a copy that changes only the matrices, in which the
-        relations between gates are read as the model sees them (Z.Z == I,
-        say, stops being true).  A gate other than the identity that
-        normalizes to the identity, a pure phase such as i*I, raises
-        ConfigError.
+        other mode uses the inputs as given.  Only the numbers change: labels,
+        supports, specs and the identity index stay those of gate_set.  The
+        stack is the library's own unless normalization moves an entry by
+        more than 1e-14; otherwise relations between gates are read as the
+        model sees them (Z.Z == I, say, stops being true).  A gate other than
+        the identity that normalizes to the identity, a pure phase such as
+        i*I, raises ConfigError.
         """
         gs = self.gate_set
-        if self.phase_mode != "exact" or not self.targets_equality():
-            return self.target.copy(), gs
-        eff_t = su_normalize(self.target)
         mats = gs.matrices()
-        eff_g = np.stack([su_normalize(m) for m in mats])
+        if self.phase_mode != "exact" or not self.targets_equality():
+            return self.target.copy(), mats
+        eff = np.stack([su_normalize(m) for m in mats])
         for g in gs.non_identity_indices():
-            if replace(gs[g], full=eff_g[g]).is_identity:
+            if not gs[g].support and np.abs(eff[g] - np.eye(gs.dim)).max() <= 1e-9:
                 raise ConfigError(
                     f"exact phase mode: gate {gs.label(g)} is a pure phase and "
                     "normalizes to the identity; drop it or use global phase mode")
-        if np.abs(eff_g - mats).max() <= 1e-14:
-            return eff_t, gs
-        gates = [replace(g, full=m) for g, m in zip(gs, eff_g)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # duplicate-matrix warnings are expected here
-            return eff_t, GateSet(gs.num_qubits, gates)
+        return su_normalize(self.target), mats if np.abs(eff - mats).max() <= 1e-14 else eff
 
 
 @dataclass
@@ -415,9 +410,9 @@ def build_base(problem: SynthesisProblem) -> tuple[MipModel, ModelHandles]:
     (family span): 2n^2 - dim L_p for Ghat_p and 2n^2 - dim L_{p-1} for each
     copy V[p,g], less the structural zeros, whose bounds are fixed to 0.
     """
-    P, n = problem.P, problem.gate_set.dim
-    eff_t, gs = problem.effective_instance
-    G, mats = len(gs), gs.matrices()
+    gs, P, n = problem.gate_set, problem.P, problem.gate_set.dim
+    eff_t, mats = problem.effective_instance
+    G = len(gs)
     model = MipModel(name=f"synth_{problem.objective}_Q{gs.num_qubits}_P{P}")
 
     z = np.empty((G, P), dtype=np.int64)
@@ -636,8 +631,8 @@ def verify_sequence(problem: SynthesisProblem, gate_indices: list[int]) -> Synth
     depth, alpha, fidelity or squared Frobenius error, as the objective asks.
     """
     gs = problem.gate_set
-    eff_t, eff_gs = problem.effective_instance
-    eff_prod = sequence_product(eff_gs.matrices()[gate_indices], gs.dim)
+    eff_t, mats = problem.effective_instance
+    eff_prod = sequence_product(mats[gate_indices], gs.dim)
     overlap = np.vdot(eff_t, eff_prod) / gs.dim  # tr(T^dag U) / n
     alpha, beta = float(overlap.real), float(overlap.imag)
     fid = alpha ** 2 + beta ** 2
@@ -701,8 +696,7 @@ def polish_point(problem: SynthesisProblem, model: MipModel,
                 f"position {p + 1} selects {len(sel)} gates after rounding")
         chosen.append(int(sel[0]))
 
-    eff_t, eff_gs = problem.effective_instance
-    mats = eff_gs.matrices()
+    eff_t, mats = problem.effective_instance
     chain = [mats[chosen[0]]]
     for g in chosen[1:]:
         chain.append(chain[-1] @ mats[g])
@@ -772,8 +766,8 @@ def extract_and_verify(problem: SynthesisProblem, model: MipModel,
     seq_idx = [g for g in chosen if g != problem.gate_set.identity_index]
     return replace(
         verify_sequence(problem, seq_idx), status=solution.status,
-        certificate={"status": solution.status, "bound": solution.bound,
-                     "gap": solution.gap, "gap_tol": DEFAULT_GAP_TOL,
+        certificate={"bound": solution.bound, "gap": solution.gap,
+                     "gap_tol": DEFAULT_GAP_TOL,
                      "claim_discrepancy": claimed - polished,
                      "data_residual": data_residual},
         solve_seconds=solution.solve_seconds)
@@ -785,8 +779,8 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
     result = (SynthesisResult(status="infeasible") if res.sequence is None
               else verify_sequence(problem, res.sequence))
     return replace(result, solve_seconds=res.seconds, certificate={
-        "status": result.status, "bound": result.objective_value,
-        "gap": 0.0 if result.feasible else None, "nodes": res.nodes})
+        "bound": result.objective_value, "gap": 0.0 if result.feasible else None,
+        "nodes": res.nodes})
 
 
 def ladder_rung(problem: SynthesisProblem, L: int, cutoff: float | None = None
@@ -858,7 +852,7 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
         status = "time_limit" if best is None else "feasible"
         cert.update(bound=lightest * L, gap=None)
     counted = [r["nodes"] for r in rungs if r["nodes"] is not None]
-    cert.update(status=status, rungs=rungs, nodes=sum(counted) if counted else None,
+    cert.update(rungs=rungs, nodes=sum(counted) if counted else None,
                 row_families={} if model is None else dict(model.family_rows),
                 cutoff=built, solver_time_limit=left)
     return replace(best or SynthesisResult(status=status), status=status,
@@ -892,8 +886,8 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
         time_limit -= time.perf_counter() - t0
     sol = be.solve(model, time_limit=time_limit)
     result = (extract_and_verify(problem, model, handles, sol) if sol.x is not None
-              else SynthesisResult(status=sol.status, certificate={
-                  "status": sol.status, "bound": sol.bound, "gap": sol.gap}))
+              else SynthesisResult(status=sol.status,
+                                   certificate={"bound": sol.bound, "gap": sol.gap}))
     result.certificate.update(row_families=dict(model.family_rows), nodes=sol.nodes,
                               solver_time_limit=time_limit)
     return replace(result, solve_seconds=time.perf_counter() - t0)

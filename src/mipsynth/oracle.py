@@ -1,7 +1,7 @@
 """Exhaustive synthesis used as an independent reference implementation.
 
 The question comes from the same SynthesisProblem the MIP reads: its
-effective instance (target and gate set after determinant normalization),
+effective instance (target and gate matrices after determinant normalization),
 its phase rule, P, the objective, the weights, D and epsilon, so the
 reference cannot be asked anything the routes it checks are not.  The
 search and its checks share nothing else with the MIP: no model, no row,
@@ -523,10 +523,10 @@ def exhaustive_synthesize(problem: SynthesisProblem,
     NODE_BUDGET nodes or past the time limit raises OracleInconclusiveError.
     """
     time_limit = checked_time_limit(time_limit)
-    target, gs = problem.effective_instance
-    P, objective = problem.P, problem.objective
+    target, mats = problem.effective_instance
+    gs, P, objective = problem.gate_set, problem.P, problem.objective
     budget = _Budget(NODE_BUDGET, time_limit)
-    ni, mats = gs.non_identity_indices(), gs.matrices()
+    ni = gs.non_identity_indices()
     letters, stack, phases = [(i,) for i in ni], mats[ni], []
     # fidelity scans read every level member whatever it costs: unit costs
     costs = problem.weights[ni] if objective == "weighted_gate_count" else np.ones(len(ni))

@@ -74,7 +74,7 @@ Word = tuple[int, ...]
 
 @dataclass
 class RelationCatalog:
-    """Relations among the gates of one GateSet, by canonical gate index."""
+    """Relations among a stack of gate matrices, by index in the stack."""
 
     up_to_phase: bool
     k_max: int
@@ -130,19 +130,19 @@ class RelationCatalog:
         }
 
 
-def detect_relations(gs: GateSet, k_max: int = 3,
+def detect_relations(mats: np.ndarray, identity_index: int, k_max: int = 3,
                      up_to_phase: bool = False) -> RelationCatalog:
     """Catalog commuting pairs, equivalent groups and redundancies.
 
-    Words run over the non-identity gates with lengths 2..k_max (k_max >= 2);
-    k_max is reduced, with a warning, to the largest one whose words hold at
-    most ENUMERATION_LIMIT letters, but not below 2, and to 2 without a
+    Words run over the gates of the (|G|, n, n) stack `mats` but the one at
+    `identity_index`, with lengths 2..k_max (k_max >= 2); k_max is reduced,
+    with a warning, to the largest one whose words hold at most
+    ENUMERATION_LIMIT letters, but not below 2, and to 2 without a
     non-identity gate.  Products are equal within RELATION_TOL.
     """
     if k_max < 2:
         raise ConfigError(f"k_max must be >= 2, got {k_max}")
-    mats = gs.matrices()
-    ni = gs.non_identity_indices()
+    ni = [g for g in range(len(mats)) if g != identity_index]
     limit = ENUMERATION_LIMIT
     eff_k_max, letters = 2, 2 * len(ni) ** 2
     while ni and eff_k_max < k_max:
@@ -157,11 +157,11 @@ def detect_relations(gs: GateSet, k_max: int = 3,
             stacklevel=2,
         )
 
-    words: list[Word] = [(g,) for g in range(len(gs))]
+    words: list[Word] = [(g,) for g in range(len(mats))]
     prods = [mats]
     level = mats[ni]
     for k in range(2, eff_k_max + 1):
-        level = (level[:, None] @ mats[ni][None]).reshape(-1, gs.dim, gs.dim)
+        level = (level[:, None] @ mats[ni][None]).reshape(-1, *mats.shape[1:])
         words += itertools.product(ni, repeat=k)
         prods.append(level)
     table = np.concatenate(prods)

@@ -339,6 +339,70 @@ def test_main_dump_lp_writes_the_last_rung(tmp_path, capsys):
         f" 0 <= z(I,{p}) <= 0" for p in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["oracle", "--target", "T", "--gate-set", "weaves", "-P", "2",
+      "--objective", "linearized_fidelity"], EXIT_OPTIMAL),
+    (["synthesize", "--backend", "oracle", "--target", "S", "--gate-set", "weaves",
+      "-P", "3", "--objective", "depth"], EXIT_INFEASIBLE),
+], ids=["oracle", "synthesize_oracle_backend"])
+def test_main_dump_lp_writes_nothing_for_the_oracle(tmp_path, capsys, argv, code):
+    """An oracle solves no model, so there is no model to dump."""
+    lp = tmp_path / "x.lp"
+    assert main([*argv, "--dump-lp", str(lp), "--quiet"]) == code
+    assert not lp.exists()
+
+
+#: Input files of test_main_input_paths, by name under its tmp_path.
+_INPUT_FILES = {
+    "noargs.qasm": "qreg q[1]; h q;",
+    "one.qasm": "qreg q[1]; h q[0];",
+    "bare.json": json.dumps([[[0, 0], [1, 0]], [[1, 0], [0, 0]]]),
+    "foo.json": json.dumps({"foo": 1}),
+    "hz.json": json.dumps({"qubits": 1, "gates": [{"name": "H", "qubits": [1]},
+                                                  {"name": "Z", "qubits": [1]}]}),
+    "named.json": json.dumps({"target": {"name": "X"}, "gate_set": "weaves", "P": 1,
+                              "backend": "oracle"}),
+}
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "{tmp}/noargs.qasm", "--target", "H"], EXIT_SCHEMA,
+     "could not read qubit arguments"),
+    (["oracle", "--target", "{tmp}/bare.json", "--gate-set", "{tmp}/hz.json", "-P", "3",
+      "--phase-mode", "global"], EXIT_OPTIMAL, None),
+    (["oracle", "--target", "{tmp}/foo.json", "--gate-set", "weaves", "-P", "2"],
+     EXIT_SCHEMA, "no matrix, circuit, or report content found"),
+    (["oracle", "--config", "{tmp}/named.json"], EXIT_INFEASIBLE, None),
+    (["oracle", "--target", "toffoli2q", "--gate-set", "toffoli2q", "-P", "1"],
+     EXIT_INFEASIBLE, None),
+    (["oracle", "--target", "X", "--gate-set", "nosuch", "-P", "2"], EXIT_SCHEMA,
+     "unknown gate set 'nosuch'"),
+    (["oracle", "--target", "X", "--gate-set", "weaves"], EXIT_SCHEMA,
+     "no gate budget given"),
+    (["synthesize", "--target", "X", "--gate-set", "weaves", "-P", "2",
+      "--objective", "linearized_fidelity"], EXIT_SCHEMA, "not valid here"),
+    (["rho"], EXIT_SCHEMA, "rho needs a seed circuit"),
+    (["verify", "{tmp}/one.qasm", "--target", "CNOT"], EXIT_SCHEMA,
+     "target is 4-dimensional but the circuit acts on 1 qubit(s)"),
+], ids=["qasm_gate_without_qubits", "bare_matrix_target_file", "target_file_without_matrix",
+        "config_target_by_name", "registry_target_and_gate_set", "unknown_gate_set",
+        "no_budget", "objective_not_valid_here", "rho_without_seed",
+        "verify_dimension_mismatch"])
+def test_main_input_paths(tmp_path, capsys, argv, code, err):
+    for name, text in _INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    try:
+        got = main([a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--quiet"])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    stderr = capsys.readouterr().err
+    if err is None:
+        assert stderr == ""
+    else:
+        assert stderr.startswith("mipsynth: error: ") and err in stderr
+
+
 def test_main_identity_target(capsys):
     code = main(["synthesize", "--target", "identity", "--gate-set", "weaves",
                  "-P", "2", "--backend", "oracle", "--quiet"])

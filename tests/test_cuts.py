@@ -114,6 +114,12 @@ def test_emitted_row_counts():
     kw = dict(target=builtin_gate("X"), gate_set=gs1("H", "Z"), **GP_CASE)
     assert model_cut_rows("hc", **kw) == {}
     assert model_cut_rows("none", **kw) == {}
+    # the patterns are read off the matrices the model constrains: Z.Z = I and
+    # H.H = I, but normalized to determinant 1 both square to -I
+    kw = dict(target=builtin_gate("X"), gate_set=gs1("Z", "H"), P=3)
+    assert model_cut_rows("redundancy", phase_mode="global_phase", **kw) == {
+        "cut_redundancy": 8}
+    assert model_cut_rows("redundancy", phase_mode="exact", **kw) == {}
 
 
 @pytest.mark.parametrize("phase_mode", PHASE_MODES)
@@ -172,7 +178,8 @@ def test_apply_cuts_writes_only_the_families_that_apply(objective, phase_mode):
 @pytest.mark.parametrize("family", ["commuting", "equivalent", "redundancy"])
 def test_prefix_rows_forbid_exactly_their_words(family):
     gs, P = gs1("H", "T", "S"), 3
-    words = detect_relations(gs).forbidden_words(family, np.ones(len(gs)))
+    words = detect_relations(gs.matrices(), gs.identity_index).forbidden_words(
+        family, np.ones(len(gs)))
     model = MipModel()
     z = np.array([[model.add_binary(f"z{g},{p}") for p in range(P)]
                   for g in range(len(gs))])

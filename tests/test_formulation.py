@@ -108,28 +108,19 @@ def test_depth_objective_disables_order_cuts():
 def test_effective_instance_scope():
     gs = gs1("H", "T")
     t = builtin_gate("S")
-    eff_t, eff_gs = silent(lambda: SynthesisProblem(t, gs, P=2).effective_instance)
-    assert eff_gs is not gs
+    eff_t, mats = silent(lambda: SynthesisProblem(t, gs, P=2).effective_instance)
+    assert mats.shape == (len(gs), 2, 2)
     assert np.linalg.det(eff_t) == pytest.approx(1.0, abs=1e-12)
-    assert all(abs(np.linalg.det(m) - 1) < 1e-12 for m in eff_gs.matrices())
-    assert [g.support for g in eff_gs] == [g.support for g in gs]
-    assert all(eff_gs[g].spec is gs[g].spec for g in range(len(gs)))
-    assert eff_gs.identity_index == gs.identity_index
+    assert np.array_equal(mats, [su_normalize(m) for m in gs.matrices()])
 
-    eff_t, eff_gs = silent(lambda: SynthesisProblem(
-        t, gs, P=2, phase_mode="global_phase").effective_instance)
-    assert eff_gs is gs and np.array_equal(eff_t, t)
+    for kw in ({"phase_mode": "global_phase"}, {"objective": "linearized_fidelity"}):
+        eff_t, mats = SynthesisProblem(t, gs, P=2, **kw).effective_instance
+        assert np.array_equal(mats, gs.matrices()) and np.array_equal(eff_t, t)
 
-    eff_t, eff_gs = silent(lambda: SynthesisProblem(
-        t, gs, P=2, objective="linearized_fidelity").effective_instance)
-    assert eff_gs is gs and np.array_equal(eff_t, t)
-
-    # an already-special instance is left alone
+    # an already-special instance is left alone, bit for bit
     rz = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.7)])
-    eff_t, eff_gs = silent(lambda: SynthesisProblem(
-        builtin_gate("RZ", 0.3), rz, P=2).effective_instance)
-    assert eff_gs is rz
-
+    eff_t, mats = SynthesisProblem(builtin_gate("RZ", 0.3), rz, P=2).effective_instance
+    assert np.array_equal(mats, rz.matrices())
 
 
 def test_verify_sequence_rejects_a_word_that_misses_the_target():
@@ -372,7 +363,6 @@ def test_exact_solve_infeasible():
     r = synthesize(p, backend="scipy")
     assert r.status == "infeasible" and not r.feasible
     assert r.sequence == [] and r.objective_value is None
-    assert r.certificate["status"] == "infeasible"
     assert "presolve_retry" not in r.certificate
 
 
@@ -700,7 +690,6 @@ def test_time_limit_covers_the_model_build(monkeypatch):
                          phase_mode="global_phase")
     r = synthesize(p, backend="scipy", time_limit=0.2)
     assert r.status == "time_limit" and r.sequence == []
-    assert r.certificate["status"] == "time_limit"
 
 
 def test_a_rung_out_of_time_ends_the_ladder(monkeypatch):
@@ -722,7 +711,7 @@ def test_a_rung_out_of_time_ends_the_ladder(monkeypatch):
     # X = H.Z.H is a word of rung 3
     p = SynthesisProblem(builtin_gate("X"), gs1("H", "Z"), P=3, phase_mode="global_phase")
     r = synthesize(p, backend="scipy", time_limit=0.5)
-    assert r.status == r.certificate["status"] == "time_limit" and r.sequence == []
+    assert r.status == "time_limit" and r.sequence == []
     assert [L for L, _ in calls] == [1, 2]
     rungs = r.certificate["rungs"]
     assert [(g["L"], g["verdict"], g["nodes"]) for g in rungs] == [

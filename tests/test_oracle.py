@@ -42,8 +42,9 @@ def product_of(gs: GateSet, indices) -> np.ndarray:
 
 def realizes(problem: SynthesisProblem, indices) -> bool:
     """Whether the word meets the problem's effective target."""
-    target, gs = problem.effective_instance
-    return equal_matrices(product_of(gs, indices), target, problem.up_to_phase)
+    target, mats = problem.effective_instance
+    return equal_matrices(sequence_product(mats[list(indices)], len(target)), target,
+                          problem.up_to_phase)
 
 
 def brute_min_length(problem: SynthesisProblem) -> int | None:
@@ -141,13 +142,13 @@ def test_score_objectives_match_enumeration(rng, objective, phase_mode):
                          objective={"alpha": "linearized_fidelity",
                                     "fidelity": "exact_fidelity"}[objective],
                          phase_mode=phase_mode)
-    target, gs = p.effective_instance
+    target, mats = p.effective_instance
 
     def score(seq) -> float:
-        tr = np.trace(target.conj().T @ product_of(gs, seq))
+        tr = np.trace(target.conj().T @ sequence_product(mats[list(seq)], 2))
         return abs(tr) ** 2 / 4 if objective == "fidelity" else tr.real / 2
 
-    gens = gs.non_identity_indices()
+    gens = p.gate_set.non_identity_indices()
     best = max(score(seq) for m in range(4) for seq in itertools.product(gens, repeat=m))
     res = exhaustive_synthesize(p)
     assert res.status == "optimal"

@@ -40,7 +40,7 @@ def test_equal_matrices_phase_handling():
 
 def test_pauli_set_exact_phase():
     gs = _set1("X", "Y", "Z")
-    cat = detect_relations(gs, k_max=2)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=2)
     # XY = -YX exactly, so nothing commutes at exact phase
     assert cat.commuting_pairs == []
     # all three squares hit the identity
@@ -57,7 +57,7 @@ def test_pauli_set_exact_phase():
 
 def test_pauli_set_up_to_phase():
     gs = _set1("X", "Y", "Z")
-    cat = detect_relations(gs, k_max=2, up_to_phase=True)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=2, up_to_phase=True)
     # XY = iZ ~ -iZ = YX, so every Pauli pair commutes up to phase
     assert _labels(gs, cat.commuting_pairs) == [
         ("X[1]", "Y[1]"), ("X[1]", "Z[1]"), ("Y[1]", "Z[1]")]
@@ -70,7 +70,7 @@ def test_pauli_set_up_to_phase():
 
 def test_clifford_t_relations():
     gs = _set1("H", "T", "S")
-    cat = detect_relations(gs, k_max=3)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=3)
     # diagonal gates commute; T^2 = S; HH cancels
     assert _labels(gs, cat.commuting_pairs) == [("T[1]", "S[1]")] or \
         _labels(gs, cat.commuting_pairs) == [("S[1]", "T[1]")]
@@ -85,7 +85,7 @@ def test_clifford_t_relations():
 
 def test_identity_never_participates():
     gs = _set1("H", "T", "S")
-    cat = detect_relations(gs, k_max=3)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=3)
     ident = gs.identity_index
     assert all(ident not in pair for pair in cat.commuting_pairs)
     for seq, g in cat.redundancies:
@@ -98,7 +98,7 @@ def test_identity_never_participates():
 def test_two_qubit_commuting_and_kept_side():
     gs = GateSet.from_specs(2, [gate_spec("CNOT", (1, 2)), gate_spec("H", (1,)),
                                 gate_spec("H", (2,)), gate_spec("CZ", (1, 2))])
-    cat = detect_relations(gs, k_max=2)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=2)
     assert _labels(gs, cat.commuting_pairs) == [("H[1]", "H[2]")]
     # the kept pattern, first in its group, is the lexicographically smallest
     for group in cat.equivalent_groups:
@@ -112,10 +112,10 @@ def test_k_max_shrinks_under_enumeration_limit(monkeypatch):
     gs = _set1("X", "Y", "Z")
     monkeypatch.setattr(relations, "ENUMERATION_LIMIT", 50)
     with pytest.warns(UserWarning, match="k_max"):
-        cat = detect_relations(gs, k_max=9)
+        cat = detect_relations(gs.matrices(), gs.identity_index, k_max=9)
     assert cat.k_max < 9
     with pytest.raises(ConfigError, match="k_max"):
-        detect_relations(gs, k_max=1)
+        detect_relations(gs.matrices(), gs.identity_index, k_max=1)
 
 
 def test_huge_k_max_shrinks_at_once():
@@ -125,14 +125,14 @@ def test_huge_k_max_shrinks_at_once():
                      (_set1(), 2)):
         t0 = time.perf_counter()
         with pytest.warns(UserWarning, match="k_max"):
-            cat = detect_relations(gs, k_max=10 ** 9)
+            cat = detect_relations(gs.matrices(), gs.identity_index, k_max=10 ** 9)
         assert cat.k_max == want
         assert time.perf_counter() - t0 < 1.0
 
 
 def test_catalog_to_dict_round_trips_labels():
     gs = _set1("H", "T", "S")
-    cat = detect_relations(gs, k_max=2)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=2)
     doc = cat.to_dict(gs)
     assert doc["k_max"] == 2 and doc["up_to_phase"] is False
     assert {"sequence": ["T[1]", "T[1]"], "collapses_to": "S[1]"} in doc["redundancies"]
@@ -144,7 +144,7 @@ def test_phase_pairs_match_brute_force():
     # entry must not depend on float noise
     gs = benchmark_registry()["single_excitation_hadamard"].gate_set
     mats, ni = gs.matrices(), gs.non_identity_indices()
-    cat = detect_relations(gs, k_max=2, up_to_phase=True)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=2, up_to_phase=True)
     commuting = set(cat.commuting_pairs)
     assert commuting
     brute = set()
@@ -189,7 +189,8 @@ def _brute_forbidden(gs, up_to_phase, weights):
 @pytest.mark.parametrize("name", ["csx", "toffoli2q", "single_excitation_hadamard"])
 def test_forbidden_words_match_pairwise_definition(name, up_to_phase):
     gs = benchmark_registry()[name].gate_set
-    cat = detect_relations(gs, k_max=3, up_to_phase=up_to_phase)
+    cat = detect_relations(gs.matrices(), gs.identity_index, k_max=3,
+                           up_to_phase=up_to_phase)
     rng = np.random.default_rng(7)
     for weights in (np.ones(len(gs)), rng.integers(1, 4, len(gs)).astype(float)):
         weights[gs.identity_index] = 0.0
