@@ -94,8 +94,8 @@ from .gates import GateSet, GateSpec, sequence_product
 from .mip import MipModel
 from .oracle import checked_time_limit
 from .relations import equal_matrices
-from .solvers import (DEFAULT_GAP_TOL, ScipyHighsBackend, Solution, get_backend,
-                      is_oracle_backend)
+from .solvers import (DEFAULT_GAP_TOL, PRESOLVE_AGGREGATOR, ScipyHighsBackend, Solution,
+                      get_backend, is_oracle_backend)
 
 OBJECTIVES = ("weighted_gate_count", "depth", "linearized_fidelity",
               "frobenius_oa", "exact_fidelity")
@@ -115,8 +115,10 @@ POLISH_TOL = 1e-9
 #: recorded in the certificate.
 DATA_FAMILIES = ("target", "frobenius_box", "cut_hc2", "cutoff")
 DATA_TOL = 1e-6
-#: HiGHS reads a cost at or above this as infinite; gate weights stay below it.
-WEIGHT_CAP = 1e20
+#: Gate weights stay below HiGHS's large_matrix_value: a ladder rung's cutoff
+#: row carries them as coefficients, and HiGHS will not load a model with a
+#: coefficient this large.
+WEIGHT_CAP = 1e15
 #: A new direction enters a reachable span when its singular value exceeds
 #: this share of the candidates' norm; span-row coefficients at or below it
 #: are dropped.  Both errors stay far inside POLISH_TOL.
@@ -807,8 +809,13 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     lightest gate times L reaches that cutoff, so under unit weights the
     first feasible rung is the optimum.  A rung that ends out of time ends
     the ladder: the pattern cuts of a later rung are valid only once this
-    one is decided (see cuts).  All rungs share the caller's `time_limit`,
-    counted from t0.  The certificate lists the rungs with verdict, seconds
+    one is decided (see cuts).  Rungs run with HiGHS's presolve aggregator
+    off (PRESOLVE_AGGREGATOR): on the oracle corpus that cuts the ladder's
+    time by more than half and decides rungs that run out of time with it
+    on.  The padded models of the other objectives keep it, since there it
+    broke ties differently, slowed some solves and proved one false
+    infeasibility.  All rungs share the caller's `time_limit`, counted from
+    t0.  The certificate lists the rungs with verdict, seconds
     and nodes; its row families and `cutoff` (None for no cutoff row) are
     those of the last rung built.
     """
@@ -832,7 +839,8 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
         rung, model, handles = ladder_rung(problem, L, cutoff)
         if time_limit is not None:
             left = time_limit - (time.perf_counter() - t0)
-        sol = backend.solve(model, time_limit=left)
+        sol = backend.solve(model, time_limit=left,
+                            presolve_rule_off=PRESOLVE_AGGREGATOR)
         if sol.x is not None:
             found = extract_and_verify(rung, model, handles, sol)
             if best is None or found.objective_value < best.objective_value:

@@ -1,13 +1,18 @@
-"""The MIP solve path: HiGHS through scipy.optimize.milp.
+"""The MIP solve path: HiGHS through the object scipy ships for it.
 
-`get_backend("scipy")` is the one MIP solver.  A verdict (optimal, feasible,
-infeasible or out of time) is what a single HiGHS run reports; nothing is
-re-solved.  Names in ORACLE_BACKEND_NAMES route to exhaustive search, which
-the synthesis driver dispatches itself.
+`get_backend("scipy")` is the one MIP solver.  It runs HiGHS through
+scipy's private bindings (HIGHS_MODULE), which give what
+`scipy.optimize.milp` hides: single presolve rules, the dual bound and node
+count of every verdict, and load errors apart from verdicts.  A verdict
+(optimal, feasible, infeasible or out of time) is what a single HiGHS run
+reports; nothing is re-solved.  Names in ORACLE_BACKEND_NAMES route to
+exhaustive search, which the synthesis driver dispatches itself.
 """
 
 from __future__ import annotations
 
+import importlib
+import math
 import os
 import sys
 import time
@@ -26,6 +31,32 @@ DEFAULT_GAP_TOL = 1e-4
 #: Backend names routed to exhaustive search instead of a MIP solver.
 ORACLE_BACKEND_NAMES = frozenset({"oracle", "exhaustive"})
 
+#: HiGHS's presolve rule bit of the aggregator (kPresolveRuleAggregator), for
+#: `solve`'s presolve_rule_off.  Confirmed on HiGHS 1.12.0: with
+#: presolve_rule_logging and log_dev_level 1, a rung's LP relaxation logs an
+#: "Aggregator" row in its presolve rule table, and this bit alone removes it.
+PRESOLVE_AGGREGATOR = 1 << 12
+
+#: scipy's private HiGHS bindings and the names `solve` reads from them.  The
+#: module is imported on the first solve: the import takes about half a second.
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+HIGHS_NAMES = ("_Highs", "HighsLp", "HighsModelStatus", "HighsStatus",
+               "HighsVarType", "MatrixFormat")
+
+
+def highs_core():
+    """The module of HIGHS_MODULE, or BackendError if scipy moved a name."""
+    try:
+        core = importlib.import_module(HIGHS_MODULE)
+    except ImportError as exc:
+        raise BackendError(f"this scipy has no {HIGHS_MODULE}, the HiGHS bindings "
+                           "the MIP backend runs") from exc
+    missing = [name for name in HIGHS_NAMES if not hasattr(core, name)]
+    if missing:
+        raise BackendError(f"{HIGHS_MODULE} has no {', '.join(missing)}; "
+                           "the MIP backend needs a scipy that ships them")
+    return core
+
 
 @dataclass
 class Solution:
@@ -37,27 +68,36 @@ class Solution:
     bound: float | None = None
     gap: float | None = None
     solve_seconds: float = 0.0
-    #: branch-and-bound nodes HiGHS explored (its mip_node_count)
+    #: branch-and-bound nodes HiGHS explored (its mip_node_count); None for
+    #: a model without integer variables
     nodes: int | None = None
 
 
+def _finite(value: float) -> float | None:
+    return float(value) if math.isfinite(value) else None
+
+
 class ScipyHighsBackend:
-    """HiGHS branch-and-bound through scipy.optimize.milp.
+    """HiGHS branch and bound on a column-wise copy of the model.
 
     Deterministic and single-threaded, on linear objectives.  Each solve is
-    one `milp` call at relative gap DEFAULT_GAP_TOL, and its verdict,
+    one HiGHS run at relative gap DEFAULT_GAP_TOL, and its verdict,
     infeasible included, is that run's.
     """
 
-    def solve(self, model: MipModel, time_limit: float | None = None) -> Solution:
+    def solve(self, model: MipModel, time_limit: float | None = None, *,
+              presolve_rule_off: int = 0) -> Solution:
         """One HiGHS run; `time_limit` covers the array export and the run.
 
         With no time left after the export, the verdict is time_limit and
-        HiGHS is not called.
+        HiGHS is not called.  `presolve_rule_off` is HiGHS's option of that
+        name: a bit mask of presolve reductions left out.  A model HiGHS
+        will not load or a run that fails raises BackendError; it is never
+        read as a verdict.
         """
-        from scipy.optimize import Bounds, LinearConstraint, milp
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csc_array
 
+        core = highs_core()
         start = time.perf_counter()
         arr = model.to_arrays()
         if time_limit is not None:
@@ -65,58 +105,71 @@ class ScipyHighsBackend:
             if time_limit <= 0:
                 return Solution(status="time_limit")
         sign = -1.0 if arr.sense == "max" else 1.0
-        constraints = None
-        if arr.num_rows:
-            a = coo_matrix((arr.a_vals, (arr.a_rows, arr.a_cols)),
-                           shape=(arr.num_rows, model.num_vars))
-            constraints = LinearConstraint(a, arr.row_lb, arr.row_ub)
-        options: dict = {"disp": False, "mip_rel_gap": DEFAULT_GAP_TOL}
+        n, m = model.num_vars, arr.num_rows
+        a = csc_array((arr.a_vals, (arr.a_rows, arr.a_cols)), shape=(m, n))
+        lp = core.HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = sign * arr.c, arr.lb, arr.ub
+        lp.row_lower_, lp.row_upper_ = arr.row_lb, arr.row_ub
+        mat = lp.a_matrix_
+        mat.format_ = core.MatrixFormat.kColwise
+        mat.num_col_, mat.num_row_ = n, m
+        mat.start_, mat.index_, mat.value_ = a.indptr, a.indices, a.data
+        lp.integrality_ = [core.HighsVarType(int(k)) for k in arr.integrality]
+
+        highs = core._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("mip_rel_gap", DEFAULT_GAP_TOL)
+        highs.setOptionValue("presolve_rule_off", presolve_rule_off)
         if time_limit is not None:
-            options["time_limit"] = time_limit
+            highs.setOptionValue("time_limit", time_limit)
 
         t0 = time.perf_counter()
         # HiGHS writes some diagnostics straight to file descriptor 1 even
-        # with disp=False; keep them out of output printed on stdout.
+        # with output_flag off; keep them out of output printed on stdout.
         sys.stdout.flush()
         saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
         try:
             os.dup2(devnull, 1)
-            res = milp(sign * arr.c, constraints=constraints,
-                       integrality=arr.integrality,
-                       bounds=Bounds(arr.lb, arr.ub), options=options)
+            loaded = highs.passModel(lp) != core.HighsStatus.kError
+            ran = loaded and highs.run() != core.HighsStatus.kError
         finally:
             os.dup2(saved, 1)
             os.close(saved)
             os.close(devnull)
         dt = time.perf_counter() - t0
+        if not loaded:
+            largest = np.abs(arr.a_vals).max(initial=0.0)
+            raise BackendError(f"HiGHS will not load the model (largest row "
+                               f"coefficient {largest:g})")
+        verdict = highs.getModelStatus()
+        if not ran:
+            raise BackendError(f"HiGHS fails: {highs.modelStatusToString(verdict)}")
 
-        bound = getattr(res, "mip_dual_bound", None)
-        if bound is not None:
-            bound = sign * float(bound)
-        gap = getattr(res, "mip_gap", None)
-        if gap is not None:
-            gap = float(gap)
-        nodes = getattr(res, "mip_node_count", None)
-        if nodes is not None:
-            nodes = int(nodes)
-        x = None if res.x is None else np.asarray(res.x, dtype=float)
-        obj = None if x is None else float(model.objective_value(x))
+        info = highs.getInfo()
+        nodes = bound = gap = None
+        if arr.integrality.any():
+            nodes = int(info.mip_node_count)
+            bound, gap = _finite(sign * info.mip_dual_bound), _finite(info.mip_gap)
+        x = obj = None
+        if math.isfinite(info.objective_function_value):
+            x = np.array(highs.getSolution().col_value, dtype=float)
+            obj = float(model.objective_value(x))
 
-        if res.status == 0:
+        codes = core.HighsModelStatus
+        if verdict == codes.kOptimal:
             status = "optimal"
-            if gap is None:
-                gap = 0.0
-            if bound is None and obj is not None:
-                bound = obj
-        elif res.status == 1:
+            gap = 0.0 if gap is None else gap
+            bound = obj if bound is None else bound
+        elif verdict in (codes.kTimeLimit, codes.kIterationLimit):
             status = "feasible" if x is not None else "time_limit"
-        elif res.status == 2:
+        elif verdict == codes.kInfeasible:
             status = "infeasible"
-        elif res.status == 3:
+        elif verdict == codes.kUnbounded:
             raise BackendError("solver reports an unbounded model; "
                                "every synthesis variable should carry finite bounds")
         else:
-            raise BackendError(f"solver failed: {res.message}")
+            raise BackendError(f"solver failed: {highs.modelStatusToString(verdict)}")
         return Solution(status=status, x=x, objective=obj, bound=bound, gap=gap,
                         solve_seconds=dt, nodes=nodes)
 
@@ -138,5 +191,5 @@ def get_backend(name: str) -> ScipyHighsBackend:
 
 __all__ = [
     "Solution", "ScipyHighsBackend", "get_backend", "is_oracle_backend",
-    "ORACLE_BACKEND_NAMES", "DEFAULT_GAP_TOL",
+    "ORACLE_BACKEND_NAMES", "DEFAULT_GAP_TOL", "PRESOLVE_AGGREGATOR",
 ]

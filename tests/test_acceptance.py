@@ -130,12 +130,6 @@ def test_criterion_03_oracle_equivalence():
 # covered with the default cuts by the equivalence sweep above
 SLOW_PAIRS = {("iswap_small", "exact")}
 FAMILY_TOKENS = ("identity", "commuting", "equivalent", "redundancy", "hc")
-#: Cut subsets under which HiGHS's presolve proves iswap_small's rung 4
-#: infeasible in global phase mode, though the oracle's 4-gate word meets
-#: every row of that rung and milp with presolve=False solves it (ROADMAP
-#: item 17): commuting and equivalent without redundancy.
-PRESOLVE_MISSES = ["commuting,equivalent", "identity,commuting,equivalent",
-                   "commuting,equivalent,hc", "identity,commuting,equivalent,hc"]
 
 
 def test_criterion_04_cut_soundness():
@@ -150,8 +144,6 @@ def test_criterion_04_cut_soundness():
         times = []
         for f, mode in pairs:
             key = (f.name, mode)
-            if key == ("iswap_small", "global_phase") and ",".join(names) in PRESOLVE_MISSES:
-                continue  # test_criterion_04_presolve_misses
             t0 = time.perf_counter()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -169,15 +161,6 @@ def test_criterion_04_cut_soundness():
     best = min(subset_seconds.values())
     assert best <= subset_seconds[(False,) * 5], \
         f"no cut subset matched the base median {subset_seconds[(False,) * 5]:.4f}s"
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: HiGHS presolve proves a "
-                   "rung infeasible where a word exists")
-@pytest.mark.parametrize("names", PRESOLVE_MISSES)
-def test_criterion_04_presolve_misses(names):
-    f = next(f for f in oracle_corpus() if f.name == "iswap_small")
-    r = _solve_counts(f, "global_phase", "scipy", cuts=CutSelection.from_names(names))
-    assert _count(r) == PHASE_COUNTS["iswap_small"]
 
 
 def test_criterion_05_global_phase_semantics():

@@ -652,6 +652,42 @@ def test_weights_just_below_the_cap_solve(backend):
     assert r.objective_value == pytest.approx(2 * w[gs.index_of("T")])
 
 
+def test_weights_highs_refuses_fail_fast():
+    # a rung's cutoff row carries the weights, and HiGHS will not load a
+    # model with a coefficient of 1e15 or more; read as an infeasible rung 3,
+    # that failure certified S.S (2e16) where H.X.H (3) exists
+    gs = gs1("S", "H", "X")
+    w = np.ones(len(gs))
+    w[gs.index_of("S")] = 1e16
+    with pytest.raises(ConfigError, match=r"weight of gate S\[1\]"):
+        SynthesisProblem(builtin_gate("Z"), gs, P=3, weights=w, phase_mode="global_phase")
+    w[gs.index_of("S")] = 0.999 * formulation.WEIGHT_CAP
+    p = SynthesisProblem(builtin_gate("Z"), gs, P=3, weights=w, phase_mode="global_phase")
+    milp, brute = synthesize(p, backend="scipy"), synthesize(p, backend="oracle")
+    assert [g.name for g in milp.sequence] == [g.name for g in brute.sequence] == [
+        "H", "X", "H"]
+    assert (milp.status, milp.objective_value) == (brute.status, brute.objective_value)
+    assert milp.certificate["rungs"][-1]["L"] == 3
+
+
+def test_ladder_rungs_alone_leave_the_aggregator_out(monkeypatch):
+    masks = []
+    solve = solvers.ScipyHighsBackend.solve
+
+    def spy(self, model, time_limit=None, **kw):
+        masks.append(kw.get("presolve_rule_off", 0))
+        return solve(self, model, time_limit, **kw)
+
+    monkeypatch.setattr(solvers.ScipyHighsBackend, "solve", spy)
+    p = SynthesisProblem(builtin_gate("X"), gs1("H", "Z"), P=3, phase_mode="global_phase")
+    assert synthesize(p, backend="scipy").status == "optimal"
+    assert masks == [solvers.PRESOLVE_AGGREGATOR] * 3
+    masks.clear()
+    for objective in ("depth", "linearized_fidelity", "frobenius_oa"):
+        assert synthesize(replace(p, objective=objective), backend="scipy").feasible
+    assert masks == [0, 0, 0]
+
+
 def test_certificate_records_the_solver_time_limit():
     p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2,
                          phase_mode="global_phase")
@@ -673,19 +709,17 @@ def test_pure_phase_gate_fails_clearly_in_exact_mode(backend):
 
 
 def test_time_limit_covers_the_model_build(monkeypatch):
-    import scipy.optimize
-
     build = formulation.build_model
 
     def slow_build(problem):
         time.sleep(0.3)
         return build(problem)
 
-    def no_milp(*args, **kwargs):
+    def no_highs(*args, **kwargs):
         raise AssertionError("HiGHS ran with no time left")
 
     monkeypatch.setattr(formulation, "build_model", slow_build)
-    monkeypatch.setattr(scipy.optimize, "milp", no_milp)
+    monkeypatch.setattr(solvers.highs_core(), "_Highs", no_highs)
     p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2,
                          phase_mode="global_phase")
     r = synthesize(p, backend="scipy", time_limit=0.2)
@@ -696,7 +730,7 @@ def test_a_rung_out_of_time_ends_the_ladder(monkeypatch):
     """Rung 2 runs out of time, so rung 3 never runs, even with a word there."""
     calls = []
 
-    def stub_solve(self, model, time_limit=None):
+    def stub_solve(self, model, time_limit=None, *, presolve_rule_off=0):
         L = model.family_rows["one_hot"]
         calls.append((L, time_limit))
         if L == 1:
@@ -733,8 +767,9 @@ def test_certificate_lists_the_rungs():
     # unit weights: the first feasible rung is the optimum, so rung 4 never runs
     assert [(g["L"], g["verdict"]) for g in rungs] == [
         (0, "infeasible"), (1, "infeasible"), (2, "infeasible"), (3, "optimal")]
-    # milp gives no node count when presolve alone proves a rung infeasible
-    assert rungs[0]["nodes"] is None and isinstance(rungs[3]["nodes"], int)
+    # rung 0 runs no solver; every solved rung, infeasible ones too, counts nodes
+    assert rungs[0]["nodes"] is None
+    assert all(isinstance(g["nodes"], int) for g in rungs[1:])
     assert r.certificate["nodes"] == sum(g["nodes"] or 0 for g in rungs)
     assert all(g["seconds"] >= 0 for g in rungs)
     # the row families are those of the last rung, a model of 3 positions

@@ -1,11 +1,18 @@
 """Model container and the scipy backend: rows, points, LP text, solving."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from mipsynth import solvers
+from mipsynth.cuts import CutSelection
 from mipsynth.errors import BackendError
+from mipsynth.fixtures import oracle_corpus
+from mipsynth.formulation import SynthesisProblem, build_model
 from mipsynth.mip import MipModel
-from mipsynth.solvers import (DEFAULT_GAP_TOL, ORACLE_BACKEND_NAMES,
+from mipsynth.solvers import (DEFAULT_GAP_TOL, ORACLE_BACKEND_NAMES, PRESOLVE_AGGREGATOR,
                               ScipyHighsBackend, get_backend, is_oracle_backend)
 
 from util import beta_interval as _beta_interval
@@ -70,52 +77,82 @@ def test_violations_by_family():
     assert list(m.integer_vars()) == [b]
 
 
-def _spy_milp(monkeypatch, results: list | None = None) -> list[dict]:
-    """Record the options of every milp call.
-
-    When `results` is given, each call's raw result is appended to it.
-    """
-    import scipy.optimize
-
+def _spy_highs(monkeypatch) -> list:
+    """Record every HiGHS object a solve makes: its options and its runs."""
+    core = solvers.highs_core()
+    real = core._Highs
     seen = []
-    real_milp = scipy.optimize.milp
 
-    def spy(*args, options=None, **kw):
-        seen.append(dict(options))
-        res = real_milp(*args, options=options, **kw)
-        if results is not None:
-            results.append(res)
-        return res
+    class Spy:
+        def __init__(self):
+            self.highs, self.options, self.runs = real(), {}, 0
+            seen.append(self)
 
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+        def setOptionValue(self, name, value):
+            self.options[name] = value
+            return self.highs.setOptionValue(name, value)
+
+        def run(self):
+            self.runs += 1
+            return self.highs.run()
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+    monkeypatch.setattr(core, "_Highs", Spy)
     return seen
 
 
+def test_highs_bindings_are_where_the_backend_reads_them():
+    core = solvers.highs_core()
+    for name in solvers.HIGHS_NAMES:
+        assert hasattr(core, name), (
+            f"scipy moved {solvers.HIGHS_MODULE}.{name}; update HIGHS_MODULE and "
+            "HIGHS_NAMES in mipsynth/solvers.py")
+    lp = core.HighsLp()
+    for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
+                  "row_lower_", "row_upper_", "a_matrix_", "integrality_"):
+        assert hasattr(lp, field), f"scipy's HighsLp has no {field} any more"
+
+
+def test_moved_highs_bindings_fail_clearly(monkeypatch):
+    core = solvers.highs_core()
+    monkeypatch.delattr(core, "HighsLp")
+    with pytest.raises(BackendError, match=r"_core has no HighsLp"):
+        get_backend("scipy").solve(_infeasible_model())
+    monkeypatch.setattr(solvers, "HIGHS_MODULE", "scipy.optimize._no_such_module")
+    with pytest.raises(BackendError, match=r"this scipy has no scipy\.optimize\._no_such"):
+        get_backend("scipy").solve(_infeasible_model())
+
+
 def test_scipy_backend_passes_its_gap(monkeypatch):
-    seen = _spy_milp(monkeypatch)
+    seen = _spy_highs(monkeypatch)
     m = MipModel()
     x = m.add_var("x", 0.0, 4.0, integer=True)
     m.set_objective({x: 1.0}, sense="max")
     assert get_backend("scipy").solve(m).status == "optimal"
-    assert seen[-1]["mip_rel_gap"] == DEFAULT_GAP_TOL == 1e-4
+    assert seen[-1].options["mip_rel_gap"] == DEFAULT_GAP_TOL == 1e-4
+    assert seen[-1].options["output_flag"] is False
 
 
 def test_solver_writes_nothing_to_stdout(monkeypatch, capfd):
+    # with output_flag off HiGHS still prints some MIP diagnostics straight
+    # to file descriptor 1; this stand-in does the same on every run
     import os
 
-    import scipy.optimize
+    seen = _spy_highs(monkeypatch)
+    spy = solvers.highs_core()._Highs
 
-    inner = scipy.optimize.milp
+    class Noisy(spy):
+        def run(self):
+            os.write(1, b"solver diagnostics on fd 1\n")
+            return super().run()
 
-    def noisy(*args, **kwargs):
-        os.write(1, b"solver diagnostics on fd 1\n")
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "milp", noisy)
+    monkeypatch.setattr(solvers.highs_core(), "_Highs", Noisy)
     print("before")  # still buffered: the solve must flush it first
     sol = get_backend("scipy").solve(_infeasible_model())
     print("after")
-    assert sol.status == "infeasible"
+    assert sol.status == "infeasible" and seen[0].runs == 1
     assert capfd.readouterr().out == "before\nafter\n"
 
 
@@ -172,33 +209,78 @@ def test_scipy_backend_maximize():
     assert sol.objective == pytest.approx(4.0, abs=1e-9)
 
 
-def test_backend_maps_every_milp_status(monkeypatch):
-    # HiGHS's status codes: 1 is a limit hit, with or without an incumbent
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+def test_backend_maps_every_highs_status(monkeypatch):
+    core = solvers.highs_core()
+    status, ok, error = core.HighsModelStatus, core.HighsStatus.kOk, core.HighsStatus.kError
+    real = core._Highs()
 
     m = MipModel()
     x = m.add_var("x", 0.0, 4.0, integer=True)
     m.set_objective({x: 1.0}, sense="max")
 
-    def solve_as(status, point):
-        res = OptimizeResult(status=status, message=f"code {status}",
-                             x=None if point is None else np.array(point),
-                             mip_dual_bound=-4.0, mip_gap=0.25, mip_node_count=7)
-        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **kw: res)
+    def solve_as(verdict, point, loaded=ok, ran=ok):
+        class Stub:
+            def setOptionValue(self, name, value):
+                return ok
+
+            def passModel(self, lp):
+                return loaded
+
+            def run(self):
+                return ran
+
+            def getModelStatus(self):
+                return verdict
+
+            def modelStatusToString(self, s):
+                return real.modelStatusToString(s)
+
+            def getInfo(self):
+                return SimpleNamespace(
+                    mip_node_count=7, mip_dual_bound=-4.0, mip_gap=0.25,
+                    objective_function_value=math.inf if point is None else -point[0])
+
+            def getSolution(self):
+                return SimpleNamespace(col_value=point)
+
+        monkeypatch.setattr(core, "_Highs", Stub)
         return get_backend("scipy").solve(m)
 
-    sol = solve_as(1, [3.0])
-    # the model is maximized as min -x, so the bound comes back with its sign
+    sol = solve_as(status.kOptimal, [4.0])
     assert (sol.status, sol.objective, sol.bound, sol.gap, sol.nodes) == (
-        "feasible", 3.0, 4.0, 0.25, 7)
-    sol = solve_as(1, None)
-    assert (sol.status, sol.x, sol.objective, sol.bound, sol.gap, sol.nodes) == (
-        "time_limit", None, None, 4.0, 0.25, 7)
+        "optimal", 4.0, 4.0, 0.25, 7)
+    # a limit hit, with or without an incumbent; the model is maximized as
+    # min -x, so the bound comes back with its sign
+    for limit in (status.kTimeLimit, status.kIterationLimit):
+        sol = solve_as(limit, [3.0])
+        assert (sol.status, sol.objective, sol.bound, sol.gap, sol.nodes) == (
+            "feasible", 3.0, 4.0, 0.25, 7)
+        sol = solve_as(limit, None)
+        assert (sol.status, sol.x, sol.objective, sol.bound, sol.gap, sol.nodes) == (
+            "time_limit", None, None, 4.0, 0.25, 7)
+    sol = solve_as(status.kInfeasible, None)
+    assert (sol.status, sol.x, sol.nodes) == ("infeasible", None, 7)
     with pytest.raises(BackendError, match="unbounded"):
-        solve_as(3, None)
-    with pytest.raises(BackendError, match="solver failed: code 4"):
-        solve_as(4, None)
+        solve_as(status.kUnbounded, None)
+    for failed in (status.kUnboundedOrInfeasible, status.kModelError, status.kSolveError,
+                   status.kInterrupt):
+        with pytest.raises(BackendError, match="solver failed: "):
+            solve_as(failed, None)
+    # a model HiGHS will not load, or a run that fails, is never a verdict
+    with pytest.raises(BackendError, match="HiGHS will not load the model"):
+        solve_as(status.kInfeasible, None, loaded=error)
+    with pytest.raises(BackendError, match="HiGHS fails: "):
+        solve_as(status.kInfeasible, None, ran=error)
+
+
+def test_a_coefficient_highs_refuses_raises():
+    # HiGHS's large_matrix_value is 1e15: passModel fails on the model, and
+    # that failure must not read as an infeasible verdict
+    m = MipModel()
+    b = m.add_binary("b")
+    m.add_constr({b: 1e16}, "<=", 1.0)
+    with pytest.raises(BackendError, match=r"largest row coefficient 1e\+16"):
+        get_backend("scipy").solve(m)
 
 
 def test_backend_registry():
@@ -214,8 +296,7 @@ def test_backend_registry():
 
 
 def test_solution_carries_the_node_count(monkeypatch):
-    results: list = []
-    _spy_milp(monkeypatch, results=results)
+    seen = _spy_highs(monkeypatch)
     m = MipModel()
     x = m.add_var("x", 0.0, 4.0, integer=True)
     y = m.add_var("y", 0.0, 4.0, integer=True)
@@ -223,9 +304,18 @@ def test_solution_carries_the_node_count(monkeypatch):
     m.set_objective({x: 1.0, y: 1.0}, sense="max")
     sol = get_backend("scipy").solve(m)
     assert sol.status == "optimal" and sol.objective == 2.0
-    assert len(results) == 1
-    assert sol.nodes == results[0].mip_node_count
+    assert len(seen) == 1 and seen[0].runs == 1
+    assert sol.nodes == seen[0].getInfo().mip_node_count
     assert isinstance(sol.nodes, int) and sol.nodes >= 0
+
+
+def test_a_model_without_integers_has_no_node_count():
+    m = MipModel()
+    x = m.add_var("x", 0.0, 4.0)
+    m.set_objective({x: 1.0}, sense="max")
+    sol = get_backend("scipy").solve(m)
+    assert (sol.status, sol.objective, sol.bound, sol.gap, sol.nodes) == (
+        "optimal", 4.0, 4.0, 0.0, None)
 
 
 def _infeasible_model() -> MipModel:
@@ -236,13 +326,37 @@ def _infeasible_model() -> MipModel:
 
 
 def test_infeasible_verdict_is_one_solver_run(monkeypatch):
-    seen = _spy_milp(monkeypatch)
+    seen = _spy_highs(monkeypatch)
     sol = get_backend("scipy").solve(_infeasible_model(), time_limit=10.0)
-    assert sol.status == "infeasible" and sol.x is None
+    assert sol.status == "infeasible" and sol.x is None and sol.nodes == 0
     # HiGHS gets the budget less the array export's time
-    assert len(seen) == 1 and 9.0 < seen[0]["time_limit"] < 10.0
-    assert "presolve" not in seen[0]
+    assert len(seen) == 1 and seen[0].runs == 1
+    assert 9.0 < seen[0].options["time_limit"] < 10.0
+    assert "presolve" not in seen[0].options
+    assert seen[0].options["presolve_rule_off"] == 0
     # the array export alone takes longer than a nanosecond: no HiGHS run
     sol = get_backend("scipy").solve(_infeasible_model(), time_limit=1e-9)
     assert sol.status == "time_limit" and sol.x is None
     assert len(seen) == 1
+
+
+def test_presolve_rule_mask_reaches_highs(monkeypatch):
+    seen = _spy_highs(monkeypatch)
+    sol = get_backend("scipy").solve(_infeasible_model(),
+                                     presolve_rule_off=PRESOLVE_AGGREGATOR)
+    assert sol.status == "infeasible"
+    assert seen[0].options["presolve_rule_off"] == PRESOLVE_AGGREGATOR == 1 << 12
+
+
+def test_time_limit_verdict_without_incumbent_carries_nodes_and_bound():
+    # the padded global-phase magic_small model finds its first word after
+    # 0.25 s or more of root cuts and heuristics
+    f = next(f for f in oracle_corpus() if f.name == "magic_small")
+    p = SynthesisProblem(f.target, f.gate_set, P=f.P, phase_mode="global_phase",
+                         cuts=CutSelection.from_names("identity"))
+    model, _ = build_model(p)
+    sol = get_backend("scipy").solve(model, time_limit=0.05)
+    assert (sol.status, sol.x, sol.objective) == ("time_limit", None, None)
+    assert isinstance(sol.nodes, int) and sol.nodes >= 0
+    # a dual bound, once HiGHS has a finite one, lies at or below the 4-gate optimum
+    assert sol.bound is None or sol.bound <= 4.0 + 1e-9
