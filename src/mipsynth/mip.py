@@ -1,16 +1,18 @@
 """Solver-agnostic mixed-integer model container.
 
 Variables, linear constraints, and the objective live here as plain arrays;
-backends consume them via `to_arrays`.  The container also knows how to
-measure a candidate point's violation of every bound and row, family by
-family (used to re-verify solver output independently), and how to serialize
-itself to LP format for debugging.
+each row is stored once, row-wise (row starts, column ids, coefficients),
+with its family, and backends consume the store via `to_arrays`.  The
+container also measures a candidate point's violation of every bound and
+row, family by family (used to re-verify solver output independently), and
+serializes itself to LP format for debugging.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +24,13 @@ UNNAMED_FAMILY = "other"
 
 @dataclass
 class ModelArrays:
-    """Dense/COO view of a model, ready for any array-based backend."""
+    """Dense vectors and the CSR matrix of a model: row r is at a_start[r]:a_start[r + 1]."""
 
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     integrality: np.ndarray
-    a_rows: np.ndarray
+    a_start: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
     row_lb: np.ndarray
@@ -47,13 +49,13 @@ class MipModel:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._int: list[bool] = []
-        self._row_cols: list[list[int]] = []
-        self._row_vals: list[list[float]] = []
+        self._start: list[int] = [0]
+        self._cols: list[int] = []
+        self._vals: list[float] = []
         self._row_lb: list[float] = []
         self._row_ub: list[float] = []
-        self._row_family: list[str] = []
+        self._row_family: list[str | None] = []
         self._obj: dict[int, float] = {}
-        self.family_rows: dict[str, int] = {}
 
     # -- variables ---------------------------------------------------------
 
@@ -64,6 +66,11 @@ class MipModel:
     @property
     def num_rows(self) -> int:
         return len(self._row_lb)
+
+    @property
+    def family_rows(self) -> dict[str, int]:
+        """Rows per family, in order of first use; unnamed rows are left out."""
+        return dict(Counter(f for f in self._row_family if f is not None))
 
     def add_var(self, name: str, lb: float = -_INF, ub: float = _INF,
                 integer: bool = False) -> int:
@@ -94,8 +101,6 @@ class MipModel:
     def add_constr(self, coefs: dict[int, float], sense: str, rhs: float,
                    family: str | None = None) -> int:
         """One linear row.  `sense` is '<=', '>=', or '=='."""
-        cols = list(coefs.keys())
-        vals = [float(coefs[c]) for c in cols]
         if sense == "<=":
             lo, hi = -_INF, float(rhs)
         elif sense == ">=":
@@ -104,13 +109,12 @@ class MipModel:
             lo = hi = float(rhs)
         else:
             raise ValueError(f"unknown sense {sense!r}")
-        self._row_cols.append(cols)
-        self._row_vals.append(vals)
+        self._cols.extend(coefs)
+        self._vals.extend(float(v) for v in coefs.values())
+        self._start.append(len(self._cols))
         self._row_lb.append(lo)
         self._row_ub.append(hi)
-        self._row_family.append(UNNAMED_FAMILY if family is None else family)
-        if family is not None:
-            self.family_rows[family] = self.family_rows.get(family, 0) + 1
+        self._row_family.append(family)
         return len(self._row_lb) - 1
 
     def add_product_binary(self, w: int, z1: int, z2: int,
@@ -139,30 +143,19 @@ class MipModel:
 
     # -- export / checking -----------------------------------------------------
 
-    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row ids, column ids and values of every nonzero, row by row."""
-        lengths = [len(cols) for cols in self._row_cols]
-        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), lengths)
-        cols = np.fromiter((c for cs in self._row_cols for c in cs),
-                           dtype=np.int64, count=len(rows))
-        vals = np.fromiter((v for vs in self._row_vals for v in vs),
-                           dtype=float, count=len(rows))
-        return rows, cols, vals
-
     def to_arrays(self) -> ModelArrays:
         n = self.num_vars
         c = np.zeros(n)
         for i, v in self._obj.items():
             c[i] = v
-        rows, cols, vals = self._coo()
         return ModelArrays(
             c=c,
             lb=np.array(self._lb),
             ub=np.array(self._ub),
             integrality=np.array(self._int, dtype=np.int64),
-            a_rows=rows,
-            a_cols=cols,
-            a_vals=vals,
+            a_start=np.array(self._start, dtype=np.int64),
+            a_cols=np.array(self._cols, dtype=np.int64),
+            a_vals=np.array(self._vals, dtype=float),
             row_lb=np.array(self._row_lb),
             row_ub=np.array(self._row_ub),
             sense=self.sense,
@@ -187,11 +180,13 @@ class MipModel:
             "bounds": worst(np.maximum(np.array(self._lb) - x, x - np.array(self._ub))),
             "integrality": worst(np.abs(x - np.round(x))[self.integer_vars()]),
         }
-        rows, cols, vals = self._coo()
-        ax = np.bincount(rows, weights=vals * x[cols], minlength=self.num_rows)
+        rows = np.repeat(np.arange(self.num_rows), np.diff(self._start))
+        terms = np.array(self._vals, dtype=float) * x[np.array(self._cols, dtype=np.int64)]
+        ax = np.bincount(rows, weights=terms, minlength=self.num_rows)
         row_v = np.maximum(np.array(self._row_lb) - ax, ax - np.array(self._row_ub))
-        fams = np.array(self._row_family, dtype=object)
-        for fam in dict.fromkeys(self._row_family):
+        fams = np.array([UNNAMED_FAMILY if f is None else f for f in self._row_family],
+                        dtype=object)
+        for fam in dict.fromkeys(fams):
             out[fam] = worst(row_v[fams == fam])
         return out
 
@@ -211,8 +206,8 @@ class MipModel:
             nm(0) if self.num_vars else "x0")
         out.append(" obj: " + obj_terms)
         out.append("Subject To")
-        for r, (cols, vals) in enumerate(zip(self._row_cols, self._row_vals)):
-            body = " ".join(term(v, c) for c, v in zip(cols, vals))
+        for r, (s, e) in enumerate(zip(self._start, self._start[1:])):
+            body = " ".join(term(v, c) for c, v in zip(self._cols[s:e], self._vals[s:e]))
             lo, hi = self._row_lb[r], self._row_ub[r]
             if lo == hi:
                 out.append(f" c{r}: {body} = {lo:.17g}")

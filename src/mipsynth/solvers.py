@@ -38,7 +38,8 @@ ORACLE_BACKEND_NAMES = frozenset({"oracle", "exhaustive"})
 PRESOLVE_AGGREGATOR = 1 << 12
 
 #: scipy's private HiGHS bindings and the names `solve` reads from them.  The
-#: module is imported on the first solve: the import takes about half a second.
+#: module is imported on first use, not with mipsynth: the import takes about
+#: half a second.
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 HIGHS_NAMES = ("_Highs", "HighsLp", "HighsModelStatus", "HighsStatus",
                "HighsVarType", "MatrixFormat")
@@ -78,7 +79,7 @@ def _finite(value: float) -> float | None:
 
 
 class ScipyHighsBackend:
-    """HiGHS branch and bound on a column-wise copy of the model.
+    """HiGHS branch and bound on the model's rows, passed as it stores them.
 
     Deterministic and single-threaded, on linear objectives.  Each solve is
     one HiGHS run at relative gap DEFAULT_GAP_TOL, and its verdict,
@@ -95,8 +96,6 @@ class ScipyHighsBackend:
         will not load or a run that fails raises BackendError; it is never
         read as a verdict.
         """
-        from scipy.sparse import csc_array
-
         core = highs_core()
         start = time.perf_counter()
         arr = model.to_arrays()
@@ -106,15 +105,14 @@ class ScipyHighsBackend:
                 return Solution(status="time_limit")
         sign = -1.0 if arr.sense == "max" else 1.0
         n, m = model.num_vars, arr.num_rows
-        a = csc_array((arr.a_vals, (arr.a_rows, arr.a_cols)), shape=(m, n))
         lp = core.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = sign * arr.c, arr.lb, arr.ub
         lp.row_lower_, lp.row_upper_ = arr.row_lb, arr.row_ub
         mat = lp.a_matrix_
-        mat.format_ = core.MatrixFormat.kColwise
+        mat.format_ = core.MatrixFormat.kRowwise
         mat.num_col_, mat.num_row_ = n, m
-        mat.start_, mat.index_, mat.value_ = a.indptr, a.indices, a.data
+        mat.start_, mat.index_, mat.value_ = arr.a_start, arr.a_cols, arr.a_vals
         lp.integrality_ = [core.HighsVarType(int(k)) for k in arr.integrality]
 
         highs = core._Highs()

@@ -1,6 +1,7 @@
 """Model assembly and the end-to-end synthesis driver on small instances."""
 
 import itertools
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -200,12 +201,14 @@ def test_build_base_counts():
                              "span": 3 + 4 + 5 * 3}
     assert fixed_zeros(m) == 2 + 5 * 2
     assert h.z.shape == (5, 2) and h.ghat.shape == (2, 2, 2, 2)
-    assert h.v.shape == (3, 5, 2, 2, 2) and h.meet == 2
+    # the one copy step, p = 2, copies Ghat_1 (ghat[0])
+    assert list(h.copies) == [2] and h.copies[2][0] == 0
+    assert h.copies[2][1].shape == (5, 2, 2, 2)
 
     p1 = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=1,
                           objective="linearized_fidelity")
     m, h = build_base(p1)
-    assert m.num_vars == 5 + 8 and h.v is None
+    assert m.num_vars == 5 + 8 and h.copies == {}
     # span: Ghat_1 in L_1, 5 - 2 rows and 2 zeros fixed
     assert m.family_rows == {"one_hot": 1, "cumulative": 8, "span": 3}
     assert fixed_zeros(m) == 2
@@ -218,7 +221,10 @@ def test_build_base_counts():
         warnings.simplefilter("ignore")
         exact = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=5)
         m, h = build_base(exact)
-    assert h.meet == 3 and h.ghat.shape == (4, 2, 2, 2)
+    assert h.ghat.shape == (4, 2, 2, 2)
+    # forward steps p = 2, 3 copy Ghat_1, Ghat_2; backward p = 4 copies Ghat_4
+    assert {p: k for p, (k, _) in h.copies.items()} == {2: 0, 3: 1, 4: 3}
+    assert all(ids.shape == (3, 2, 2, 2) for _, ids in h.copies.values())
     assert m.num_vars == 15 + 32 + 72
     # one-hot: P; cumulative: 2n^2 for Ghat_1 plus 2n^2 per copy step;
     # disjunctive: (P-2)*(|G|*4n^2 + 2n^2); target: 2n^2 for Ghat_{P-1}
@@ -241,7 +247,7 @@ def test_build_base_counts():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         m, h = build_base(SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=1))
-    assert h.meet == 0 and h.ghat.shape == (0, 2, 2, 2) and h.v is None
+    assert h.ghat.shape == (0, 2, 2, 2) and h.copies == {}
     assert m.num_vars == 3
     assert m.family_rows == {"one_hot": 1, "target": 8}
     # global phase: z plus (r_g, s_g), 3|G| variables; 4|G| bounds
@@ -724,6 +730,22 @@ def test_time_limit_covers_the_model_build(monkeypatch):
                          phase_mode="global_phase")
     r = synthesize(p, backend="scipy", time_limit=0.2)
     assert r.status == "time_limit" and r.sequence == []
+
+
+def test_the_highs_import_is_outside_the_budget(monkeypatch, tmp_path):
+    # a stand-in for scipy's HiGHS bindings whose first import takes 1 s: the
+    # word T.T must still be found within a 0.5 s budget
+    (tmp_path / "slow_highs_core.py").write_text(
+        "import time\n"
+        "time.sleep(1.0)\n"
+        f"from {solvers.HIGHS_MODULE} import {', '.join(solvers.HIGHS_NAMES)}\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "slow_highs_core", raising=False)
+    monkeypatch.setattr(solvers, "HIGHS_MODULE", "slow_highs_core")
+    f = next(f for f in oracle_corpus() if f.name == "t2_s")
+    r = synthesize(SynthesisProblem(f.target, f.gate_set, P=f.P), backend="scipy",
+                   time_limit=0.5)
+    assert r.status == "optimal" and [s.name for s in r.sequence] == ["T", "T"]
 
 
 def test_a_rung_out_of_time_ends_the_ladder(monkeypatch):

@@ -48,6 +48,53 @@ def test_model_bookkeeping():
     assert arr.lb[b] == arr.ub[b] == 1.0
 
 
+def _row_store_model() -> tuple[MipModel, list]:
+    """A small model and its rows as added: (coefs, lo, hi, family)."""
+    m = MipModel()
+    x, y, b = m.add_var("x", 0.0, 3.0), m.add_var("y", -1.0, 1.0), m.add_binary("b")
+    rows = [({y: 2.0, x: -1.0}, -math.inf, 1.0, "caps"),
+            ({b: 1.0}, 0.5, math.inf, None),
+            ({x: 1.0, y: 1.0, b: -4.0}, 0.0, 0.0, "links"),
+            ({}, -math.inf, 0.0, None),
+            ({b: 3.5, x: 0.25}, 1.0, math.inf, "caps")]
+    for coefs, lo, hi, family in rows:
+        sense = "==" if lo == hi else "<=" if lo == -math.inf else ">="
+        m.add_constr(coefs, sense, hi if sense == "<=" else lo, family=family)
+    return m, rows
+
+
+def test_rows_come_back_as_they_were_added():
+    m, rows = _row_store_model()
+    arr = m.to_arrays()
+    assert arr.num_rows == m.num_rows == len(rows)
+    assert list(arr.a_start) == [0, 2, 3, 6, 6, 8]
+    for r, (coefs, lo, hi, _) in enumerate(rows):
+        s, e = arr.a_start[r], arr.a_start[r + 1]
+        assert list(arr.a_cols[s:e]) == list(coefs)
+        assert list(arr.a_vals[s:e]) == list(coefs.values())
+        assert (arr.row_lb[r], arr.row_ub[r]) == (lo, hi)
+    # the per-family tally skips rows added without a family
+    tally: dict[str, int] = {}
+    for *_, family in rows:
+        if family is not None:
+            tally[family] = tally.get(family, 0) + 1
+    assert m.family_rows == tally == {"caps": 2, "links": 1}
+    assert list(m.check_point(np.zeros(3))) == [
+        "bounds", "integrality", "caps", "other", "links"]
+
+
+def test_highs_loads_the_rows_as_stored(monkeypatch):
+    seen = _spy_highs(monkeypatch)
+    m, rows = _row_store_model()
+    m.set_objective({0: 1.0})
+    get_backend("scipy").solve(m)
+    fmt, start, index, value = seen[0].matrix
+    assert fmt == solvers.highs_core().MatrixFormat.kRowwise
+    assert start == [0, 2, 3, 6, 6, 8]
+    assert index == [c for coefs, *_ in rows for c in coefs]
+    assert value == [v for coefs, *_ in rows for v in coefs.values()]
+
+
 def test_check_point_reports_worst_violation():
     m = MipModel()
     v = m.add_var("v", 0.0, 1.0)
@@ -78,7 +125,7 @@ def test_violations_by_family():
 
 
 def _spy_highs(monkeypatch) -> list:
-    """Record every HiGHS object a solve makes: its options and its runs."""
+    """Record every HiGHS object a solve makes: its options, matrix and runs."""
     core = solvers.highs_core()
     real = core._Highs
     seen = []
@@ -95,6 +142,11 @@ def _spy_highs(monkeypatch) -> list:
         def run(self):
             self.runs += 1
             return self.highs.run()
+
+        def passModel(self, lp):
+            a = lp.a_matrix_
+            self.matrix = (a.format_, list(a.start_), list(a.index_), list(a.value_))
+            return self.highs.passModel(lp)
 
         def __getattr__(self, name):
             return getattr(self.highs, name)

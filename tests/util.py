@@ -49,10 +49,8 @@ def beta_interval(model, beta: int, fixed: dict[int, float]) -> tuple[float, flo
 
     arr = model.to_arrays()
     lo, hi = arr.lb[beta], arr.ub[beta]
-    rows: dict[int, dict[int, float]] = {}
-    for r, c, v in zip(arr.a_rows, arr.a_cols, arr.a_vals):
-        rows.setdefault(int(r), {})[int(c)] = float(v)
-    for r, coefs in rows.items():
+    for r, (s, e) in enumerate(zip(arr.a_start, arr.a_start[1:])):
+        coefs = {int(c): float(v) for c, v in zip(arr.a_cols[s:e], arr.a_vals[s:e])}
         const = sum(v * fixed[c] for c, v in coefs.items() if c != beta)
         b_coef = coefs.get(beta, 0.0)
         if b_coef == 0.0:
