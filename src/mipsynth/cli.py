@@ -166,7 +166,7 @@ def _load_json(path: str) -> dict:
 _QASM_NAMES = {"h": "H", "x": "X", "y": "Y", "z": "Z", "s": "S", "sdg": "Sdg",
                "t": "T", "tdg": "Tdg", "cx": "CNOT", "cnot": "CNOT",
                "cz": "CZ", "id": "I", "rx": "RX", "ry": "RY", "rz": "RZ"}
-_QASM_SKIP = ("openqasm", "include", "barrier", "//")
+_QASM_SKIP = ("openqasm", "include", "barrier")
 #: Statements that are not gate applications: declarations, measurement,
 #: classical control and gate definitions.
 _QASM_STATEMENTS = {"creg", "measure", "reset", "if", "gate", "opaque"}
@@ -205,11 +205,12 @@ def parse_qasm(text: str) -> tuple[list[GateSpec], int]:
     """Named-gate subset of OPENQASM 2.0; no classical control.
 
     One quantum register, the gates of `_QASM_NAMES`, and rotation angles
-    as arithmetic over `pi`.  Anything else is rejected.
+    as arithmetic over `pi`; `//` comments run to the end of their line.
+    Anything else is rejected.
     """
     num_qubits = 0
     specs: list[GateSpec] = []
-    for raw in text.split(";"):
+    for raw in re.sub(r"//[^\n]*", "", text).split(";"):
         line = raw.strip()
         if not line or any(line.lower().startswith(p) for p in _QASM_SKIP):
             continue
@@ -339,6 +340,11 @@ def _phase_mode(cfg: dict) -> str:
     return "global_phase" if mode == "global" else mode
 
 
+def _cut_selection(cfg: dict) -> CutSelection:
+    """The config's cut families, or the library default when it names none."""
+    return CutSelection() if cfg.get("cuts") is None else CutSelection.from_names(cfg["cuts"])
+
+
 def build_problem(cfg: dict, allowed_objectives: tuple[str, ...]) -> SynthesisProblem:
     registry = _registry(cfg)
     gs = resolve_gate_set(cfg, registry)
@@ -356,7 +362,7 @@ def build_problem(cfg: dict, allowed_objectives: tuple[str, ...]) -> SynthesisPr
         target=target, gate_set=gs, P=int(p), D=cfg.get("D"),
         objective=objective, phase_mode=_phase_mode(cfg),
         weights=None if weights is None else np.asarray(weights, dtype=float),
-        cuts=CutSelection.from_names(cfg.get("cuts", "identity")),
+        cuts=_cut_selection(cfg),
     )
     if "epsilon" in cfg:
         kwargs["epsilon"] = float(cfg["epsilon"])
@@ -507,8 +513,7 @@ def run_rho(cfg: dict) -> tuple[int, dict, list[str]]:
     if rc.get("time_limit_per_window") is None:
         rc["time_limit_per_window"] = cfg.get("time_limit")
     rho_cfg = RhoConfig(backend=cfg.get("backend", "oracle"),
-                        cuts=CutSelection.from_names(cfg.get("cuts", "identity")),
-                        **rc)
+                        cuts=_cut_selection(cfg), **rc)
     result = rolling_horizon(circuit, rho_cfg)
     report = {
         "command": "rho",

@@ -1,4 +1,4 @@
-"""Unitarity check, determinant normalization and fidelity of complex matrices.
+"""Unitarity check, matrix equality, determinant normalization and fidelity.
 
 The paper writes its model over the real block encoding R(.), which replaces
 every entry a + ib with the 2x2 block [[a, -b], [b, a]].  The synthesis
@@ -17,6 +17,8 @@ from .errors import DimensionError, UnitarityError
 
 #: Tolerance for unitarity checks.
 UNITARY_TOL = 1e-9
+#: Entrywise tolerance of equal_matrices, the one rule for matrix equality.
+VERIFY_TOL = 1e-9
 
 #: Unitarity defect above which require_unitary projects onto the unitaries:
 #: far above rounding, far below the 1e-9 that polished rows are held to.
@@ -49,6 +51,19 @@ def require_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
     return u
 
 
+def equal_matrices(a: np.ndarray, b: np.ndarray, up_to_phase: bool = False,
+                   tol: float = VERIFY_TOL):
+    """Whether a and b agree within tol in every entry, or up to a global phase.
+
+    Up to phase, b is first rotated by the phase of tr(a^dag b); both modes
+    then compare entry by entry, so the rule is first order in the entry
+    error.  The last two axes are compared and the rest broadcast.
+    """
+    if up_to_phase:
+        b = b * np.exp(-1j * np.angle((a.conj() * b).sum(axis=(-2, -1))))[..., None, None]
+    return np.abs(a - b).max(axis=(-2, -1), initial=0.0) <= tol
+
+
 def su_normalize(u: np.ndarray) -> np.ndarray:
     """Rescale a unitary by the principal n-th root of det(u)^-1.
 
@@ -73,4 +88,5 @@ def fidelity(u: np.ndarray, t: np.ndarray) -> float:
     return float(abs(np.trace(t.conj().T @ u)) ** 2) / n ** 2
 
 
-__all__ = ["UNITARY_TOL", "require_unitary", "su_normalize", "fidelity"]
+__all__ = ["UNITARY_TOL", "VERIFY_TOL", "require_unitary", "equal_matrices",
+           "su_normalize", "fidelity"]

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of inputs."""
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -21,6 +23,10 @@ class ModelIntegrityError(RuntimeError):
     """A solver solution failed independent re-verification."""
 
 
+class TargetMissError(ModelIntegrityError):
+    """A word's product is not the target under the problem's phase rule."""
+
+
 class OracleInconclusiveError(RuntimeError):
     """The exhaustive oracle exceeded its node budget before finishing."""
 
@@ -31,3 +37,15 @@ class BackendError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration failed schema validation."""
+
+
+def checked_integer(value, name: str) -> int:
+    """value as an int; ConfigError for a bool or a value that is not integral
+    (a string is never equal to the integer it spells)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if value == int(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r:.40}")

@@ -88,12 +88,12 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .cuts import CutSelection, apply_cuts
-from .encoding import require_unitary, su_normalize
-from .errors import ConfigError, DimensionError, ModelIntegrityError
+from .encoding import equal_matrices, require_unitary, su_normalize
+from .errors import (ConfigError, DimensionError, ModelIntegrityError, TargetMissError,
+                     checked_integer)
 from .gates import GateSet, GateSpec, sequence_product
 from .mip import MipModel
 from .oracle import checked_time_limit
-from .relations import equal_matrices
 from .solvers import (DEFAULT_GAP_TOL, PRESOLVE_AGGREGATOR, ScipyHighsBackend, Solution,
                       get_backend, highs_core, is_oracle_backend)
 
@@ -123,17 +123,6 @@ WEIGHT_CAP = 1e15
 #: this share of the candidates' norm; span-row coefficients at or below it
 #: are dropped.  Both errors stay far inside POLISH_TOL.
 SPAN_TOL = 1e-12
-
-
-def checked_integer(value, name: str) -> int:
-    """value as an int; ConfigError for a bool or a value that is not integral."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            if value == int(value):
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r:.40}")
 
 
 @dataclass
@@ -236,7 +225,7 @@ class SynthesisProblem:
             return self.target.copy(), mats
         eff = np.stack([su_normalize(m) for m in mats])
         for g in gs.non_identity_indices():
-            if not gs[g].support and np.abs(eff[g] - np.eye(gs.dim)).max() <= 1e-9:
+            if not gs[g].support and equal_matrices(eff[g], np.eye(gs.dim)):
                 raise ConfigError(
                     f"exact phase mode: gate {gs.label(g)} is a pure phase and "
                     "normalizes to the identity; drop it or use global phase mode")
@@ -622,8 +611,8 @@ def verify_sequence(problem: SynthesisProblem, gate_indices: list[int]) -> Synth
     The word is multiplied once, in the problem's effective instance;
     normalization rescales each matrix by a phase, so the fidelity is the
     library's.  For a target objective the product must equal the target
-    as the oracle's search asks (equal_matrices at oracle.VERIFY_TOL, under
-    the problem's phase rule), or ModelIntegrityError is raised.  The phase
+    by equal_matrices under the problem's phase rule, the test the oracle's
+    search applies to its hits, or TargetMissError is raised.  The phase
     factor is alpha + i*beta in global-phase mode with a target: the last
     gate's phase split (r_g + i s_g).  objective_value is the word's weight,
     depth, alpha, fidelity or squared Frobenius error, as the objective asks.
@@ -634,11 +623,11 @@ def verify_sequence(problem: SynthesisProblem, gate_indices: list[int]) -> Synth
     overlap = np.vdot(eff_t, eff_prod) / gs.dim  # tr(T^dag U) / n
     alpha, beta = float(overlap.real), float(overlap.imag)
     fid = alpha ** 2 + beta ** 2
-    if problem.targets_equality() and not equal_matrices(
-            eff_prod, eff_t, problem.up_to_phase, oracle_mod.VERIFY_TOL):
-        raise ModelIntegrityError(f"the chosen circuit misses the target: fidelity "
-                                  f"{fid:.12f}, entries off by up to "
-                                  f"{np.abs(eff_prod - eff_t).max():.3e}")
+    if problem.targets_equality() and not equal_matrices(eff_prod, eff_t,
+                                                         problem.up_to_phase):
+        raise TargetMissError(f"the chosen circuit misses the target: fidelity "
+                              f"{fid:.12f}, entries off by up to "
+                              f"{np.abs(eff_prod - eff_t).max():.3e}")
     fro_sq = float(np.sum(np.abs(eff_prod - eff_t) ** 2) * 2.0)
     depth, schedule = schedule_depth([gs[g].support for g in gate_indices])
     return SynthesisResult(
@@ -807,17 +796,22 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     time by more than half and decides rungs that run out of time with it
     on.  The padded models of the other objectives keep it, since there it
     broke ties differently, slowed some solves and proved one false
-    infeasibility.  All rungs share the caller's `time_limit`, counted from
-    t0.  The certificate lists the rungs with verdict, seconds
-    and nodes; its row families and `cutoff` (None for no cutoff row) are
-    those of the last rung built.
+    infeasibility.  HiGHS's feasibility tolerance can admit a word that
+    verify_sequence rejects, a near miss such as RZ(0.6 + 1e-8) for RZ(0.6);
+    the rung then forbids that word with one row (family forbidden_word),
+    sum_p z[w_p, p] <= L - 1, and solves again.  A rejected word is no
+    answer, so the rung keeps every answer it had and the argument for the
+    pattern cuts (see cuts) holds as before.  Any other extraction failure
+    raises.  All solves share the caller's `time_limit`, counted from t0.
+    The certificate lists the rungs with verdict, seconds and nodes (summed
+    over the rung's solves); its row families and `cutoff` (None for no
+    cutoff row) are those of the last rung built.
     """
     gs = problem.gate_set
     lightest = min((float(problem.weights[g]) for g in gs.non_identity_indices()),
                    default=math.inf)
     best = None
-    if equal_matrices(np.eye(gs.dim), problem.effective_instance[0],
-                      problem.up_to_phase, oracle_mod.VERIFY_TOL):
+    if equal_matrices(np.eye(gs.dim), problem.effective_instance[0], problem.up_to_phase):
         best = replace(verify_sequence(problem, []),
                        certificate={"bound": 0.0, "gap": 0.0})
     rungs = [{"L": 0, "verdict": "infeasible" if best is None else "optimal",
@@ -830,16 +824,25 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
             break
         start, built = time.perf_counter(), cutoff
         rung, model, handles = ladder_rung(problem, L, cutoff)
-        if time_limit is not None:
-            left = time_limit - (time.perf_counter() - t0)
-        sol = backend.solve(model, time_limit=left,
-                            presolve_rule_off=PRESOLVE_AGGREGATOR)
-        if sol.x is not None:
-            found = extract_and_verify(rung, model, handles, sol)
-            if best is None or found.objective_value < best.objective_value:
-                best = found
-        rungs.append({"L": L, "verdict": sol.status,
-                      "seconds": time.perf_counter() - start, "nodes": sol.nodes})
+        found, nodes = None, []
+        while found is None:
+            if time_limit is not None:
+                left = time_limit - (time.perf_counter() - t0)
+            sol = backend.solve(model, time_limit=left,
+                                presolve_rule_off=PRESOLVE_AGGREGATOR)
+            nodes += [] if sol.nodes is None else [sol.nodes]
+            if sol.x is None:
+                break
+            try:
+                found = extract_and_verify(rung, model, handles, sol)
+            except TargetMissError:
+                word = np.argmax(sol.x[handles.z], axis=0)
+                model.add_constr({int(handles.z[g, p]): 1.0 for p, g in enumerate(word)},
+                                 "<=", L - 1.0, family="forbidden_word")
+        if found is not None and (best is None or found.objective_value < best.objective_value):
+            best = found
+        rungs.append({"L": L, "verdict": sol.status, "seconds": time.perf_counter() - start,
+                      "nodes": sum(nodes) if nodes else None})
         if sol.status in ("feasible", "time_limit"):
             decided = False
             break

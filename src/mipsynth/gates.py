@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import require_unitary
-from .errors import DimensionError, GateSetError
+from .encoding import VERIFY_TOL, equal_matrices, require_unitary
+from .errors import DimensionError, GateSetError, checked_integer
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -115,7 +115,8 @@ class GateSpec:
     def __post_init__(self):
         m = require_unitary(self.matrix, name=f"gate {self.name}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(
+            checked_integer(q, f"gate {self.name}: a qubit label") for q in self.qubits))
         k = len(self.qubits)
         if len(set(self.qubits)) != k:
             raise GateSetError(f"gate {self.name}: repeated qubit in {self.qubits}")
@@ -175,9 +176,7 @@ class ExtendedGate:
 
     @property
     def is_identity(self) -> bool:
-        return not self.support and bool(
-            np.abs(self.full - np.eye(self.full.shape[0])).max() <= 1e-9
-        )
+        return not self.support and bool(equal_matrices(self.full, np.eye(len(self.full))))
 
 
 def extend_gate(spec: GateSpec, num_qubits: int) -> ExtendedGate:
@@ -223,7 +222,7 @@ def sequence_product(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
 
 def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int) -> bool:
     """True when `u` factors as identity on `qubit` times some matrix on the
-    rest, within 1e-9 entrywise."""
+    rest, within VERIFY_TOL entrywise."""
     u = np.asarray(u)
     dim = 2 ** num_qubits
     if u.shape != (dim, dim):
@@ -232,10 +231,10 @@ def acts_trivially(u: np.ndarray, qubit: int, num_qubits: int) -> bool:
     # fronted view of u is indexed by its inverse
     inv = np.argsort(front_permutation((qubit,), num_qubits))
     v = u[np.ix_(inv, inv)]
-    h, tol = dim // 2, 1e-9
-    if np.abs(v[:h, h:]).max() > tol or np.abs(v[h:, :h]).max() > tol:
+    h = dim // 2
+    if np.abs(v[:h, h:]).max() > VERIFY_TOL or np.abs(v[h:, :h]).max() > VERIFY_TOL:
         return False
-    return bool(np.abs(v[:h, :h] - v[h:, h:]).max() <= tol)
+    return bool(equal_matrices(v[:h, :h], v[h:, h:]))
 
 
 class GateSet:
@@ -260,13 +259,12 @@ class GateSet:
         self.identity_index = id_idx[0]
         mats = self.matrices()
         for i in range(len(self.gates)):
-            for j in range(i + 1, len(self.gates)):
-                if np.abs(mats[i] - mats[j]).max() <= 1e-9:
-                    warnings.warn(
-                        f"gates {self.gates[i].name}@{self.gates[i].qubits} and "
-                        f"{self.gates[j].name}@{self.gates[j].qubits} have identical matrices",
-                        stacklevel=2,
-                    )
+            for j in i + 1 + np.flatnonzero(equal_matrices(mats[i + 1:], mats[i])):
+                warnings.warn(
+                    f"gates {self.gates[i].name}@{self.gates[i].qubits} and "
+                    f"{self.gates[j].name}@{self.gates[j].qubits} have identical matrices",
+                    stacklevel=2,
+                )
 
     @classmethod
     def from_specs(cls, num_qubits: int, specs: Iterable[GateSpec]) -> "GateSet":
@@ -373,7 +371,8 @@ def circuit_from_doc(doc: dict) -> tuple[list[GateSpec], int]:
     try:
         if "circuit" in doc and "gates" not in doc:
             doc = doc["circuit"]
-        num_qubits, entries = int(doc["qubits"]), doc["gates"]
+        num_qubits = checked_integer(doc["qubits"], "gate-list document 'qubits'")
+        entries = doc["gates"]
         if not isinstance(entries, list):
             raise TypeError(f"'gates' must be a list, got {type(entries).__name__}")
     except (KeyError, TypeError) as exc:

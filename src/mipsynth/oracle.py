@@ -36,7 +36,13 @@ gives the keys of all children of a parent chunk from one GEMM, and
 <C_d, g^H Y> = <g C_d, Y> with Y = A^H T gives the right-factor keys of a
 query the same way.  Only hits are formed as matrices.  Two distinct
 matrices share a key only if they agree to about 1e-6 along all 8
-directions; every hit is still re-verified against the exact matrices.
+directions; every hit is still re-verified against the exact matrices by
+encoding.equal_matrices, the rule verify_sequence applies.  The search
+accepts only what a key finds: no neighbouring key cell is probed, so a
+word within VERIFY_TOL of the target whose right factor's sketch rounds
+into the next KEY_SCALE cell is missed.  Exact words sit about 1e-15 from
+the target, far from a cell edge; only a word off by nearly VERIFY_TOL can
+fall on the other side.
 
 The least depth is the least d whose cheapest word of at most d layers has
 at most P gates.  A gate on no qubit is a pure phase: it takes no layer, so
@@ -62,9 +68,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .encoding import VERIFY_TOL, equal_matrices
 from .errors import ConfigError, OracleInconclusiveError
 from .gates import GateSet, sequence_product
-from .relations import WEIGHT_TOL, canonical_phase, equal_matrices
+from .relations import WEIGHT_TOL, canonical_phase
 
 if TYPE_CHECKING:
     from .formulation import SynthesisProblem
@@ -81,8 +88,6 @@ _MATRIX_BUDGET_BYTES = 800 << 20
 #: Total stored_bytes the table cache keeps before evicting the least
 #: recently used tables; equal to one table's budget.
 CACHE_BUDGET_BYTES = _MATRIX_BUDGET_BYTES
-#: Tolerance for the final exact re-verification of a candidate sequence.
-VERIFY_TOL = 1e-9
 #: Search nodes one exhaustive_synthesize call may visit before it gives up.
 NODE_BUDGET = 20_000_000
 #: Transient chunk size target in bytes for vectorized expansions.
@@ -329,7 +334,7 @@ class LevelTables:
             yield lo, self._hash(self._sketch(y, self.query_map)[local])
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
-        return equal_matrices(a, b, self.up_to_phase, VERIFY_TOL)
+        return equal_matrices(a, b, self.up_to_phase)
 
     def peel(self, l: int, i: int) -> list[int]:
         """Member i of level l spelled as positions into self.gen, first letter
@@ -557,5 +562,5 @@ def exhaustive_synthesize(problem: SynthesisProblem,
 
 __all__ = [
     "OracleResult", "exhaustive_synthesize", "checked_time_limit",
-    "LevelTables", "clear_oracle_cache", "CACHE_BUDGET_BYTES", "KEY_SCALE", "VERIFY_TOL",
+    "LevelTables", "clear_oracle_cache", "CACHE_BUDGET_BYTES", "KEY_SCALE",
 ]

@@ -6,8 +6,8 @@ each multiplied out once (gate 1 is the leftmost factor).  Words are
 bucketed by their product rounded at 1e-6, after fixing the global phase
 when equality is up to phase, and each bucket is split into equal-product
 classes by checking every member against the first word of its class in
-exact arithmetic (`equal_matrices`), so a rounding collision never joins
-two words.  Three relations are read off the classes:
+exact arithmetic (encoding.equal_matrices), so a rounding collision never
+joins two words.  Three relations are read off the classes:
 
 - commuting pairs: gates i < j whose words ij and ji share a class;
 - equivalent groups: the words of one length >= 2 that share a class,
@@ -29,29 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoding import equal_matrices
 from .errors import ConfigError
 from .gates import GateSet
 
-#: Entrywise tolerance for relation equality checks.
-RELATION_TOL = 1e-8
 #: Most letters (k per word of length k) the word table holds; k_max shrinks to fit.
 ENUMERATION_LIMIT = 200_000
 #: Slack when comparing the weights of two words.
 WEIGHT_TOL = 1e-12
-
-
-def equal_matrices(a: np.ndarray, b: np.ndarray, up_to_phase: bool,
-                   tol: float = RELATION_TOL):
-    """Equality of same-shaped matrices, optionally up to a global phase.
-
-    Either side may be a stack; the last two axes are compared and the rest
-    broadcast.  The phase test |Tr(a^dag b)| = n is exact for unitaries and
-    tolerant for near-unitaries at our scales.
-    """
-    if not up_to_phase:
-        return np.abs(a - b).max(axis=(-2, -1)) <= tol
-    n = a.shape[-1]
-    return np.abs(np.abs((a.conj() * b).sum(axis=(-2, -1))) - n) <= tol * n
 
 
 def canonical_phase(stack: np.ndarray) -> np.ndarray:
@@ -138,7 +123,7 @@ def detect_relations(mats: np.ndarray, identity_index: int, k_max: int = 3,
     `identity_index`, with lengths 2..k_max (k_max >= 2); k_max is reduced,
     with a warning, to the largest one whose words hold at most
     ENUMERATION_LIMIT letters, but not below 2, and to 2 without a
-    non-identity gate.  Products are equal within RELATION_TOL.
+    non-identity gate.  Products are equal by encoding.equal_matrices.
     """
     if k_max < 2:
         raise ConfigError(f"k_max must be >= 2, got {k_max}")
@@ -176,7 +161,7 @@ def detect_relations(mats: np.ndarray, identity_index: int, k_max: int = 3,
     cat = RelationCatalog(up_to_phase=up_to_phase, k_max=eff_k_max)
     for members in map(np.array, buckets.values()):
         while len(members) > 1:
-            same = equal_matrices(table[members], table[members[0]], up_to_phase, RELATION_TOL)
+            same = equal_matrices(table[members], table[members[0]], up_to_phase)
             same[0] = True
             _read_class([words[i] for i in members[same]], cat)
             members = members[~same]
@@ -200,5 +185,4 @@ def _read_class(cls: list[Word], cat: RelationCatalog) -> None:
             cat.commuting_pairs += [w for w in same if w[0] < w[1] and w[::-1] in members]
 
 
-__all__ = ["RelationCatalog", "detect_relations", "equal_matrices", "canonical_phase",
-           "RELATION_TOL", "WEIGHT_TOL"]
+__all__ = ["RelationCatalog", "detect_relations", "canonical_phase", "WEIGHT_TOL"]

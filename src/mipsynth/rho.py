@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cuts import CutSelection
-from .encoding import fidelity
-from .errors import BackendError, ConfigError, OracleInconclusiveError
-from .formulation import SynthesisProblem, checked_integer, synthesize
+from .encoding import equal_matrices, fidelity
+from .errors import BackendError, ConfigError, OracleInconclusiveError, checked_integer
+from .formulation import SynthesisProblem, synthesize
 from .gates import (MAX_QUBITS, GateSet, GateSpec, builtin_gate, extend_gate,
                     gate_spec, sequence_product)
 from .oracle import checked_time_limit
@@ -84,7 +84,7 @@ def window_gate_set(prototypes, num_qubits: int) -> GateSet:
     Prototypes are builtin names, or [name, angle] pairs (any two-item
     sequence) for angled gates.
     One-qubit prototypes land on each wire, two-qubit ones on each ordered
-    pair; exact duplicate matrices (symmetric gates) are emitted once.
+    pair; duplicate matrices (symmetric gates) are emitted once.
     """
     import itertools
 
@@ -107,7 +107,7 @@ def window_gate_set(prototypes, num_qubits: int) -> GateSet:
     eg = [extend_gate(sp, num_qubits) for sp in ordered]
     kept, full_seen = [], []
     for g in eg:
-        if any(np.abs(f - g.full).max() <= 1e-12 for f in full_seen):
+        if any(equal_matrices(f, g.full) for f in full_seen):
             continue
         full_seen.append(g.full)
         kept.append(g.spec)
@@ -259,8 +259,8 @@ def rolling_horizon(circuit: list[GateSpec], cfg: RhoConfig | None = None) -> Rh
 
     Passes repeat on the previous output until one fails to shorten it or
     the pass budget runs out.  When the register has at most
-    VERIFY_MAX_QUBITS qubits the final circuit is checked against the input
-    up to a global phase.
+    VERIFY_MAX_QUBITS qubits the final circuit must equal the input up to a
+    global phase by equal_matrices, and fidelity_to_input is reported.
     """
     cfg = cfg or RhoConfig()
     current = list(circuit)
@@ -279,7 +279,7 @@ def rolling_horizon(circuit: list[GateSpec], cfg: RhoConfig | None = None) -> Rh
         u_in = circuit_unitary(circuit, nq)
         u_out = circuit_unitary(current, nq)
         fid = fidelity(u_out, u_in)
-        if fid < 1 - 1e-9:
+        if not equal_matrices(u_in, u_out, up_to_phase=True):
             raise BackendError(
                 f"rolling horizon changed the circuit's unitary: fidelity {fid!r}")
     return RhoResult(circuit=current, input_length=len(circuit),

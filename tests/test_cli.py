@@ -31,6 +31,14 @@ qreg q[2];
 h q[0];
 cx q[0], q[1];
 """
+#: The same circuit with comments, one of them inside a statement's line.
+COMMENTED_BELL_QASM = """OPENQASM 2.0; // Bell pair
+include "qelib1.inc";
+// the register
+qreg q[2];
+h q[0]; // note
+cx q[0],q[1];
+"""
 
 
 def test_validate_config_accepts_and_rejects():
@@ -49,9 +57,12 @@ def test_validate_config_accepts_and_rejects():
 
 
 def test_parse_qasm_bell():
-    specs, nq = parse_qasm(BELL_QASM)
-    assert nq == 2
-    assert [(s.name, s.qubits) for s in specs] == [("H", (1,)), ("CNOT", (1, 2))]
+    for text in (BELL_QASM, COMMENTED_BELL_QASM):
+        specs, nq = parse_qasm(text)
+        assert nq == 2
+        assert [(s.name, s.qubits) for s in specs] == [("H", (1,)), ("CNOT", (1, 2))]
+    # a comment line before the declaration keeps the register's width
+    assert parse_qasm("// three wires\nqreg q[3];\nh q[0];")[1] == 3
 
 
 def test_parse_qasm_angles_and_inference():
@@ -362,6 +373,12 @@ _INPUT_FILES = {
                                                   {"name": "Z", "qubits": [1]}]}),
     "named.json": json.dumps({"target": {"name": "X"}, "gate_set": "weaves", "P": 1,
                               "backend": "oracle"}),
+    "float_register.json": json.dumps({"qubits": 2.9, "gates": []}),
+    "bool_register.json": json.dumps({"qubits": True, "gates": []}),
+    "string_labels.json": json.dumps({"qubits": 2,
+                                      "gates": [{"name": "CNOT", "qubits": "12"}]}),
+    "float_label.json": json.dumps({"qubits": 2,
+                                    "gates": [{"name": "H", "qubits": [1.7]}]}),
 }
 
 
@@ -384,10 +401,19 @@ _INPUT_FILES = {
     (["rho"], EXIT_SCHEMA, "rho needs a seed circuit"),
     (["verify", "{tmp}/one.qasm", "--target", "CNOT"], EXIT_SCHEMA,
      "target is 4-dimensional but the circuit acts on 1 qubit(s)"),
+    (["verify", "{tmp}/float_register.json", "--target", "identity"], EXIT_SCHEMA,
+     "'qubits' must be an integer, got 2.9"),
+    (["verify", "{tmp}/bool_register.json", "--target", "identity"], EXIT_SCHEMA,
+     "'qubits' must be an integer, got True"),
+    (["verify", "{tmp}/string_labels.json", "--target", "identity"], EXIT_SCHEMA,
+     "qubit label must be an integer, got '1'"),
+    (["verify", "{tmp}/float_label.json", "--target", "identity"], EXIT_SCHEMA,
+     "qubit label must be an integer, got 1.7"),
 ], ids=["qasm_gate_without_qubits", "bare_matrix_target_file", "target_file_without_matrix",
         "config_target_by_name", "registry_target_and_gate_set", "unknown_gate_set",
         "no_budget", "objective_not_valid_here", "rho_without_seed",
-        "verify_dimension_mismatch"])
+        "verify_dimension_mismatch", "verify_float_register", "verify_bool_register",
+        "verify_string_qubit_labels", "verify_float_qubit_label"])
 def test_main_input_paths(tmp_path, capsys, argv, code, err):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text)
@@ -401,6 +427,28 @@ def test_main_input_paths(tmp_path, capsys, argv, code, err):
         assert stderr == ""
     else:
         assert stderr.startswith("mipsynth: error: ") and err in stderr
+
+
+def test_default_cuts_are_the_library_default(monkeypatch):
+    """A config without cuts takes CutSelection() on the solve and rho paths."""
+    from mipsynth import cli
+    from mipsynth.cuts import CutSelection
+
+    cfg = {"target": "T", "gate_set": "weaves", "P": 2}
+    assert cli.build_problem(cfg, cli.TARGET_OBJECTIVES).cuts == CutSelection()
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(circuit, rho_cfg):
+        seen.append(rho_cfg.cuts)
+        raise Stop
+
+    monkeypatch.setattr(cli, "rolling_horizon", capture)
+    with pytest.raises(Stop):
+        cli.run_rho({"rho": {"seed": "k4_parity"}})
+    assert seen == [CutSelection()]
 
 
 def test_main_identity_target(capsys):

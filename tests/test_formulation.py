@@ -149,22 +149,25 @@ def test_verify_sequence_follows_the_phase_rule():
 
 
 def test_a_near_miss_is_rejected_by_both_routes():
-    """RZ(0.3).RZ(0.3) misses RZ(0.6 + 1e-8) by 5e-9 in two entries.
+    """Near misses of RZ(0.3).RZ(0.3), P = 2, each phase mode, both routes.
 
-    That is inside HiGHS's feasibility tolerance, so the MIP finds the word,
-    and outside VERIFY_TOL, so exact mode rejects it as the oracle does.  Up
-    to phase the two differ by 2.5e-17 in |tr| and both routes accept it.
+    RZ(0.3).RZ(0.3) misses RZ(0.6 + d) by d/2 in two entries: inside HiGHS's
+    feasibility tolerance and outside VERIFY_TOL at each d here, and at
+    d = 1e-8 and 1e-7 a trace test would accept it up to phase.  With a one-gate
+    RZ(0.6 + 1e-8) in the library, the ladder forbids that word on rung 1 and
+    finds the exact two-gate word on rung 2, as the oracle does.
     """
-    gs = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.3)])
-    rz = gs.index_of("RZ")
-    p = SynthesisProblem(builtin_gate("RZ", 0.6 + 1e-8), gs, P=2)
-    assert synthesize(p, backend="oracle").status == "infeasible"
-    with pytest.raises(ModelIntegrityError, match="misses the target"):
-        synthesize(p, backend="scipy")
-    gp = replace(p, phase_mode="global_phase")
-    for backend in ("scipy", "oracle"):
-        r = synthesize(gp, backend=backend)
-        assert r.status == "optimal" and r.gate_indices == [rz, rz], backend
+    table = [([0.3], 0.6 + d, None) for d in (1e-8, 1e-7, 1e-6)]
+    table.append(([0.3, 0.6 + 1e-8], 0.6, [1, 1]))
+    for angles, angle, want in table:
+        gs = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=a) for a in angles])
+        for mode in PHASE_MODES:
+            p = SynthesisProblem(builtin_gate("RZ", angle), gs, P=2, phase_mode=mode)
+            for backend in ("scipy", "oracle"):
+                r = synthesize(p, backend=backend)
+                got = r.gate_indices if r.feasible else None
+                assert (r.status, got) == ("infeasible" if want is None else "optimal",
+                                           want), (angles, angle, mode, backend)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)

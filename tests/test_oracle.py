@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipsynth import fixtures, oracle
+from mipsynth.encoding import equal_matrices
 from mipsynth.errors import ConfigError, OracleInconclusiveError
 from mipsynth.formulation import (PHASE_MODES, SynthesisProblem, schedule_depth,
                                   synthesize)
@@ -18,7 +19,6 @@ from mipsynth.gates import (GateSet, builtin_gate, gate_spec, sequence_product,
                             weave_gate_set)
 from mipsynth.oracle import (LevelTables, OracleResult, clear_oracle_cache,
                              exhaustive_synthesize)
-from mipsynth.relations import equal_matrices
 from mipsynth.rho import window_gate_set
 
 from util import SEED, random_unitary

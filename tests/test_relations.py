@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from mipsynth import relations
+from mipsynth.encoding import equal_matrices
 from mipsynth.errors import ConfigError
 from mipsynth.fixtures import benchmark_registry
-from mipsynth.gates import GateSet, gate_spec, sequence_product
-from mipsynth.relations import (WEIGHT_TOL, RelationCatalog, detect_relations,
-                                equal_matrices)
+from mipsynth.gates import GateSet, builtin_gate, gate_spec, sequence_product
+from mipsynth.relations import WEIGHT_TOL, RelationCatalog, detect_relations
 
 
 def _set1(*names: str) -> GateSet:
@@ -36,6 +36,19 @@ def test_equal_matrices_phase_handling():
     assert not equal_matrices(x, 1j * x, up_to_phase=False)
     assert equal_matrices(x, 1j * x, up_to_phase=True)
     assert not equal_matrices(x, np.eye(2), up_to_phase=True)
+    for theta in (0.1, 1.0, np.pi / 2, 2.5, np.pi, -2.0):
+        assert equal_matrices(x, np.exp(1j * theta) * x, up_to_phase=True)
+        assert not equal_matrices(x, np.exp(1j * theta) * x, up_to_phase=False)
+    # first order: entries 5e-8 off fail in both modes, where a trace test
+    # moves by 1e-15 and would accept them up to phase
+    rz, near = builtin_gate("RZ", 0.6), builtin_gate("RZ", 0.6 + 1e-7)
+    for up_to_phase in (False, True):
+        assert not equal_matrices(rz, near, up_to_phase)
+        assert equal_matrices(rz, builtin_gate("RZ", 0.6 + 1e-10), up_to_phase)
+    # a stack against one matrix broadcasts, in either order
+    stack = np.stack([x, 1j * x, np.eye(2), near])
+    assert equal_matrices(stack, x, up_to_phase=True).tolist() == [True, True, False, False]
+    assert equal_matrices(x, stack, up_to_phase=False).tolist() == [True, False, False, False]
 
 
 def test_pauli_set_exact_phase():
