@@ -481,9 +481,10 @@ def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int,
     model = build_model(problem)[0] if dump_lp and padded else None
     result = synthesize(problem, backend=backend,
                         time_limit=cfg.get("time_limit"))
-    last = result.certificate.get("rungs", [{"L": 0}])[-1]["L"]
-    if dump_lp and last:  # the oracle route and the empty word solve no rung
-        model = ladder_rung(problem, last, result.certificate["cutoff"])[1]
+    last = result.certificate.get("rungs", [{"L": 0}])[-1]
+    if dump_lp and last["L"]:  # the oracle route and the empty word solve no rung
+        model = ladder_rung(problem, last["L"], result.certificate["cutoff"],
+                            last.get("forbidden", ()))[1]
     if model is not None:
         with open(dump_lp, "w", encoding="utf-8") as fh:
             fh.write(model.to_lp())

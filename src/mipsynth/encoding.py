@@ -51,9 +51,8 @@ def require_unitary(u: np.ndarray, name: str = "matrix") -> np.ndarray:
     return u
 
 
-def equal_matrices(a: np.ndarray, b: np.ndarray, up_to_phase: bool = False,
-                   tol: float = VERIFY_TOL):
-    """Whether a and b agree within tol in every entry, or up to a global phase.
+def equal_matrices(a: np.ndarray, b: np.ndarray, up_to_phase: bool = False):
+    """Whether a and b agree within VERIFY_TOL entrywise, or up to a global phase.
 
     Up to phase, b is first rotated by the phase of tr(a^dag b); both modes
     then compare entry by entry, so the rule is first order in the entry
@@ -61,7 +60,7 @@ def equal_matrices(a: np.ndarray, b: np.ndarray, up_to_phase: bool = False,
     """
     if up_to_phase:
         b = b * np.exp(-1j * np.angle((a.conj() * b).sum(axis=(-2, -1))))[..., None, None]
-    return np.abs(a - b).max(axis=(-2, -1), initial=0.0) <= tol
+    return np.abs(a - b).max(axis=(-2, -1), initial=0.0) <= VERIFY_TOL
 
 
 def su_normalize(u: np.ndarray) -> np.ndarray:

@@ -767,16 +767,25 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
         "nodes": res.nodes})
 
 
-def ladder_rung(problem: SynthesisProblem, L: int, cutoff: float | None = None
-                ) -> tuple[SynthesisProblem, MipModel, ModelHandles]:
+def _forbid_word(model: MipModel, handles: ModelHandles, word) -> None:
+    """One row sum_p z[w_p, p] <= L - 1 that cuts off the L-gate `word`."""
+    model.add_constr({int(handles.z[g, p]): 1.0 for p, g in enumerate(word)},
+                     "<=", len(word) - 1.0, family="forbidden_word")
+
+
+def ladder_rung(problem: SynthesisProblem, L: int, cutoff: float | None = None,
+                forbidden=()) -> tuple[SynthesisProblem, MipModel, ModelHandles]:
     """Rung L of the length ladder, its problem, model and handles: build_model
-    at P = L, the identity's selections fixed to 0, and a cutoff row if any."""
+    at P = L, the identity's selections fixed to 0, a cutoff row if any and
+    one forbidden_word row per word of `forbidden` (gate indices)."""
     rung = replace(problem, P=L, D=L)
     model, handles = build_model(rung)
     for k in handles.z[problem.gate_set.identity_index]:
         model.fix_var(int(k), 0.0)
     if cutoff is not None:
         model.add_objective_cutoff(cutoff, "cutoff")
+    for word in forbidden:
+        _forbid_word(model, handles, word)
     return rung, model, handles
 
 
@@ -804,8 +813,10 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     pattern cuts (see cuts) holds as before.  Any other extraction failure
     raises.  All solves share the caller's `time_limit`, counted from t0.
     The certificate lists the rungs with verdict, seconds and nodes (summed
-    over the rung's solves); its row families and `cutoff` (None for no
-    cutoff row) are those of the last rung built.
+    over the rung's solves), and a rung that forbade words lists them under
+    `forbidden`, so ladder_rung can build the model it last solved; the
+    certificate's row families and `cutoff` (None for no cutoff row) are
+    those of the last rung built.
     """
     gs = problem.gate_set
     lightest = min((float(problem.weights[g]) for g in gs.non_identity_indices()),
@@ -824,7 +835,7 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
             break
         start, built = time.perf_counter(), cutoff
         rung, model, handles = ladder_rung(problem, L, cutoff)
-        found, nodes = None, []
+        found, nodes, forbidden = None, [], []
         while found is None:
             if time_limit is not None:
                 left = time_limit - (time.perf_counter() - t0)
@@ -836,13 +847,14 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
             try:
                 found = extract_and_verify(rung, model, handles, sol)
             except TargetMissError:
-                word = np.argmax(sol.x[handles.z], axis=0)
-                model.add_constr({int(handles.z[g, p]): 1.0 for p, g in enumerate(word)},
-                                 "<=", L - 1.0, family="forbidden_word")
+                forbidden.append(np.argmax(sol.x[handles.z], axis=0).tolist())
+                _forbid_word(model, handles, forbidden[-1])
         if found is not None and (best is None or found.objective_value < best.objective_value):
             best = found
         rungs.append({"L": L, "verdict": sol.status, "seconds": time.perf_counter() - start,
                       "nodes": sum(nodes) if nodes else None})
+        if forbidden:
+            rungs[-1]["forbidden"] = forbidden
         if sol.status in ("feasible", "time_limit"):
             decided = False
             break

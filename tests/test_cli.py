@@ -350,6 +350,26 @@ def test_main_dump_lp_writes_the_last_rung(tmp_path, capsys):
         f" 0 <= z(I,{p}) <= 0" for p in (1, 2, 3)]
 
 
+def test_main_dump_lp_keeps_the_forbidden_word(tmp_path, capsys):
+    """RZ(0.3).RZ(0.3) misses RZ(0.6 + 1e-8) in exact mode, so rung 2 forbids
+    that word and ends infeasible; the dump of rung 2 holds the forbidding
+    row, as the model solved and its row families in the report do."""
+    rz = tmp_path / "rz.json"
+    rz.write_text(json.dumps({"qubits": 1, "gates": [
+        {"name": "RZ", "qubits": [1], "angle": 0.3}]}))
+    lp, rep = tmp_path / "x.lp", tmp_path / "x.json"
+    assert main(["synthesize", "--target", "RZ(0.60000001)", "--gate-set", str(rz),
+                 "-P", "2", "--phase-mode", "exact", "--dump-lp", str(lp),
+                 "--report", str(rep)]) == EXIT_INFEASIBLE
+    capsys.readouterr()
+    doc = json.loads(rep.read_text())
+    assert [r.get("forbidden") for r in doc["rungs"]] == [None, None, [[1, 1]]]
+    assert doc["row_families"]["forbidden_word"] == 1
+    rows = lp.read_text().split("\nSubject To\n")[1].split("\nBounds\n")[0].splitlines()
+    assert len(rows) == sum(doc["row_families"].values())
+    assert rows[-1].endswith(": + 1 z(RZ_1_,1) + 1 z(RZ_1_,2) <= 1")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["oracle", "--target", "T", "--gate-set", "weaves", "-P", "2",
       "--objective", "linearized_fidelity"], EXIT_OPTIMAL),
