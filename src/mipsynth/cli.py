@@ -475,9 +475,9 @@ def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int,
     t0 = time.perf_counter()
     problem = build_problem(cfg, allowed)
     backend = "oracle" if command == "oracle" else cfg.get("backend", "scipy")
-    # an oracle solves no model, a gate count's is the last rung solved; the
-    # others are built first, so exact fidelity fails before any search
-    padded = problem.objective != "weighted_gate_count" and not is_oracle_backend(backend)
+    # an oracle solves no model, a target objective's is the last rung solved;
+    # the others are built first, so exact fidelity fails before any search
+    padded = not problem.targets_equality() and not is_oracle_backend(backend)
     model = build_model(problem)[0] if dump_lp and padded else None
     result = synthesize(problem, backend=backend,
                         time_limit=cfg.get("time_limit"))

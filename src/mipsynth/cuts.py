@@ -24,28 +24,40 @@ conflict rows (Atamtürk, Nemhauser and Savelsbergh 2000).  Every forbidden
 word keeps a no-heavier word of equal product allowed, so each family keeps
 an optimum.
 
-The weighted gate count runs as a ladder of rungs, one model per exact
-length L with the identity excluded (formulation.synthesize), and each
-family stays valid in rung L: the lexicographically least of the lightest
-words rung L admits avoids every forbidden word.  It avoids the commuting
-and equivalent words, since replacing one gives a lexicographically smaller
-word of the same length and product and no more weight.  A redundant word
-of k gates collapses to one gate or to the identity, so a rung-L word that
-holds one collapses to a no-heavier word of L - k + 1 or L - k gates, which
-lies in a shorter rung.  The ladder reaches rung L only once every shorter
-rung is decided.  Before any word is found, each was proved infeasible, so
-the shorter word cannot exist.  After, none holds a word under rung L's
-cutoff: each was proved infeasible under a cutoff no lower, or solved to an
-optimum no lighter than the incumbent.  So the rung-L word is not under the
-cutoff either, and rung L's cutoff row already excludes it.  A rung
-that ends out of time proves neither, which is why the ladder stops there
-instead of going on to L + 1.  Identity placement holds trivially in a
-rung, and `hc` restates the target.
+Target objectives run the ladder: one model per exact length L with the
+identity excluded (formulation.synthesize).  Under the weighted gate count
+each family stays valid in rung L: the lexicographically least of the
+lightest words rung L admits avoids every forbidden word.  It avoids the
+commuting and equivalent words, since replacing one gives a
+lexicographically smaller word of the same length and product and no more
+weight.  A redundant word of k gates collapses to one gate or to the
+identity, so a rung-L word that holds one collapses to a no-heavier word of
+L - k + 1 or L - k gates, which lies in a shorter rung.  The ladder reaches
+rung L only once every shorter rung is decided.  Before any word is found,
+each was proved infeasible, so the shorter word cannot exist.  After, none
+holds a word under rung L's cutoff: each was proved infeasible under a
+cutoff no lower, or solved to an optimum no lighter than the incumbent.  So
+the rung-L word is not under the cutoff either, and rung L's cutoff row
+already excludes it.  A rung that ends out of time proves neither, which is
+why the ladder stops there instead of going on to L + 1.  Identity
+placement holds trivially in a rung, and `hc` restates the target.
 
-apply_cuts alone decides where a selected family applies, and
-skips the others silently: the families that reorder gates (commuting,
-equivalent) under the depth objective, where order changes the objective
-value, and `hc` without a target.
+Under depth, reordering gates changes the layers, so the commuting and
+equivalent families do not apply, and a collapsed word can be deeper:
+H[2] X[1] S[2] H[1] has two layers, {H[2], X[1]} and {S[2], H[1]}, and with
+a library gate XS[1,2] equal to X[1] S[2] the collapsed H[2] XS[1,2] H[1]
+has three.  A redundant word that collapses to the identity, or to a gate
+whose qubits are all among those of one of the word's gates, keeps its
+layers: put the gate where that one was and drop the rest, and no layer
+gains a clash, since dropping gates never adds one.  The collapsed word is
+then shorter and no deeper, so the argument above holds for these words
+with depth in place of weight, and redundancy forbids only them under
+depth.
+
+apply_cuts alone decides where a selected family applies, and skips the
+others silently: the commuting and equivalent families and the
+layer-changing redundant words under the depth objective, and `hc`
+without a target.
 
 The base chain already runs backward from the target (see
 formulation.build_base): its first backward step,
@@ -164,7 +176,8 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
     """Emit every selected family where it applies; skip the rest silently.
 
     Under the depth objective the families that reorder gates (commuting,
-    equivalent) are skipped; `hc` emits its exact-mode rows only, and
+    equivalent) are skipped, and redundancy keeps only the words whose
+    collapse keeps the layers; `hc` emits its exact-mode rows only, and
     nothing without a target, so one selection like `all` works everywhere.
     """
     sel, id_index = problem.cuts, problem.gate_set.identity_index
@@ -173,17 +186,20 @@ def apply_cuts(model: "MipModel", handles: "ModelHandles",
         add_identity_symmetry_cuts(model, handles.z, id_index, problem.P)
 
     # reordering gates changes the depth
-    families = (("redundancy",) if problem.objective == "depth"
-                else ("commuting", "equivalent", "redundancy"))
+    depth = problem.objective == "depth"
+    families = ("redundancy",) if depth else ("commuting", "equivalent", "redundancy")
     families = [f for f in families if getattr(sel, f)]
     if families:
         # patterns must hold for the matrices the model constrains
         catalog = detect_relations(problem.effective_instance[1], id_index, WORD_K_MAX,
                                    problem.up_to_phase)
+        gs = problem.gate_set
         for family in families:
-            add_pattern_rows(model, handles.z,
-                             catalog.forbidden_words(family, problem.weights),
-                             problem.P, f"cut_{family}")
+            words = catalog.forbidden_words(family, problem.weights)
+            if depth:  # only the collapses that keep the layers (module docstring)
+                words &= {seq for seq, g in catalog.redundancies
+                          if any(set(gs[g].support) <= set(gs[a].support) for a in seq)}
+            add_pattern_rows(model, handles.z, words, problem.P, f"cut_{family}")
 
     if sel.hc and problem.targets_equality() and not problem.up_to_phase:
         add_hc2_cuts(problem, model, handles)

@@ -60,12 +60,12 @@ rule schedule_depth applies in time order, so the fewest breaks for a
 fixed gate choice is that circuit's depth, 0 for a circuit with no gate on
 any qubit.
 
-The weighted gate count runs as a length ladder (synthesize): the empty
-word, then one model per exact length L = 1, 2, ..., P, each this base at
-P = L with the identity's selections fixed to 0.  The oracle tries lengths
-in turn the same way, as SAT-based exact synthesis solves one instance per
-length (Große, Wille, Dueck and Drechsler 2009).  Depth and the approximate
-objectives solve one model of P positions padded with the identity.
+Target objectives run the ladder (synthesize): the empty word, then one
+model per exact length L = 1, 2, ..., P, each this base at P = L with the
+identity's selections fixed to 0.  The oracle tries lengths in turn the
+same way, as SAT-based exact synthesis solves one instance per length
+(Große, Wille, Dueck and Drechsler 2009).  The approximate objectives solve
+one model of P positions padded with the identity.
 
 Extraction never trusts the solver.  It reads only the integer choices from
 the solver point, recomputes every continuous variable exactly from the
@@ -776,9 +776,10 @@ def _forbid_word(model: MipModel, handles: ModelHandles, word) -> None:
 def ladder_rung(problem: SynthesisProblem, L: int, cutoff: float | None = None,
                 forbidden=()) -> tuple[SynthesisProblem, MipModel, ModelHandles]:
     """Rung L of the length ladder, its problem, model and handles: build_model
-    at P = L, the identity's selections fixed to 0, a cutoff row if any and
-    one forbidden_word row per word of `forbidden` (gate indices)."""
-    rung = replace(problem, P=L, D=L)
+    at P = L and depth budget min(D, L), the identity's selections fixed to 0,
+    a cutoff row if any and one forbidden_word row per word of `forbidden`
+    (gate indices).  Target objectives run the ladder."""
+    rung = replace(problem, P=L, D=min(problem.D, L))
     model, handles = build_model(rung)
     for k in handles.z[problem.gate_set.identity_index]:
         model.fix_var(int(k), 0.0)
@@ -791,21 +792,24 @@ def ladder_rung(problem: SynthesisProblem, L: int, cutoff: float | None = None,
 
 def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
                    time_limit: float | None, t0: float) -> SynthesisResult:
-    """Weighted gate count as exact-length rungs L = 0, 1, ..., P, in turn.
+    """A target objective as exact-length rungs L = 0, 1, ..., P, in turn.
 
-    Rung 0 is the empty word, matched to the target as the oracle matches
-    it.  Rung L (ladder_rung) has words of exactly L gates; once a word is
-    found, every later rung carries a cutoff row that asks for a word
-    lighter by the relative gap DEFAULT_GAP_TOL.  The ladder stops when the
-    lightest gate times L reaches that cutoff, so under unit weights the
-    first feasible rung is the optimum.  A rung that ends out of time ends
-    the ladder: the pattern cuts of a later rung are valid only once this
-    one is decided (see cuts).  Rungs run with HiGHS's presolve aggregator
-    off (PRESOLVE_AGGREGATOR): on the oracle corpus that cuts the ladder's
-    time by more than half and decides rungs that run out of time with it
-    on.  The padded models of the other objectives keep it, since there it
-    broke ties differently, slowed some solves and proved one false
-    infeasibility.  HiGHS's feasibility tolerance can admit a word that
+    Target objectives run the ladder, the gate count and depth alike.  Rung
+    0 is the empty word, matched to the target as the oracle matches it.
+    Rung L (ladder_rung) has words of exactly L gates; once a word is found,
+    every later rung carries a cutoff row that asks for a word better by the
+    relative gap DEFAULT_GAP_TOL.  Each gate adds at least `lightest` to the
+    objective of a word: the least weight under the gate count, and 1/Q
+    under depth, since a layer holds at most one gate per qubit (0 if some
+    gate acts on no qubit).  The ladder stops when `lightest` times L
+    reaches the cutoff, so under unit weights the first feasible rung is the
+    optimum.  A rung that ends out of time ends the ladder: the pattern cuts
+    of a later rung are valid only once this one is decided (see cuts).
+    Rungs run with HiGHS's presolve aggregator off (PRESOLVE_AGGREGATOR): on
+    the oracle corpus that cuts the ladder's time by more than half and
+    decides rungs that run out of time with it on.  The padded models of the
+    approximate objectives keep it, since there it broke ties differently and
+    slowed some solves.  HiGHS's feasibility tolerance can admit a word that
     verify_sequence rejects, a near miss such as RZ(0.6 + 1e-8) for RZ(0.6);
     the rung then forbids that word with one row (family forbidden_word),
     sum_p z[w_p, p] <= L - 1, and solves again.  A rejected word is no
@@ -819,8 +823,13 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     those of the last rung built.
     """
     gs = problem.gate_set
-    lightest = min((float(problem.weights[g]) for g in gs.non_identity_indices()),
-                   default=math.inf)
+    if problem.objective == "depth":
+        # a layer holds at most one gate per qubit, unless a gate acts on none
+        acting = all(gs[g].support for g in gs.non_identity_indices())
+        lightest = 1.0 / gs.num_qubits if acting else 0.0
+    else:
+        lightest = min((float(problem.weights[g]) for g in gs.non_identity_indices()),
+                       default=math.inf)
     best = None
     if equal_matrices(np.eye(gs.dim), problem.effective_instance[0], problem.up_to_phase):
         best = replace(verify_sequence(problem, []),
@@ -863,8 +872,8 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     if decided:
         status = "infeasible" if best is None else "optimal"
     else:
-        # shorter rungs hold nothing lighter, and no word of L or more gates
-        # weighs less than L lightest gates
+        # shorter rungs hold nothing better, and no word of L or more gates
+        # scores less than L times the lightest gate
         status = "time_limit" if best is None else "feasible"
         cert.update(bound=lightest * L, gap=None)
     counted = [r["nodes"] for r in rungs if r["nodes"] is not None]
@@ -883,9 +892,9 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     means no limit.  It does not cover the one-time import of scipy's HiGHS
     bindings (solvers.highs_core), which the first MIP route of a process
     pays before its clock starts.  A MIP certificate records what was left
-    of it for the (last) solver run as `solver_time_limit`.  The weighted
-    gate count runs as a length ladder (_length_ladder); the other MIP
-    objectives solve one model of P positions padded with the identity.
+    of it for the (last) solver run as `solver_time_limit`.  Target
+    objectives run the ladder (_length_ladder); the approximate objectives
+    solve one model of P positions padded with the identity.
     """
     time_limit = checked_time_limit(time_limit)
     if is_oracle_backend(backend):
@@ -898,7 +907,7 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
         return _oracle_route(problem, time_limit)
     highs_core()  # the one-time import, outside the budget
     t0 = time.perf_counter()
-    if problem.objective == "weighted_gate_count":
+    if problem.targets_equality():
         return _length_ladder(problem, be, time_limit, t0)
     model, handles = build_model(problem)
     if time_limit is not None:

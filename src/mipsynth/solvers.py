@@ -5,7 +5,9 @@ scipy's private bindings (HIGHS_MODULE), which give what
 `scipy.optimize.milp` hides: single presolve rules, the dual bound and node
 count of every verdict, and load errors apart from verdicts.  A verdict
 (optimal, feasible, infeasible or out of time) is what a single HiGHS run
-reports; nothing is re-solved.  Names in ORACLE_BACKEND_NAMES route to
+reports; nothing is re-solved.  HiGHS never sees a fixed integer column:
+each is substituted out first, and a model with nothing left to choose is
+decided at its one point.  Names in ORACLE_BACKEND_NAMES route to
 exhaustive search, which the synthesis driver dispatches itself.
 """
 
@@ -16,17 +18,21 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BackendError
-from .mip import MipModel
+from .mip import MipModel, ModelArrays
 
 #: Relative MIP gap HiGHS closes before it reports an optimum; this is its
 #: own default `mip_rel_gap`, passed explicitly.  The claimed objective may
 #: differ from the verified one by this much.
 DEFAULT_GAP_TOL = 1e-4
+
+#: HiGHS's default primal_feasibility_tolerance: how far a row may be off at
+#: a point HiGHS calls feasible.
+PRIMAL_FEASIBILITY_TOL = 1e-7
 
 #: Backend names routed to exhaustive search instead of a MIP solver.
 ORACLE_BACKEND_NAMES = frozenset({"oracle", "exhaustive"})
@@ -78,8 +84,51 @@ def _finite(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
+def _without_fixed_integers(arr: ModelArrays) -> tuple[ModelArrays, np.ndarray, np.ndarray]:
+    """The model with its fixed integer columns substituted out.
+
+    HiGHS can crash on a fixed binary with the presolve aggregator off: a
+    ladder rung's identity selections (z = 0) made run() end in SIGSEGV on
+    {X[1], S[2], H[1], X[1] S[2] as one gate}.  Each fixed integer column's
+    value moves into the row bounds, and its objective term into HiGHS's
+    offset.  Fixed continuous columns, such as the span rows' structural
+    zeros, stay: substituting them too took the padded linearized-fidelity
+    model of T on the weaves at P = 5 from 0.43-0.51 s to 0.68-0.94 s on a
+    2-vCPU machine.  Returns
+    the reduced arrays, the ids of the columns kept and the full point with
+    every fixed integer at its value (0 elsewhere).
+    """
+    fixed = (arr.integrality != 0) & (arr.lb == arr.ub)
+    x0 = np.where(fixed, arr.lb, 0.0)
+    rows = np.repeat(np.arange(arr.num_rows), np.diff(arr.a_start))
+    kept = ~fixed[arr.a_cols]
+    shift = np.bincount(rows, weights=arr.a_vals * x0[arr.a_cols], minlength=arr.num_rows)
+    free = np.flatnonzero(~fixed)
+    reduced = replace(
+        arr, c=arr.c[free], lb=arr.lb[free], ub=arr.ub[free],
+        integrality=arr.integrality[free],
+        a_start=np.concatenate([[0], np.cumsum(np.bincount(rows[kept],
+                                                           minlength=arr.num_rows))]),
+        a_cols=(np.cumsum(~fixed) - 1)[arr.a_cols[kept]], a_vals=arr.a_vals[kept],
+        row_lb=arr.row_lb - shift, row_ub=arr.row_ub - shift)
+    return reduced, free, x0
+
+
+def _fixed_point_verdict(model: MipModel, x0: np.ndarray) -> Solution:
+    """The verdict on a model whose every column is a fixed integer.
+
+    HiGHS reads a model without columns as empty and decides nothing, so
+    the one point x0 is checked here: optimal when every row holds within
+    HiGHS's primal feasibility tolerance, infeasible otherwise.
+    """
+    if max(model.check_point(x0).values()) > PRIMAL_FEASIBILITY_TOL:
+        return Solution(status="infeasible", nodes=0)
+    obj = model.objective_value(x0)
+    return Solution(status="optimal", x=x0, objective=obj, bound=obj, gap=0.0, nodes=0)
+
+
 class ScipyHighsBackend:
-    """HiGHS branch and bound on the model's rows, passed as it stores them.
+    """HiGHS branch and bound on the model's rows, less its fixed integers.
 
     Deterministic and single-threaded, on linear objectives.  Each solve is
     one HiGHS run at relative gap DEFAULT_GAP_TOL, and its verdict,
@@ -104,10 +153,14 @@ class ScipyHighsBackend:
             if time_limit <= 0:
                 return Solution(status="time_limit")
         sign = -1.0 if arr.sense == "max" else 1.0
-        n, m = model.num_vars, arr.num_rows
+        arr, free, x0 = _without_fixed_integers(arr)
+        if not free.size:
+            return _fixed_point_verdict(model, x0)
+        n, m = free.size, arr.num_rows
         lp = core.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = sign * arr.c, arr.lb, arr.ub
+        lp.offset_ = sign * model.objective_value(x0)
         lp.row_lower_, lp.row_upper_ = arr.row_lb, arr.row_ub
         mat = lp.a_matrix_
         mat.format_ = core.MatrixFormat.kRowwise
@@ -151,7 +204,8 @@ class ScipyHighsBackend:
             bound, gap = _finite(sign * info.mip_dual_bound), _finite(info.mip_gap)
         x = obj = None
         if math.isfinite(info.objective_function_value):
-            x = np.array(highs.getSolution().col_value, dtype=float)
+            x = x0.copy()
+            x[free] = highs.getSolution().col_value
             obj = float(model.objective_value(x))
 
         codes = core.HighsModelStatus

@@ -339,15 +339,17 @@ def test_main_dump_lp_writes_the_last_rung(tmp_path, capsys):
     hz.write_text(json.dumps({"qubits": 1, "gates": [{"name": "H", "qubits": [1]},
                                                      {"name": "Z", "qubits": [1]}]}))
     lp = tmp_path / "x.lp"
-    assert main(["synthesize", "--target", "X", "--gate-set", str(hz), "-P", "4",
-                 "--phase-mode", "global", "--dump-lp", str(lp)]) == EXIT_OPTIMAL
-    capsys.readouterr()
-    text = lp.read_text()
-    # rung 3 answered, and its identity columns are fixed to 0
-    assert text.startswith("\\ synth_weighted_gate_count_Q1_P3\n")
-    bounds = text.split("\nBounds\n")[1].split("\nBinaries\n")[0]
-    assert [ln for ln in bounds.splitlines() if "z(I," in ln] == [
-        f" 0 <= z(I,{p}) <= 0" for p in (1, 2, 3)]
+    for objective in ("weighted_gate_count", "depth"):
+        assert main(["synthesize", "--target", "X", "--gate-set", str(hz), "-P", "4",
+                     "--phase-mode", "global", "--objective", objective,
+                     "--dump-lp", str(lp)]) == EXIT_OPTIMAL
+        capsys.readouterr()
+        text = lp.read_text()
+        # rung 3 answered, and its identity columns are fixed to 0
+        assert text.startswith(f"\\ synth_{objective}_Q1_P3\n")
+        bounds = text.split("\nBounds\n")[1].split("\nBinaries\n")[0]
+        assert [ln for ln in bounds.splitlines() if "z(I," in ln] == [
+            f" 0 <= z(I,{p}) <= 0" for p in (1, 2, 3)]
 
 
 def test_main_dump_lp_keeps_the_forbidden_word(tmp_path, capsys):

@@ -175,6 +175,26 @@ def test_apply_cuts_writes_only_the_families_that_apply(objective, phase_mode):
     assert {f for f in model.family_rows if f.startswith("cut_")} == want
 
 
+def test_depth_forbids_only_the_collapses_that_keep_the_layers():
+    """X[1].S[2] collapses to XS[1,2], and H[2].X[1].S[2].H[1] (two layers)
+    to H[2].XS[1,2].H[1] (three), so depth keeps X[1].S[2]; X[1].X[1]
+    collapses to the identity, and H[1].H[1] too, under both objectives."""
+    specs = [gate_spec("X", (1,)), gate_spec("S", (2,)), gate_spec("H", (1,)),
+             gate_spec("H", (2,)),
+             gate_spec("XS", (1, 2), matrix=np.kron(builtin_gate("X"), builtin_gate("S")))]
+    gs = GateSet.from_specs(2, specs)
+    x, s, h = (gs.index_of(n, q) for n, q in (("X", (1,)), ("S", (2,)), ("H", (1,))))
+    for objective in TARGET_OBJECTIVES:
+        p = SynthesisProblem(np.eye(4), gs, P=2, objective=objective,
+                             phase_mode="global_phase",
+                             cuts=CutSelection.from_names("redundancy"))
+        model, handles = build_model(p)
+        for word, cut in (((x, s), objective != "depth"), ((x, x), True), ((h, h), True)):
+            point = np.zeros(model.num_vars)
+            point[handles.z[list(word), [0, 1]]] = 1.0
+            assert (model.check_point(point)["cut_redundancy"] > 0) == cut, (objective, word)
+
+
 @pytest.mark.parametrize("family", ["commuting", "equivalent", "redundancy"])
 def test_prefix_rows_forbid_exactly_their_words(family):
     gs, P = gs1("H", "T", "S"), 3

@@ -1,10 +1,13 @@
 """Model assembly and the end-to-end synthesis driver on small instances."""
 
 import itertools
+import os
+import subprocess
 import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,7 +152,8 @@ def test_verify_sequence_follows_the_phase_rule():
 
 
 def test_a_near_miss_is_rejected_by_both_routes():
-    """Near misses of RZ(0.3).RZ(0.3), P = 2, each phase mode, both routes.
+    """Near misses of RZ(0.3).RZ(0.3), P = 2, each phase mode and target
+    objective, both routes.
 
     RZ(0.3).RZ(0.3) misses RZ(0.6 + d) by d/2 in two entries: inside HiGHS's
     feasibility tolerance and outside VERIFY_TOL at each d here, and at
@@ -159,15 +163,16 @@ def test_a_near_miss_is_rejected_by_both_routes():
     """
     table = [([0.3], 0.6 + d, None) for d in (1e-8, 1e-7, 1e-6)]
     table.append(([0.3, 0.6 + 1e-8], 0.6, [1, 1]))
-    for angles, angle, want in table:
+    for (angles, angle, want), mode, objective in itertools.product(
+            table, PHASE_MODES, TARGET_OBJECTIVES):
         gs = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=a) for a in angles])
-        for mode in PHASE_MODES:
-            p = SynthesisProblem(builtin_gate("RZ", angle), gs, P=2, phase_mode=mode)
-            for backend in ("scipy", "oracle"):
-                r = synthesize(p, backend=backend)
-                got = r.gate_indices if r.feasible else None
-                assert (r.status, got) == ("infeasible" if want is None else "optimal",
-                                           want), (angles, angle, mode, backend)
+        p = SynthesisProblem(builtin_gate("RZ", angle), gs, P=2, phase_mode=mode,
+                             objective=objective)
+        for backend in ("scipy", "oracle"):
+            r = synthesize(p, backend=backend)
+            got = r.gate_indices if r.feasible else None
+            assert (r.status, got) == ("infeasible" if want is None else "optimal",
+                                       want), (angles, angle, mode, objective, backend)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -426,9 +431,11 @@ def test_depth_zero_is_certified_by_the_solver():
         r = synthesize(p, backend="scipy")
     assert r.status == "optimal" and r.objective_value == 0.0
     assert r.depth == 0 and r.sequence == []
-    # the model itself answers depth 0: a solver run, not a shortcut
-    assert r.certificate["nodes"] is not None
-    assert r.certificate["bound"] == pytest.approx(0.0, abs=1e-9)
+    # rung 0 certifies the empty word under the equality rule, as for the
+    # gate count, before any model is built
+    assert [(g["L"], g["verdict"]) for g in r.certificate["rungs"]] == [(0, "optimal")]
+    assert r.certificate["nodes"] is None
+    assert r.certificate["bound"] == 0.0
 
 
 @pytest.mark.parametrize("phase_mode", PHASE_MODES)
@@ -689,12 +696,14 @@ def test_ladder_rungs_alone_leave_the_aggregator_out(monkeypatch):
 
     monkeypatch.setattr(solvers.ScipyHighsBackend, "solve", spy)
     p = SynthesisProblem(builtin_gate("X"), gs1("H", "Z"), P=3, phase_mode="global_phase")
-    assert synthesize(p, backend="scipy").status == "optimal"
-    assert masks == [solvers.PRESOLVE_AGGREGATOR] * 3
-    masks.clear()
-    for objective in ("depth", "linearized_fidelity", "frobenius_oa"):
+    for objective in TARGET_OBJECTIVES:
+        masks.clear()
         assert synthesize(replace(p, objective=objective), backend="scipy").feasible
-    assert masks == [0, 0, 0]
+        assert masks == [solvers.PRESOLVE_AGGREGATOR] * 3, objective
+    masks.clear()
+    for objective in ("linearized_fidelity", "frobenius_oa"):
+        assert synthesize(replace(p, objective=objective), backend="scipy").feasible
+    assert masks == [0, 0]
 
 
 def test_certificate_records_the_solver_time_limit():
@@ -821,7 +830,7 @@ def test_ladder_rung_rebuilds_the_last_rung():
 
 #: Instances on which HiGHS's presolve proved the identity-padded model
 #: infeasible although a word exists: (library, P, target word, phase mode,
-#: cuts).  Each solves in milliseconds.
+#: cuts).  Each solves in milliseconds, under either target objective.
 PRESOLVE_FALSE_INFEASIBLE = [
     ("H1 H2 CNOT12", 2, "CNOT12", "global_phase", "all"),
     ("H1 X1 X2", 2, "X2", "global_phase", "identity"),
@@ -857,12 +866,43 @@ def test_presolve_false_infeasible_instances_agree_with_oracle(library, P, word,
     gs = GateSet.from_specs(2, [two_qubit_spec(t) for t in library.split()])
     target = sequence_product([extend_gate(two_qubit_spec(t), 2).full
                                for t in word.split()], 4)
-    p = SynthesisProblem(target, gs, P=P, phase_mode=phase_mode,
-                         cuts=CutSelection.from_names(cuts))
-    milp = synthesize(p, backend="scipy")
-    brute = synthesize(p, backend="oracle")
-    assert brute.status == "optimal"
-    assert (milp.status, milp.objective_value) == (brute.status, brute.objective_value)
+    for objective in TARGET_OBJECTIVES:
+        p = SynthesisProblem(target, gs, P=P, phase_mode=phase_mode, objective=objective,
+                             cuts=CutSelection.from_names(cuts))
+        milp = synthesize(p, backend="scipy")
+        brute = synthesize(p, backend="oracle")
+        assert brute.status == "optimal", objective
+        assert (milp.status, milp.objective_value) == (
+            brute.status, brute.objective_value), objective
+
+
+_FIXED_BINARY_PROBE = """
+import numpy as np
+from mipsynth.formulation import SynthesisProblem, synthesize
+from mipsynth.gates import GateSet, builtin_gate, extend_gate, gate_spec, sequence_product
+specs = [gate_spec("X", (1,)), gate_spec("S", (2,)), gate_spec("H", (1,)),
+         gate_spec("XS", (1, 2), matrix=np.kron(builtin_gate("X"), builtin_gate("S")))]
+target = sequence_product([extend_gate(specs[k], 2).full for k in (1, 3)], 4)
+for objective in ("weighted_gate_count", "depth"):
+    p = SynthesisProblem(target, GateSet.from_specs(2, specs), P=2,
+                         phase_mode="global_phase", objective=objective)
+    r = synthesize(p, backend="scipy")
+    print(objective, r.status, len(r.sequence))
+"""
+
+
+def test_a_rung_with_fixed_binaries_does_not_crash_highs():
+    """Rung 2 of this instance fixes z[I,1] and z[I,2] to 0; handed to HiGHS
+    with the aggregator off, those columns made run() end in SIGSEGV.  The
+    probe runs in its own interpreter so that a crash fails this test only."""
+    src = str(Path(formulation.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", _FIXED_BINARY_PROBE],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["weighted_gate_count optimal 2",
+                                            "depth optimal 2"]
 
 
 TWO_QUBIT_GATES = tuple((n, (q,)) for n in ("H", "T", "S", "X") for q in (1, 2)) + (

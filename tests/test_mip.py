@@ -95,6 +95,38 @@ def test_highs_loads_the_rows_as_stored(monkeypatch):
     assert value == [v for coefs, *_ in rows for v in coefs.values()]
 
 
+def test_highs_never_sees_a_fixed_integer(monkeypatch):
+    seen = _spy_highs(monkeypatch)
+    m = MipModel()
+    x = m.add_var("x", 2.0, 2.0, integer=True)
+    y, b = m.add_binary("y"), m.add_binary("b")
+    v = m.add_var("v", 0.0, 0.0)
+    m.fix_var(b, 1.0)
+    m.add_constr({x: 1.0, y: 1.0, b: -1.0, v: 1.0}, "<=", 1.5)
+    m.set_objective({x: 3.0, y: 1.0}, sense="max")
+    sol = get_backend("scipy").solve(m)
+    # HiGHS gets y and the fixed continuous v, and the row y + v <= 0.5
+    assert seen[0].matrix[1:] == ([0, 2], [0, 1], [1.0, 1.0])
+    assert (sol.status, list(sol.x), sol.objective, sol.bound) == (
+        "optimal", [2.0, 0.0, 1.0, 0.0], 6.0, 6.0)
+
+
+def test_a_model_of_fixed_integers_is_decided_at_its_point(monkeypatch):
+    # HiGHS reads a model without columns as empty and decides nothing
+    seen = _spy_highs(monkeypatch)
+    sols = []
+    for cap in (1.0, 0.5):
+        m = MipModel()
+        b = m.add_binary("b")
+        m.fix_var(b, 1.0)
+        m.add_constr({b: 1.0}, "<=", cap)
+        m.set_objective({b: 2.0})
+        sols.append(get_backend("scipy").solve(m))
+    assert [(s.status, s.objective, s.bound) for s in sols] == [
+        ("optimal", 2.0, 2.0), ("infeasible", None, None)]
+    assert list(sols[0].x) == [1.0] and seen == []
+
+
 def test_check_point_reports_worst_violation():
     m = MipModel()
     v = m.add_var("v", 0.0, 1.0)
