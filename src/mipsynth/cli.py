@@ -39,14 +39,12 @@ from .fixtures import (benchmark_registry, brickwork_circuit,
                        golden_weave_circuit, k4_parity_seed, k5_parity_seed,
                        standard_target, standard_target_names)
 from .formulation import (OBJECTIVES, TARGET_OBJECTIVES, SynthesisProblem,
-                          SynthesisResult, build_model, ladder_rung,
-                          schedule_depth, synthesize)
+                          SynthesisResult, schedule_depth, synthesize)
 from .gates import (GateSet, GateSpec, _matrix_from_json, builtin_gate,
                     builtin_names, circuit_doc, circuit_from_doc, extend_gate,
                     gate_set_from_dict, gate_spec, spec_to_dict, weave_gate_set)
 from .relations import detect_relations
 from .rho import RhoConfig, circuit_unitary, rolling_horizon
-from .solvers import is_oracle_backend
 
 EXIT_OPTIMAL = 0
 EXIT_FEASIBLE = 2
@@ -425,8 +423,9 @@ def make_report(command: str, cfg: dict, problem: SynthesisProblem,
         "wall_seconds": wall,
         "solve_seconds": result.solve_seconds,
         "solver_time_limit": _jsonable(cert.get("solver_time_limit")),
-        "row_families": cert.get("row_families", {}),
-        # the gate-count MIP's length ladder: L, verdict, seconds, nodes
+        "row_families": {} if result.model is None else result.model.family_rows,
+        # the length ladder of a target objective on the MIP route: L, verdict,
+        # seconds, nodes; None for the oracle route and the approximate objectives
         "rungs": cert.get("rungs"),
         "circuit": circuit_doc(result.sequence, nq),
     }
@@ -475,19 +474,11 @@ def run_solve(command: str, cfg: dict, dump_lp: str | None = None) -> tuple[int,
     t0 = time.perf_counter()
     problem = build_problem(cfg, allowed)
     backend = "oracle" if command == "oracle" else cfg.get("backend", "scipy")
-    # an oracle solves no model, a target objective's is the last rung solved;
-    # the others are built first, so exact fidelity fails before any search
-    padded = not problem.targets_equality() and not is_oracle_backend(backend)
-    model = build_model(problem)[0] if dump_lp and padded else None
     result = synthesize(problem, backend=backend,
                         time_limit=cfg.get("time_limit"))
-    last = result.certificate.get("rungs", [{"L": 0}])[-1]
-    if dump_lp and last["L"]:  # the oracle route and the empty word solve no rung
-        model = ladder_rung(problem, last["L"], result.certificate["cutoff"],
-                            last.get("forbidden", ()))[1]
-    if model is not None:
+    if dump_lp and result.model is not None:
         with open(dump_lp, "w", encoding="utf-8") as fh:
-            fh.write(model.to_lp())
+            fh.write(result.model.to_lp())
     report = make_report(command, cfg, problem, result,
                          time.perf_counter() - t0)
     lines = [_summary(report)]
@@ -652,8 +643,9 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objective", help="objective function")
     p.add_argument("--epsilon", type=float, help="deviation box half-width")
     p.add_argument("--dump-lp", help="debug: write the LP-format model the MIP "
-                   "solved here; for a gate count, the last ladder rung it solved, "
-                   "if any; nothing for an oracle backend")
+                   "solved here; for target objectives, the last ladder rung it "
+                   "built; nothing when no model was solved (an oracle backend, "
+                   "exact fidelity, or a target the empty word meets)")
 
 
 def build_arg_parser() -> _Parser:

@@ -269,7 +269,14 @@ class ModelHandles:
 
 @dataclass
 class SynthesisResult:
-    """Verified outcome of one synthesis run."""
+    """Verified outcome of one synthesis run.
+
+    `model` is the last MipModel the MIP route solved: the last rung the
+    length ladder built, with its cutoff and forbidden_word rows, or the
+    padded model of an approximate objective.  It is None when no model was
+    solved: on the oracle route, for exact fidelity, and for a target the
+    empty word answers at rung 0.
+    """
 
     status: str  # optimal | feasible | infeasible | time_limit
     sequence: list[GateSpec] = field(default_factory=list)
@@ -284,6 +291,7 @@ class SynthesisResult:
     certificate: dict = field(default_factory=dict)
     solve_seconds: float = 0.0
     phase_factor: complex | None = None  # realized global phase in GP mode
+    model: MipModel | None = None
 
     @property
     def feasible(self) -> bool:
@@ -767,44 +775,23 @@ def _oracle_route(problem: SynthesisProblem, time_limit: float | None) -> Synthe
         "nodes": res.nodes})
 
 
-def _forbid_word(model: MipModel, handles: ModelHandles, word) -> None:
-    """One row sum_p z[w_p, p] <= L - 1 that cuts off the L-gate `word`."""
-    model.add_constr({int(handles.z[g, p]): 1.0 for p, g in enumerate(word)},
-                     "<=", len(word) - 1.0, family="forbidden_word")
-
-
-def ladder_rung(problem: SynthesisProblem, L: int, cutoff: float | None = None,
-                forbidden=()) -> tuple[SynthesisProblem, MipModel, ModelHandles]:
-    """Rung L of the length ladder, its problem, model and handles: build_model
-    at P = L and depth budget min(D, L), the identity's selections fixed to 0,
-    a cutoff row if any and one forbidden_word row per word of `forbidden`
-    (gate indices).  Target objectives run the ladder."""
-    rung = replace(problem, P=L, D=min(problem.D, L))
-    model, handles = build_model(rung)
-    for k in handles.z[problem.gate_set.identity_index]:
-        model.fix_var(int(k), 0.0)
-    if cutoff is not None:
-        model.add_objective_cutoff(cutoff, "cutoff")
-    for word in forbidden:
-        _forbid_word(model, handles, word)
-    return rung, model, handles
-
-
 def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
                    time_limit: float | None, t0: float) -> SynthesisResult:
     """A target objective as exact-length rungs L = 0, 1, ..., P, in turn.
 
     Target objectives run the ladder, the gate count and depth alike.  Rung
     0 is the empty word, matched to the target as the oracle matches it.
-    Rung L (ladder_rung) has words of exactly L gates; once a word is found,
-    every later rung carries a cutoff row that asks for a word better by the
-    relative gap DEFAULT_GAP_TOL.  Each gate adds at least `lightest` to the
-    objective of a word: the least weight under the gate count, and 1/Q
-    under depth, since a layer holds at most one gate per qubit (0 if some
-    gate acts on no qubit).  The ladder stops when `lightest` times L
-    reaches the cutoff, so under unit weights the first feasible rung is the
-    optimum.  A rung that ends out of time ends the ladder: the pattern cuts
-    of a later rung are valid only once this one is decided (see cuts).
+    Rung L is build_model at P = L and depth budget min(D, L), with the
+    identity's selections fixed to 0, so its words have exactly L gates.
+    Once a word is found, every later rung carries a cutoff row that asks for
+    a word better by the relative gap DEFAULT_GAP_TOL.  Each gate adds at
+    least `lightest` to the objective of a word: the least weight under the
+    gate count, and 1/Q under depth, since a layer holds at most one gate
+    per qubit (0 if some gate acts on no qubit).  The ladder stops when
+    `lightest` times L reaches the cutoff, so under unit weights the first
+    feasible rung is the optimum.  A rung that ends out of time ends the
+    ladder: the pattern cuts of a later rung are valid only once this one is
+    decided (see cuts).
     Rungs run with HiGHS's presolve aggregator off (PRESOLVE_AGGREGATOR): on
     the oracle corpus that cuts the ladder's time by more than half and
     decides rungs that run out of time with it on.  The padded models of the
@@ -818,9 +805,7 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
     raises.  All solves share the caller's `time_limit`, counted from t0.
     The certificate lists the rungs with verdict, seconds and nodes (summed
     over the rung's solves), and a rung that forbade words lists them under
-    `forbidden`, so ladder_rung can build the model it last solved; the
-    certificate's row families and `cutoff` (None for no cutoff row) are
-    those of the last rung built.
+    `forbidden`.  The result's `model` is the last rung built.
     """
     gs = problem.gate_set
     if problem.objective == "depth":
@@ -836,14 +821,19 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
                        certificate={"bound": 0.0, "gap": 0.0})
     rungs = [{"L": 0, "verdict": "infeasible" if best is None else "optimal",
               "seconds": time.perf_counter() - t0, "nodes": None}]
-    model, left, decided, built = None, None, True, None
+    model, left, decided = None, None, True
     for L in range(1, problem.P + 1):
         cutoff = None if best is None else (
             best.objective_value - DEFAULT_GAP_TOL * max(1.0, best.objective_value))
         if lightest * L >= (math.inf if cutoff is None else cutoff):
             break
-        start, built = time.perf_counter(), cutoff
-        rung, model, handles = ladder_rung(problem, L, cutoff)
+        start = time.perf_counter()
+        rung = replace(problem, P=L, D=min(problem.D, L))
+        model, handles = build_model(rung)
+        for k in handles.z[gs.identity_index]:
+            model.fix_var(int(k), 0.0)
+        if cutoff is not None:
+            model.add_objective_cutoff(cutoff, "cutoff")
         found, nodes, forbidden = None, [], []
         while found is None:
             if time_limit is not None:
@@ -857,7 +847,8 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
                 found = extract_and_verify(rung, model, handles, sol)
             except TargetMissError:
                 forbidden.append(np.argmax(sol.x[handles.z], axis=0).tolist())
-                _forbid_word(model, handles, forbidden[-1])
+                model.add_constr({int(handles.z[g, p]): 1.0 for p, g in enumerate(forbidden[-1])},
+                                 "<=", L - 1.0, family="forbidden_word")
         if found is not None and (best is None or found.objective_value < best.objective_value):
             best = found
         rungs.append({"L": L, "verdict": sol.status, "seconds": time.perf_counter() - start,
@@ -878,9 +869,8 @@ def _length_ladder(problem: SynthesisProblem, backend: ScipyHighsBackend,
         cert.update(bound=lightest * L, gap=None)
     counted = [r["nodes"] for r in rungs if r["nodes"] is not None]
     cert.update(rungs=rungs, nodes=sum(counted) if counted else None,
-                row_families={} if model is None else model.family_rows,
-                cutoff=built, solver_time_limit=left)
-    return replace(best or SynthesisResult(status=status), status=status,
+                solver_time_limit=left)
+    return replace(best or SynthesisResult(status=status), status=status, model=model,
                    certificate=cert, solve_seconds=time.perf_counter() - t0)
 
 
@@ -916,16 +906,15 @@ def synthesize(problem: SynthesisProblem, backend: str = "scipy",
     result = (extract_and_verify(problem, model, handles, sol) if sol.x is not None
               else SynthesisResult(status=sol.status,
                                    certificate={"bound": sol.bound, "gap": sol.gap}))
-    result.certificate.update(row_families=model.family_rows, nodes=sol.nodes,
-                              solver_time_limit=time_limit)
-    return replace(result, solve_seconds=time.perf_counter() - t0)
+    result.certificate.update(nodes=sol.nodes, solver_time_limit=time_limit)
+    return replace(result, model=model, solve_seconds=time.perf_counter() - t0)
 
 
 __all__ = [
     "SynthesisProblem", "ModelHandles", "SynthesisResult",
     "build_base", "build_model", "add_objective_gate_count",
     "add_depth_scheduling", "add_objective_linearized_fidelity",
-    "add_objective_frobenius_oa", "ladder_rung",
+    "add_objective_frobenius_oa",
     "extract_and_verify", "polish_point", "schedule_depth", "verify_sequence",
     "synthesize",
     "OBJECTIVES", "PHASE_MODES",

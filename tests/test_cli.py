@@ -497,11 +497,12 @@ def test_main_approx_and_dump_lp(tmp_path, capsys):
     # the MIP route reports HiGHS's node count from its single run
     assert isinstance(doc["nodes"], int) and doc["nodes"] >= 0
     assert "presolve_retry" not in doc
-    # exact fidelity has no linear model to write
-    with pytest.raises(SystemExit) as exc:
-        main(["approx", "--target", "T", "--gate-set", "weaves", "-P", "2",
-              "--objective", "exact_fidelity", "--dump-lp", str(lp)])
-    assert exc.value.code == EXIT_SCHEMA
+    # exact fidelity has no linear model: the run searches and writes no file
+    none = tmp_path / "none.lp"
+    with pytest.warns(UserWarning, match="falling back to exhaustive search"):
+        code = main(["approx", "--target", "T", "--gate-set", "weaves", "-P", "2",
+                     "--objective", "exact_fidelity", "--dump-lp", str(none)])
+    assert code == EXIT_OPTIMAL and not none.exists()
     capsys.readouterr()
 
 

@@ -27,7 +27,7 @@ def solve(sel: CutSelection, **kw):
 
 
 def cut_rows(result) -> dict[str, int]:
-    return {k: v for k, v in result.certificate["row_families"].items()
+    return {k: v for k, v in result.model.family_rows.items()
             if k.startswith("cut_")}
 
 
@@ -143,7 +143,7 @@ def test_weighted_ladder_under_all_cuts_matches_oracle(phase_mode):
     assert [(g["L"], g["verdict"]) for g in rungs] == [
         (0, "infeasible"), (1, "infeasible"), (2, "optimal"), (3, "optimal"),
         (4, "optimal")]
-    assert milp.certificate["row_families"]["cutoff"] == 1
+    assert milp.model.family_rows["cutoff"] == 1
 
 
 def test_hindsight_cuts_skip_on_mode_mismatch():

@@ -349,7 +349,7 @@ def test_exact_solve_small():
     # P = 2 meets the target at Ghat_1 and has no copy step (P - 2 = 0):
     # one-hot P; cumulative 2n^2 for Ghat_1; target 2n^2 for Ghat_{P-1};
     # P - 1 identity-placement rows; n = 2
-    assert r.certificate["row_families"] == {
+    assert r.model.family_rows == {
         "one_hot": 2, "cumulative": 8, "target": 8,
         "cut_identity_symmetry": 1}
     assert "presolve_retry" not in r.certificate
@@ -491,7 +491,7 @@ def test_exact_fidelity_falls_back_to_search(monkeypatch):
                          objective="exact_fidelity")
     with pytest.warns(UserWarning, match="falling back to exhaustive search"):
         r = synthesize(p, backend="scipy")
-    assert r.status == "optimal"
+    assert r.status == "optimal" and r.model is None
     assert r.objective_value == pytest.approx(0.9455032620941832, abs=1e-9)
     assert r.fidelity_to_target == pytest.approx(r.objective_value, abs=1e-9)
 
@@ -806,11 +806,11 @@ def test_certificate_lists_the_rungs():
     assert all(isinstance(g["nodes"], int) for g in rungs[1:])
     assert r.certificate["nodes"] == sum(g["nodes"] or 0 for g in rungs)
     assert all(g["seconds"] >= 0 for g in rungs)
-    # the row families are those of the last rung, a model of 3 positions
-    assert r.certificate["row_families"]["one_hot"] == 3
+    # the model solved last is rung 3, a model of 3 positions
+    assert r.model.family_rows["one_hot"] == 3
 
 
-def test_ladder_rung_rebuilds_the_last_rung():
+def test_the_result_holds_the_last_rung_built():
     # S weighs 3: S.T.T (5) is found at rung 3, T^4 (4) under its cutoff at rung 4
     gs = gs1("H", "T", "S")
     w = np.ones(len(gs))
@@ -819,13 +819,49 @@ def test_ladder_rung_rebuilds_the_last_rung():
                          cuts=CutSelection.from_names("all"))
     r = synthesize(p, backend="scipy")
     assert r.objective_value == pytest.approx(4.0)
-    cert = r.certificate
-    assert cert["rungs"][-1]["L"] == 4
-    assert cert["cutoff"] == pytest.approx(5.0 - DEFAULT_GAP_TOL * 5.0)
-    rung, model, _ = formulation.ladder_rung(p, 4, cert["cutoff"])
-    assert rung.P == 4 and dict(model.family_rows) == cert["row_families"]
-    unit = synthesize(replace(p, weights=None), backend="scipy").certificate
-    assert unit["rungs"][-1]["L"] == 2 and unit["cutoff"] is None
+    assert r.certificate["rungs"][-1]["L"] == 4
+    assert r.model.name == "synth_weighted_gate_count_Q1_P4"
+    # the cutoff row, added last, asks for a word better than S.T.T
+    assert r.model.family_rows["cutoff"] == 1
+    assert r.model.to_arrays().row_ub[-1] == pytest.approx(5.0 - DEFAULT_GAP_TOL * 5.0)
+    # under unit weights the first feasible rung is the last: no cutoff row
+    for objective in TARGET_OBJECTIVES:
+        unit = synthesize(replace(p, weights=None, objective=objective), backend="scipy")
+        assert unit.certificate["rungs"][-1]["L"] == 2
+        assert unit.model.name == f"synth_{objective}_Q1_P2"
+        assert "cutoff" not in unit.model.family_rows
+
+
+def test_the_result_holds_each_forbidden_word():
+    """RZ(0.3).RZ(0.3) misses RZ(0.6 + 1e-8) in exact mode, so rung 2 forbids
+    it and ends infeasible: the model is rung 2 with that word's row."""
+    gs = GateSet.from_specs(1, [gate_spec("RZ", (1,), angle=0.3)])
+    for objective in TARGET_OBJECTIVES:
+        r = synthesize(SynthesisProblem(builtin_gate("RZ", 0.6 + 1e-8), gs, P=2,
+                                        objective=objective), backend="scipy")
+        last = r.certificate["rungs"][-1]
+        assert (r.status, last["L"], last["forbidden"]) == ("infeasible", 2, [[1, 1]])
+        assert r.model.name == f"synth_{objective}_Q1_P2"
+        assert r.model.family_rows["forbidden_word"] == 1
+        assert "cutoff" not in r.model.family_rows
+
+
+def test_the_result_holds_the_padded_model():
+    p = SynthesisProblem(builtin_gate("T"), weave_gate_set(), P=2,
+                         objective="linearized_fidelity")
+    r = synthesize(p, backend="scipy")
+    assert r.model.name == "synth_linearized_fidelity_Q1_P2"
+    assert r.model.family_rows == build_model(p)[0].family_rows
+
+
+def test_no_model_when_none_was_solved():
+    # exact fidelity: see test_exact_fidelity_falls_back_to_search
+    p = SynthesisProblem(builtin_gate("S"), gs1("H", "T"), P=2)
+    assert synthesize(p, backend="oracle").model is None
+    # the empty word answers an identity target at rung 0, under either objective
+    for objective in TARGET_OBJECTIVES:
+        r = synthesize(replace(p, target=np.eye(2), objective=objective), backend="scipy")
+        assert r.status == "optimal" and r.gate_indices == [] and r.model is None
 
 
 #: Instances on which HiGHS's presolve proved the identity-padded model
@@ -874,6 +910,38 @@ def test_presolve_false_infeasible_instances_agree_with_oracle(library, P, word,
         assert brute.status == "optimal", objective
         assert (milp.status, milp.objective_value) == (
             brute.status, brute.objective_value), objective
+
+
+#: ROADMAP item 17's known wrong verdicts, (library, P, target word, phase
+#: mode, cuts): the MIP answers infeasible where the oracle finds a word.  In
+#: exact mode the target is the word's product after su_normalize, times
+#: exp(2 pi i 3/4).
+KNOWN_FALSE_INFEASIBLE = [
+    *[(lib, P, word, "global_phase", cuts) for lib, P, word in [
+        ("T1 CZ12", 2, "T1 T1"), ("T2 CZ12", 2, "T2 T2"), ("S1 S2", 3, "S2 S2"),
+        ("S1 S2 X2", 3, "S2 S2"), ("H1 S1 CZ12", 3, "S1 S1"),
+        ("T2 CNOT12 CZ12", 2, "T2 T2")] for cuts in ("identity", "all")],
+    *[("T1 S1 CZ12", 3, "S1 S1 CZ12", "exact", cuts) for cuts in ("identity,hc", "all")],
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="HiGHS proves the rung that holds the answer infeasible "
+                          "(ROADMAP item 17)")
+@pytest.mark.parametrize("objective", TARGET_OBJECTIVES)
+@pytest.mark.parametrize("library,P,word,phase_mode,cuts", KNOWN_FALSE_INFEASIBLE)
+def test_known_false_infeasible_instances(library, P, word, phase_mode, cuts, objective):
+    gs = GateSet.from_specs(2, [two_qubit_spec(t) for t in library.split()])
+    target = sequence_product([extend_gate(two_qubit_spec(t), 2).full
+                               for t in word.split()], 4)
+    if phase_mode == "exact":
+        target = np.exp(2j * np.pi * 3 / 4) * su_normalize(target)
+    p = SynthesisProblem(target, gs, P=P, phase_mode=phase_mode, objective=objective,
+                         cuts=CutSelection.from_names(cuts))
+    brute = synthesize(p, backend="oracle")
+    assert brute.status == "optimal"
+    milp = synthesize(p, backend="scipy")
+    assert (milp.status, milp.objective_value) == (brute.status, brute.objective_value)
 
 
 _FIXED_BINARY_PROBE = """

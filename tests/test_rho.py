@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mipsynth.encoding import fidelity
+from mipsynth.encoding import VERIFY_TOL, fidelity
 from mipsynth.errors import BackendError, ConfigError
 from mipsynth.fixtures import brickwork_circuit, k4_parity_seed, k5_parity_seed
 from mipsynth.gates import MAX_QUBITS, GateSpec, gate_spec
@@ -203,8 +203,10 @@ def test_rolling_horizon_compresses_parity_seed():
         assert e["qubits"] == sorted(e["qubits"])
         if e["action"] == "optimized":
             assert e["saved"] == e["gates_in"] - e["gates_out"]
+            # the words are exact: each deviates from its block by rounding
+            assert 0 <= e["deviation"] < 1e-14
         else:
-            assert e["gates_out"] == e["gates_in"]
+            assert e["gates_out"] == e["gates_in"] and "deviation" not in e
         if e["action"] == "skipped":
             assert "seconds" not in e and "nodes" not in e
         else:
@@ -251,7 +253,7 @@ def test_pass_builds_one_gate_set_per_window_width(monkeypatch):
 
 def test_verification_catches_wrong_rewrites(monkeypatch):
     def bogus(block, cfg, gate_sets):
-        return [gate_spec("X", (1,))], 0
+        return [gate_spec("X", (1,))], 0, 0.0  # claims an exact rewrite
 
     monkeypatch.setattr(rho_mod, "_optimize_window", bogus)
     circ = [gate_spec("H", (1,)), gate_spec("CNOT", (1, 2)),
@@ -259,6 +261,25 @@ def test_verification_catches_wrong_rewrites(monkeypatch):
     with pytest.raises(BackendError, match="fidelity"):
         rolling_horizon(circ, RhoConfig(window_length=4, accept_window=2,
                                         max_qubits=2, passes=1))
+
+
+@pytest.mark.parametrize("backend", ["oracle", "scipy"])
+def test_the_final_check_lets_window_errors_add_up(backend):
+    """Each window turns RZ(a)^3.CNOT, a = 0.2 + 5.3e-10, into RZ(0.3)^2.CNOT:
+    within VERIFY_TOL of its block per entry, 1.59e-9 off in the Frobenius
+    norm.  The two windows put the circuit more than VERIFY_TOL off per
+    entry, within the bound their deviations add up to."""
+    rz = [gate_spec("RZ", (q,), angle=0.2 + 5.3e-10) for q in (1, 3)]
+    seed = [rz[0]] * 3 + [gate_spec("CNOT", (1, 2))] + [rz[1]] * 3 + [gate_spec("CNOT", (3, 4))]
+    cfg = RhoConfig(window_length=4, accept_window=4, max_qubits=2, passes=1,
+                    window_gates=(("RZ", 0.3), "CNOT"), backend=backend)
+    res = rolling_horizon(seed, cfg)
+    assert len(res.circuit) == 6 and res.windows_optimized == 2
+    devs = [e["deviation"] for e in res.window_log]
+    assert devs == pytest.approx([1.59e-9] * 2, rel=1e-3)
+    u_in, u_out = circuit_unitary(seed, 4), circuit_unitary(res.circuit, 4)
+    off = np.abs(u_in - u_out * np.exp(-1j * np.angle(np.vdot(u_in, u_out)))).max()
+    assert VERIFY_TOL < off <= VERIFY_TOL + 3 * sum(devs)
 
 
 def test_empty_circuit_run():
